@@ -34,6 +34,7 @@ from .errors import (
     ArityMismatch,
     DegenerateCovariate,
     DimensionMismatch,
+    DuplicateColumn,
     EmptyControlGroup,
     EmptyTreatedGroup,
     IndexOutOfRange,
@@ -87,6 +88,7 @@ __all__ = [
     "DegenerateCovariate",
     "DgpConfig",
     "DimensionMismatch",
+    "DuplicateColumn",
     "EmptyControlGroup",
     "EmptyTreatedGroup",
     "GammaFit",

@@ -27,12 +27,17 @@ from .residualize import GammaFit, fit_gamma, residuals_eta
 
 @dataclass(frozen=True)
 class AttEstimate:
-    """ATT point estimate with the full ledger of intermediate fits."""
+    """ATT point estimate with the full ledger of intermediate fits.
+
+    ``eta_hat`` holds the score residuals of the run over all ``n`` rows:
+    finite on the difference and matching splits, NaN on the score split.
+    """
 
     theta_hat: float
     beta: BetaFit
     gamma: GammaFit
     matches: MatchResult
+    eta_hat: np.ndarray
     n_treated_i3: int
     n_control_i3: int
 
@@ -54,8 +59,7 @@ def matched_differences(
     obs: ObservationSet, beta_hat: np.ndarray, matches: MatchResult
 ) -> np.ndarray:
     """Adjusted-outcome gaps ``(y_t - x_t @ b) - (y_c - x_c @ b)`` per pair."""
-    t_idx = np.fromiter((t for t, _ in matches.pairs), dtype=np.intp)
-    c_idx = np.fromiter((c for _, c in matches.pairs), dtype=np.intp)
+    t_idx, c_idx = matches.treated_idx, matches.control_idx
     adj_t = obs.y[t_idx] - obs.x[t_idx] @ beta_hat
     adj_c = obs.y[c_idx] - obs.x[c_idx] @ beta_hat
     return adj_t - adj_c
@@ -82,6 +86,7 @@ def _estimate_with_roles(
     eta_hat = np.full(obs.n, np.nan)
     idx23 = np.concatenate([beta_split, match_split])
     eta_hat[idx23] = residuals_eta(gamma, obs, idx23)
+    eta_hat.setflags(write=False)
 
     try:
         beta = fit_beta(obs, beta_split, eta_hat)
@@ -106,6 +111,7 @@ def _estimate_with_roles(
         beta=beta,
         gamma=gamma,
         matches=matches,
+        eta_hat=eta_hat,
         n_treated_i3=int(treated3.size),
         n_control_i3=int(control3.size),
     )

@@ -27,6 +27,7 @@ from .bootstrap import bootstrap_att
 from .data_model import (
     ColumnSpec,
     ObservationSet,
+    _column_positions,
     _parse_cell,
     load_csv,
     split_three_way,
@@ -35,7 +36,6 @@ from .data_model import (
 )
 from .errors import (
     InputError,
-    MissingColumn,
     NumericError,
     ParseError,
     StructuralError,
@@ -43,7 +43,6 @@ from .errors import (
     TooManyFailures,
 )
 from .ite import SplineBasisSpec, fit_ite, predict_ite_batch, save_ite_model
-from .residualize import residuals_eta
 from .rng import derive_seed
 from .simulate import (
     X_AND_ETA,
@@ -199,10 +198,8 @@ def _read_grid(path: str, x_cols: list[str], include_eta: bool) -> tuple[list[li
         reader = _csv.reader(fh)
         header = [h.strip() for h in next(reader)]
         wanted = list(x_cols) + (["eta_hat"] if include_eta else [])
-        for name in wanted:
-            if name not in header:
-                raise MissingColumn(name)
-        pos = [header.index(name) for name in wanted]
+        positions = _column_positions(header, wanted)
+        pos = [positions[name] for name in wanted]
         rows = [raw for raw in reader if raw and any(c.strip() for c in raw)]
     values = np.empty((len(rows), len(wanted)))
     for r, raw in enumerate(rows):
@@ -218,12 +215,9 @@ def cmd_ite(args: argparse.Namespace) -> int:
     obs = _load(args)
     splits = split_three_way(obs.n, seed=args.seed, shuffle=True)
     est = estimate_att(obs, splits)
-    eta_hat = np.full(obs.n, np.nan)
-    idx23 = np.concatenate([splits.i2, splits.i3])
-    eta_hat[idx23] = residuals_eta(est.gamma, obs, idx23)
     spec = SplineBasisSpec(df_grid=args.df_grid, include_eta=args.include_eta)
     model = fit_ite(
-        obs, splits, est.beta, est.matches, eta_hat, spec, cv_seed=derive_seed(args.seed, 1)
+        obs, splits, est.beta, est.matches, est.eta_hat, spec, cv_seed=derive_seed(args.seed, 1)
     )
     save_ite_model(model, args.model_out)
 

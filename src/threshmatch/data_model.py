@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    DuplicateColumn,
     IndexOutOfRange,
     MissingColumn,
     NonFiniteValue,
@@ -202,11 +203,25 @@ def _parse_cell(cell: str, row: int, col: str) -> float:
     return value
 
 
+def _column_positions(header: list[str], names: list[str]) -> dict[str, int]:
+    """Header position of each requested column; each must appear exactly once."""
+    positions: dict[str, int] = {}
+    for name in names:
+        count = header.count(name)
+        if count == 0:
+            raise MissingColumn(name)
+        if count > 1:
+            raise DuplicateColumn(name)
+        positions[name] = header.index(name)
+    return positions
+
+
 def load_csv(path: str, spec: ColumnSpec) -> ObservationSet:
     """Read a UTF-8, comma-separated, header-first CSV into an ObservationSet.
 
     Cells must be plain decimal or scientific notation; anything else
-    (missing cells, locale separators, inf/nan spellings) is an error.
+    (missing cells, locale separators, inf/nan spellings) is an error, as
+    is a requested column that is absent from the header or named twice.
     Row order is preserved.  Shared x/z columns are duplicated into both
     matrices.
     """
@@ -217,11 +232,7 @@ def load_csv(path: str, spec: ColumnSpec) -> ObservationSet:
         except StopIteration:
             raise TooFewRows(0, MIN_ROWS) from None
         header = [h.strip() for h in header]
-        col_pos: dict[str, int] = {}
-        for name in [spec.y_col, spec.q_col, *spec.x_cols, *spec.z_cols]:
-            if name not in header:
-                raise MissingColumn(name)
-            col_pos[name] = header.index(name)
+        col_pos = _column_positions(header, [spec.y_col, spec.q_col, *spec.x_cols, *spec.z_cols])
         rows: list[list[str]] = []
         for raw in reader:
             if not raw or (len(raw) == 1 and raw[0].strip() == ""):

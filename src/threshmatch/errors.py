@@ -43,6 +43,12 @@ class MissingColumn(InputError):
         self.name = name
 
 
+class DuplicateColumn(InputError):
+    def __init__(self, name: str):
+        super().__init__(f"column {name!r} appears more than once in header")
+        self.name = name
+
+
 class ParseError(InputError):
     def __init__(self, row: int, col: str, cell: str):
         super().__init__(f"row {row}, column {col!r}: cannot parse {cell!r} as a plain decimal")

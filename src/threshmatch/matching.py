@@ -6,10 +6,25 @@ resolve toward the smaller ``eta_hat`` value and then the smaller original
 index -- a probability-zero event for continuous residuals, pinned down
 only so results are deterministic.
 
-:func:`match_controls` sorts the controls once and binary-searches each
-treated value, O((n0 + n1) log n0).  :func:`match_controls_brute` is the
-exhaustive O(n0 * n1) reference with the identical tie rule; it ships so
-equivalence can be asserted on random instances.
+A match is a pair of ``intp`` arrays; no step builds a Python object per
+pair.  :func:`match_controls` works in three vectorised passes:
+
+1. Sort the controls by value.  One linear pass over the sorted values
+   finds the runs of equal values (``-0.0`` equals ``+0.0``), and a
+   segmented minimum gives each run its canonical control, the smallest
+   original index.
+2. Sort the treated values and binary-search them in ascending order, so
+   consecutive searches touch neighbouring parts of the control array.
+   At 500k against 500k this is about five times faster than searching
+   in input order.
+3. Take the nearer of the two neighbours of each search position, ties to
+   the left (the smaller value), map it to its run's canonical control,
+   and scatter the result back to treated input order.
+
+Cost: O(n0 log n0 + n1 log n1) time, O(n0 + n1) memory.
+:func:`match_controls_brute` is the exhaustive O(n0 * n1) reference with
+the identical tie rule; it ships so equivalence can be asserted on random
+instances.
 """
 
 from __future__ import annotations
@@ -18,20 +33,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyControlGroup, EmptyTreatedGroup
+from .errors import DimensionMismatch, EmptyControlGroup, EmptyTreatedGroup
 
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Matched pairs plus the per-control reuse counts.
+    """Matched pairs as two parallel ``intp`` arrays in treated input order.
 
-    ``pairs`` holds ``(treated_index, control_index)`` in treated input
-    order.  ``k_counts`` maps each matched control index to the number of
-    treated observations it serves; controls never used do not appear.
+    Treated row ``treated_idx[k]`` is matched to control row
+    ``control_idx[k]``.
     """
 
-    pairs: list[tuple[int, int]]
-    k_counts: dict[int, int]
+    treated_idx: np.ndarray
+    control_idx: np.ndarray
+
+    def reuse_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Matched control rows, ascending, and the number K(i) of treated rows each serves.
+
+        Controls never used do not appear.
+        """
+        return np.unique(self.control_idx, return_counts=True)
 
 
 def _validate(eta_treated, treated_idx, eta_control, control_idx):
@@ -39,6 +60,15 @@ def _validate(eta_treated, treated_idx, eta_control, control_idx):
     eta_control = np.asarray(eta_control, dtype=np.float64)
     treated_idx = np.asarray(treated_idx, dtype=np.intp)
     control_idx = np.asarray(control_idx, dtype=np.intp)
+    for side, values, idx in (
+        ("treated", eta_treated, treated_idx),
+        ("control", eta_control, control_idx),
+    ):
+        if values.ndim != 1 or idx.ndim != 1 or values.shape != idx.shape:
+            raise DimensionMismatch(
+                f"{side} values {values.shape} and indices {idx.shape} must be "
+                "one-dimensional and of equal length"
+            )
     if eta_treated.size == 0:
         raise EmptyTreatedGroup()
     if eta_control.size == 0:
@@ -60,30 +90,29 @@ def match_controls(
     eta_treated, treated_idx, eta_control, control_idx = _validate(
         eta_treated, treated_idx, eta_control, control_idx
     )
-    order = np.lexsort((control_idx, eta_control))
+    order = np.argsort(eta_control)
     vals = eta_control[order]
-    idxs = control_idx[order]
     n0 = vals.shape[0]
 
-    pos = np.searchsorted(vals, eta_treated, side="left")
+    run_start = np.empty(n0, dtype=bool)
+    run_start[0] = True
+    np.not_equal(vals[1:], vals[:-1], out=run_start[1:])
+    canonical = np.minimum.reduceat(control_idx[order], np.flatnonzero(run_start))
+    run_of = np.cumsum(run_start, dtype=np.intp) - 1
+
+    by_value = np.argsort(eta_treated)
+    queries = eta_treated[by_value]
+    pos = np.searchsorted(vals, queries, side="left")
     left = np.clip(pos - 1, 0, n0 - 1)
     right = np.clip(pos, 0, n0 - 1)
-    d_left = np.where(pos > 0, np.abs(eta_treated - vals[left]), np.inf)
-    d_right = np.where(pos < n0, np.abs(vals[right] - eta_treated), np.inf)
+    d_left = np.where(pos > 0, np.abs(queries - vals[left]), np.inf)
+    d_right = np.where(pos < n0, np.abs(vals[right] - queries), np.inf)
     # ties (d_left == d_right) go left: the left candidate has the smaller value
-    take_left = d_left <= d_right
-    winner = np.where(take_left, left, right)
+    winner = np.where(d_left <= d_right, left, right)
 
-    # canonicalize within equal-value runs to the smallest original index,
-    # which sits first under the lexicographic sort
-    winner_first = np.searchsorted(vals, vals[winner], side="left")
-    matched = idxs[winner_first]
-
-    pairs = [(int(t), int(c)) for t, c in zip(treated_idx, matched)]
-    counts: dict[int, int] = {}
-    for _, c in pairs:
-        counts[c] = counts.get(c, 0) + 1
-    return MatchResult(pairs=pairs, k_counts=counts)
+    matched = np.empty_like(treated_idx)
+    matched[by_value] = canonical[run_of[winner]]
+    return MatchResult(treated_idx=treated_idx, control_idx=matched)
 
 
 def match_controls_brute(
@@ -92,18 +121,20 @@ def match_controls_brute(
     eta_control: np.ndarray,
     control_idx: np.ndarray,
 ) -> MatchResult:
-    """Exhaustive-scan reference implementation of :func:`match_controls`."""
+    """Exhaustive-scan reference implementation of :func:`match_controls`.
+
+    Each treated value takes the control with the lexicographically smallest
+    ``(distance, value, index)``.
+    """
     eta_treated, treated_idx, eta_control, control_idx = _validate(
         eta_treated, treated_idx, eta_control, control_idx
     )
-    pairs: list[tuple[int, int]] = []
-    counts: dict[int, int] = {}
-    for t_val, t_idx in zip(eta_treated, treated_idx):
+    matched = np.empty_like(treated_idx)
+    for k, t_val in enumerate(eta_treated):
         best = None
         for c_val, c_idx in zip(eta_control, control_idx):
             key = (abs(t_val - c_val), c_val, c_idx)
-            if best is None or key < best[0]:
-                best = (key, int(c_idx))
-        pairs.append((int(t_idx), best[1]))
-        counts[best[1]] = counts.get(best[1], 0) + 1
-    return MatchResult(pairs=pairs, k_counts=counts)
+            if best is None or key < best:
+                best = key
+        matched[k] = best[2]
+    return MatchResult(treated_idx=treated_idx, control_idx=matched)

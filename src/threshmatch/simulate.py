@@ -31,7 +31,6 @@ from .att import estimate_att, estimate_att_crossfit
 from .data_model import ObservationSet, split_three_way
 from .errors import DimensionMismatch, ThreshmatchError, TooFewRows
 from .ite import SplineBasisSpec, fit_ite, ite_mse
-from .residualize import residuals_eta
 from .rng import derive_seed, rng_from
 
 X_ONLY = "x_only"
@@ -64,6 +63,14 @@ class DgpConfig:
             raise DimensionMismatch(f"unknown ite_kind {self.ite_kind!r}")
 
 
+def _effect_surface(x: np.ndarray, eta, ite_kind: str) -> np.ndarray:
+    """``x1^2 + x2*x3``, plus ``eta^2`` for "x_and_eta"; ``x`` starts with x1..x3."""
+    alpha = x[:, 0] ** 2 + x[:, 1] * x[:, 2]
+    if ite_kind == X_AND_ETA:
+        alpha = alpha + eta**2
+    return alpha
+
+
 def true_ite_fn(ite_kind: str):
     """Vectorized truth ``alpha(x, z, q)`` for the built-in generator.
 
@@ -72,12 +79,10 @@ def true_ite_fn(ite_kind: str):
     """
 
     def alpha(x: np.ndarray, z: np.ndarray, q: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        base = x[:, 0] ** 2 + x[:, 1] * x[:, 2]
+        eta = None
         if ite_kind == X_AND_ETA:
             eta = np.asarray(q) - np.atleast_2d(z) @ GAMMA_TRUE
-            return base + eta**2
-        return base
+        return _effect_surface(np.atleast_2d(x), eta, ite_kind)
 
     return alpha
 
@@ -89,9 +94,7 @@ def generate(config: DgpConfig) -> ObservationSet:
     eta = rng.uniform(-1.0, 1.0, size=config.n)
     eps = rng.normal(0.0, config.eps_sd, size=config.n)
     q = covs[:, 3] + eta
-    alpha = covs[:, 0] ** 2 + covs[:, 1] * covs[:, 2]
-    if config.ite_kind == X_AND_ETA:
-        alpha = alpha + eta**2
+    alpha = _effect_surface(covs, eta, config.ite_kind)
     y = alpha * (q >= 0.0) + covs[:, 0] + covs[:, 2] + eta / 2.0 + eps
     return ObservationSet(y=y, x=covs[:, :3], z=covs, q=q, tau0=0.0)
 
@@ -115,9 +118,7 @@ def true_att_oracle(samples: int, seed: int = 0, ite_kind: str = X_AND_ETA, alph
         if alpha_fn is not None:
             alpha = np.asarray(alpha_fn(covs, eta), dtype=np.float64)
         else:
-            alpha = covs[:, 0] ** 2 + covs[:, 1] * covs[:, 2]
-            if ite_kind == X_AND_ETA:
-                alpha = alpha + eta**2
+            alpha = _effect_surface(covs, eta, ite_kind)
         total += float(alpha[treated].sum())
         count += int(treated.sum())
         remaining -= m
@@ -221,11 +222,8 @@ def monte_carlo_ite(config: DgpConfig, spec: SplineBasisSpec, seeds: list[int]) 
         obs = generate(replace(config, seed=derive_seed(s, 0)))
         splits = split_three_way(obs.n, seed=derive_seed(s, 1), shuffle=True)
         est = estimate_att(obs, splits)
-        eta_hat = np.full(obs.n, np.nan)
-        idx23 = np.concatenate([splits.i2, splits.i3])
-        eta_hat[idx23] = residuals_eta(est.gamma, obs, idx23)
         model = fit_ite(
-            obs, splits, est.beta, est.matches, eta_hat, spec, cv_seed=derive_seed(s, 2)
+            obs, splits, est.beta, est.matches, est.eta_hat, spec, cv_seed=derive_seed(s, 2)
         )
-        mses.append(ite_mse(model, obs, splits, eta_hat, truth))
+        mses.append(ite_mse(model, obs, splits, est.eta_hat, truth))
     return mses

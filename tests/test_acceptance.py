@@ -191,7 +191,13 @@ def test_criterion_8_matching_oracle():
         idx = rng.permutation(n1 + n0)
         fast = match_controls(t_vals, idx[:n1], c_vals, idx[n1:])
         slow = match_controls_brute(t_vals, idx[:n1], c_vals, idx[n1:])
-        if fast.pairs != slow.pairs or fast.k_counts != slow.k_counts:
+        same = np.array_equal(fast.treated_idx, slow.treated_idx) and np.array_equal(
+            fast.control_idx, slow.control_idx
+        )
+        same = same and all(
+            np.array_equal(a, b) for a, b in zip(fast.reuse_counts(), slow.reuse_counts())
+        )
+        if not same:
             mismatches += 1
     _report(8, mismatches == 0, f"{1000 - mismatches}/1000 instances identical to brute force")
 

@@ -10,6 +10,7 @@ from threshmatch import (
     estimate_att,
     estimate_att_crossfit,
     generate,
+    residuals_eta,
     split_three_way,
 )
 
@@ -60,8 +61,10 @@ class TestHandFixture:
         assert est.gamma.gamma_hat[0] == pytest.approx(gamma, abs=1e-10)
         assert est.beta.beta_hat[0] == pytest.approx(beta, abs=1e-10)
         assert est.theta_hat == pytest.approx(theta, abs=1e-10)
-        assert est.matches.pairs == [(6, 8)]
-        assert est.matches.k_counts == {8: 1}
+        assert est.matches.treated_idx.tolist() == [6]
+        assert est.matches.control_idx.tolist() == [8]
+        controls, counts = est.matches.reuse_counts()
+        assert controls.tolist() == [8] and counts.tolist() == [1]
         assert est.n_treated_i3 == 1
         assert est.n_control_i3 == 2
 
@@ -91,10 +94,21 @@ class TestInvariants:
         recomputed = np.mean(
             [
                 (obs.y[t] - obs.x[t] @ beta) - (obs.y[c] - obs.x[c] @ beta)
-                for t, c in est.matches.pairs
+                for t, c in zip(est.matches.treated_idx, est.matches.control_idx)
             ]
         )
         assert recomputed == est.theta_hat
+
+    def test_eta_hat_is_the_runs_residuals(self):
+        obs = generate(DgpConfig(n=600, seed=6))
+        splits = split_three_way(obs.n, seed=6)
+        est = estimate_att(obs, splits)
+        idx23 = np.concatenate([splits.i2, splits.i3])
+        assert np.all(np.isnan(est.eta_hat[splits.i1]))
+        assert np.array_equal(
+            est.eta_hat[idx23], residuals_eta(est.gamma, obs, idx23)
+        )
+        assert not est.eta_hat.flags.writeable
 
     def test_rotation_structure(self):
         s = split_three_way(30, seed=1)
@@ -115,7 +129,7 @@ class TestInvariants:
 
     def test_identical_rotations_average_to_themselves(self, monkeypatch):
         stub = AttEstimate(
-            theta_hat=0.25, beta=None, gamma=None, matches=None,
+            theta_hat=0.25, beta=None, gamma=None, matches=None, eta_hat=None,
             n_treated_i3=1, n_control_i3=1,
         )
         monkeypatch.setattr(att_mod, "_estimate_with_roles", lambda *a, **k: stub)

@@ -71,6 +71,18 @@ class TestEstimate:
         assert code == 2
         assert "nope" in err
 
+    def test_duplicate_header_exits_two(self, tmp_path, capsys):
+        lines = Path(NULL_CSV).read_text(encoding="utf-8").splitlines()
+        header = lines[0].split(",")
+        header[header.index("x2")] = "x1"
+        path = tmp_path / "dup.csv"
+        path.write_text("\n".join([",".join(header), *lines[1:]]) + "\n")
+        bad = ["estimate", "--data", str(path), "--y", "y", "--q", "q",
+               "--x", "x1,x3", "--z", "x1,x3,x4", "--tau", "0.0"]
+        code, _, err = run_cli(bad, capsys)
+        assert code == 2
+        assert "'x1'" in err and "more than once" in err
+
     def test_rank_deficient_exits_three(self, tmp_path, capsys):
         # duplicated score covariate makes the score regression singular
         lines = Path(NULL_CSV).read_text().strip().split("\n")
@@ -161,6 +173,17 @@ class TestIte:
         # truth is x1^2 + x2*x3; spot check the second grid point loosely
         alpha = float(pred_lines[2].split(",")[-1])
         assert abs(alpha - (1.0 + 0.5 * -0.5)) <= 0.5
+
+    def test_grid_duplicate_column_exits_two(self, tmp_path, case1_csv, capsys):
+        capsys.readouterr()
+        grid = tmp_path / "grid.csv"
+        grid.write_text("x1,x2,x2,x3\n0.0,0.0,1.0,0.0\n")
+        args = ["ite", "--data", case1_csv, "--y", "y", "--q", "q",
+                "--x", "x1,x2,x3", "--z", "x1,x2,x3,x4", "--tau", "0.0",
+                "--model-out", str(tmp_path / "m.txt"), "--predict-grid", str(grid)]
+        code, _, err = run_cli(args, capsys)
+        assert code == 2
+        assert "'x2'" in err and "more than once" in err
 
     def test_grid_missing_eta_column_exits_two(self, tmp_path, case1_csv, capsys):
         capsys.readouterr()

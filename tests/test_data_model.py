@@ -3,6 +3,7 @@ import pytest
 
 from threshmatch import (
     ColumnSpec,
+    DuplicateColumn,
     MissingColumn,
     NonFiniteValue,
     ObservationSet,
@@ -42,6 +43,19 @@ class TestLoadCsv:
         with pytest.raises(MissingColumn) as err:
             load_csv(path, spec)
         assert err.value.name == "q"
+
+    def test_duplicate_requested_column_rejected(self, tmp_path):
+        path = _write(tmp_path, "dup.csv", "y,x1,x1,q\n" + _rows([[1.0, 2.0, 3.0, 4.0]] * 9))
+        spec = ColumnSpec(y_col="y", q_col="q", x_cols=["x1"], z_cols=["x1"], tau0=0.0)
+        with pytest.raises(DuplicateColumn) as err:
+            load_csv(path, spec)
+        assert err.value.name == "x1"
+        assert "'x1'" in str(err.value)
+
+    def test_duplicate_unrequested_column_ignored(self, tmp_path):
+        path = _write(tmp_path, "dup.csv", "y,a,note,note,q\n" + _rows([[1.0, 2.0, 0.0, 0.0, 3.0]] * 9))
+        spec = ColumnSpec(y_col="y", q_col="q", x_cols=["a"], z_cols=["a"], tau0=0.0)
+        assert load_csv(path, spec).n == 9
 
     def test_column_sums_match_text_parse_oracle(self, tmp_path):
         rng = np.random.default_rng(3)

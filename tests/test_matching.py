@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from threshmatch import (
+    DimensionMismatch,
     EmptyControlGroup,
     EmptyTreatedGroup,
     match_controls,
@@ -23,27 +24,41 @@ def _random_instance(rng, ties=False):
     return t_vals, idx[:n1], c_vals, idx[n1:]
 
 
+def assert_same_matches(fast, slow):
+    assert np.array_equal(fast.treated_idx, slow.treated_idx)
+    assert np.array_equal(fast.control_idx, slow.control_idx)
+    for got, want in zip(fast.reuse_counts(), slow.reuse_counts()):
+        assert np.array_equal(got, want)
+
+
 class TestExamples:
     def test_single_control_takes_everything(self):
         res = match_controls(np.array([0.1, 0.5, -2.0]), np.array([3, 4, 5]),
                              np.array([1.0]), np.array([9]))
-        assert res.pairs == [(3, 9), (4, 9), (5, 9)]
-        assert res.k_counts == {9: 3}
+        assert res.treated_idx.tolist() == [3, 4, 5]
+        assert res.control_idx.tolist() == [9, 9, 9]
+        controls, counts = res.reuse_counts()
+        assert controls.tolist() == [9] and counts.tolist() == [3]
 
     def test_equidistant_tie_goes_to_smaller_value(self):
         res = match_controls(np.array([0.5]), np.array([0]),
                              np.array([0.4, 0.6]), np.array([1, 2]))
-        assert res.pairs == [(0, 1)]
+        assert res.control_idx.tolist() == [1]
 
     def test_equal_values_tie_goes_to_smaller_index(self):
         res = match_controls(np.array([0.5]), np.array([0]),
                              np.array([0.4, 0.4]), np.array([12, 9]))
-        assert res.pairs == [(0, 9)]
+        assert res.control_idx.tolist() == [9]
 
     def test_exact_match_beats_tie_rule(self):
         res = match_controls(np.array([0.4]), np.array([0]),
                              np.array([0.3, 0.4, 0.5]), np.array([1, 2, 3]))
-        assert res.pairs == [(0, 2)]
+        assert res.control_idx.tolist() == [2]
+
+    def test_index_arrays_are_intp(self):
+        res = match_controls(np.array([0.1]), [4], np.array([0.2]), [7])
+        assert res.treated_idx.dtype == np.intp
+        assert res.control_idx.dtype == np.intp
 
 
 class TestOracleEquivalence:
@@ -54,8 +69,7 @@ class TestOracleEquivalence:
             t_vals, t_idx, c_vals, c_idx = _random_instance(rng, ties=ties)
             fast = match_controls(t_vals, t_idx, c_vals, c_idx)
             slow = match_controls_brute(t_vals, t_idx, c_vals, c_idx)
-            assert fast.pairs == slow.pairs
-            assert fast.k_counts == slow.k_counts
+            assert_same_matches(fast, slow)
 
 
 class TestAdversarialDistributions:
@@ -85,8 +99,43 @@ class TestAdversarialDistributions:
             idx = rng.permutation(n1 + n0)
             fast = match_controls(t, idx[:n1], c, idx[n1:])
             slow = match_controls_brute(t, idx[:n1], c, idx[n1:])
-            assert fast.pairs == slow.pairs
-            assert fast.k_counts == slow.k_counts
+            assert_same_matches(fast, slow)
+
+    def test_matches_brute_on_layouts_the_fast_path_reorders(self):
+        # the fast path sorts the controls by value, takes a per-run minimum of
+        # their indices, searches the treated values in ascending order and
+        # scatters the winners back; each case below stresses one of those steps
+        rng = np.random.default_rng(777)
+        for trial in range(400):
+            kind = trial % 4
+            n1 = int(rng.integers(1, 40))
+            n0 = int(rng.integers(1, 40))
+            if kind == 0:  # signed zeros mixed into one equal-value run
+                c = rng.choice([-0.0, 0.0, -0.5, 0.5], n0)
+                t = rng.choice([-0.0, 0.0, -0.25, 0.25, 1.0], n1)
+            elif kind == 1:  # treated duplicates, in descending order
+                t = np.sort(rng.integers(-3, 4, n1) / 2.0)[::-1].copy()
+                c = rng.integers(-3, 4, n0) / 2.0
+            elif kind == 2:  # equal-value runs at both ends of the sorted controls
+                k = int(rng.integers(0, n0 + 1))
+                c = np.concatenate(
+                    [np.full(k, -2.0), rng.uniform(-1.0, 1.0, n0 - k)]
+                )
+                c[rng.random(n0) < 0.3] = 2.0
+                t = rng.choice([-3.0, -2.0, -1.5, 0.0, 1.5, 2.0, 3.0], n1)
+            else:  # continuous values, integer runs
+                c = rng.integers(-2, 3, n0).astype(float)
+                t = rng.standard_normal(n1) * 2.0
+            # control indices in unsorted order, far from 0..n-1
+            idx = rng.permutation(n1 + n0) * 1000 + int(rng.integers(0, 1000))
+            fast = match_controls(t, idx[:n1], c, idx[n1:])
+            slow = match_controls_brute(t, idx[:n1], c, idx[n1:])
+            assert_same_matches(fast, slow)
+
+    def test_signed_zero_run_takes_smallest_index(self):
+        res = match_controls(np.array([0.0, -0.0, 1e-300]), np.array([0, 1, 2]),
+                             np.array([0.0, -0.0, 0.0]), np.array([8, 3, 5]))
+        assert res.control_idx.tolist() == [3, 3, 3]
 
 
 class TestProperties:
@@ -95,7 +144,7 @@ class TestProperties:
         t_vals, t_idx, c_vals, c_idx = _random_instance(rng)
         res = match_controls(t_vals, t_idx, c_vals, c_idx)
         value_of = dict(zip(c_idx.tolist(), c_vals.tolist()))
-        for (t, c), t_val in zip(res.pairs, t_vals):
+        for c, t_val in zip(res.control_idx.tolist(), t_vals):
             best = abs(t_val - value_of[c])
             assert all(best <= abs(t_val - v) for v in c_vals)
 
@@ -106,17 +155,19 @@ class TestProperties:
             base = match_controls(t_vals, t_idx, c_vals, c_idx)
             shifted = match_controls(t_vals + 3.25, t_idx, c_vals + 3.25, c_idx)
             scaled = match_controls(t_vals * 7.5, t_idx, c_vals * 7.5, c_idx)
-            assert shifted.pairs == base.pairs
-            assert scaled.pairs == base.pairs
+            assert np.array_equal(shifted.control_idx, base.control_idx)
+            assert np.array_equal(scaled.control_idx, base.control_idx)
 
     def test_k_counts_sum_to_treated_count(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             t_vals, t_idx, c_vals, c_idx = _random_instance(rng)
             res = match_controls(t_vals, t_idx, c_vals, c_idx)
-            assert sum(res.k_counts.values()) == len(t_vals)
-            assert len(res.pairs) == len(t_vals)
-            assert [t for t, _ in res.pairs] == t_idx.tolist()
+            controls, counts = res.reuse_counts()
+            assert counts.sum() == len(t_vals)
+            assert np.all(np.isin(controls, c_idx))
+            assert len(res.control_idx) == len(t_vals)
+            assert np.array_equal(res.treated_idx, t_idx)
 
     def test_empty_groups_raise(self):
         with pytest.raises(EmptyControlGroup):
@@ -125,3 +176,17 @@ class TestProperties:
             match_controls(np.array([]), np.array([], dtype=int), np.array([1.0]), np.array([0]))
         with pytest.raises(EmptyControlGroup):
             match_controls_brute(np.array([1.0]), np.array([0]), np.array([]), np.array([], dtype=int))
+
+    @pytest.mark.parametrize("match", [match_controls, match_controls_brute])
+    def test_treated_length_mismatch_raises(self, match):
+        with pytest.raises(DimensionMismatch, match="treated"):
+            match(np.array([0.1, 0.2]), np.array([3]), np.array([1.0]), np.array([9]))
+        with pytest.raises(DimensionMismatch, match="treated"):
+            match(np.array([[0.1, 0.2]]), np.array([[3, 4]]), np.array([1.0]), np.array([9]))
+
+    @pytest.mark.parametrize("match", [match_controls, match_controls_brute])
+    def test_control_length_mismatch_raises(self, match):
+        with pytest.raises(DimensionMismatch, match="control"):
+            match(np.array([0.1]), np.array([3]), np.array([1.0, 2.0]), np.array([9]))
+        with pytest.raises(DimensionMismatch, match="control"):
+            match(np.array([0.1]), np.array([3]), np.array(1.0), np.array(9))
