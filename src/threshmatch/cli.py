@@ -27,8 +27,8 @@ from .bootstrap import bootstrap_att
 from .data_model import (
     ColumnSpec,
     ObservationSet,
-    _column_positions,
-    _parse_cell,
+    _read_columns,
+    _write_rows,
     load_csv,
     split_three_way,
     treatment_mask,
@@ -37,7 +37,6 @@ from .data_model import (
 from .errors import (
     InputError,
     NumericError,
-    ParseError,
     StructuralError,
     ThreshmatchError,
     TooManyFailures,
@@ -192,22 +191,15 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_grid(path: str, x_cols: list[str], include_eta: bool) -> tuple[list[list[str]], np.ndarray]:
-    """Read a prediction-grid CSV: the x columns plus 'eta_hat' when needed."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        wanted = list(x_cols) + (["eta_hat"] if include_eta else [])
-        positions = _column_positions(header, wanted)
-        pos = [positions[name] for name in wanted]
-        rows = [raw for raw in reader if raw and any(c.strip() for c in raw)]
-    values = np.empty((len(rows), len(wanted)))
-    for r, raw in enumerate(rows):
-        for c, p in enumerate(pos):
-            if p >= len(raw):
-                raise ParseError(r, wanted[c], "<missing>")
-            values[r, c] = _parse_cell(raw[p], r, wanted[c])
-    return rows, values
+def _read_grid(path: str, x_cols: list[str], include_eta: bool) -> np.ndarray:
+    """Read a prediction-grid CSV: the x columns plus 'eta_hat' when needed.
+
+    Same reader, cell grammar and empty-line rule as the data file; the
+    grid needs at least one row.
+    """
+    wanted = list(x_cols) + (["eta_hat"] if include_eta else [])
+    columns = _read_columns(path, wanted, min_rows=1)
+    return np.column_stack([columns[name] for name in wanted])
 
 
 def cmd_ite(args: argparse.Namespace) -> int:
@@ -223,14 +215,12 @@ def cmd_ite(args: argparse.Namespace) -> int:
 
     predictions_path = None
     if args.predict_grid:
-        _, grid = _read_grid(args.predict_grid, args.x, args.include_eta)
+        grid = _read_grid(args.predict_grid, args.x, args.include_eta)
         preds = predict_ite_batch(model, grid)
         predictions_path = args.predictions_out or args.model_out + ".predictions.csv"
         with open(predictions_path, "w", encoding="utf-8", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(list(args.x) + (["eta_hat"] if args.include_eta else []) + ["alpha_hat"])
-            for row, pred in zip(grid, preds):
-                writer.writerow([repr(float(v)) for v in row] + [repr(float(pred))])
+            _csv.writer(fh).writerow(list(args.x) + (["eta_hat"] if args.include_eta else []) + ["alpha_hat"])
+            _write_rows(fh, [*grid.T, preds])
 
     payload = {
         "theta_hat": est.theta_hat,

@@ -5,6 +5,13 @@ threshold ``tau0``: ``y`` is the outcome, ``q`` the score that allocates
 treatment, ``x`` the outcome-side covariates, and ``z`` the score-side
 covariates.  Treatment is assigned whenever ``q >= tau0`` -- the cutoff
 itself is treated.  ``x`` and ``z`` may share columns (including ``x == z``).
+
+Data files and prediction grids go through one strict column reader:
+``csv.reader`` tokenises the file, and each distinct requested column is
+parsed once.  A column whose cells are all plain ASCII numbers is
+converted in one vectorised pass; any other column falls back to a
+per-cell loop, which accepts the rest of the grammar and reports the
+first bad cell by row and column.
 """
 
 from __future__ import annotations
@@ -30,6 +37,9 @@ MIN_ROWS = 9  # smallest n for which each of the three splits is nonempty
 # Plain decimal or scientific notation only: no underscores, no locale
 # separators, no inf/nan spellings.  Keeps file parsing bit-reproducible.
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+# Deletes every character a cell may hold on the fast path of _parse_column,
+# plus the newline that joins a column's cells.
+_NUMERIC_CHARS = str.maketrans("", "", "0123456789+-.eE\n")
 
 
 @dataclass(frozen=True)
@@ -203,6 +213,35 @@ def _parse_cell(cell: str, row: int, col: str) -> float:
     return value
 
 
+def _parse_column(rows: list[list[str]], pos: int, name: str) -> np.ndarray:
+    """Cell ``pos`` of every row as float64, checked against the strict grammar.
+
+    The fast path converts the whole column with ``float`` once every cell
+    is known to consist of the characters in ``_NUMERIC_CHARS`` only.
+    Over those characters, ``float`` accepts exactly ``_NUMBER_RE`` with
+    surrounding newlines, which ``_parse_cell`` strips too, so the fast
+    path accepts a subset of what the per-cell loop accepts and yields the
+    same bits.  Any failure (a short row, another character, a malformed
+    or non-finite number) reruns the per-cell loop, which accepts the rest
+    of the grammar (padded or quoted cells, Unicode digits) and raises the
+    first error with its exact row and column.
+    """
+    try:
+        cells = [raw[pos] for raw in rows]
+        if not "\n".join(cells).translate(_NUMERIC_CHARS):
+            values = np.fromiter(map(float, cells), np.float64, len(cells))
+            if np.isfinite(values).all():
+                return values
+    except (IndexError, ValueError):
+        pass
+    values = np.empty(len(rows), dtype=np.float64)
+    for r, raw in enumerate(rows):
+        if pos >= len(raw):
+            raise ParseError(r, name, "<missing>")
+        values[r] = _parse_cell(raw[pos], r, name)
+    return values
+
+
 def _column_positions(header: list[str], names: list[str]) -> dict[str, int]:
     """Header position of each requested column; each must appear exactly once."""
     positions: dict[str, int] = {}
@@ -216,47 +255,63 @@ def _column_positions(header: list[str], names: list[str]) -> dict[str, int]:
     return positions
 
 
+def _read_columns(path: str, names: list[str], min_rows: int) -> dict[str, np.ndarray]:
+    """Parse the requested columns of a header-first CSV file, each distinct name once.
+
+    The one reader for data files and prediction grids.  ``csv.reader`` is
+    the tokeniser; an empty line (no cells, or a single blank cell) is
+    skipped, and every other line is a data row.  Errors come in a fixed
+    order: an absent or twice-named requested column, then fewer than
+    ``min_rows`` data rows (an empty file counts as zero), then the first
+    bad cell of the first bad column in the order of ``names``.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise TooFewRows(0, min_rows)
+        positions = _column_positions([h.strip() for h in header], names)
+        rows = [raw for raw in reader if raw and (len(raw) > 1 or raw[0].strip())]
+    if len(rows) < min_rows:
+        raise TooFewRows(len(rows), min_rows)
+    columns: dict[str, np.ndarray] = {}
+    for name in names:
+        if name not in columns:
+            columns[name] = _parse_column(rows, positions[name], name)
+    return columns
+
+
 def load_csv(path: str, spec: ColumnSpec) -> ObservationSet:
     """Read a UTF-8, comma-separated, header-first CSV into an ObservationSet.
 
     Cells must be plain decimal or scientific notation; anything else
     (missing cells, locale separators, inf/nan spellings) is an error, as
     is a requested column that is absent from the header or named twice.
-    Row order is preserved.  Shared x/z columns are duplicated into both
+    Row order is preserved; empty lines are skipped.  Each distinct column
+    is parsed once, by a vectorised fast path for plain cells with a
+    per-cell fallback that locates the first bad cell (see
+    :func:`_parse_column`); shared x/z columns are copied into both
     matrices.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TooFewRows(0, MIN_ROWS) from None
-        header = [h.strip() for h in header]
-        col_pos = _column_positions(header, [spec.y_col, spec.q_col, *spec.x_cols, *spec.z_cols])
-        rows: list[list[str]] = []
-        for raw in reader:
-            if not raw or (len(raw) == 1 and raw[0].strip() == ""):
-                continue  # tolerate a trailing blank line
-            rows.append(raw)
+    columns = _read_columns(path, [spec.y_col, spec.q_col, *spec.x_cols, *spec.z_cols], MIN_ROWS)
+    return ObservationSet(
+        y=columns[spec.y_col],
+        x=np.column_stack([columns[c] for c in spec.x_cols]),
+        z=np.column_stack([columns[c] for c in spec.z_cols]),
+        q=columns[spec.q_col],
+        tau0=spec.tau0,
+    )
 
-    n = len(rows)
-    if n < MIN_ROWS:
-        raise TooFewRows(n, MIN_ROWS)
 
-    def column(name: str) -> np.ndarray:
-        pos = col_pos[name]
-        out = np.empty(n, dtype=np.float64)
-        for r, raw in enumerate(rows):
-            if pos >= len(raw):
-                raise ParseError(r, name, "<missing>")
-            out[r] = _parse_cell(raw[pos], r, name)
-        return out
+def _write_rows(fh, columns: list[np.ndarray]) -> None:
+    """Write equal-length float columns as CSV data rows.
 
-    y = column(spec.y_col)
-    q = column(spec.q_col)
-    x = np.column_stack([column(c) for c in spec.x_cols])
-    z = np.column_stack([column(c) for c in spec.z_cols])
-    return ObservationSet(y=y, x=x, z=z, q=q, tau0=spec.tau0)
+    Each cell is the shortest round-trip ``repr`` of its value and each row
+    ends in ``\\r\\n``: the bytes ``csv.writer`` writes for the same cells,
+    which never need quoting.
+    """
+    cells = [map(repr, np.asarray(col, dtype=np.float64).tolist()) for col in columns]
+    fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
 
 def write_csv(path: str, obs: ObservationSet, spec: ColumnSpec) -> None:
@@ -280,7 +335,5 @@ def write_csv(path: str, obs: ObservationSet, spec: ColumnSpec) -> None:
         emit(c, obs.z[:, j])
     emit(spec.q_col, obs.q)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for r in range(obs.n):
-            writer.writerow([repr(float(col[r])) for col in columns])
+        csv.writer(fh).writerow(names)
+        _write_rows(fh, columns)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .att import matched_differences
 from .data_model import ObservationSet, SplitAssignment, treatment_mask
@@ -113,6 +112,8 @@ def bspline_block(values: np.ndarray, knots: np.ndarray, degree: int) -> np.ndar
     Rows sum to one inside the knot range (partition of unity); values
     outside the boundary knots are clamped onto it first.
     """
+    from scipy.interpolate import BSpline  # deferred: estimation never needs it
+
     values = np.clip(np.asarray(values, dtype=np.float64), knots[0], knots[-1])
     return BSpline.design_matrix(values, knots, degree).toarray()
 

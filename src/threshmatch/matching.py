@@ -1,10 +1,16 @@
 """Nearest-control matching on estimated score residuals.
 
 Each treated observation is paired with the control whose ``eta_hat`` is
-closest in absolute value, with replacement.  Equidistant candidates
-resolve toward the smaller ``eta_hat`` value and then the smaller original
-index -- a probability-zero event for continuous residuals, pinned down
-only so results are deterministic.
+closest in absolute value, with replacement.  The rule, exactly: take the
+nearest control value on each side of the treated value ``t`` (the largest
+value below ``t``, and the smallest value at or above it), compare their
+two rounded float distances, and let ties go left, to the smaller value;
+among controls sharing the winning value (``-0.0`` equals ``+0.0``) the
+smallest original index wins.  Ties are probability-zero events for
+continuous residuals, pinned down only so results are deterministic.
+Taking the nearest neighbour on each side first matters when two distinct
+controls on one side lie at distances that round to the same float: the
+nearer one wins, not the smaller value.
 
 A match is a pair of ``intp`` arrays; no step builds a Python object per
 pair.  :func:`match_controls` works in three vectorised passes:
@@ -123,18 +129,27 @@ def match_controls_brute(
 ) -> MatchResult:
     """Exhaustive-scan reference implementation of :func:`match_controls`.
 
-    Each treated value takes the control with the lexicographically smallest
-    ``(distance, value, index)``.
+    For each treated value ``t`` it scans every control for the nearest
+    value below ``t`` and the nearest value at or above it, keeps the left
+    one unless the right one's rounded distance is strictly smaller, and
+    then scans again for the smallest original index holding the winning
+    value.
     """
     eta_treated, treated_idx, eta_control, control_idx = _validate(
         eta_treated, treated_idx, eta_control, control_idx
     )
     matched = np.empty_like(treated_idx)
     for k, t_val in enumerate(eta_treated):
-        best = None
-        for c_val, c_idx in zip(eta_control, control_idx):
-            key = (abs(t_val - c_val), c_val, c_idx)
-            if best is None or key < best:
-                best = key
-        matched[k] = best[2]
+        left = right = None
+        for c_val in eta_control:
+            if c_val < t_val:
+                if left is None or c_val > left:
+                    left = c_val
+            elif right is None or c_val < right:
+                right = c_val
+        if right is None or (left is not None and abs(t_val - left) <= abs(right - t_val)):
+            winner = left
+        else:
+            winner = right
+        matched[k] = min(c_idx for c_val, c_idx in zip(eta_control, control_idx) if c_val == winner)
     return MatchResult(treated_idx=treated_idx, control_idx=matched)

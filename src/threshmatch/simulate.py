@@ -25,7 +25,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from .att import estimate_att, estimate_att_crossfit
 from .data_model import ObservationSet, split_three_way
@@ -162,6 +161,8 @@ class McReport:
 
 
 def _report_from_zetas(zetas: np.ndarray) -> McReport:
+    from scipy import stats  # deferred: estimation never needs it
+
     counts, edges = np.histogram(zetas, bins="fd")
     histogram = [
         (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(len(counts))

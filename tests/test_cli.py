@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -198,6 +199,23 @@ class TestIte:
         assert "eta_hat" in err
 
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "need at least 1 rows, got 0"),
+        ("x1,x2,x3\n", "need at least 1 rows, got 0"),
+        ("x1,x2,x3\n0.0,0.0,0.0\n,,\n", "row 1, column 'x1'"),
+    ], ids=["empty-file", "header-only", "comma-only-row"])
+    def test_bad_grid_exits_two(self, tmp_path, case1_csv, capsys, text, message):
+        capsys.readouterr()
+        grid = tmp_path / "grid.csv"
+        grid.write_text(text)
+        args = ["ite", "--data", case1_csv, "--y", "y", "--q", "q",
+                "--x", "x1,x2,x3", "--z", "x1,x2,x3,x4", "--tau", "0.0",
+                "--model-out", str(tmp_path / "m.txt"), "--predict-grid", str(grid)]
+        code, _, err = run_cli(args, capsys)
+        assert code == 2
+        assert message in err
+
+
 class TestSimulate:
     def test_gen_smallest_legal_n(self, tmp_path, capsys):
         out_path = tmp_path / "tiny.csv"
@@ -307,3 +325,14 @@ class TestConsoleEntryPoint:
         assert result.returncode == 0
         doc = json.loads(result.stdout)
         assert abs(doc["theta_hat"]) <= 1e-8
+
+    def test_import_defers_unused_scipy_modules(self):
+        # a cold `threshmatch estimate` process never needs these; importing them
+        # at module level costs most of a second per CLI run
+        src = str(Path(__file__).parent.parent / "src")
+        code = ("import sys, threshmatch.cli; "
+                "print([m for m in ('scipy.stats', 'scipy.interpolate') if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,9 +1,13 @@
+import csv
+import re
+
 import numpy as np
 import pytest
 
 from threshmatch import (
     ColumnSpec,
     DuplicateColumn,
+    InputError,
     MissingColumn,
     NonFiniteValue,
     ObservationSet,
@@ -115,6 +119,143 @@ class TestLoadCsv:
         assert np.array_equal(reloaded.x, obs.x)
         assert np.array_equal(reloaded.z, obs.z)
         assert np.array_equal(reloaded.q, obs.q)
+
+
+# The per-cell reader that load_csv replaced, kept as the oracle for the
+# column reader: its accepted cells, values and first error define the contract.
+_ORACLE_NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
+def _oracle_cell(cell, row, col):
+    text = cell.strip()
+    if not _ORACLE_NUMBER_RE.match(text):
+        raise ParseError(row, col, cell)
+    value = float(text)
+    if not np.isfinite(value):
+        raise NonFiniteValue(row, col)
+    return value
+
+
+def _oracle_load_csv(path, spec):
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise TooFewRows(0, MIN_ROWS) from None
+        header = [h.strip() for h in header]
+        for name in [spec.y_col, spec.q_col, *spec.x_cols, *spec.z_cols]:
+            if name not in header:
+                raise MissingColumn(name)
+        rows = [raw for raw in reader if raw and not (len(raw) == 1 and raw[0].strip() == "")]
+    if len(rows) < MIN_ROWS:
+        raise TooFewRows(len(rows), MIN_ROWS)
+
+    def column(name):
+        pos = header.index(name)
+        out = np.empty(len(rows))
+        for r, raw in enumerate(rows):
+            if pos >= len(raw):
+                raise ParseError(r, name, "<missing>")
+            out[r] = _oracle_cell(raw[pos], r, name)
+        return out
+
+    y = column(spec.y_col)
+    q = column(spec.q_col)
+    x = np.column_stack([column(c) for c in spec.x_cols])
+    z = np.column_stack([column(c) for c in spec.z_cols])
+    return ObservationSet(y=y, x=x, z=z, q=q, tau0=spec.tau0)
+
+
+def _outcome(reader, path, spec):
+    """Bits of every loaded array, or the error's class, row, column and message."""
+    try:
+        obs = reader(path, spec)
+    except InputError as exc:
+        return type(exc), getattr(exc, "row", None), getattr(exc, "col", None), str(exc)
+    return tuple(a.tobytes() for a in (obs.y, obs.x, obs.z, obs.q))
+
+
+# x and z share both columns, in different orders
+_SHARED_SPEC = ColumnSpec(y_col="y", q_col="q", x_cols=["a", "b"], z_cols=["b", "a"], tau0=0.0)
+
+# (id, edits, expected error or None).  An edit (row, col, text) replaces one
+# cell with raw CSV text; text None cuts the row short before col; col None
+# replaces the whole line.  Columns are y=0, a=1, b=2, q=3.
+_HOSTILE = [
+    ("plain", [], None),
+    ("notation", [(0, 1, "1E5"), (1, 1, "+.5"), (2, 1, "5."), (3, 1, "-0.0"), (4, 2, "007"),
+                  (5, 2, "-2.5e-3"), (6, 0, "1e-400")], None),
+    ("padded", [(3, 1, " 1.5 ")], None),
+    ("quoted", [(3, 2, '"2"')], None),
+    ("quoted-trailing-newline", [(3, 2, '"1.5\n"')], None),
+    ("quoted-inner-newline", [(3, 2, '"1\n2"')], ParseError),
+    ("unicode-digit", [(3, 1, "\u0663")], None),
+    ("underscore", [(3, 1, "1_0")], ParseError),
+    ("inf", [(3, 1, "inf")], ParseError),
+    ("nan", [(3, 1, "nan")], ParseError),
+    ("overflow", [(3, 1, "1e999")], NonFiniteValue),
+    ("double-sign", [(3, 1, "+-1")], ParseError),
+    ("lone-dot", [(3, 1, ".")], ParseError),
+    ("bare-exponent", [(3, 1, "1e")], ParseError),
+    ("empty-cell", [(3, 1, "")], ParseError),
+    ("short-row", [(6, 2, None)], ParseError),
+    ("later-column-earlier-row", [(2, 2, "?"), (5, 1, "?")], ParseError),
+    ("q-before-x", [(1, 1, "?"), (8, 3, "?")], ParseError),
+    ("non-finite-after-parse-error", [(2, 1, "1e999"), (7, 1, "x")], NonFiniteValue),
+    ("blank-lines-skipped", [(4, None, "   "), (7, None, "")], None),
+    ("comma-only-line", [(4, None, ",,,")], ParseError),
+]
+
+
+class TestColumnReaderAgainstOracle:
+    @pytest.mark.parametrize("edits, expected", [case[1:] for case in _HOSTILE],
+                             ids=[case[0] for case in _HOSTILE])
+    def test_same_values_or_same_error(self, tmp_path, edits, expected):
+        rng = np.random.default_rng(7)
+        rows = [[repr(v) for v in rng.normal(size=4).tolist()] for _ in range(12)]
+        for r, c, text in edits:
+            if c is None:
+                rows[r] = [text]
+            elif text is None:
+                rows[r] = rows[r][:c]
+            else:
+                rows[r][c] = text
+        path = _write(tmp_path, "hostile.csv", "y,a,b,q\n" + "\n".join(",".join(r) for r in rows) + "\n")
+        got = _outcome(load_csv, path, _SHARED_SPEC)
+        assert got == _outcome(_oracle_load_csv, path, _SHARED_SPEC)
+        if expected is None:
+            assert isinstance(got[0], bytes)
+        else:
+            assert got[0] is expected
+
+    def test_shared_column_is_one_array_copied_into_both_matrices(self, tmp_path):
+        path = _write(tmp_path, "shared.csv", "y,a,b,q\n" + _rows(np.arange(36.0).reshape(9, 4).tolist()))
+        obs = load_csv(path, _SHARED_SPEC)
+        assert np.array_equal(obs.x, obs.z[:, ::-1])
+        assert not np.shares_memory(obs.x, obs.z)
+
+
+def _oracle_write_csv(path, columns, names):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for r in range(len(columns[0])):
+            writer.writerow([repr(float(col[r])) for col in columns])
+
+
+def test_write_csv_bytes_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    y = rng.normal(size=12)
+    y[:8] = [-0.0, 0.0, 5e-324, 1e-300, 1e22, -1.7976931348623157e308, 0.1, 1 / 3]
+    x = rng.normal(size=(12, 2))
+    q = rng.normal(size=12)
+    spec = ColumnSpec(y_col="y", q_col="q", x_cols=["a", "b"], z_cols=["b", "c"], tau0=0.0)
+    z = np.column_stack([x[:, 1], rng.normal(size=12)])
+    obs = ObservationSet(y=y, x=x, z=z, q=q, tau0=0.0)
+    write_csv(str(tmp_path / "new.csv"), obs, spec)
+    _oracle_write_csv(str(tmp_path / "old.csv"), [y, x[:, 0], x[:, 1], z[:, 1], q], ["y", "a", "b", "c", "q"])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestObservationSet:

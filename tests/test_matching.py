@@ -55,6 +55,13 @@ class TestExamples:
                              np.array([0.3, 0.4, 0.5]), np.array([1, 2, 3]))
         assert res.control_idx.tolist() == [2]
 
+    @pytest.mark.parametrize("match", [match_controls, match_controls_brute])
+    def test_same_side_rounding_tie_takes_nearer_control(self, match):
+        # both distances round to 2.0; the nearest control on the left wins
+        res = match(np.array([1.0]), np.array([0]),
+                    np.array([-1.0000000000000002, -0.9999999999999999]), np.array([0, 1]))
+        assert res.control_idx.tolist() == [1]
+
     def test_index_arrays_are_intp(self):
         res = match_controls(np.array([0.1]), [4], np.array([0.2]), [7])
         assert res.treated_idx.dtype == np.intp
