@@ -34,13 +34,7 @@ from .data_model import (
     treatment_mask,
     write_csv,
 )
-from .errors import (
-    InputError,
-    NumericError,
-    StructuralError,
-    ThreshmatchError,
-    TooManyFailures,
-)
+from .errors import InputError, ThreshmatchError, TooManyFailures
 from .ite import SplineBasisSpec, fit_ite, predict_ite_batch, save_ite_model
 from .rng import derive_seed
 from .simulate import (
@@ -208,9 +202,7 @@ def cmd_ite(args: argparse.Namespace) -> int:
     splits = split_three_way(obs.n, seed=args.seed, shuffle=True)
     est = estimate_att(obs, splits)
     spec = SplineBasisSpec(df_grid=args.df_grid, include_eta=args.include_eta)
-    model = fit_ite(
-        obs, splits, est.beta, est.matches, est.eta_hat, spec, cv_seed=derive_seed(args.seed, 1)
-    )
+    model = fit_ite(obs, est, spec, cv_seed=derive_seed(args.seed, 1))
     save_ite_model(model, args.model_out)
 
     predictions_path = None
@@ -331,9 +323,6 @@ def main(argv: list[str] | None = None) -> int:
     except TooManyFailures as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (NumericError, StructuralError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ThreshmatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

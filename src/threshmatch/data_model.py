@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
     TooFewRows,
 )
+from .rng import rng_from
 
 MIN_ROWS = 9  # smallest n for which each of the three splits is nonempty
 
@@ -183,8 +184,7 @@ def split_three_way(n: int, seed: int = 0, shuffle: bool = True) -> SplitAssignm
         raise TooFewRows(n, MIN_ROWS)
     order = np.arange(n, dtype=np.intp)
     if shuffle:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
-        order = rng.permutation(n).astype(np.intp)
+        order = rng_from(seed).permutation(n).astype(np.intp)
     k = n // 3
     return SplitAssignment(order[:k], order[k : 2 * k], order[2 * k :], seed=int(seed))
 

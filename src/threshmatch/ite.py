@@ -8,10 +8,11 @@ as well -- recovers the effect surface nonparametrically.
 
 The regression design is additive cubic B-spline blocks per covariate
 (interior knots at equally spaced quantiles of the training values), an
-explicit constant column, and optionally the pairwise products of distinct
-raw covariates.  The per-covariate degrees of freedom are chosen by 4-fold
-cross-validation over a small grid.  Evaluation outside the training range
-clamps to the boundary knots, so predictions stay bounded.
+explicit constant column, and the pairwise products of distinct raw
+covariates, which are always included.  The per-covariate degrees of
+freedom are chosen by 4-fold cross-validation over a small grid.
+Evaluation outside the training range clamps to the boundary knots, so
+predictions stay bounded.
 """
 
 from __future__ import annotations
@@ -21,16 +22,15 @@ from itertools import combinations
 
 import numpy as np
 
-from .att import matched_differences
-from .data_model import ObservationSet, SplitAssignment, treatment_mask
-from .diff_beta import BetaFit
+from .att import AttEstimate, matched_differences
+from .data_model import ObservationSet
 from .errors import ArityMismatch, DegenerateCovariate, DimensionMismatch, TooFewRows
 from .linreg import ols
-from .matching import MatchResult
 from .rng import rng_from
 
 DEFAULT_DF_GRID = (3, 4, 5, 6, 8, 10)
 CV_FOLDS = 4
+DEGREE = 3  # cubic splines; model files record it and the loader accepts only this
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,7 @@ class SplineBasisSpec:
     """
 
     df_grid: tuple[int, ...] = DEFAULT_DF_GRID
-    degree: int = 3
     include_eta: bool = False
-    interactions: bool = True
     df: int | None = None
 
     def __post_init__(self):
@@ -53,19 +51,16 @@ class SplineBasisSpec:
             raise DimensionMismatch("df_grid must be nonempty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise DimensionMismatch("df_grid must be strictly increasing")
-        if grid[0] < self.degree:
-            raise DimensionMismatch(f"every df must be >= degree ({self.degree})")
-        if self.df is not None and self.df < self.degree:
-            raise DimensionMismatch(f"df must be >= degree ({self.degree})")
+        if grid[0] < DEGREE:
+            raise DimensionMismatch(f"every df must be >= degree ({DEGREE})")
+        if self.df is not None and self.df < DEGREE:
+            raise DimensionMismatch(f"df must be >= degree ({DEGREE})")
         object.__setattr__(self, "df_grid", grid)
 
     def dimension(self, n_covariates: int, df: int | None = None) -> int:
         """Number of design columns for ``n_covariates`` raw covariates."""
         df = self.df if df is None else df
-        cols = 1 + n_covariates * df
-        if self.interactions:
-            cols += n_covariates * (n_covariates - 1) // 2
-        return cols
+        return 1 + n_covariates * df + n_covariates * (n_covariates - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -128,9 +123,9 @@ def build_basis(
     Layout: constant column, then one spline block per covariate (the
     block's first basis function is dropped, since the constant column
     already carries the level), then pairwise products of distinct raw
-    covariates when interactions are on.  When ``knots`` is None they are
-    computed from the covariates themselves (training mode), which
-    requires at least as many rows as design columns.
+    covariates.  When ``knots`` is None they are computed from the
+    covariates themselves (training mode), which requires at least as many
+    rows as design columns; with given knots at least one row is needed.
     """
     covariates = np.atleast_2d(np.asarray(covariates, dtype=np.float64))
     m, d = covariates.shape
@@ -140,59 +135,46 @@ def build_basis(
     if training:
         if m < spec.dimension(d):
             raise TooFewRows(m, spec.dimension(d))
-        knots = [
-            quantile_knots(covariates[:, j], spec.df, spec.degree, col=j) for j in range(d)
-        ]
+        knots = [quantile_knots(covariates[:, j], spec.df, DEGREE, col=j) for j in range(d)]
+    elif m == 0:
+        raise TooFewRows(0, 1)
     if len(knots) != d:
         raise ArityMismatch(f"model has {len(knots)} covariates, got {d}")
 
     blocks = [np.ones((m, 1))]
     for j in range(d):
-        full = bspline_block(covariates[:, j], knots[j], spec.degree)
+        full = bspline_block(covariates[:, j], knots[j], DEGREE)
         blocks.append(full[:, 1:])
-    if spec.interactions:
-        for a, b in combinations(range(d), 2):
-            blocks.append((covariates[:, a] * covariates[:, b])[:, None])
+    for a, b in combinations(range(d), 2):
+        blocks.append((covariates[:, a] * covariates[:, b])[:, None])
     return np.hstack(blocks), knots
 
 
 def _treated_covariates(
-    obs: ObservationSet,
-    splits: SplitAssignment,
-    eta_hat: np.ndarray,
-    include_eta: bool,
+    obs: ObservationSet, est: AttEstimate, include_eta: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    mask = treatment_mask(obs)
-    treated3 = splits.i3[mask[splits.i3]]
-    cov = obs.x[treated3]
+    treated = est.matches.treated_idx
+    cov = obs.x[treated]
     if include_eta:
-        cov = np.hstack([cov, np.asarray(eta_hat)[treated3][:, None]])
-    return treated3, cov
+        cov = np.hstack([cov, est.eta_hat[treated][:, None]])
+    return treated, cov
 
 
 def fit_ite(
-    obs: ObservationSet,
-    splits: SplitAssignment,
-    beta: BetaFit,
-    matches: MatchResult,
-    eta_hat: np.ndarray,
-    spec: SplineBasisSpec,
-    cv_seed: int = 0,
+    obs: ObservationSet, est: AttEstimate, spec: SplineBasisSpec, cv_seed: int = 0
 ) -> IteModel:
-    """Fit the effect surface on the matching split's treated rows.
+    """Fit the effect surface on the treated rows of one pipeline run.
 
-    The response is the matched adjusted-outcome gap per treated row; the
-    covariates are that row's ``x`` (plus its ``eta_hat`` when the spec
-    includes it).  ``df`` is chosen by 4-fold cross-validation minimizing
-    mean validation MSE, ties to the smaller df; the returned model is
-    refit on all treated rows at the chosen df.
+    The rows are ``est.matches.treated_idx``, the treated rows of the run's
+    matching split, so the estimate of any cross-fit rotation works as well
+    as a single run's.  The response is the matched adjusted-outcome gap
+    per treated row; the covariates are that row's ``x`` (plus its
+    ``est.eta_hat`` when the spec includes it).  ``df`` is chosen by 4-fold
+    cross-validation minimizing mean validation MSE, ties to the smaller
+    df; the returned model is refit on all treated rows at the chosen df.
     """
-    treated3, cov = _treated_covariates(obs, splits, eta_hat, spec.include_eta)
-    response = matched_differences(obs, beta.beta_hat, matches)
-    if response.shape[0] != cov.shape[0]:
-        raise DimensionMismatch(
-            f"{response.shape[0]} matched pairs vs {cov.shape[0]} treated rows"
-        )
+    _, cov = _treated_covariates(obs, est, spec.include_eta)
+    response = matched_differences(obs, est.beta.beta_hat, est.matches)
     m, d = cov.shape
     max_dim = spec.dimension(d, df=spec.df_grid[-1])
     if m < max_dim:
@@ -254,25 +236,19 @@ def predict_ite(model: IteModel, x: np.ndarray, eta_hat: float | None = None) ->
     return float(predict_ite_batch(model, row[None, :])[0])
 
 
-def ite_mse(
-    model: IteModel,
-    obs: ObservationSet,
-    splits: SplitAssignment,
-    eta_hat: np.ndarray,
-    truth,
-) -> float:
+def ite_mse(model: IteModel, obs: ObservationSet, est: AttEstimate, truth) -> float:
     """Mean squared error of the fitted surface against a known truth.
 
     ``truth(x, z, q)`` receives the treated rows' covariate matrices and
     score vector and returns the true effect per row; only simulations can
-    supply it.  The average runs over the matching split's treated rows,
-    with the model evaluated at ``(x, eta_hat)`` exactly as it predicts.
+    supply it.  The average runs over ``est.matches.treated_idx``, the
+    treated rows of the run's matching split (any cross-fit rotation's
+    estimate works), with the model evaluated at ``(x, est.eta_hat)``
+    exactly as it predicts.
     """
-    treated3, cov = _treated_covariates(obs, splits, eta_hat, model.basis.include_eta)
+    treated, cov = _treated_covariates(obs, est, model.basis.include_eta)
     predicted = predict_ite_batch(model, cov)
-    actual = np.asarray(
-        truth(obs.x[treated3], obs.z[treated3], obs.q[treated3]), dtype=np.float64
-    )
+    actual = np.asarray(truth(obs.x[treated], obs.z[treated], obs.q[treated]), dtype=np.float64)
     return float(np.mean((predicted - actual) ** 2))
 
 
@@ -280,11 +256,11 @@ def save_ite_model(model: IteModel, path: str) -> None:
     """Serialize to a flat text file; floats in hex so round-trips are bit-exact."""
     lines = ["threshmatch-ite-model v1"]
     spec = model.basis
-    lines.append(f"degree {spec.degree}")
+    lines.append(f"degree {DEGREE}")
     lines.append(f"df {spec.df}")
     lines.append(f"df_grid {','.join(str(v) for v in spec.df_grid)}")
     lines.append(f"include_eta {int(spec.include_eta)}")
-    lines.append(f"interactions {int(spec.interactions)}")
+    lines.append("interactions 1")
     lines.append(f"training_mse {float(model.training_mse).hex()}")
     for j, kn in enumerate(model.knots):
         lines.append(f"knots{j} " + " ".join(float(v).hex() for v in kn))
@@ -303,15 +279,16 @@ def load_ite_model(path: str) -> IteModel:
     for ln in lines[1:]:
         key, _, rest = ln.partition(" ")
         fields[key] = rest
+    # neither changes the coefficient count, so a mismatch would predict wrongly
+    if fields.get("degree") != str(DEGREE) or fields.get("interactions") != "1":
+        raise ArityMismatch(f"{path}: only cubic models with interactions are supported")
     knot_keys = sorted((k for k in fields if k.startswith("knots")), key=lambda s: int(s[5:]))
     knots = [
         np.array([float.fromhex(tok) for tok in fields[k].split()]) for k in knot_keys
     ]
     spec = SplineBasisSpec(
         df_grid=tuple(int(v) for v in fields["df_grid"].split(",")),
-        degree=int(fields["degree"]),
         include_eta=bool(int(fields["include_eta"])),
-        interactions=bool(int(fields["interactions"])),
         df=int(fields["df"]),
     )
     coef = np.array([float.fromhex(tok) for tok in fields["coef"].split()])

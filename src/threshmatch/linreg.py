@@ -27,7 +27,6 @@ class LinearFit:
 
     coef: np.ndarray
     residuals: np.ndarray
-    rank_tol: float = RANK_TOL
 
 
 def ols(a: np.ndarray, b: np.ndarray) -> LinearFit:

@@ -39,6 +39,10 @@ GAMMA_TRUE = np.array([0.0, 0.0, 0.0, 1.0])
 BETA_TRUE = np.array([1.0, 0.0, 1.0])
 TRUE_ATT = {X_AND_ETA: 4.0 / 3.0, X_ONLY: 1.0}
 
+# Outcome noise sd, sqrt(1/2).  Fixed rather than configurable because
+# TARGET_ZETA_VARIANCE below holds only at this value.
+EPS_SD = float(np.sqrt(0.5))
+
 # Reference variance of the scaled estimation error under this generator;
 # Monte-Carlo reports measure their KS distance against N(0, this).
 TARGET_ZETA_VARIANCE = 11.455
@@ -46,18 +50,15 @@ TARGET_ZETA_VARIANCE = 11.455
 
 @dataclass(frozen=True)
 class DgpConfig:
-    """Size, seed, effect-surface kind, and noise scale of one dataset."""
+    """Size, seed, and effect-surface kind of one dataset."""
 
     n: int
     seed: int
     ite_kind: str = X_AND_ETA
-    eps_sd: float = float(np.sqrt(0.5))
 
     def __post_init__(self):
         if self.n < 9:
             raise TooFewRows(self.n)
-        if self.eps_sd <= 0:
-            raise DimensionMismatch("eps_sd must be positive")
         if self.ite_kind not in (X_ONLY, X_AND_ETA):
             raise DimensionMismatch(f"unknown ite_kind {self.ite_kind!r}")
 
@@ -88,10 +89,10 @@ def true_ite_fn(ite_kind: str):
 
 def generate(config: DgpConfig) -> ObservationSet:
     """Draw one i.i.d. dataset; bit-identical for a fixed config."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(config.seed)))
+    rng = rng_from(config.seed)
     covs = rng.standard_normal((config.n, 4))
     eta = rng.uniform(-1.0, 1.0, size=config.n)
-    eps = rng.normal(0.0, config.eps_sd, size=config.n)
+    eps = rng.normal(0.0, EPS_SD, size=config.n)
     q = covs[:, 3] + eta
     alpha = _effect_surface(covs, eta, config.ite_kind)
     y = alpha * (q >= 0.0) + covs[:, 0] + covs[:, 2] + eta / 2.0 + eps
@@ -221,10 +222,7 @@ def monte_carlo_ite(config: DgpConfig, spec: SplineBasisSpec, seeds: list[int]) 
     mses: list[float] = []
     for s in seeds:
         obs = generate(replace(config, seed=derive_seed(s, 0)))
-        splits = split_three_way(obs.n, seed=derive_seed(s, 1), shuffle=True)
-        est = estimate_att(obs, splits)
-        model = fit_ite(
-            obs, splits, est.beta, est.matches, est.eta_hat, spec, cv_seed=derive_seed(s, 2)
-        )
-        mses.append(ite_mse(model, obs, splits, est.eta_hat, truth))
+        est = estimate_att(obs, split_three_way(obs.n, seed=derive_seed(s, 1), shuffle=True))
+        model = fit_ite(obs, est, spec, cv_seed=derive_seed(s, 2))
+        mses.append(ite_mse(model, obs, est, truth))
     return mses

@@ -336,3 +336,26 @@ class TestConsoleEntryPoint:
                               env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_benchmark_wrap_points_exist(self, monkeypatch):
+        # the benchmark's tracer patches functions by name; one that an API change
+        # renames or removes would silently drop its per-layer metric
+        import importlib.util
+
+        import threshmatch.cli
+        import threshmatch.ite
+
+        path = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+        spec.loader.exec_module(module)
+        original = threshmatch.ite.fit_ite
+        tracer = module.Tracer()
+        tracer.install()
+        try:
+            assert tracer.missing == []
+            assert threshmatch.cli.fit_ite is not original
+        finally:
+            tracer.restore()
+        assert threshmatch.cli.fit_ite is original

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from threshmatch import (
+    ArityMismatch,
     DegenerateCovariate,
     DgpConfig,
+    InputError,
     SplineBasisSpec,
     TooFewRows,
     build_basis,
@@ -18,8 +20,9 @@ from threshmatch import (
     save_ite_model,
     split_three_way,
 )
+from threshmatch.att import crossfit_on_splits, matched_differences
+from threshmatch.data_model import treatment_mask
 from threshmatch.ite import bspline_block, quantile_knots
-from threshmatch.residualize import residuals_eta
 from threshmatch.simulate import X_AND_ETA, X_ONLY
 
 from conftest import make_pl_obs
@@ -53,19 +56,16 @@ def _fitted_pipeline(seed, n, alpha, include_eta=False, df_grid=(3, 4, 5, 6, 8, 
     obs = make_pl_obs(seed=seed, n=n, beta=np.array([2.0, -1.0, 0.5]), alpha=alpha)
     splits = split_three_way(obs.n, seed=seed)
     est = estimate_att(obs, splits)
-    eta_hat = np.full(obs.n, np.nan)
-    idx = np.concatenate([splits.i2, splits.i3])
-    eta_hat[idx] = residuals_eta(est.gamma, obs, idx)
     spec = SplineBasisSpec(df_grid=df_grid, include_eta=include_eta)
-    model = fit_ite(obs, splits, est.beta, est.matches, eta_hat, spec, cv_seed=seed)
-    return obs, splits, est, eta_hat, model
+    model = fit_ite(obs, est, spec, cv_seed=seed)
+    return obs, splits, est, model
 
 
 class TestBasis:
     def test_cubic_span_contains_lines(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(-2, 2, size=50)[:, None]
-        spec = SplineBasisSpec(df_grid=(3,), interactions=False, df=3)
+        spec = SplineBasisSpec(df_grid=(3,), df=3)
         design, _ = build_basis(x, spec)
         target = 1.5 + 2.0 * x[:, 0]
         fit = ols(design, target)
@@ -99,7 +99,7 @@ class TestBasis:
 
     def test_training_mode_requires_enough_rows(self):
         x = np.arange(5.0)[:, None]
-        spec = SplineBasisSpec(df_grid=(10,), df=10, interactions=False)
+        spec = SplineBasisSpec(df_grid=(10,), df=10)
         with pytest.raises(TooFewRows):
             build_basis(x, spec)
 
@@ -108,36 +108,37 @@ class TestFitIte:
     def test_linear_surface_interpolated_at_any_df(self):
         alpha = lambda x, eta: 2.0 + x[:, 0] - 3.0 * x[:, 1]
         for df in (3, 4, 10):
-            _, _, _, _, model = _fitted_pipeline(seed=df, n=900, alpha=alpha, df_grid=(df,))
+            _, _, _, model = _fitted_pipeline(seed=df, n=900, alpha=alpha, df_grid=(df,))
             assert model.training_mse <= 1e-8
             assert model.basis.df == df
 
     def test_delegation_to_least_squares_is_exact(self):
         alpha = lambda x, eta: x[:, 0] ** 2
-        obs, splits, est, eta_hat, model = _fitted_pipeline(seed=5, n=900, alpha=alpha)
-        from threshmatch.att import matched_differences
-        from threshmatch.data_model import treatment_mask
-
-        treated3 = splits.i3[treatment_mask(obs)[splits.i3]]
-        design, _ = build_basis(obs.x[treated3], model.basis, model.knots)
-        response = matched_differences(obs, est.beta.beta_hat, est.matches)
-        direct = ols(design, response)
-        assert np.array_equal(model.coef, direct.coef)
+        obs, splits, est, model = _fitted_pipeline(seed=5, n=900, alpha=alpha)
+        # a cross-fit rotation fits on its own match block's treated rows
+        rotation = crossfit_on_splits(obs, splits).rotations[1]
+        rot_model = fit_ite(obs, rotation, SplineBasisSpec(), cv_seed=5)
+        mask = treatment_mask(obs)
+        cases = ((est, model, splits.i3), (rotation, rot_model, splits.rotations()[1][2]))
+        for run, fitted, block in cases:
+            treated = block[mask[block]]
+            design, _ = build_basis(obs.x[treated], fitted.basis, fitted.knots)
+            response = matched_differences(obs, run.beta.beta_hat, run.matches)
+            direct = ols(design, response)
+            assert np.array_equal(fitted.coef, direct.coef)
 
     def test_cv_determinism(self):
         alpha = lambda x, eta: x[:, 0] ** 2 + x[:, 1] * x[:, 2]
-        _, _, _, _, m1 = _fitted_pipeline(seed=6, n=900, alpha=alpha)
-        _, _, _, _, m2 = _fitted_pipeline(seed=6, n=900, alpha=alpha)
+        _, _, _, m1 = _fitted_pipeline(seed=6, n=900, alpha=alpha)
+        _, _, _, m2 = _fitted_pipeline(seed=6, n=900, alpha=alpha)
         assert m1.basis.df == m2.basis.df
         assert np.array_equal(m1.coef, m2.coef)
 
     def test_knots_lie_in_training_range(self):
         alpha = lambda x, eta: x[:, 0]
-        obs, splits, _, eta_hat, model = _fitted_pipeline(seed=7, n=900, alpha=alpha, include_eta=True)
-        from threshmatch.data_model import treatment_mask
-
+        obs, splits, est, model = _fitted_pipeline(seed=7, n=900, alpha=alpha, include_eta=True)
         treated3 = splits.i3[treatment_mask(obs)[splits.i3]]
-        cov = np.hstack([obs.x[treated3], eta_hat[treated3][:, None]])
+        cov = np.hstack([obs.x[treated3], est.eta_hat[treated3][:, None]])
         for j, kn in enumerate(model.knots):
             assert np.all(np.diff(kn) >= 0)
             assert kn[0] == cov[:, j].min() and kn[-1] == cov[:, j].max()
@@ -146,9 +147,7 @@ class TestFitIte:
 class TestPredict:
     def test_training_point_matches_fitted_value(self):
         alpha = lambda x, eta: x[:, 0] ** 2
-        obs, splits, est, eta_hat, model = _fitted_pipeline(seed=8, n=900, alpha=alpha)
-        from threshmatch.data_model import treatment_mask
-
+        obs, splits, _, model = _fitted_pipeline(seed=8, n=900, alpha=alpha)
         treated3 = splits.i3[treatment_mask(obs)[splits.i3]]
         design, _ = build_basis(obs.x[treated3], model.basis, model.knots)
         fitted = design @ model.coef
@@ -159,31 +158,33 @@ class TestPredict:
 
     def test_linear_surface_predicts_exactly(self):
         alpha = lambda x, eta: 1.0 + 2.0 * x[:, 0]
-        _, _, _, _, model = _fitted_pipeline(seed=9, n=900, alpha=alpha, df_grid=(3,))
+        _, _, _, model = _fitted_pipeline(seed=9, n=900, alpha=alpha, df_grid=(3,))
         for xv in ([0.0, 0.0, 0.0], [0.3, -0.2, 0.5]):
             pred = predict_ite(model, np.array(xv))
             assert pred == pytest.approx(1.0 + 2.0 * xv[0], abs=1e-6)
 
     def test_arity_checks(self):
         alpha = lambda x, eta: x[:, 0]
-        _, _, _, _, model = _fitted_pipeline(seed=10, n=900, alpha=alpha)
-        from threshmatch import ArityMismatch
-
+        _, _, _, model = _fitted_pipeline(seed=10, n=900, alpha=alpha)
         with pytest.raises(ArityMismatch):
             predict_ite(model, np.array([1.0, 2.0]))  # wrong covariate count
         with pytest.raises(ArityMismatch):
             predict_ite(model, np.array([1.0, 2.0, 3.0]), eta_hat=0.5)  # not an eta model
+
+    def test_empty_batch_is_an_input_error(self):
+        alpha = lambda x, eta: x[:, 0]
+        _, _, _, model = _fitted_pipeline(seed=10, n=900, alpha=alpha)
+        with pytest.raises(TooFewRows) as err:
+            predict_ite_batch(model, np.empty((0, 3)))
+        assert isinstance(err.value, InputError)
+        assert err.value.n == 0
 
     def test_effect_curve_in_eta_tracks_truth(self):
         # fixed x = (0.1, 0.2, 0.8), eta sweeping the confounder's range
         obs = generate(DgpConfig(n=50_000, seed=44, ite_kind=X_AND_ETA))
         splits = split_three_way(obs.n, seed=44)
         est = estimate_att(obs, splits)
-        eta_hat = np.full(obs.n, np.nan)
-        idx = np.concatenate([splits.i2, splits.i3])
-        eta_hat[idx] = residuals_eta(est.gamma, obs, idx)
-        spec = SplineBasisSpec(include_eta=True)
-        model = fit_ite(obs, splits, est.beta, est.matches, eta_hat, spec, cv_seed=44)
+        model = fit_ite(obs, est, SplineBasisSpec(include_eta=True), cv_seed=44)
 
         x_fix = np.array([0.1, 0.2, 0.8])
         grid = np.linspace(-1.0, 1.0, 41)
@@ -195,15 +196,15 @@ class TestPredict:
 class TestIteMse:
     def test_zero_when_truth_equals_model(self):
         alpha = lambda x, eta: x[:, 0] ** 2
-        obs, splits, _, eta_hat, model = _fitted_pipeline(seed=11, n=900, alpha=alpha)
+        obs, _, est, model = _fitted_pipeline(seed=11, n=900, alpha=alpha)
         truth = lambda x, z, q: predict_ite_batch(model, np.atleast_2d(x))
-        assert ite_mse(model, obs, splits, eta_hat, truth) == 0.0
+        assert ite_mse(model, obs, est, truth) == 0.0
 
     def test_constant_model_vs_constant_truth(self):
         alpha = lambda x, eta: np.full(x.shape[0], 2.5)
-        obs, splits, _, eta_hat, model = _fitted_pipeline(seed=12, n=900, alpha=alpha)
+        obs, _, est, model = _fitted_pipeline(seed=12, n=900, alpha=alpha)
         truth = lambda x, z, q: np.full(np.atleast_2d(x).shape[0], 2.5)
-        assert ite_mse(model, obs, splits, eta_hat, truth) <= 1e-8
+        assert ite_mse(model, obs, est, truth) <= 1e-8
 
     def test_mse_decreases_with_sample_size(self):
         from threshmatch import monte_carlo_ite
@@ -220,9 +221,7 @@ class TestIteMse:
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, tmp_path):
         alpha = lambda x, eta: x[:, 0] ** 2 + eta
-        obs, splits, _, eta_hat, model = _fitted_pipeline(
-            seed=13, n=900, alpha=alpha, include_eta=True
-        )
+        _, _, _, model = _fitted_pipeline(seed=13, n=900, alpha=alpha, include_eta=True)
         path = str(tmp_path / "model.txt")
         save_ite_model(model, path)
         loaded = load_ite_model(path)
@@ -235,6 +234,22 @@ class TestSerialization:
         # loaded model predicts identically
         x = np.array([0.1, -0.4, 0.9])
         assert predict_ite(loaded, x, eta_hat=0.2) == predict_ite(model, x, eta_hat=0.2)
+
+    @pytest.mark.parametrize(
+        "line, edited",
+        [("degree 3", "degree 2"), ("interactions 1", "interactions 0")],
+        ids=["degree", "interactions"],
+    )
+    def test_loader_rejects_other_bases(self, tmp_path, line, edited):
+        # same coefficient count, different design: loading would predict wrongly
+        _, _, _, model = _fitted_pipeline(seed=14, n=900, alpha=lambda x, eta: x[:, 0])
+        path = tmp_path / "model.txt"
+        save_ite_model(model, str(path))
+        text = path.read_text(encoding="utf-8")
+        assert text.count(f"\n{line}\n") == 1
+        path.write_text(text.replace(f"\n{line}\n", f"\n{edited}\n"), encoding="utf-8")
+        with pytest.raises(ArityMismatch):
+            load_ite_model(str(path))
 
 
 class TestSpecValidation:
