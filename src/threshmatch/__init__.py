@@ -17,6 +17,7 @@ from .att import (
     crossfit_on_splits,
     estimate_att,
     estimate_att_crossfit,
+    estimate_theta,
     matched_differences,
 )
 from .bootstrap import BootstrapResult, bootstrap_att, bootstrap_replicate
@@ -119,6 +120,7 @@ __all__ = [
     "crossfit_on_splits",
     "estimate_att",
     "estimate_att_crossfit",
+    "estimate_theta",
     "first_differences",
     "fit_beta",
     "fit_gamma",

@@ -10,6 +10,8 @@ of the difference in linearly-adjusted outcomes::
 
 Cross-fitting reruns the pipeline under the three cyclic role rotations of
 one fixed partition and averages the resulting estimates.
+:func:`estimate_theta` turns a seed into a partition and returns the
+single-run or the cross-fitted estimate on it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .data_model import ObservationSet, SplitAssignment, split_three_way, treatment_mask
 from .diff_beta import BetaFit, fit_beta
-from .errors import EmptyControlGroup, EmptyTreatedGroup, ThreshmatchError
+from .errors import ThreshmatchError
 from .matching import MatchResult, match_controls
 from .residualize import GammaFit, fit_gamma, residuals_eta
 
@@ -97,10 +99,6 @@ def _estimate_with_roles(
     treated3 = match_split[mask[match_split]]
     control3 = match_split[~mask[match_split]]
     try:
-        if treated3.size == 0:
-            raise EmptyTreatedGroup()
-        if control3.size == 0:
-            raise EmptyControlGroup()
         matches = match_controls(eta_hat[treated3], treated3, eta_hat[control3], control3)
     except ThreshmatchError as exc:
         raise _labeled(exc, "I3")
@@ -120,12 +118,11 @@ def _estimate_with_roles(
 def estimate_att_crossfit(obs: ObservationSet, seed: int = 0) -> CrossfitEstimate:
     """Average the pipeline over the three cyclic role rotations.
 
-    One partition is drawn from ``seed`` (seeded shuffle); the rotations
-    reuse its blocks with roles shifted, so every block serves once in each
-    role.  A failure in any rotation aborts the whole estimate.
+    One partition is drawn from ``seed``; the rotations reuse its blocks
+    with roles shifted, so every block serves once in each role.  A
+    failure in any rotation aborts the whole estimate.
     """
-    splits = split_three_way(obs.n, seed=seed, shuffle=True)
-    return crossfit_on_splits(obs, splits)
+    return crossfit_on_splits(obs, split_three_way(obs.n, seed=seed))
 
 
 def crossfit_on_splits(obs: ObservationSet, splits: SplitAssignment) -> CrossfitEstimate:
@@ -141,3 +138,16 @@ def crossfit_on_splits(obs: ObservationSet, splits: SplitAssignment) -> Crossfit
         rotations[0].theta_hat + rotations[1].theta_hat + rotations[2].theta_hat
     ) / 3.0
     return CrossfitEstimate(theta_cf=theta_cf, rotations=rotations)
+
+
+def estimate_theta(obs: ObservationSet, seed: int, crossfit: bool = False) -> float:
+    """The ATT estimate of one seeded run on the partition drawn from ``seed``.
+
+    Returns ``theta_hat`` of one pipeline run in role order or, with
+    ``crossfit``, ``theta_cf`` over the partition's three role rotations.
+    Callers that need the intermediate fits call :func:`estimate_att` or
+    :func:`estimate_att_crossfit` instead.
+    """
+    if crossfit:
+        return estimate_att_crossfit(obs, seed=seed).theta_cf
+    return estimate_att(obs, split_three_way(obs.n, seed=seed)).theta_hat

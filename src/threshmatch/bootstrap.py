@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .att import estimate_att, estimate_att_crossfit
-from .data_model import ObservationSet, split_three_way
+from .att import estimate_theta
+from .data_model import ObservationSet
 from .errors import InputError, InvalidLevel, NumericError, StructuralError, TooManyFailures
 from .rng import derive_seed, rng_from
 
@@ -48,14 +48,8 @@ def bootstrap_replicate(
     the resampled data (seed ``(seed, r, 1)``), and runs the pipeline.
     Raises the pipeline's structural errors on degenerate resamples.
     """
-    n = obs.n
-    rows = rng_from(seed, r, 0).integers(0, n, size=n)
-    resampled = obs.take(rows)
-    split_seed = derive_seed(seed, r, 1)
-    if crossfit:
-        return estimate_att_crossfit(resampled, seed=split_seed).theta_cf
-    splits = split_three_way(n, seed=split_seed, shuffle=True)
-    return estimate_att(resampled, splits).theta_hat
+    rows = rng_from(seed, r, 0).integers(0, obs.n, size=obs.n)
+    return estimate_theta(obs.take(rows), derive_seed(seed, r, 1), crossfit)
 
 
 def bootstrap_att(
@@ -71,8 +65,8 @@ def bootstrap_att(
     successful replicates; the confidence interval takes the empirical
     ``(1-level)/2`` and ``1-(1-level)/2`` quantiles (linear interpolation
     between order statistics).  Replicates whose resample cannot support
-    estimation (say, a split without controls) are dropped, up to a 2%
-    budget; beyond that the whole run is rejected.
+    estimation (say, a split without controls) are dropped, up to the
+    ``FAILURE_BUDGET`` share of ``b``; beyond that the whole run is rejected.
     """
     if not (0.0 < level < 1.0):
         raise InvalidLevel(level)
@@ -87,7 +81,7 @@ def bootstrap_att(
         except (StructuralError, NumericError):
             b_failed += 1
     if b_failed > FAILURE_BUDGET * b or b - b_failed < 2:
-        raise TooManyFailures(b_failed, b)
+        raise TooManyFailures(b_failed, b, FAILURE_BUDGET)
 
     replicates = np.asarray(values)
     n_tilde = obs.n // 3

@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .att import estimate_att, estimate_att_crossfit
+from .att import estimate_att, estimate_att_crossfit, estimate_theta
 from .bootstrap import bootstrap_att
 from .data_model import (
     ColumnSpec,
@@ -135,8 +135,7 @@ def _add_estimate_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--add-intercept-z", action="store_true", help="append a constant column to the score covariates")
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_estimate(args: argparse.Namespace) -> dict:
     obs = _load(args)
     mask = treatment_mask(obs)
     if args.crossfit:
@@ -145,11 +144,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         theta = cf.theta_cf
         extra = {"theta_rotations": [r.theta_hat for r in cf.rotations]}
     else:
-        splits = split_three_way(obs.n, seed=args.seed, shuffle=True)
-        first = estimate_att(obs, splits)
+        first = estimate_att(obs, split_three_way(obs.n, seed=args.seed))
         theta = first.theta_hat
         extra = {}
-    payload = {
+    return {
         "theta_hat": theta,
         "beta_hat": [float(v) for v in first.beta.beta_hat],
         "gamma_hat": [float(v) for v in first.gamma.gamma_hat],
@@ -157,32 +155,21 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "n_treated": int(mask.sum()),
         "n_control": int((~mask).sum()),
         **extra,
-        "manifest": _manifest(args, started),
     }
-    _emit(payload)
-    return 0
 
 
-def cmd_bootstrap(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_bootstrap(args: argparse.Namespace) -> dict:
     obs = _load(args)
-    if args.crossfit:
-        theta = estimate_att_crossfit(obs, seed=args.seed).theta_cf
-    else:
-        splits = split_three_way(obs.n, seed=args.seed, shuffle=True)
-        theta = estimate_att(obs, splits).theta_hat
+    theta = estimate_theta(obs, args.seed, args.crossfit)
     result = bootstrap_att(obs, b=args.b, level=args.level, seed=args.seed, crossfit=args.crossfit)
-    payload = {
+    return {
         "theta_hat": theta,
         "sigma2_hat": result.sigma2_hat,
         "ci": [result.ci_low, result.ci_high],
         "level": result.level,
         "b": result.b_requested,
         "b_failed": result.b_failed,
-        "manifest": _manifest(args, started),
     }
-    _emit(payload)
-    return 0
 
 
 def _read_grid(path: str, x_cols: list[str], include_eta: bool) -> np.ndarray:
@@ -196,11 +183,9 @@ def _read_grid(path: str, x_cols: list[str], include_eta: bool) -> np.ndarray:
     return np.column_stack([columns[name] for name in wanted])
 
 
-def cmd_ite(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_ite(args: argparse.Namespace) -> dict:
     obs = _load(args)
-    splits = split_three_way(obs.n, seed=args.seed, shuffle=True)
-    est = estimate_att(obs, splits)
+    est = estimate_att(obs, split_three_way(obs.n, seed=args.seed))
     spec = SplineBasisSpec(df_grid=args.df_grid, include_eta=args.include_eta)
     model = fit_ite(obs, est, spec, cv_seed=derive_seed(args.seed, 1))
     save_ite_model(model, args.model_out)
@@ -214,34 +199,25 @@ def cmd_ite(args: argparse.Namespace) -> int:
             _csv.writer(fh).writerow(list(args.x) + (["eta_hat"] if args.include_eta else []) + ["alpha_hat"])
             _write_rows(fh, [*grid.T, preds])
 
-    payload = {
+    return {
         "theta_hat": est.theta_hat,
         "chosen_df": model.basis.df,
         "training_mse": model.training_mse,
         "n_train": est.n_treated_i3,
         "model_out": args.model_out,
         "predictions_out": predictions_path,
-        "manifest": _manifest(args, started),
     }
-    _emit(payload)
-    return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_simulate(args: argparse.Namespace) -> dict:
     kind = _KIND_BY_FLAG[args.ite_kind]
     if args.mode == "gen":
         if not args.out:
             raise InputError("--mode gen requires --out PATH")
         obs = generate(DgpConfig(n=args.n, seed=args.seed, ite_kind=kind))
         write_csv(args.out, obs, GEN_COLUMNS)
-        payload = {
-            "written": args.out,
-            "n": obs.n,
-            "columns": ["y", "x1", "x2", "x3", "x4", "q"],
-            "manifest": _manifest(args, started),
-        }
-    elif args.mode == "mc-att":
+        return {"written": args.out, "n": obs.n, "columns": ["y", "x1", "x2", "x3", "x4", "q"]}
+    if args.mode == "mc-att":
         report = monte_carlo_att(
             DgpConfig(n=args.n, seed=0, ite_kind=kind),
             reps=args.reps,
@@ -250,22 +226,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         if args.out:
             report.write_histogram_csv(args.out)
-        payload = {
-            "report": report.to_json_dict(),
-            "histogram_out": args.out,
-            "manifest": _manifest(args, started),
-        }
-    else:  # mc-ite
-        spec = SplineBasisSpec(df_grid=args.df_grid, include_eta=args.include_eta)
-        seeds = [derive_seed(args.seed, k) for k in range(args.reps)]
-        mses = monte_carlo_ite(DgpConfig(n=args.n, seed=0, ite_kind=kind), spec, seeds)
-        payload = {
-            "mses": mses,
-            "median_mse": float(np.median(mses)),
-            "manifest": _manifest(args, started),
-        }
-    _emit(payload)
-    return 0
+        return {"report": report.to_json_dict(), "histogram_out": args.out}
+    # mc-ite
+    spec = SplineBasisSpec(df_grid=args.df_grid, include_eta=args.include_eta)
+    seeds = [derive_seed(args.seed, k) for k in range(args.reps)]
+    mses = monte_carlo_ite(DgpConfig(n=args.n, seed=0, ite_kind=kind), spec, seeds)
+    return {"mses": mses, "median_mse": float(np.median(mses))}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,8 +281,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.subcommand == "simulate" and getattr(args, "include_eta", None) is None:
         args.include_eta = args.ite_kind == "x-and-eta"
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        # every command returns its payload; the manifest and output are shared
+        payload = args.func(args)
+        payload["manifest"] = _manifest(args, started)
+        _emit(payload)
+        return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

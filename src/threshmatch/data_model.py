@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,15 +153,11 @@ class SplitAssignment:
     i1: np.ndarray
     i2: np.ndarray
     i3: np.ndarray
-    seed: int
-    n: int = field(default=0)
 
     def __post_init__(self):
         object.__setattr__(self, "i1", np.sort(np.asarray(self.i1, dtype=np.intp)))
         object.__setattr__(self, "i2", np.sort(np.asarray(self.i2, dtype=np.intp)))
         object.__setattr__(self, "i3", np.sort(np.asarray(self.i3, dtype=np.intp)))
-        n = len(self.i1) + len(self.i2) + len(self.i3)
-        object.__setattr__(self, "n", n)
 
     def rotations(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The three cyclic role rotations used by cross-fitting."""
@@ -172,21 +168,18 @@ class SplitAssignment:
         ]
 
 
-def split_three_way(n: int, seed: int = 0, shuffle: bool = True) -> SplitAssignment:
+def split_three_way(n: int, seed: int = 0) -> SplitAssignment:
     """Partition ``{0..n-1}`` into three parts of sizes ``(k, k, n-2k)``, ``k = n//3``.
 
-    With ``shuffle`` the indices are permuted by a seeded pseudorandom
-    permutation before slicing, which restores exchangeability for files
-    that arrive sorted; without it the slices follow natural row order.
-    Deterministic for fixed ``(n, seed, shuffle)``.
+    The indices are permuted by a seeded pseudorandom permutation before
+    slicing, which restores exchangeability for files that arrive sorted.
+    Deterministic for fixed ``(n, seed)``.
     """
     if n < MIN_ROWS:
         raise TooFewRows(n, MIN_ROWS)
-    order = np.arange(n, dtype=np.intp)
-    if shuffle:
-        order = rng_from(seed).permutation(n).astype(np.intp)
+    order = rng_from(seed).permutation(n).astype(np.intp)
     k = n // 3
-    return SplitAssignment(order[:k], order[k : 2 * k], order[2 * k :], seed=int(seed))
+    return SplitAssignment(order[:k], order[k : 2 * k], order[2 * k :])
 
 
 def treatment_mask(obs: ObservationSet) -> np.ndarray:

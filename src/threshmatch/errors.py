@@ -64,7 +64,7 @@ class NonFiniteValue(InputError):
 
 
 class TooFewRows(InputError):
-    def __init__(self, n: int, minimum: int = 9):
+    def __init__(self, n: int, minimum: int):
         super().__init__(f"need at least {minimum} rows, got {n}")
         self.n = n
 
@@ -137,10 +137,10 @@ class TooFewControls(StructuralError):
 
 
 class TooManyFailures(ThreshmatchError):
-    def __init__(self, b_failed: int, b_requested: int):
+    def __init__(self, b_failed: int, b_requested: int, budget: float):
         super().__init__(
             f"{b_failed} of {b_requested} bootstrap replicates failed "
-            f"(budget is 2%)"
+            f"(budget is {budget:.0%})"
         )
         self.b_failed = b_failed
         self.b_requested = b_requested

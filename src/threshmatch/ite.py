@@ -282,19 +282,18 @@ def load_ite_model(path: str) -> IteModel:
     # neither changes the coefficient count, so a mismatch would predict wrongly
     if fields.get("degree") != str(DEGREE) or fields.get("interactions") != "1":
         raise ArityMismatch(f"{path}: only cubic models with interactions are supported")
-    knot_keys = sorted((k for k in fields if k.startswith("knots")), key=lambda s: int(s[5:]))
-    knots = [
-        np.array([float.fromhex(tok) for tok in fields[k].split()]) for k in knot_keys
-    ]
-    spec = SplineBasisSpec(
-        df_grid=tuple(int(v) for v in fields["df_grid"].split(",")),
-        include_eta=bool(int(fields["include_eta"])),
-        df=int(fields["df"]),
-    )
-    coef = np.array([float.fromhex(tok) for tok in fields["coef"].split()])
-    return IteModel(
-        basis=spec,
-        knots=knots,
-        coef=coef,
-        training_mse=float.fromhex(fields["training_mse"]),
-    )
+    try:
+        knot_keys = sorted((k for k in fields if k.startswith("knots")), key=lambda s: int(s[5:]))
+        knots = [
+            np.array([float.fromhex(tok) for tok in fields[k].split()]) for k in knot_keys
+        ]
+        spec = SplineBasisSpec(
+            df_grid=tuple(int(v) for v in fields["df_grid"].split(",")),
+            include_eta=bool(int(fields["include_eta"])),
+            df=int(fields["df"]),
+        )
+        coef = np.array([float.fromhex(tok) for tok in fields["coef"].split()])
+        training_mse = float.fromhex(fields["training_mse"])
+    except (KeyError, ValueError) as exc:
+        raise ArityMismatch(f"{path}: missing or malformed field ({exc!r})") from None
+    return IteModel(basis=spec, knots=knots, coef=coef, training_mse=training_mse)

@@ -10,14 +10,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
+
+
+def _seed_sequence(master: int, path: tuple[int, ...]) -> np.random.SeedSequence:
+    entropy = [int(master), *map(int, path)]
+    if min(entropy) < 0:
+        raise InputError(f"seeds must be non-negative, got {tuple(entropy)}")
+    return np.random.SeedSequence(entropy=entropy)
+
 
 def derive_seed(master: int, *path: int) -> int:
     """Return the u64 seed for the child stream at ``(master, *path)``."""
-    ss = np.random.SeedSequence(entropy=[int(master), *map(int, path)])
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(master, path).generate_state(1, np.uint64)[0])
 
 
 def rng_from(master: int, *path: int) -> np.random.Generator:
     """Return a fresh Generator for the child stream at ``(master, *path)``."""
-    ss = np.random.SeedSequence(entropy=[int(master), *map(int, path)])
-    return np.random.default_rng(ss)
+    return np.random.default_rng(_seed_sequence(master, path))

@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .att import estimate_att, estimate_att_crossfit
-from .data_model import ObservationSet, split_three_way
+from .att import estimate_att, estimate_theta
+from .data_model import MIN_ROWS, ObservationSet, split_three_way
 from .errors import DimensionMismatch, ThreshmatchError, TooFewRows
 from .ite import SplineBasisSpec, fit_ite, ite_mse
 from .rng import derive_seed, rng_from
@@ -57,8 +57,8 @@ class DgpConfig:
     ite_kind: str = X_AND_ETA
 
     def __post_init__(self):
-        if self.n < 9:
-            raise TooFewRows(self.n)
+        if self.n < MIN_ROWS:
+            raise TooFewRows(self.n, MIN_ROWS)
         if self.ite_kind not in (X_ONLY, X_AND_ETA):
             raise DimensionMismatch(f"unknown ite_kind {self.ite_kind!r}")
 
@@ -197,13 +197,8 @@ def monte_carlo_att(
     zetas = np.empty(reps)
     for k in range(reps):
         obs = generate(replace(config, seed=derive_seed(master_seed, k, 0)))
-        run_seed = derive_seed(master_seed, k, 1)
         try:
-            if crossfit:
-                theta = estimate_att_crossfit(obs, seed=run_seed).theta_cf
-            else:
-                splits = split_three_way(obs.n, seed=run_seed, shuffle=True)
-                theta = estimate_att(obs, splits).theta_hat
+            theta = estimate_theta(obs, derive_seed(master_seed, k, 1), crossfit)
         except ThreshmatchError as exc:
             exc.split = f"replicate {k}" if exc.split is None else f"replicate {k}: {exc.split}"
             raise
@@ -222,7 +217,7 @@ def monte_carlo_ite(config: DgpConfig, spec: SplineBasisSpec, seeds: list[int]) 
     mses: list[float] = []
     for s in seeds:
         obs = generate(replace(config, seed=derive_seed(s, 0)))
-        est = estimate_att(obs, split_three_way(obs.n, seed=derive_seed(s, 1), shuffle=True))
+        est = estimate_att(obs, split_three_way(obs.n, seed=derive_seed(s, 1)))
         model = fit_ite(obs, est, spec, cv_seed=derive_seed(s, 2))
         mses.append(ite_mse(model, obs, est, truth))
     return mses

@@ -6,15 +6,21 @@ from threshmatch import (
     AttEstimate,
     DgpConfig,
     EmptyControlGroup,
+    EmptyTreatedGroup,
     ObservationSet,
+    SplitAssignment,
     estimate_att,
     estimate_att_crossfit,
+    estimate_theta,
     generate,
     residuals_eta,
     split_three_way,
 )
 
 from conftest import make_null_obs
+
+# rows 0-2, 3-5 and 6-8 in role order, for the nine-row fixtures
+NATURAL_SPLITS_9 = SplitAssignment(np.arange(0, 3), np.arange(3, 6), np.arange(6, 9))
 
 
 def _hand_fixture():
@@ -50,8 +56,7 @@ def _hand_oracle(obs):
 class TestHandFixture:
     def test_full_pipeline_matches_hand_oracle(self):
         obs = _hand_fixture()
-        splits = split_three_way(9, shuffle=False)
-        est = estimate_att(obs, splits)
+        est = estimate_att(obs, NATURAL_SPLITS_9)
         gamma, beta, theta = _hand_oracle(obs)
 
         assert gamma == pytest.approx(1.5, abs=1e-12)
@@ -136,6 +141,13 @@ class TestInvariants:
         obs = make_null_obs(seed=0, n=60)
         assert estimate_att_crossfit(obs, seed=0).theta_cf == 0.25
 
+    @pytest.mark.parametrize("seed", [0, 8, 2**40])
+    def test_estimate_theta_is_the_seeded_run(self, seed):
+        obs = generate(DgpConfig(n=600, seed=7))
+        single = estimate_att(obs, split_three_way(obs.n, seed=seed)).theta_hat
+        assert estimate_theta(obs, seed) == single
+        assert estimate_theta(obs, seed, crossfit=True) == estimate_att_crossfit(obs, seed).theta_cf
+
 
 class TestDgpScale:
     def test_theta_concentrates_near_truth(self):
@@ -154,7 +166,17 @@ class TestErrorLabeling:
         z = np.arange(1.0, 10.0)
         obs = ObservationSet(y=np.zeros(9), x=z[:, None], z=z[:, None], q=q, tau0=0.0)
         with pytest.raises(EmptyControlGroup) as err:
-            estimate_att(obs, split_three_way(9, shuffle=False))
+            estimate_att(obs, NATURAL_SPLITS_9)
+        assert err.value.split == "I3"
+        assert "I3" in str(err.value)
+
+    def test_no_treated_in_match_split(self):
+        # rows 6-8 all controls; matching itself rejects the empty treated side
+        q = np.array([1.0, 3.0, -2.0, -1.0, -0.5, -0.2, -1.0, -2.0, -3.0])
+        z = np.arange(1.0, 10.0)
+        obs = ObservationSet(y=np.zeros(9), x=z[:, None], z=z[:, None], q=q, tau0=0.0)
+        with pytest.raises(EmptyTreatedGroup) as err:
+            estimate_att(obs, NATURAL_SPLITS_9)
         assert err.value.split == "I3"
         assert "I3" in str(err.value)
 
@@ -163,5 +185,5 @@ class TestErrorLabeling:
         z = np.arange(1.0, 10.0)
         obs = ObservationSet(y=np.zeros(9), x=z[:, None], z=z[:, None], q=q, tau0=0.0)
         with pytest.raises(EmptyControlGroup) as err:
-            estimate_att(obs, split_three_way(9, shuffle=False))
+            estimate_att(obs, NATURAL_SPLITS_9)
         assert err.value.split == "I2"

@@ -9,9 +9,11 @@ from threshmatch import (
     TooManyFailures,
     bootstrap_att,
     bootstrap_replicate,
+    estimate_att_crossfit,
     generate,
 )
 from threshmatch.errors import EmptyControlGroup
+from threshmatch.rng import derive_seed, rng_from
 
 from conftest import make_null_obs
 
@@ -60,6 +62,14 @@ class TestDeterminism:
         assert res.b_failed == 0
         for r in (0, 7, 24):
             assert bootstrap_replicate(obs, r, seed=11) == res.replicates[r]
+
+    def test_crossfit_replicate_stream(self):
+        # rows from stream (seed, r, 0); the cross-fit partition from seed (seed, r, 1)
+        obs = generate(DgpConfig(n=600, seed=4))
+        for r in (0, 3):
+            rows = rng_from(5, r, 0).integers(0, obs.n, size=obs.n)
+            expected = estimate_att_crossfit(obs.take(rows), seed=derive_seed(5, r, 1)).theta_cf
+            assert bootstrap_replicate(obs, r, 5, crossfit=True) == expected
 
     def test_crossfit_flag_changes_stream(self):
         obs = generate(DgpConfig(n=600, seed=4))

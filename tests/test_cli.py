@@ -243,7 +243,7 @@ class TestSimulate:
         cli_theta = json.loads(out)["theta_hat"]
 
         obs = generate(DgpConfig(n=3000, seed=17))
-        splits = split_three_way(obs.n, seed=5, shuffle=True)
+        splits = split_three_way(obs.n, seed=5)
         assert estimate_att(obs, splits).theta_hat == cli_theta
 
     def test_mc_att_report(self, tmp_path, capsys):
@@ -318,9 +318,10 @@ class TestStatisticalTargetsThroughCli:
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self, tmp_path):
+        src = str(Path(__file__).parent.parent / "src")
         result = subprocess.run(
             [sys.executable, "-m", "threshmatch.cli", "estimate", *ESTIMATE_FLAGS],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         )
         assert result.returncode == 0
         doc = json.loads(result.stdout)

@@ -281,19 +281,13 @@ class TestObservationSet:
 
 
 class TestSplitThreeWay:
-    def test_natural_order_n9(self):
-        s = split_three_way(9, seed=0, shuffle=False)
-        assert s.i1.tolist() == [0, 1, 2]
-        assert s.i2.tolist() == [3, 4, 5]
-        assert s.i3.tolist() == [6, 7, 8]
-
     def test_sizes_n10(self):
-        s = split_three_way(10, seed=0, shuffle=False)
+        s = split_three_way(10, seed=0)
         assert (len(s.i1), len(s.i2), len(s.i3)) == (3, 3, 4)
 
     def test_deterministic_under_seed(self):
-        a = split_three_way(9, seed=7, shuffle=True)
-        b = split_three_way(9, seed=7, shuffle=True)
+        a = split_three_way(9, seed=7)
+        b = split_three_way(9, seed=7)
         assert np.array_equal(a.i1, b.i1)
         assert np.array_equal(a.i2, b.i2)
         assert np.array_equal(a.i3, b.i3)
@@ -302,7 +296,7 @@ class TestSplitThreeWay:
         rng = np.random.default_rng(21)
         for n in rng.integers(9, 100_000, size=50):
             n = int(n)
-            s = split_three_way(n, seed=int(rng.integers(0, 2**32)), shuffle=True)
+            s = split_three_way(n, seed=int(rng.integers(0, 2**32)))
             assert len(s.i1) == len(s.i2) == n // 3
             assert len(s.i3) == n - 2 * (n // 3)
             union = np.concatenate([s.i1, s.i2, s.i3])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,20 @@ class TestSerialization:
         assert text.count(f"\n{line}\n") == 1
         path.write_text(text.replace(f"\n{line}\n", f"\n{edited}\n"), encoding="utf-8")
         with pytest.raises(ArityMismatch):
+            load_ite_model(str(path))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "degree 3\ninteractions 1\ndf 3\n",
+            "degree 3\ninteractions 1\ndf_grid 3,4\ninclude_eta 0\ndf x\n",
+        ],
+        ids=["missing-field", "malformed-df"],
+    )
+    def test_loader_rejects_broken_fields(self, tmp_path, body):
+        path = tmp_path / "model.txt"
+        path.write_text("threshmatch-ite-model v1\n" + body, encoding="utf-8")
+        with pytest.raises(ArityMismatch, match=re.escape(str(path))):
             load_ite_model(str(path))
 
 

@@ -1,0 +1,45 @@
+import numpy as np
+import pytest
+
+from threshmatch import (
+    DgpConfig,
+    InputError,
+    bootstrap_att,
+    estimate_att_crossfit,
+    generate,
+    split_three_way,
+)
+from threshmatch.rng import derive_seed, rng_from
+
+from conftest import make_null_obs
+
+
+class TestStreams:
+    def test_streams_are_seed_sequence_children(self):
+        ss = np.random.SeedSequence(entropy=[7, 2, 1])
+        assert derive_seed(7, 2, 1) == int(ss.generate_state(1, np.uint64)[0])
+        expected = np.random.default_rng(np.random.SeedSequence(entropy=[7, 2, 1]))
+        assert rng_from(7, 2, 1).integers(0, 2**62) == expected.integers(0, 2**62)
+
+
+class TestNegativeSeeds:
+    @pytest.mark.parametrize("path", [(-1,), (0, -1), (3, 0, -2)])
+    def test_rng_rejects_negative_entries(self, path):
+        with pytest.raises(InputError, match="non-negative"):
+            derive_seed(*path)
+        with pytest.raises(InputError, match="non-negative"):
+            rng_from(*path)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: generate(DgpConfig(n=30, seed=-1)),
+            lambda: split_three_way(30, seed=-1),
+            lambda: bootstrap_att(make_null_obs(seed=0, n=30), b=5, seed=-1),
+            lambda: estimate_att_crossfit(make_null_obs(seed=0, n=30), seed=-2),
+        ],
+        ids=["generate", "split_three_way", "bootstrap_att", "estimate_att_crossfit"],
+    )
+    def test_entry_points_raise_input_error(self, call):
+        with pytest.raises(InputError, match="non-negative"):
+            call()

@@ -113,10 +113,9 @@ class TestMonteCarloAtt:
         assert single.variance > 0 and cf.variance > 0
 
     def test_degenerate_estimator_hook(self, monkeypatch):
-        class _Stub:
-            theta_hat = TRUE_ATT[X_AND_ETA]
-
-        monkeypatch.setattr(sim_mod, "estimate_att", lambda obs, splits: _Stub())
+        monkeypatch.setattr(
+            sim_mod, "estimate_theta", lambda obs, seed, crossfit: TRUE_ATT[X_AND_ETA]
+        )
         rep = monte_carlo_att(DgpConfig(n=90, seed=0), reps=30, master_seed=3)
         assert np.all(rep.zetas == 0.0)
         assert rep.variance == 0.0
