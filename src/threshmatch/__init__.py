@@ -30,7 +30,7 @@ from .data_model import (
     treatment_mask,
     write_csv,
 )
-from .diff_beta import BetaFit, first_differences, fit_beta, order_by_eta
+from .diff_beta import first_differences, fit_beta, order_by_eta
 from .errors import (
     ArityMismatch,
     DegenerateCovariate,
@@ -64,9 +64,9 @@ from .ite import (
     predict_ite_batch,
     save_ite_model,
 )
-from .linreg import LinearFit, ols
+from .linreg import ols
 from .matching import MatchResult, match_controls, match_controls_brute
-from .residualize import GammaFit, fit_gamma, residuals_eta
+from .residualize import fit_gamma, residuals_eta
 from .simulate import (
     DgpConfig,
     McReport,
@@ -82,7 +82,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AttEstimate",
     "ArityMismatch",
-    "BetaFit",
     "BootstrapResult",
     "ColumnSpec",
     "CrossfitEstimate",
@@ -92,12 +91,10 @@ __all__ = [
     "DuplicateColumn",
     "EmptyControlGroup",
     "EmptyTreatedGroup",
-    "GammaFit",
     "IndexOutOfRange",
     "InputError",
     "InvalidLevel",
     "IteModel",
-    "LinearFit",
     "MatchResult",
     "McReport",
     "MissingColumn",

@@ -8,8 +8,10 @@ of the difference in linearly-adjusted outcomes::
 
     theta_hat = mean_i [ (y_i - x_i @ beta_hat) - (y_c(i) - x_c(i) @ beta_hat) ]
 
-Cross-fitting reruns the pipeline under the three cyclic role rotations of
-one fixed partition and averages the resulting estimates.
+A run's record, :class:`AttEstimate`, holds five fields: ``theta_hat``,
+``beta_hat``, ``gamma_hat``, ``matches`` and ``eta_hat``.  Cross-fitting
+reruns the pipeline under the three cyclic role rotations of one fixed
+partition and averages the resulting estimates.
 :func:`estimate_theta` turns a seed into a partition and returns the
 single-run or the cross-fitted estimate on it.
 """
@@ -21,27 +23,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import ObservationSet, SplitAssignment, split_three_way, treatment_mask
-from .diff_beta import BetaFit, fit_beta
+from .diff_beta import fit_beta
 from .errors import ThreshmatchError
 from .matching import MatchResult, match_controls
-from .residualize import GammaFit, fit_gamma, residuals_eta
+from .residualize import fit_gamma, residuals_eta
 
 
 @dataclass(frozen=True)
 class AttEstimate:
-    """ATT point estimate with the full ledger of intermediate fits.
+    """ATT point estimate of one pipeline run with the arrays it was built from.
 
+    ``theta_hat`` is the mean matched difference; ``beta_hat`` and
+    ``gamma_hat`` are the difference and score coefficients; ``matches``
+    pairs every treated row of the matching split with its control.
     ``eta_hat`` holds the score residuals of the run over all ``n`` rows:
     finite on the difference and matching splits, NaN on the score split.
     """
 
     theta_hat: float
-    beta: BetaFit
-    gamma: GammaFit
+    beta_hat: np.ndarray
+    gamma_hat: np.ndarray
     matches: MatchResult
     eta_hat: np.ndarray
-    n_treated_i3: int
-    n_control_i3: int
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ def _estimate_with_roles(
     match_split: np.ndarray,
 ) -> AttEstimate:
     try:
-        gamma = fit_gamma(obs, gamma_split)
+        gamma_hat = fit_gamma(obs, gamma_split)
     except ThreshmatchError as exc:
         raise _labeled(exc, "I1")
 
@@ -87,11 +90,11 @@ def _estimate_with_roles(
     # first split keep NaN so accidental use fails loudly
     eta_hat = np.full(obs.n, np.nan)
     idx23 = np.concatenate([beta_split, match_split])
-    eta_hat[idx23] = residuals_eta(gamma, obs, idx23)
+    eta_hat[idx23] = residuals_eta(gamma_hat, obs, idx23)
     eta_hat.setflags(write=False)
 
     try:
-        beta = fit_beta(obs, beta_split, eta_hat)
+        beta_hat = fit_beta(obs, beta_split, eta_hat)
     except ThreshmatchError as exc:
         raise _labeled(exc, "I2")
 
@@ -103,16 +106,8 @@ def _estimate_with_roles(
     except ThreshmatchError as exc:
         raise _labeled(exc, "I3")
 
-    theta_hat = float(np.mean(matched_differences(obs, beta.beta_hat, matches)))
-    return AttEstimate(
-        theta_hat=theta_hat,
-        beta=beta,
-        gamma=gamma,
-        matches=matches,
-        eta_hat=eta_hat,
-        n_treated_i3=int(treated3.size),
-        n_control_i3=int(control3.size),
-    )
+    theta_hat = float(np.mean(matched_differences(obs, beta_hat, matches)))
+    return AttEstimate(theta_hat, beta_hat, gamma_hat, matches, eta_hat)
 
 
 def estimate_att_crossfit(obs: ObservationSet, seed: int = 0) -> CrossfitEstimate:

@@ -149,8 +149,8 @@ def cmd_estimate(args: argparse.Namespace) -> dict:
         extra = {}
     return {
         "theta_hat": theta,
-        "beta_hat": [float(v) for v in first.beta.beta_hat],
-        "gamma_hat": [float(v) for v in first.gamma.gamma_hat],
+        "beta_hat": [float(v) for v in first.beta_hat],
+        "gamma_hat": [float(v) for v in first.gamma_hat],
         "n": obs.n,
         "n_treated": int(mask.sum()),
         "n_control": int((~mask).sum()),
@@ -203,7 +203,7 @@ def cmd_ite(args: argparse.Namespace) -> dict:
         "theta_hat": est.theta_hat,
         "chosen_df": model.basis.df,
         "training_mse": model.training_mse,
-        "n_train": est.n_treated_i3,
+        "n_train": est.matches.treated_idx.size,
         "model_out": args.model_out,
         "predictions_out": predictions_path,
     }

@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateColumn,
     IndexOutOfRange,
+    InputError,
     MissingColumn,
     NonFiniteValue,
     ParseError,
@@ -83,7 +84,7 @@ class ObservationSet:
                 bad = np.argwhere(~np.isfinite(arr))[0]
                 raise NonFiniteValue(int(bad[0]), name)
         if not np.isfinite(self.tau0):
-            raise NonFiniteValue(-1, "tau0")
+            raise InputError(f"threshold tau0 must be finite, got {float(self.tau0)!r}")
         y.setflags(write=False)
         x.setflags(write=False)
         z.setflags(write=False)

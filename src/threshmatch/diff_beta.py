@@ -10,22 +10,11 @@ without ever estimating ``l``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data_model import ObservationSet, check_indices, treatment_mask
 from .errors import EmptyControlGroup, TooFewControls
 from .linreg import ols
-
-
-@dataclass(frozen=True)
-class BetaFit:
-    """Difference-regression coefficients plus the ordering that produced them."""
-
-    beta_hat: np.ndarray
-    n_controls_used: int
-    sort_permutation: np.ndarray
 
 
 def order_by_eta(eta_hat: np.ndarray, control_idx: np.ndarray) -> np.ndarray:
@@ -56,12 +45,12 @@ def first_differences(
     return np.diff(x_sorted, axis=0), np.diff(y_sorted)
 
 
-def fit_beta(obs: ObservationSet, i2: np.ndarray, eta_hat: np.ndarray) -> BetaFit:
+def fit_beta(obs: ObservationSet, i2: np.ndarray, eta_hat: np.ndarray) -> np.ndarray:
     """Estimate the linear coefficients from the control rows of ``i2``.
 
-    Treated rows in ``i2`` are discarded.  The difference regression has
-    no intercept: differencing annihilates level terms, so one would only
-    add noise.
+    Returns ``beta_hat``, a ``(d_x,)`` array.  Treated rows in ``i2`` are
+    discarded.  The difference regression has no intercept: differencing
+    annihilates level terms, so one would only add noise.
     """
     i2 = check_indices(i2, obs.n)
     mask = treatment_mask(obs)
@@ -72,9 +61,4 @@ def fit_beta(obs: ObservationSet, i2: np.ndarray, eta_hat: np.ndarray) -> BetaFi
         raise TooFewControls(int(controls.size), obs.d_x + 1)
     sorted_idx = order_by_eta(eta_hat, controls)
     dx, dy = first_differences(sorted_idx, obs)
-    fit = ols(dx, dy)
-    return BetaFit(
-        beta_hat=fit.coef,
-        n_controls_used=int(controls.size),
-        sort_permutation=sorted_idx,
-    )
+    return ols(dx, dy)

@@ -174,7 +174,7 @@ def fit_ite(
     df; the returned model is refit on all treated rows at the chosen df.
     """
     _, cov = _treated_covariates(obs, est, spec.include_eta)
-    response = matched_differences(obs, est.beta.beta_hat, est.matches)
+    response = matched_differences(obs, est.beta_hat, est.matches)
     m, d = cov.shape
     max_dim = spec.dimension(d, df=spec.df_grid[-1])
     if m < max_dim:
@@ -192,9 +192,9 @@ def fit_ite(
         for hold in folds:
             train = np.setdiff1d(perm, hold, assume_unique=True)
             design, knots = build_basis(cov[train], cand)
-            fit = ols(design, response[train])
+            coef = ols(design, response[train])
             held_design, _ = build_basis(cov[hold], cand, knots)
-            err = response[hold] - held_design @ fit.coef
+            err = response[hold] - held_design @ coef
             fold_mse.append(float(np.mean(err**2)))
         mean_mse = float(np.mean(fold_mse))
         if mean_mse < best_mse:
@@ -202,9 +202,9 @@ def fit_ite(
 
     chosen = replace(spec, df=best_df)
     design, knots = build_basis(cov, chosen)
-    fit = ols(design, response)
-    training_mse = float(np.mean(fit.residuals**2))
-    return IteModel(basis=chosen, knots=knots, coef=fit.coef, training_mse=training_mse)
+    coef = ols(design, response)
+    training_mse = float(np.mean((response - design @ coef) ** 2))
+    return IteModel(basis=chosen, knots=knots, coef=coef, training_mse=training_mse)
 
 
 def predict_ite_batch(model: IteModel, covariates: np.ndarray) -> np.ndarray:

@@ -8,8 +8,6 @@ when their model has one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import solve_triangular
 
@@ -18,21 +16,11 @@ from .errors import DimensionMismatch, RankDeficient
 RANK_TOL = 1e-10  # relative floor on |diag R|; fixed, not configurable
 
 
-@dataclass(frozen=True)
-class LinearFit:
-    """Least-squares solution with its residual vector.
-
-    ``residuals = b - a @ coef`` for the system the fit was computed on.
-    """
-
-    coef: np.ndarray
-    residuals: np.ndarray
-
-
-def ols(a: np.ndarray, b: np.ndarray) -> LinearFit:
+def ols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimize ``||a @ coef - b||_2`` by reduced QR; deterministic.
 
-    Requires ``m >= p >= 1``.  Rank deficiency (smallest |R_jj| below
+    Returns ``coef``, a ``(p,)`` array; callers that need the residuals
+    form ``b - a @ coef`` themselves.  Requires ``m >= p >= 1``.  Rank deficiency (smallest |R_jj| below
     ``RANK_TOL`` times the largest) is a hard error rather than a silent
     ridge or pseudo-inverse fallback, since a regularized score fit would
     bias every residual downstream.
@@ -58,6 +46,4 @@ def ols(a: np.ndarray, b: np.ndarray) -> LinearFit:
     if p_effective < p:
         raise RankDeficient(p_effective, p)
 
-    coef = solve_triangular(r_mat, q_mat.T @ b, lower=False)
-    residuals = b - a @ coef
-    return LinearFit(coef=coef, residuals=residuals)
+    return solve_triangular(r_mat, q_mat.T @ b, lower=False)

@@ -8,8 +8,6 @@ later step (ordering, differencing, matching).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data_model import ObservationSet, check_indices
@@ -17,24 +15,21 @@ from .errors import SplitTooSmall
 from .linreg import ols
 
 
-@dataclass(frozen=True)
-class GammaFit:
-    """OLS coefficients of the score on the score-side covariates."""
+def fit_gamma(obs: ObservationSet, i1: np.ndarray) -> np.ndarray:
+    """Regress ``q`` on ``z`` over the rows in ``i1`` (no intercept).
 
-    gamma_hat: np.ndarray
-    fit_split_size: int
-
-
-def fit_gamma(obs: ObservationSet, i1: np.ndarray) -> GammaFit:
-    """Regress ``q`` on ``z`` over the rows in ``i1`` (no intercept)."""
+    Returns ``gamma_hat``, a ``(d_z,)`` array.
+    """
     i1 = check_indices(i1, obs.n)
     if len(i1) < obs.d_z:
         raise SplitTooSmall(len(i1), obs.d_z)
-    fit = ols(obs.z[i1], obs.q[i1])
-    return GammaFit(gamma_hat=fit.coef, fit_split_size=len(i1))
+    return ols(obs.z[i1], obs.q[i1])
 
 
-def residuals_eta(fit: GammaFit, obs: ObservationSet, idx: np.ndarray) -> np.ndarray:
-    """``q - z @ gamma_hat`` over ``idx``, order preserved."""
+def residuals_eta(gamma_hat: np.ndarray, obs: ObservationSet, idx: np.ndarray) -> np.ndarray:
+    """``q - z @ gamma_hat`` over ``idx``, order preserved.
+
+    ``gamma_hat`` is the ``(d_z,)`` array :func:`fit_gamma` returns.
+    """
     idx = check_indices(idx, obs.n)
-    return obs.q[idx] - obs.z[idx] @ fit.gamma_hat
+    return obs.q[idx] - obs.z[idx] @ gamma_hat

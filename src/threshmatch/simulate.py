@@ -21,7 +21,6 @@ E[eta^2]`` = ``1 + 0 + 1/3`` for "x_and_eta" (and ``1`` for "x_only").
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -151,9 +150,6 @@ class McReport:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     def write_histogram_csv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("bin_left,bin_right,count\n")
@@ -211,8 +207,11 @@ def monte_carlo_ite(config: DgpConfig, spec: SplineBasisSpec, seeds: list[int]) 
 
     Each seed runs the single-split pipeline, fits the surface on the
     matching split's treated rows, and scores it against the generator's
-    true surface on those same rows.
+    true surface on those same rows.  An empty ``seeds`` list raises
+    :class:`DimensionMismatch`: there is no MSE to report.
     """
+    if not seeds:
+        raise DimensionMismatch("need at least one seed (one Monte-Carlo replicate)")
     truth = true_ite_fn(config.ite_kind)
     mses: list[float] = []
     for s in seeds:

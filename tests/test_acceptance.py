@@ -145,7 +145,7 @@ def test_criterion_6_beta_consistency():
         obs = generate(DgpConfig(n=12_000, seed=derive_seed(77, k, 0)))
         splits = split_three_way(obs.n, seed=derive_seed(77, k, 1))
         est = estimate_att(obs, splits)
-        betas.append(est.beta.beta_hat)
+        betas.append(est.beta_hat)
     betas = np.array(betas)
     hits = int((np.abs(betas - TRUE_BETA).max(axis=1) <= 0.1).sum())
     skews = stats.skew(betas, axis=0)

@@ -13,8 +13,10 @@ from threshmatch import (
     estimate_att_crossfit,
     estimate_theta,
     generate,
+    match_controls_brute,
     residuals_eta,
     split_three_way,
+    treatment_mask,
 )
 
 from conftest import make_null_obs
@@ -63,15 +65,15 @@ class TestHandFixture:
         assert beta == pytest.approx(0.6, abs=1e-12)
         assert theta == pytest.approx(2.28, abs=1e-12)
 
-        assert est.gamma.gamma_hat[0] == pytest.approx(gamma, abs=1e-10)
-        assert est.beta.beta_hat[0] == pytest.approx(beta, abs=1e-10)
+        assert est.gamma_hat[0] == pytest.approx(gamma, abs=1e-10)
+        assert est.beta_hat[0] == pytest.approx(beta, abs=1e-10)
         assert est.theta_hat == pytest.approx(theta, abs=1e-10)
         assert est.matches.treated_idx.tolist() == [6]
         assert est.matches.control_idx.tolist() == [8]
         controls, counts = est.matches.reuse_counts()
         assert controls.tolist() == [8] and counts.tolist() == [1]
-        assert est.n_treated_i3 == 1
-        assert est.n_control_i3 == 2
+        # the match chose between I3's two controls
+        assert (~treatment_mask(obs)[NATURAL_SPLITS_9.i3]).sum() == 2
 
 
 class TestExactNull:
@@ -95,7 +97,7 @@ class TestInvariants:
         obs = generate(DgpConfig(n=600, seed=4))
         splits = split_three_way(obs.n, seed=4)
         est = estimate_att(obs, splits)
-        beta = est.beta.beta_hat
+        beta = est.beta_hat
         recomputed = np.mean(
             [
                 (obs.y[t] - obs.x[t] @ beta) - (obs.y[c] - obs.x[c] @ beta)
@@ -111,7 +113,7 @@ class TestInvariants:
         idx23 = np.concatenate([splits.i2, splits.i3])
         assert np.all(np.isnan(est.eta_hat[splits.i1]))
         assert np.array_equal(
-            est.eta_hat[idx23], residuals_eta(est.gamma, obs, idx23)
+            est.eta_hat[idx23], residuals_eta(est.gamma_hat, obs, idx23)
         )
         assert not est.eta_hat.flags.writeable
 
@@ -134,8 +136,7 @@ class TestInvariants:
 
     def test_identical_rotations_average_to_themselves(self, monkeypatch):
         stub = AttEstimate(
-            theta_hat=0.25, beta=None, gamma=None, matches=None, eta_hat=None,
-            n_treated_i3=1, n_control_i3=1,
+            theta_hat=0.25, beta_hat=None, gamma_hat=None, matches=None, eta_hat=None
         )
         monkeypatch.setattr(att_mod, "_estimate_with_roles", lambda *a, **k: stub)
         obs = make_null_obs(seed=0, n=60)
@@ -147,6 +148,36 @@ class TestInvariants:
         single = estimate_att(obs, split_three_way(obs.n, seed=seed)).theta_hat
         assert estimate_theta(obs, seed) == single
         assert estimate_theta(obs, seed, crossfit=True) == estimate_att_crossfit(obs, seed).theta_cf
+
+
+class TestHeavyTies:
+    def test_discrete_score_matches_brute_force_oracle(self, monkeypatch):
+        # q and z on small integer grids, so many rows of a split share one
+        # eta_hat and the tie rule decides which control each treated row gets
+        rng = np.random.default_rng(11)
+        n = 1200
+        z = rng.integers(-1, 2, size=(n, 2)).astype(float)
+        q = z.sum(axis=1) + rng.integers(-1, 2, size=n)
+        x = rng.standard_normal((n, 2))
+        y = x @ np.array([1.0, -0.5]) + 0.3 * q + rng.standard_normal(n)
+        obs = ObservationSet(y=y, x=x, z=z, q=q, tau0=0.0)
+        splits = split_three_way(obs.n, seed=3)
+
+        single = estimate_att(obs, splits)
+        controls3 = splits.i3[~treatment_mask(obs)[splits.i3]]
+        assert np.unique(single.eta_hat[controls3]).size * 4 < controls3.size
+        assert np.unique(single.matches.control_idx).size > 1
+        cf = estimate_att_crossfit(obs, seed=3)
+
+        monkeypatch.setattr(att_mod, "match_controls", match_controls_brute)
+        brute_single = estimate_att(obs, splits)
+        brute_cf = estimate_att_crossfit(obs, seed=3)
+        assert brute_single.theta_hat == single.theta_hat
+        assert np.array_equal(brute_single.matches.control_idx, single.matches.control_idx)
+        assert brute_cf.theta_cf == cf.theta_cf
+        for brute, fast in zip(brute_cf.rotations, cf.rotations):
+            assert brute.theta_hat == fast.theta_hat
+            assert np.array_equal(brute.matches.control_idx, fast.matches.control_idx)
 
 
 class TestDgpScale:

@@ -72,6 +72,14 @@ class TestEstimate:
         assert code == 2
         assert "nope" in err
 
+    def test_non_finite_tau_exits_two(self, capsys):
+        # the last --tau wins, as argparse keeps the final occurrence
+        code, out, err = run_cli(["estimate", *ESTIMATE_FLAGS, "--tau", "nan"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "tau0" in err and "nan" in err
+        assert "row" not in err
+
     def test_duplicate_header_exits_two(self, tmp_path, capsys):
         lines = Path(NULL_CSV).read_text(encoding="utf-8").splitlines()
         header = lines[0].split(",")
@@ -270,6 +278,16 @@ class TestSimulate:
         validate_schema(doc)
         assert len(doc["mses"]) == 3
         assert doc["median_mse"] >= 0
+
+
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_mc_ite_without_reps_exits_two(self, reps, capsys):
+        code, out, err = run_cli(
+            ["simulate", "--mode", "mc-ite", "--n", "600", "--reps", reps], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
 
 
 class TestStatisticalTargetsThroughCli:

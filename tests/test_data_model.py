@@ -268,6 +268,14 @@ class TestObservationSet:
         with pytest.raises(NonFiniteValue):
             ObservationSet(y=y, x=bad, z=x, q=q, tau0=0.0)
 
+    @pytest.mark.parametrize("tau0", [float("nan"), float("inf")])
+    def test_rejects_non_finite_threshold(self, tau0):
+        with pytest.raises(InputError) as err:
+            ObservationSet(y=np.zeros(9), x=np.zeros((9, 1)), z=np.zeros((9, 1)), q=np.zeros(9), tau0=tau0)
+        message = str(err.value)
+        assert "tau0" in message and repr(tau0) in message
+        assert "row" not in message
+
     def test_rejects_too_few_rows(self):
         with pytest.raises(TooFewRows):
             ObservationSet(

@@ -72,9 +72,12 @@ class TestFitBeta:
         obs = make_pl_obs(seed=3, n=60, beta=beta)
         i2 = np.arange(obs.n)
         eta = obs.q - obs.z[:, 3]
-        fit = fit_beta(obs, i2, eta)
-        assert np.abs(fit.beta_hat - beta).max() <= 1e-8
-        assert fit.n_controls_used == (obs.q < 0).sum()
+        beta_hat = fit_beta(obs, i2, eta)
+        assert np.abs(beta_hat - beta).max() <= 1e-8
+        # treated rows of i2 are discarded: the controls alone give the same bits
+        controls = i2[obs.q[i2] < obs.tau0]
+        assert controls.size < i2.size
+        assert np.array_equal(fit_beta(obs, controls, eta), beta_hat)
 
     def test_hand_pipeline_oracle(self):
         # six control points, quadratic nuisance in eta, no noise; the
@@ -90,13 +93,13 @@ class TestFitBeta:
         obs = ObservationSet(y=y_all, x=x_all, z=x_all, q=q_all, tau0=0.0)
         eta_all = np.concatenate([eta, np.zeros(pad)])
 
-        fit = fit_beta(obs, np.arange(9), eta_all)
+        beta_hat = fit_beta(obs, np.arange(9), eta_all)
 
         order = np.argsort(eta)
         dx = np.diff(x[order], axis=0)
         dy = np.diff(y[order])
         oracle = np.linalg.solve(dx.T @ dx, dx.T @ dy)
-        assert np.abs(fit.beta_hat - oracle).max() <= 1e-10
+        assert np.abs(beta_hat - oracle).max() <= 1e-10
 
     def test_outcome_shift_leaves_beta(self):
         obs = make_pl_obs(seed=4, n=80, beta=np.array([1.0, 0.5]), ell=np.sin, eps_sd=0.1)
@@ -104,15 +107,16 @@ class TestFitBeta:
         base = fit_beta(obs, np.arange(obs.n), eta)
         shifted = ObservationSet(y=obs.y + 17.0, x=obs.x, z=obs.z, q=obs.q, tau0=obs.tau0)
         fit2 = fit_beta(shifted, np.arange(obs.n), eta)
-        assert np.abs(fit2.beta_hat - base.beta_hat).max() <= 1e-10
+        assert np.abs(fit2 - base).max() <= 1e-10
 
     def test_eta_shift_leaves_beta(self):
         obs = make_pl_obs(seed=5, n=80, beta=np.array([1.0, 0.5]), ell=np.sin, eps_sd=0.1)
         eta = obs.q - obs.z[:, 3]
         base = fit_beta(obs, np.arange(obs.n), eta)
         fit2 = fit_beta(obs, np.arange(obs.n), eta + 5.0)
-        assert np.array_equal(fit2.sort_permutation, base.sort_permutation)
-        assert np.array_equal(fit2.beta_hat, base.beta_hat)
+        controls = np.flatnonzero(obs.q < obs.tau0)
+        assert np.array_equal(order_by_eta(eta + 5.0, controls), order_by_eta(eta, controls))
+        assert np.array_equal(fit2, base)
 
     def test_entry_order_irrelevant(self):
         obs = make_pl_obs(seed=6, n=80, beta=np.array([1.0, 0.5]), ell=np.cos, eps_sd=0.1)
@@ -121,15 +125,15 @@ class TestFitBeta:
         base = fit_beta(obs, i2, eta)
         rng = np.random.default_rng(0)
         fit2 = fit_beta(obs, rng.permutation(i2), eta)
-        assert np.array_equal(fit2.beta_hat, base.beta_hat)
+        assert np.array_equal(fit2, base)
 
     def test_sort_permutation_is_control_permutation(self):
         obs = make_pl_obs(seed=7, n=60, beta=np.array([1.0]))
         eta = obs.q - obs.z[:, 3]
         i2 = np.arange(obs.n)
-        fit = fit_beta(obs, i2, eta)
         controls = i2[obs.q[i2] < obs.tau0]
-        assert sorted(fit.sort_permutation.tolist()) == sorted(controls.tolist())
+        sorted_idx = order_by_eta(eta, controls)
+        assert sorted(sorted_idx.tolist()) == sorted(controls.tolist())
 
     def test_dgp_scale_smoke(self):
         from threshmatch import DgpConfig, generate, split_three_way
@@ -143,8 +147,8 @@ class TestFitBeta:
             eta = np.full(obs.n, np.nan)
             idx = np.concatenate([splits.i2, splits.i3])
             eta[idx] = residuals_eta(gamma, obs, idx)
-            fit = fit_beta(obs, splits.i2, eta)
-            if np.abs(fit.beta_hat - np.array([1.0, 0.0, 1.0])).max() <= 0.1:
+            beta_hat = fit_beta(obs, splits.i2, eta)
+            if np.abs(beta_hat - np.array([1.0, 0.0, 1.0])).max() <= 0.1:
                 hits += 1
         assert hits >= 19
 

@@ -3,7 +3,6 @@ import pytest
 
 from threshmatch import (
     DgpConfig,
-    GammaFit,
     IndexOutOfRange,
     ObservationSet,
     SplitTooSmall,
@@ -25,8 +24,8 @@ def _noiseless_obs(seed=0, n=40):
 
 def test_noiseless_recovery():
     obs, gamma = _noiseless_obs()
-    fit = fit_gamma(obs, np.arange(20))
-    assert np.abs(fit.gamma_hat - gamma).max() <= 1e-10
+    gamma_hat = fit_gamma(obs, np.arange(20))
+    assert np.abs(gamma_hat - gamma).max() <= 1e-10
 
 
 def test_monte_carlo_recovery_at_dgp_scale():
@@ -34,8 +33,8 @@ def test_monte_carlo_recovery_at_dgp_scale():
     for k in range(100):
         obs = generate(DgpConfig(n=12000, seed=derive_seed(31, k)))
         splits = split_three_way(obs.n, seed=k)
-        fit = fit_gamma(obs, splits.i1)
-        if np.abs(fit.gamma_hat - np.array([0, 0, 0, 1.0])).max() <= 0.05:
+        gamma_hat = fit_gamma(obs, splits.i1)
+        if np.abs(gamma_hat - np.array([0, 0, 0, 1.0])).max() <= 0.05:
             hits += 1
     assert hits >= 95
 
@@ -44,8 +43,7 @@ def test_square_system_interpolates():
     obs, _ = _noiseless_obs(seed=5)
     rng = np.random.default_rng(6)
     i1 = rng.choice(obs.n, size=obs.d_z, replace=False)
-    fit = fit_gamma(obs, i1)
-    eta = residuals_eta(fit, obs, i1)
+    eta = residuals_eta(fit_gamma(obs, i1), obs, i1)
     assert np.abs(eta).max() <= 1e-9
 
 
@@ -55,16 +53,14 @@ def test_hand_residual_example():
     z[0] = [1.0, 2.0]
     q = np.full(9, 3.0)
     obs = ObservationSet(y=np.zeros(9), x=np.ones((9, 1)), z=z, q=q, tau0=0.0)
-    fit = GammaFit(gamma_hat=np.array([0.5, 0.25]), fit_split_size=9)
-    eta = residuals_eta(fit, obs, np.array([0]))
+    eta = residuals_eta(np.array([0.5, 0.25]), obs, np.array([0]))
     assert eta[0] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_zero_gamma_returns_q():
     obs, _ = _noiseless_obs(seed=9)
-    fit = GammaFit(gamma_hat=np.zeros(obs.d_z), fit_split_size=0)
     idx = np.arange(10)
-    assert np.array_equal(residuals_eta(fit, obs, idx), obs.q[idx])
+    assert np.array_equal(residuals_eta(np.zeros(obs.d_z), obs, idx), obs.q[idx])
 
 
 def test_linearity_in_q():
@@ -86,8 +82,7 @@ def test_orthogonality_on_fit_split():
     q = z @ np.array([1.0, -2.0, 0.5, 3.0]) + rng.uniform(-1, 1, 60)
     obs = ObservationSet(y=np.zeros(60), x=z[:, :1], z=z, q=q, tau0=0.0)
     i1 = np.arange(30)
-    fit = fit_gamma(obs, i1)
-    eta = residuals_eta(fit, obs, i1)
+    eta = residuals_eta(fit_gamma(obs, i1), obs, i1)
     scale = 1 + np.abs(obs.z[i1]).max() * np.abs(eta).max()
     assert np.abs(obs.z[i1].T @ eta).max() <= 1e-8 * scale
 
@@ -96,6 +91,6 @@ def test_errors():
     obs, _ = _noiseless_obs()
     with pytest.raises(SplitTooSmall):
         fit_gamma(obs, np.arange(obs.d_z - 1))
-    fit = fit_gamma(obs, np.arange(20))
+    gamma_hat = fit_gamma(obs, np.arange(20))
     with pytest.raises(IndexOutOfRange):
-        residuals_eta(fit, obs, np.array([obs.n]))
+        residuals_eta(gamma_hat, obs, np.array([obs.n]))

@@ -6,8 +6,11 @@ import pytest
 import threshmatch.simulate as sim_mod
 from threshmatch import (
     DgpConfig,
+    DimensionMismatch,
+    SplineBasisSpec,
     generate,
     monte_carlo_att,
+    monte_carlo_ite,
     true_att_oracle,
     true_ite_fn,
 )
@@ -123,7 +126,7 @@ class TestMonteCarloAtt:
 
     def test_report_serialization(self, tmp_path):
         rep = monte_carlo_att(DgpConfig(n=600, seed=0), reps=30, master_seed=4)
-        doc = json.loads(rep.to_json())
+        doc = json.loads(json.dumps(rep.to_json_dict(), sort_keys=True))
         assert set(doc) == {
             "zetas", "mean", "variance", "skewness", "excess_kurtosis", "ks_stat", "histogram",
         }
@@ -139,6 +142,12 @@ class TestMonteCarloAtt:
     def test_minimum_reps_enforced(self):
         with pytest.raises(Exception):
             monte_carlo_att(DgpConfig(n=600, seed=0), reps=10, master_seed=0)
+
+
+class TestMonteCarloIte:
+    def test_empty_seed_list_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            monte_carlo_ite(DgpConfig(n=600, seed=0), SplineBasisSpec(), [])
 
 
 class TestSeedIndependence:
