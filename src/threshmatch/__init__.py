@@ -60,7 +60,6 @@ from .ite import (
     fit_ite,
     ite_mse,
     load_ite_model,
-    predict_ite,
     predict_ite_batch,
     save_ite_model,
 )
@@ -133,7 +132,6 @@ __all__ = [
     "monte_carlo_ite",
     "ols",
     "order_by_eta",
-    "predict_ite",
     "predict_ite_batch",
     "residuals_eta",
     "save_ite_model",

@@ -13,7 +13,6 @@ Exit codes: 0 success; 2 input validation; 3 numeric failure;
 from __future__ import annotations
 
 import argparse
-import csv as _csv
 import hashlib
 import json
 import sys
@@ -27,15 +26,15 @@ from .bootstrap import bootstrap_att
 from .data_model import (
     ColumnSpec,
     ObservationSet,
-    _read_columns,
-    _write_rows,
     load_csv,
+    read_columns,
     split_three_way,
     treatment_mask,
+    write_columns,
     write_csv,
 )
 from .errors import InputError, ThreshmatchError, TooManyFailures
-from .ite import SplineBasisSpec, fit_ite, predict_ite_batch, save_ite_model
+from .ite import DEFAULT_DF_GRID, SplineBasisSpec, fit_ite, predict_ite_batch, save_ite_model
 from .rng import derive_seed
 from .simulate import (
     X_AND_ETA,
@@ -172,17 +171,6 @@ def cmd_bootstrap(args: argparse.Namespace) -> dict:
     }
 
 
-def _read_grid(path: str, x_cols: list[str], include_eta: bool) -> np.ndarray:
-    """Read a prediction-grid CSV: the x columns plus 'eta_hat' when needed.
-
-    Same reader, cell grammar and empty-line rule as the data file; the
-    grid needs at least one row.
-    """
-    wanted = list(x_cols) + (["eta_hat"] if include_eta else [])
-    columns = _read_columns(path, wanted, min_rows=1)
-    return np.column_stack([columns[name] for name in wanted])
-
-
 def cmd_ite(args: argparse.Namespace) -> dict:
     obs = _load(args)
     est = estimate_att(obs, split_three_way(obs.n, seed=args.seed))
@@ -192,12 +180,13 @@ def cmd_ite(args: argparse.Namespace) -> dict:
 
     predictions_path = None
     if args.predict_grid:
-        grid = _read_grid(args.predict_grid, args.x, args.include_eta)
+        # the model's covariate layout: the x columns, then eta_hat if fitted on it
+        names = [*args.x, "eta_hat"] if args.include_eta else [*args.x]
+        columns = read_columns(args.predict_grid, names, min_rows=1)
+        grid = np.column_stack([columns[name] for name in names])
         preds = predict_ite_batch(model, grid)
         predictions_path = args.predictions_out or args.model_out + ".predictions.csv"
-        with open(predictions_path, "w", encoding="utf-8", newline="") as fh:
-            _csv.writer(fh).writerow(list(args.x) + (["eta_hat"] if args.include_eta else []) + ["alpha_hat"])
-            _write_rows(fh, [*grid.T, preds])
+        write_columns(predictions_path, [*names, "alpha_hat"], [*grid.T, preds])
 
     return {
         "theta_hat": est.theta_hat,
@@ -255,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ite = sub.add_parser("ite", help="fit the individual-effect surface")
     _add_estimate_flags(p_ite)
-    p_ite.add_argument("--df-grid", type=_comma_ints, default=(3, 4, 5, 6, 8, 10), help="candidate degrees of freedom (comma-separated)")
+    p_ite.add_argument("--df-grid", type=_comma_ints, default=DEFAULT_DF_GRID, help="candidate degrees of freedom (comma-separated)")
     p_ite.add_argument("--include-eta", type=_bool_flag, default=False, help="regress on the score residual as well as x")
     p_ite.add_argument("--model-out", required=True, help="path for the serialized model")
     p_ite.add_argument("--predict-grid", default=None, help="CSV of covariate points to evaluate (x columns, plus eta_hat when --include-eta true)")
@@ -270,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--crossfit", action="store_true")
     p_sim.add_argument("--ite-kind", choices=sorted(_KIND_BY_FLAG), default="x-and-eta", help="effect surface of the generator")
     p_sim.add_argument("--include-eta", type=_bool_flag, default=None, help="mc-ite: regress on the score residual (default: matches --ite-kind)")
-    p_sim.add_argument("--df-grid", type=_comma_ints, default=(3, 4, 5, 6, 8, 10))
+    p_sim.add_argument("--df-grid", type=_comma_ints, default=DEFAULT_DF_GRID)
     p_sim.add_argument("--out", default=None, help="gen: CSV path; mc-att: histogram CSV path")
     p_sim.set_defaults(func=cmd_simulate)
     return parser

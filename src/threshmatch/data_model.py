@@ -6,12 +6,13 @@ treatment, ``x`` the outcome-side covariates, and ``z`` the score-side
 covariates.  Treatment is assigned whenever ``q >= tau0`` -- the cutoff
 itself is treated.  ``x`` and ``z`` may share columns (including ``x == z``).
 
-Data files and prediction grids go through one strict column reader:
-``csv.reader`` tokenises the file, and each distinct requested column is
-parsed once.  A column whose cells are all plain ASCII numbers is
-converted in one vectorised pass; any other column falls back to a
-per-cell loop, which accepts the rest of the grammar and reports the
-first bad cell by row and column.
+Data files and prediction grids go through one strict column reader,
+:func:`read_columns`: ``csv.reader`` tokenises the file, and each
+distinct requested column is parsed once.  A column whose cells are all
+plain ASCII numbers is converted in one vectorised pass; any other column
+falls back to a per-cell loop, which accepts the rest of the grammar and
+reports the first bad cell by row and column.  Data and prediction files
+are written by one writer, :func:`write_columns`.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 # Deletes every character a cell may hold on the fast path of _parse_column,
 # plus the newline that joins a column's cells.
 _NUMERIC_CHARS = str.maketrans("", "", "0123456789+-.eE\n")
+
+
+def _check_tau0(tau0: float) -> None:
+    if not np.isfinite(tau0):
+        raise InputError(f"threshold tau0 must be finite, got {float(tau0)!r}")
 
 
 @dataclass(frozen=True)
@@ -83,8 +89,7 @@ class ObservationSet:
             if not np.all(np.isfinite(arr)):
                 bad = np.argwhere(~np.isfinite(arr))[0]
                 raise NonFiniteValue(int(bad[0]), name)
-        if not np.isfinite(self.tau0):
-            raise InputError(f"threshold tau0 must be finite, got {float(self.tau0)!r}")
+        _check_tau0(self.tau0)
         y.setflags(write=False)
         x.setflags(write=False)
         z.setflags(write=False)
@@ -125,8 +130,11 @@ class ObservationSet:
 class ColumnSpec:
     """Names mapping CSV columns onto the estimator's roles.
 
-    ``x_cols`` and ``z_cols`` may overlap or coincide; ``y_col`` and
-    ``q_col`` must be distinct.
+    ``x_cols`` and ``z_cols`` may overlap or coincide, but neither may name
+    a column twice.  ``y_col`` and ``q_col`` must be distinct, the outcome
+    may not also be a covariate, and the score may not explain itself
+    through ``z_cols``.  ``tau0`` must be finite; it is checked here so a
+    bad threshold fails before any file is read.
     """
 
     y_col: str
@@ -140,6 +148,15 @@ class ColumnSpec:
             raise DimensionMismatch("y_col and q_col must be distinct columns")
         if not self.x_cols or not self.z_cols:
             raise DimensionMismatch("x_cols and z_cols must be nonempty")
+        for role, cols in (("x_cols", self.x_cols), ("z_cols", self.z_cols)):
+            for name in cols:
+                if cols.count(name) > 1:
+                    raise DimensionMismatch(f"column {name!r} appears more than once in {role}")
+                if name == self.y_col:
+                    raise DimensionMismatch(f"outcome column {name!r} is also in {role}")
+        if self.q_col in self.z_cols:
+            raise DimensionMismatch(f"score column {self.q_col!r} is also in z_cols")
+        _check_tau0(self.tau0)
 
 
 @dataclass(frozen=True)
@@ -249,7 +266,7 @@ def _column_positions(header: list[str], names: list[str]) -> dict[str, int]:
     return positions
 
 
-def _read_columns(path: str, names: list[str], min_rows: int) -> dict[str, np.ndarray]:
+def read_columns(path: str, names: list[str], min_rows: int) -> dict[str, np.ndarray]:
     """Parse the requested columns of a header-first CSV file, each distinct name once.
 
     The one reader for data files and prediction grids.  ``csv.reader`` is
@@ -287,7 +304,7 @@ def load_csv(path: str, spec: ColumnSpec) -> ObservationSet:
     :func:`_parse_column`); shared x/z columns are copied into both
     matrices.
     """
-    columns = _read_columns(path, [spec.y_col, spec.q_col, *spec.x_cols, *spec.z_cols], MIN_ROWS)
+    columns = read_columns(path, [spec.y_col, spec.q_col, *spec.x_cols, *spec.z_cols], MIN_ROWS)
     return ObservationSet(
         y=columns[spec.y_col],
         x=np.column_stack([columns[c] for c in spec.x_cols]),
@@ -297,15 +314,18 @@ def load_csv(path: str, spec: ColumnSpec) -> ObservationSet:
     )
 
 
-def _write_rows(fh, columns: list[np.ndarray]) -> None:
-    """Write equal-length float columns as CSV data rows.
+def write_columns(path: str, names: list[str], columns: list[np.ndarray]) -> None:
+    """Write a header row of ``names`` and equal-length float columns as CSV.
 
-    Each cell is the shortest round-trip ``repr`` of its value and each row
-    ends in ``\\r\\n``: the bytes ``csv.writer`` writes for the same cells,
-    which never need quoting.
+    The one writer for data files and prediction files.  The header goes
+    through ``csv.writer``; each cell is the shortest round-trip ``repr`` of
+    its value and each row ends in ``\\r\\n``: the bytes ``csv.writer``
+    writes for the same cells, which never need quoting.
     """
     cells = [map(repr, np.asarray(col, dtype=np.float64).tolist()) for col in columns]
-    fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(names)
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
 
 def write_csv(path: str, obs: ObservationSet, spec: ColumnSpec) -> None:
@@ -328,6 +348,4 @@ def write_csv(path: str, obs: ObservationSet, spec: ColumnSpec) -> None:
     for j, c in enumerate(spec.z_cols):
         emit(c, obs.z[:, j])
     emit(spec.q_col, obs.q)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(names)
-        _write_rows(fh, columns)
+    write_columns(path, names, columns)

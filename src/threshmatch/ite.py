@@ -72,37 +72,29 @@ class IteModel:
     coef: np.ndarray
     training_mse: float
 
-    @property
-    def n_covariates(self) -> int:
-        return len(self.knots)
 
-    @property
-    def d_x(self) -> int:
-        return self.n_covariates - (1 if self.basis.include_eta else 0)
-
-
-def quantile_knots(values: np.ndarray, df: int, degree: int, col: int = 0) -> np.ndarray:
+def quantile_knots(values: np.ndarray, df: int, col: int = 0) -> np.ndarray:
     """Augmented knot vector with interior knots at equally spaced quantiles.
 
-    ``df - degree`` interior knots sit at quantiles ``j / (df - degree + 1)``
-    of the training values; the boundary knots (repeated ``degree + 1``
+    ``df - DEGREE`` interior knots sit at quantiles ``j / (df - DEGREE + 1)``
+    of the training values; the boundary knots (repeated ``DEGREE + 1``
     times) sit at the training min and max.
     """
     values = np.asarray(values, dtype=np.float64)
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         raise DegenerateCovariate(col)
-    n_interior = df - degree
+    n_interior = df - DEGREE
     if n_interior > 0:
         qs = np.arange(1, n_interior + 1) / (n_interior + 1)
         interior = np.quantile(values, qs)
     else:
         interior = np.empty(0)
-    return np.concatenate([[lo] * (degree + 1), interior, [hi] * (degree + 1)])
+    return np.concatenate([[lo] * (DEGREE + 1), interior, [hi] * (DEGREE + 1)])
 
 
-def bspline_block(values: np.ndarray, knots: np.ndarray, degree: int) -> np.ndarray:
-    """All B-spline basis functions over ``knots``, evaluated with clamping.
+def bspline_block(values: np.ndarray, knots: np.ndarray) -> np.ndarray:
+    """All cubic B-spline basis functions over ``knots``, evaluated with clamping.
 
     Rows sum to one inside the knot range (partition of unity); values
     outside the boundary knots are clamped onto it first.
@@ -110,7 +102,7 @@ def bspline_block(values: np.ndarray, knots: np.ndarray, degree: int) -> np.ndar
     from scipy.interpolate import BSpline  # deferred: estimation never needs it
 
     values = np.clip(np.asarray(values, dtype=np.float64), knots[0], knots[-1])
-    return BSpline.design_matrix(values, knots, degree).toarray()
+    return BSpline.design_matrix(values, knots, DEGREE).toarray()
 
 
 def build_basis(
@@ -135,7 +127,7 @@ def build_basis(
     if training:
         if m < spec.dimension(d):
             raise TooFewRows(m, spec.dimension(d))
-        knots = [quantile_knots(covariates[:, j], spec.df, DEGREE, col=j) for j in range(d)]
+        knots = [quantile_knots(covariates[:, j], spec.df, col=j) for j in range(d)]
     elif m == 0:
         raise TooFewRows(0, 1)
     if len(knots) != d:
@@ -143,7 +135,7 @@ def build_basis(
 
     blocks = [np.ones((m, 1))]
     for j in range(d):
-        full = bspline_block(covariates[:, j], knots[j], DEGREE)
+        full = bspline_block(covariates[:, j], knots[j])
         blocks.append(full[:, 1:])
     for a, b in combinations(range(d), 2):
         blocks.append((covariates[:, a] * covariates[:, b])[:, None])
@@ -208,32 +200,18 @@ def fit_ite(
 
 
 def predict_ite_batch(model: IteModel, covariates: np.ndarray) -> np.ndarray:
-    """Evaluate the surface on an ``m x d`` covariate matrix (clamped)."""
+    """Evaluate the surface on an ``m x d`` covariate matrix (clamped).
+
+    The one way to evaluate a fitted surface.  Columns follow the layout
+    the model was fit on: the ``x`` columns, then ``eta_hat`` when
+    ``model.basis.include_eta``; any other width raises ArityMismatch.
+    """
     design, _ = build_basis(covariates, model.basis, model.knots)
     if design.shape[1] != model.coef.shape[0]:
         raise ArityMismatch(
             f"design has {design.shape[1]} columns, model has {model.coef.shape[0]}"
         )
     return design @ model.coef
-
-
-def predict_ite(model: IteModel, x: np.ndarray, eta_hat: float | None = None) -> float:
-    """Evaluate the surface at one covariate point.
-
-    ``eta_hat`` must be supplied exactly when the model was fit with it.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if model.basis.include_eta:
-        if eta_hat is None:
-            raise ArityMismatch("model includes eta_hat; pass eta_hat=")
-        row = np.concatenate([x, [float(eta_hat)]])
-    else:
-        if eta_hat is not None:
-            raise ArityMismatch("model was fit without eta_hat; do not pass it")
-        row = x
-    if row.shape[0] != model.n_covariates:
-        raise ArityMismatch(f"expected {model.d_x} covariates, got {x.shape[0]}")
-    return float(predict_ite_batch(model, row[None, :])[0])
 
 
 def ite_mse(model: IteModel, obs: ObservationSet, est: AttEstimate, truth) -> float:

@@ -21,6 +21,7 @@ E[eta^2]`` = ``1 + 0 + 1/3`` for "x_and_eta" (and ``1`` for "x_only").
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -176,6 +177,16 @@ def _report_from_zetas(zetas: np.ndarray) -> McReport:
     )
 
 
+@contextmanager
+def _replicate(k: int):
+    """Prefix the ``split`` label of a package error raised inside with ``replicate k``."""
+    try:
+        yield
+    except ThreshmatchError as exc:
+        exc.split = f"replicate {k}" if exc.split is None else f"replicate {k}: {exc.split}"
+        raise
+
+
 def monte_carlo_att(
     config: DgpConfig, reps: int, crossfit: bool = False, master_seed: int = 0
 ) -> McReport:
@@ -184,7 +195,8 @@ def monte_carlo_att(
     Replicate ``k`` draws its dataset from stream ``(master_seed, k, 0)``
     and its split from ``(master_seed, k, 1)``.  The scaled error is
     ``sqrt(n/3) * (theta_hat - theta0)`` for single runs and
-    ``sqrt(n) * (theta_cf - theta0)`` for cross-fitted ones.
+    ``sqrt(n) * (theta_cf - theta0)`` for cross-fitted ones.  A failing
+    replicate's error is labelled ``replicate k``.
     """
     if reps < 30:
         raise DimensionMismatch("need at least 30 replicates for stable moments")
@@ -192,12 +204,9 @@ def monte_carlo_att(
     scale = np.sqrt(config.n if crossfit else config.n // 3)
     zetas = np.empty(reps)
     for k in range(reps):
-        obs = generate(replace(config, seed=derive_seed(master_seed, k, 0)))
-        try:
+        with _replicate(k):
+            obs = generate(replace(config, seed=derive_seed(master_seed, k, 0)))
             theta = estimate_theta(obs, derive_seed(master_seed, k, 1), crossfit)
-        except ThreshmatchError as exc:
-            exc.split = f"replicate {k}" if exc.split is None else f"replicate {k}: {exc.split}"
-            raise
         zetas[k] = scale * (theta - theta0)
     return _report_from_zetas(zetas)
 
@@ -208,15 +217,18 @@ def monte_carlo_ite(config: DgpConfig, spec: SplineBasisSpec, seeds: list[int]) 
     Each seed runs the single-split pipeline, fits the surface on the
     matching split's treated rows, and scores it against the generator's
     true surface on those same rows.  An empty ``seeds`` list raises
-    :class:`DimensionMismatch`: there is no MSE to report.
+    :class:`DimensionMismatch`: there is no MSE to report.  A failing
+    replicate's error is labelled ``replicate k``, ``k`` its index into
+    ``seeds``.
     """
     if not seeds:
         raise DimensionMismatch("need at least one seed (one Monte-Carlo replicate)")
     truth = true_ite_fn(config.ite_kind)
     mses: list[float] = []
-    for s in seeds:
-        obs = generate(replace(config, seed=derive_seed(s, 0)))
-        est = estimate_att(obs, split_three_way(obs.n, seed=derive_seed(s, 1)))
-        model = fit_ite(obs, est, spec, cv_seed=derive_seed(s, 2))
-        mses.append(ite_mse(model, obs, est, truth))
+    for k, s in enumerate(seeds):
+        with _replicate(k):
+            obs = generate(replace(config, seed=derive_seed(s, 0)))
+            est = estimate_att(obs, split_three_way(obs.n, seed=derive_seed(s, 1)))
+            model = fit_ite(obs, est, spec, cv_seed=derive_seed(s, 2))
+            mses.append(ite_mse(model, obs, est, truth))
     return mses

@@ -80,6 +80,25 @@ class TestEstimate:
         assert "tau0" in err and "nan" in err
         assert "row" not in err
 
+    def test_non_finite_tau_rejected_before_reading_the_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.csv")
+        code, out, err = run_cli(["estimate", *ESTIMATE_FLAGS, "--data", missing, "--tau", "nan"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "tau0" in err and "No such file" not in err
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--x", "x1,x1", "x1"),
+        ("--x", "y,x2", "y"),
+        ("--z", "q,x4", "q"),
+        ("--z", "x1,y", "y"),
+    ], ids=["x-twice", "y-in-x", "q-in-z", "y-in-z"])
+    def test_degenerate_column_roles_exit_two(self, flag, value, named, capsys):
+        code, out, err = run_cli(["estimate", *ESTIMATE_FLAGS, flag, value], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"'{named}'" in err
+
     def test_duplicate_header_exits_two(self, tmp_path, capsys):
         lines = Path(NULL_CSV).read_text(encoding="utf-8").splitlines()
         header = lines[0].split(",")
@@ -93,12 +112,13 @@ class TestEstimate:
         assert "'x1'" in err and "more than once" in err
 
     def test_rank_deficient_exits_three(self, tmp_path, capsys):
-        # duplicated score covariate makes the score regression singular
+        # a second column equal to x4 makes the score regression singular
         lines = Path(NULL_CSV).read_text().strip().split("\n")
         path = tmp_path / "dup.csv"
-        path.write_text(lines[0] + "\n" + "\n".join(lines[1:]) + "\n")
+        copied = [f"{line},{line.split(',')[4]}" for line in lines[1:]]
+        path.write_text(f"{lines[0]},x4copy\n" + "\n".join(copied) + "\n")
         args = ["estimate", "--data", str(path), "--y", "y", "--q", "q",
-                "--x", "x1", "--z", "x4,x4", "--tau", "0.0"]
+                "--x", "x1", "--z", "x4,x4copy", "--tau", "0.0"]
         code, _, err = run_cli(args, capsys)
         assert code == 3
         assert "rank" in err.lower()

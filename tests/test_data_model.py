@@ -6,6 +6,7 @@ import pytest
 
 from threshmatch import (
     ColumnSpec,
+    DimensionMismatch,
     DuplicateColumn,
     InputError,
     MissingColumn,
@@ -345,6 +346,30 @@ class TestColumnSpecValidation:
     def test_y_and_q_must_differ(self):
         with pytest.raises(Exception):
             ColumnSpec(y_col="v", q_col="v", x_cols=["a"], z_cols=["a"], tau0=0.0)
+
+    @pytest.mark.parametrize(
+        "x_cols, z_cols, y_col, q_col, named",
+        [
+            (["a", "a"], ["b"], "y", "q", "a"),
+            (["a"], ["b", "b"], "y", "q", "b"),
+            (["y", "a"], ["b"], "y", "q", "y"),
+            (["a"], ["a", "y"], "y", "q", "y"),
+            (["a"], ["q", "a"], "y", "q", "q"),
+        ],
+        ids=["x-twice", "z-twice", "y-in-x", "y-in-z", "q-in-z"],
+    )
+    def test_degenerate_roles_rejected(self, x_cols, z_cols, y_col, q_col, named):
+        with pytest.raises(DimensionMismatch, match=f"'{named}'"):
+            ColumnSpec(y_col=y_col, q_col=q_col, x_cols=x_cols, z_cols=z_cols, tau0=0.0)
+
+    def test_overlap_and_score_in_x_allowed(self):
+        ColumnSpec(y_col="y", q_col="q", x_cols=["a", "b"], z_cols=["b", "a"], tau0=0.0)
+        ColumnSpec(y_col="y", q_col="q", x_cols=["q", "a"], z_cols=["a"], tau0=0.0)
+
+    @pytest.mark.parametrize("tau0", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_tau0_rejected(self, tau0):
+        with pytest.raises(InputError, match="threshold tau0 must be finite"):
+            ColumnSpec(y_col="y", q_col="q", x_cols=["a"], z_cols=["a"], tau0=tau0)
 
     def test_scientific_and_signed_cells_accepted(self, tmp_path):
         text = "y,a,q\n" + "\n".join(["+1.5,1e3,-2.5e-1"] * 9) + "\n"

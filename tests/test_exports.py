@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import threshmatch
 
 
@@ -9,3 +12,34 @@ def test_all_is_unique_resolvable_and_star_importable():
     namespace: dict = {}
     exec("from threshmatch import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def _private_cross_module_imports(source: str) -> list[str]:
+    """Names like ``_x`` (not dunders) taken by ``from .module import _x``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").startswith("threshmatch")
+        ):
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    found.append(f"{node.module}.{alias.name}")
+    return found
+
+
+def test_private_import_scan_flags_underscore_names():
+    assert _private_cross_module_imports("from .data_model import _read_columns, load_csv") == [
+        "data_model._read_columns"
+    ]
+    assert _private_cross_module_imports("from . import __version__") == []
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a private helper used across modules is part of the API in all but name
+    package = Path(threshmatch.__file__).parent
+    offenders = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if (names := _private_cross_module_imports(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}

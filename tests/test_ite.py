@@ -17,14 +17,13 @@ from threshmatch import (
     ite_mse,
     load_ite_model,
     ols,
-    predict_ite,
     predict_ite_batch,
     save_ite_model,
     split_three_way,
 )
 from threshmatch.att import crossfit_on_splits, matched_differences
 from threshmatch.data_model import treatment_mask
-from threshmatch.ite import bspline_block, quantile_knots
+from threshmatch.ite import DEFAULT_DF_GRID, bspline_block, quantile_knots
 from threshmatch.simulate import X_AND_ETA, X_ONLY
 
 from conftest import make_pl_obs
@@ -54,7 +53,7 @@ def deboor_basis(x: float, knots: np.ndarray, degree: int) -> np.ndarray:
     return b
 
 
-def _fitted_pipeline(seed, n, alpha, include_eta=False, df_grid=(3, 4, 5, 6, 8, 10)):
+def _fitted_pipeline(seed, n, alpha, include_eta=False, df_grid=DEFAULT_DF_GRID):
     obs = make_pl_obs(seed=seed, n=n, beta=np.array([2.0, -1.0, 0.5]), alpha=alpha)
     splits = split_three_way(obs.n, seed=seed)
     est = estimate_att(obs, splits)
@@ -83,9 +82,9 @@ class TestBasis:
     def test_partition_of_unity_and_deboor_oracle(self):
         rng = np.random.default_rng(1)
         train = rng.uniform(0, 5, size=200)
-        knots = quantile_knots(train, df=5, degree=3)
+        knots = quantile_knots(train, df=5)
         points = np.concatenate([rng.uniform(0, 5, size=100), [train.min(), train.max()]])
-        block = bspline_block(points, knots, degree=3)
+        block = bspline_block(points, knots)
         assert np.abs(block.sum(axis=1) - 1.0).max() <= 1e-10
         for k, xv in enumerate(points):
             oracle = deboor_basis(float(xv), knots, degree=3)
@@ -93,9 +92,9 @@ class TestBasis:
 
     def test_out_of_range_clamps_to_boundary(self):
         train = np.linspace(0.0, 1.0, 40)
-        knots = quantile_knots(train, df=4, degree=3)
-        low = bspline_block(np.array([-5.0, 0.0]), knots, degree=3)
-        high = bspline_block(np.array([7.0, 1.0]), knots, degree=3)
+        knots = quantile_knots(train, df=4)
+        low = bspline_block(np.array([-5.0, 0.0]), knots)
+        high = bspline_block(np.array([7.0, 1.0]), knots)
         assert np.array_equal(low[0], low[1])
         assert np.array_equal(high[0], high[1])
 
@@ -154,23 +153,23 @@ class TestPredict:
         fitted = design @ model.coef
         batch = predict_ite_batch(model, obs.x[treated3])
         assert np.array_equal(batch, fitted)
-        single = predict_ite(model, obs.x[treated3[0]])
+        single = predict_ite_batch(model, obs.x[treated3[0]][None, :])[0]
         assert single == pytest.approx(fitted[0], abs=1e-12)
 
     def test_linear_surface_predicts_exactly(self):
         alpha = lambda x, eta: 1.0 + 2.0 * x[:, 0]
         _, _, _, model = _fitted_pipeline(seed=9, n=900, alpha=alpha, df_grid=(3,))
         for xv in ([0.0, 0.0, 0.0], [0.3, -0.2, 0.5]):
-            pred = predict_ite(model, np.array(xv))
+            pred = predict_ite_batch(model, np.array(xv)[None, :])[0]
             assert pred == pytest.approx(1.0 + 2.0 * xv[0], abs=1e-6)
 
     def test_arity_checks(self):
         alpha = lambda x, eta: x[:, 0]
         _, _, _, model = _fitted_pipeline(seed=10, n=900, alpha=alpha)
         with pytest.raises(ArityMismatch):
-            predict_ite(model, np.array([1.0, 2.0]))  # wrong covariate count
+            predict_ite_batch(model, np.array([[1.0, 2.0]]))  # wrong covariate count
         with pytest.raises(ArityMismatch):
-            predict_ite(model, np.array([1.0, 2.0, 3.0]), eta_hat=0.5)  # not an eta model
+            predict_ite_batch(model, np.array([[1.0, 2.0, 3.0, 0.5]]))  # not an eta model
 
     def test_empty_batch_is_an_input_error(self):
         alpha = lambda x, eta: x[:, 0]
@@ -189,7 +188,9 @@ class TestPredict:
 
         x_fix = np.array([0.1, 0.2, 0.8])
         grid = np.linspace(-1.0, 1.0, 41)
-        preds = np.array([predict_ite(model, x_fix, eta_hat=e) for e in grid])
+        preds = np.array(
+            [predict_ite_batch(model, np.append(x_fix, e)[None, :])[0] for e in grid]
+        )
         truth = x_fix[0] ** 2 + x_fix[1] * x_fix[2] + grid**2
         assert np.abs(preds - truth).max() <= 0.3
 
@@ -233,8 +234,8 @@ class TestSerialization:
         for a, b in zip(loaded.knots, model.knots):
             assert np.array_equal(a, b)
         # loaded model predicts identically
-        x = np.array([0.1, -0.4, 0.9])
-        assert predict_ite(loaded, x, eta_hat=0.2) == predict_ite(model, x, eta_hat=0.2)
+        x = np.array([0.1, -0.4, 0.9, 0.2])  # x, then eta_hat
+        assert predict_ite_batch(loaded, x[None, :])[0] == predict_ite_batch(model, x[None, :])[0]
 
     @pytest.mark.parametrize(
         "line, edited",

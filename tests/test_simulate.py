@@ -7,6 +7,7 @@ import threshmatch.simulate as sim_mod
 from threshmatch import (
     DgpConfig,
     DimensionMismatch,
+    EmptyControlGroup,
     SplineBasisSpec,
     generate,
     monte_carlo_att,
@@ -148,6 +149,43 @@ class TestMonteCarloIte:
     def test_empty_seed_list_rejected(self):
         with pytest.raises(DimensionMismatch):
             monte_carlo_ite(DgpConfig(n=600, seed=0), SplineBasisSpec(), [])
+
+
+def _run_mc_ite():
+    return monte_carlo_ite(DgpConfig(n=900, seed=0), SplineBasisSpec(), [11, 12, 13])
+
+
+def _run_mc_att():
+    return monte_carlo_att(DgpConfig(n=600, seed=0), reps=30, master_seed=0)
+
+
+class TestReplicateLabels:
+    @pytest.mark.parametrize("target, run", [
+        ("fit_ite", _run_mc_ite),
+        ("estimate_theta", _run_mc_att),
+    ], ids=["mc-ite", "mc-att"])
+    @pytest.mark.parametrize("split, label", [
+        (None, "replicate 1"),
+        ("I2", "replicate 1: I2"),
+    ], ids=["unlabelled", "labelled"])
+    def test_failure_names_the_second_replicate(self, monkeypatch, target, run, split, label):
+        real = getattr(sim_mod, target)
+        calls = []
+
+        def fail_on_second_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                exc = EmptyControlGroup()
+                exc.split = split
+                raise exc
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim_mod, target, fail_on_second_call)
+        with pytest.raises(EmptyControlGroup) as err:
+            run()
+        assert err.value.split == label
+        assert str(err.value).startswith(f"[split {label}] ")
+        assert len(calls) == 2
 
 
 class TestSeedIndependence:
