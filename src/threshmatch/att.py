@@ -24,7 +24,7 @@ import numpy as np
 
 from .data_model import ObservationSet, SplitAssignment, split_three_way, treatment_mask
 from .diff_beta import fit_beta
-from .errors import ThreshmatchError
+from .errors import labelled
 from .matching import MatchResult, match_controls
 from .residualize import fit_gamma, residuals_eta
 
@@ -55,11 +55,6 @@ class CrossfitEstimate:
     rotations: list[AttEstimate]
 
 
-def _labeled(exc: ThreshmatchError, split: str) -> ThreshmatchError:
-    exc.split = split
-    return exc
-
-
 def matched_differences(
     obs: ObservationSet, beta_hat: np.ndarray, matches: MatchResult
 ) -> np.ndarray:
@@ -81,10 +76,8 @@ def _estimate_with_roles(
     beta_split: np.ndarray,
     match_split: np.ndarray,
 ) -> AttEstimate:
-    try:
+    with labelled("I1"):
         gamma_hat = fit_gamma(obs, gamma_split)
-    except ThreshmatchError as exc:
-        raise _labeled(exc, "I1")
 
     # residuals are needed on the second and third splits only; rows of the
     # first split keep NaN so accidental use fails loudly
@@ -93,18 +86,14 @@ def _estimate_with_roles(
     eta_hat[idx23] = residuals_eta(gamma_hat, obs, idx23)
     eta_hat.setflags(write=False)
 
-    try:
+    with labelled("I2"):
         beta_hat = fit_beta(obs, beta_split, eta_hat)
-    except ThreshmatchError as exc:
-        raise _labeled(exc, "I2")
 
     mask = treatment_mask(obs)
     treated3 = match_split[mask[match_split]]
     control3 = match_split[~mask[match_split]]
-    try:
+    with labelled("I3"):
         matches = match_controls(eta_hat[treated3], treated3, eta_hat[control3], control3)
-    except ThreshmatchError as exc:
-        raise _labeled(exc, "I3")
 
     theta_hat = float(np.mean(matched_differences(obs, beta_hat, matches)))
     return AttEstimate(theta_hat, beta_hat, gamma_hat, matches, eta_hat)
@@ -124,11 +113,8 @@ def crossfit_on_splits(obs: ObservationSet, splits: SplitAssignment) -> Crossfit
     """Cross-fit over the rotations of an existing partition."""
     rotations: list[AttEstimate] = []
     for r, (g, b, m) in enumerate(splits.rotations()):
-        try:
+        with labelled(f"rotation {r}"):
             rotations.append(_estimate_with_roles(obs, g, b, m))
-        except ThreshmatchError as exc:
-            exc.split = f"rotation {r}: {exc.split}"
-            raise
     theta_cf = (
         rotations[0].theta_hat + rotations[1].theta_hat + rotations[2].theta_hat
     ) / 3.0

@@ -34,8 +34,6 @@ class BootstrapResult:
     sigma2_hat: float
     ci_low: float
     ci_high: float
-    level: float
-    b_requested: int
     b_failed: int
 
 
@@ -93,7 +91,5 @@ def bootstrap_att(
         sigma2_hat=sigma2_hat,
         ci_low=float(ci_low),
         ci_high=float(ci_high),
-        level=float(level),
-        b_requested=int(b),
         b_failed=int(b_failed),
     )

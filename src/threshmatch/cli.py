@@ -165,8 +165,8 @@ def cmd_bootstrap(args: argparse.Namespace) -> dict:
         "theta_hat": theta,
         "sigma2_hat": result.sigma2_hat,
         "ci": [result.ci_low, result.ci_high],
-        "level": result.level,
-        "b": result.b_requested,
+        "level": args.level,
+        "b": args.b,
         "b_failed": result.b_failed,
     }
 
@@ -277,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         payload["manifest"] = _manifest(args, started)
         _emit(payload)
         return 0
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TooManyFailures as exc:
@@ -286,9 +286,6 @@ def main(argv: list[str] | None = None) -> int:
     except ThreshmatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -8,18 +8,27 @@ Three families matter to callers:
   numerically impossible (rank-deficient design, degenerate covariate).
   Exit code 3.
 * :class:`StructuralError` -- a split or resample lacks the rows an
-  estimation step needs (no controls, too few controls).  These are the
-  failures the bootstrap is allowed to absorb up to its failure budget.
+  estimation step needs (no controls, too few controls).
+
+The bootstrap absorbs :class:`StructuralError` and :class:`NumericError`
+failures of single replicates, up to its failure budget.
+
+A failure raised inside one or more :func:`labelled` blocks records where
+it happened in ``split``, outermost label first, and prints it as
+``[split rotation 0: I2] ...``.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 
 class ThreshmatchError(Exception):
     """Base class for every error raised by this package.
 
-    ``split`` records which data partition a pipeline step failed on
-    ("I1", "I2", "I3") when the failure happened inside the estimator.
+    ``split`` records where the failure happened, such as "I2",
+    "rotation 0: I2" or "replicate 3"; only :func:`labelled` sets it.
     """
 
     def __init__(self, *args: object):
@@ -31,6 +40,16 @@ class ThreshmatchError(Exception):
         if self.split is not None:
             return f"[split {self.split}] {base}"
         return base
+
+
+@contextmanager
+def labelled(label: str) -> Iterator[None]:
+    """Record ``label`` on a package error raised inside, before any inner label."""
+    try:
+        yield
+    except ThreshmatchError as exc:
+        exc.split = label if exc.split is None else f"{label}: {exc.split}"
+        raise
 
 
 class InputError(ThreshmatchError):
@@ -82,13 +101,11 @@ class InvalidLevel(InputError):
 
 
 class ArityMismatch(InputError):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """A model file or covariate batch does not fit the model's layout."""
 
 
 class DimensionMismatch(InputError):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """Array shapes, sizes or settings that do not agree."""
 
 
 class NumericError(ThreshmatchError):

@@ -21,14 +21,13 @@ E[eta^2]`` = ``1 + 0 + 1/3`` for "x_and_eta" (and ``1`` for "x_only").
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .att import estimate_att, estimate_theta
 from .data_model import MIN_ROWS, ObservationSet, split_three_way
-from .errors import DimensionMismatch, ThreshmatchError, TooFewRows
+from .errors import DimensionMismatch, TooFewRows, labelled
 from .ite import SplineBasisSpec, fit_ite, ite_mse
 from .rng import derive_seed, rng_from
 
@@ -99,12 +98,11 @@ def generate(config: DgpConfig) -> ObservationSet:
     return ObservationSet(y=y, x=covs[:, :3], z=covs, q=q, tau0=0.0)
 
 
-def true_att_oracle(samples: int, seed: int = 0, ite_kind: str = X_AND_ETA, alpha_fn=None) -> float:
+def true_att_oracle(samples: int, seed: int = 0, ite_kind: str = X_AND_ETA) -> float:
     """Monte-Carlo evaluation of the true ATT, independent of the estimator.
 
     Draws fresh ``(x, eta)`` pairs and averages the effect surface over the
-    treated region ``x4 + eta >= 0``.  ``alpha_fn(covs, eta)`` may override
-    the surface (test hook).
+    treated region ``x4 + eta >= 0``.
     """
     rng = rng_from(seed)
     total = 0.0
@@ -115,10 +113,7 @@ def true_att_oracle(samples: int, seed: int = 0, ite_kind: str = X_AND_ETA, alph
         covs = rng.standard_normal((m, 4))
         eta = rng.uniform(-1.0, 1.0, size=m)
         treated = covs[:, 3] + eta >= 0.0
-        if alpha_fn is not None:
-            alpha = np.asarray(alpha_fn(covs, eta), dtype=np.float64)
-        else:
-            alpha = _effect_surface(covs, eta, ite_kind)
+        alpha = _effect_surface(covs, eta, ite_kind)
         total += float(alpha[treated].sum())
         count += int(treated.sum())
         remaining -= m
@@ -177,23 +172,14 @@ def _report_from_zetas(zetas: np.ndarray) -> McReport:
     )
 
 
-@contextmanager
-def _replicate(k: int):
-    """Prefix the ``split`` label of a package error raised inside with ``replicate k``."""
-    try:
-        yield
-    except ThreshmatchError as exc:
-        exc.split = f"replicate {k}" if exc.split is None else f"replicate {k}: {exc.split}"
-        raise
-
-
 def monte_carlo_att(
     config: DgpConfig, reps: int, crossfit: bool = False, master_seed: int = 0
 ) -> McReport:
     """Repeatedly generate and estimate, reporting the scaled errors.
 
     Replicate ``k`` draws its dataset from stream ``(master_seed, k, 0)``
-    and its split from ``(master_seed, k, 1)``.  The scaled error is
+    and its split from ``(master_seed, k, 1)``; ``config.seed`` is not
+    used.  The scaled error is
     ``sqrt(n/3) * (theta_hat - theta0)`` for single runs and
     ``sqrt(n) * (theta_cf - theta0)`` for cross-fitted ones.  A failing
     replicate's error is labelled ``replicate k``.
@@ -204,7 +190,7 @@ def monte_carlo_att(
     scale = np.sqrt(config.n if crossfit else config.n // 3)
     zetas = np.empty(reps)
     for k in range(reps):
-        with _replicate(k):
+        with labelled(f"replicate {k}"):
             obs = generate(replace(config, seed=derive_seed(master_seed, k, 0)))
             theta = estimate_theta(obs, derive_seed(master_seed, k, 1), crossfit)
         zetas[k] = scale * (theta - theta0)
@@ -214,19 +200,21 @@ def monte_carlo_att(
 def monte_carlo_ite(config: DgpConfig, spec: SplineBasisSpec, seeds: list[int]) -> list[float]:
     """Per-seed MSE of the fitted effect surface against the known truth.
 
-    Each seed runs the single-split pipeline, fits the surface on the
-    matching split's treated rows, and scores it against the generator's
-    true surface on those same rows.  An empty ``seeds`` list raises
-    :class:`DimensionMismatch`: there is no MSE to report.  A failing
-    replicate's error is labelled ``replicate k``, ``k`` its index into
-    ``seeds``.
+    Each seed ``s`` runs the single-split pipeline, fits the surface on
+    the matching split's treated rows, and scores it against the
+    generator's true surface on those same rows.  The dataset comes from
+    stream ``(s, 0)``, the split from ``(s, 1)`` and the CV folds from
+    ``(s, 2)``; ``config.seed`` is not used.  An empty ``seeds`` list
+    raises :class:`DimensionMismatch`: there is no MSE to report.  A
+    failing replicate's error is labelled ``replicate k``, ``k`` its index
+    into ``seeds``.
     """
     if not seeds:
         raise DimensionMismatch("need at least one seed (one Monte-Carlo replicate)")
     truth = true_ite_fn(config.ite_kind)
     mses: list[float] = []
     for k, s in enumerate(seeds):
-        with _replicate(k):
+        with labelled(f"replicate {k}"):
             obs = generate(replace(config, seed=derive_seed(s, 0)))
             est = estimate_att(obs, split_three_way(obs.n, seed=derive_seed(s, 1)))
             model = fit_ite(obs, est, spec, cv_seed=derive_seed(s, 2))

@@ -30,13 +30,12 @@ from threshmatch import (
 )
 from threshmatch.cli import main
 from threshmatch.rng import derive_seed
-from threshmatch.simulate import X_AND_ETA, X_ONLY
+from threshmatch.simulate import BETA_TRUE, X_AND_ETA, X_ONLY
 
 from conftest import FIXTURES, make_null_obs
 
 README = Path(__file__).parent.parent / "README.md"
 NULL_CSV = str(FIXTURES / "null_fixture.csv")
-TRUE_BETA = np.array([1.0, 0.0, 1.0])
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -147,7 +146,7 @@ def test_criterion_6_beta_consistency():
         est = estimate_att(obs, splits)
         betas.append(est.beta_hat)
     betas = np.array(betas)
-    hits = int((np.abs(betas - TRUE_BETA).max(axis=1) <= 0.1).sum())
+    hits = int((np.abs(betas - BETA_TRUE).max(axis=1) <= 0.1).sum())
     skews = stats.skew(betas, axis=0)
     ok = hits >= 95 and np.abs(skews).max() <= 0.5
     _report(

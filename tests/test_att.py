@@ -7,8 +7,10 @@ from threshmatch import (
     DgpConfig,
     EmptyControlGroup,
     EmptyTreatedGroup,
+    IndexOutOfRange,
     ObservationSet,
     SplitAssignment,
+    crossfit_on_splits,
     estimate_att,
     estimate_att_crossfit,
     estimate_theta,
@@ -218,3 +220,12 @@ class TestErrorLabeling:
         with pytest.raises(EmptyControlGroup) as err:
             estimate_att(obs, NATURAL_SPLITS_9)
         assert err.value.split == "I2"
+
+    def test_rotation_label_stands_alone_outside_role_blocks(self):
+        # row 99 of a 30-row set fails in residuals_eta, outside the I1/I2/I3
+        # blocks, so the rotation's label is the only one
+        splits = SplitAssignment(np.arange(0, 10), np.r_[10:19, 99], np.arange(20, 30))
+        with pytest.raises(IndexOutOfRange) as err:
+            crossfit_on_splits(make_null_obs(seed=1, n=30), splits)
+        assert err.value.split == "rotation 0"
+        assert "None" not in str(err.value)

@@ -43,3 +43,29 @@ def test_no_module_imports_another_modules_private_names():
         if (names := _private_cross_module_imports(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
+
+
+def _split_assignments(source: str) -> list[int]:
+    """Line numbers of assignments to an attribute named ``split``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "split" and isinstance(node.ctx, ast.Store)
+    )
+
+
+def test_split_assignment_scan_flags_attribute_writes():
+    source = "exc.split = 'I1'\nx = exc.split\na, b.split = 1, 2\nself.split: str = 'x'\ne.split += 'y'\n"
+    assert _split_assignments(source) == [1, 3, 4, 5]
+
+
+def test_only_errors_module_sets_the_split_label():
+    # one rule records where a failure happened: errors.labelled
+    package = Path(threshmatch.__file__).parent
+    offenders = {
+        f"{path.name}:{line}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "errors.py"
+        for line in _split_assignments(path.read_text(encoding="utf-8"))
+    }
+    assert offenders == set()

@@ -86,10 +86,6 @@ class TestTrueAttOracle:
         val = true_att_oracle(1_000_000, seed=4, ite_kind=X_ONLY)
         assert abs(val - 1.0) <= 0.02
 
-    def test_constant_alpha_hook(self):
-        val = true_att_oracle(10_000, seed=5, alpha_fn=lambda covs, eta: np.full(len(eta), 2.5))
-        assert val == 2.5
-
 
 class TestTrueIteFn:
     def test_recovers_surface_from_rows(self):
