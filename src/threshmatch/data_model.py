@@ -7,18 +7,23 @@ covariates.  Treatment is assigned whenever ``q >= tau0`` -- the cutoff
 itself is treated.  ``x`` and ``z`` may share columns (including ``x == z``).
 
 Data files and prediction grids go through one strict column reader,
-:func:`read_columns`: ``csv.reader`` tokenises the file, and each
-distinct requested column is parsed once.  A column whose cells are all
-plain ASCII numbers is converted in one vectorised pass; any other column
-falls back to a per-cell loop, which accepts the rest of the grammar and
-reports the first bad cell by row and column.  Data and prediction files
-are written by one writer, :func:`write_columns`.
+:func:`read_columns`.  It reads the file's bytes once and parses the
+header with ``csv.reader``.  A file holding no ``"`` has its requested
+columns converted in one C pass by ``np.loadtxt`` (``comments=None``, so
+a ``#`` is an ordinary character; ``quotechar=None``).  When that pass
+fails, finds a non-finite value or too few rows, or the file holds a
+``"``, a per-cell loop over ``csv.reader``'s rows decides: it accepts the
+rest of the grammar and reports the first bad cell by row and column.
+Data and prediction files are written by one writer,
+:func:`write_columns`.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +45,6 @@ MIN_ROWS = 9  # smallest n for which each of the three splits is nonempty
 # Plain decimal or scientific notation only: no underscores, no locale
 # separators, no inf/nan spellings.  Keeps file parsing bit-reproducible.
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-# Deletes every character a cell may hold on the fast path of _parse_column,
-# plus the newline that joins a column's cells.
-_NUMERIC_CHARS = str.maketrans("", "", "0123456789+-.eE\n")
 
 
 def _check_tau0(tau0: float) -> None:
@@ -225,32 +227,38 @@ def _parse_cell(cell: str, row: int, col: str) -> float:
 
 
 def _parse_column(rows: list[list[str]], pos: int, name: str) -> np.ndarray:
-    """Cell ``pos`` of every row as float64, checked against the strict grammar.
-
-    The fast path converts the whole column with ``float`` once every cell
-    is known to consist of the characters in ``_NUMERIC_CHARS`` only.
-    Over those characters, ``float`` accepts exactly ``_NUMBER_RE`` with
-    surrounding newlines, which ``_parse_cell`` strips too, so the fast
-    path accepts a subset of what the per-cell loop accepts and yields the
-    same bits.  Any failure (a short row, another character, a malformed
-    or non-finite number) reruns the per-cell loop, which accepts the rest
-    of the grammar (padded or quoted cells, Unicode digits) and raises the
-    first error with its exact row and column.
-    """
-    try:
-        cells = [raw[pos] for raw in rows]
-        if not "\n".join(cells).translate(_NUMERIC_CHARS):
-            values = np.fromiter(map(float, cells), np.float64, len(cells))
-            if np.isfinite(values).all():
-                return values
-    except (IndexError, ValueError):
-        pass
+    """Cell ``pos`` of every row as float64; raises at the first bad cell."""
     values = np.empty(len(rows), dtype=np.float64)
     for r, raw in enumerate(rows):
         if pos >= len(raw):
             raise ParseError(r, name, "<missing>")
         values[r] = _parse_cell(raw[pos], r, name)
     return values
+
+
+def _parse_plain(lines: io.TextIOWrapper, positions: list[int]) -> np.ndarray | None:
+    """The rest of ``lines`` as an ``(n, len(positions))`` array, or None.
+
+    For a file without quotes, in which every record is one line, this is
+    the per-cell reader's result whenever it is returned: ``np.loadtxt``
+    splits lines as ``csv.reader`` does, skips the same empty lines,
+    converts with the parser ``float`` uses (so the bits agree), and
+    rejects every cell ``_NUMBER_RE`` rejects except the non-finite
+    spellings, which the ``isfinite`` check turns away.  None (a cell it
+    cannot parse, a short row, a blank line of spaces, a non-finite value,
+    or no rows at all, which loadtxt only warns about) leaves the verdict
+    to the per-cell reader.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(
+                lines, delimiter=",", usecols=positions, dtype=np.float64, ndmin=2,
+                comments=None, quotechar=None, encoding="utf-8",
+            )
+    except (ValueError, UserWarning):
+        return None
+    return values if np.isfinite(values).all() else None
 
 
 def _column_positions(header: list[str], names: list[str]) -> dict[str, int]:
@@ -266,30 +274,56 @@ def _column_positions(header: list[str], names: list[str]) -> dict[str, int]:
     return positions
 
 
+def _lines(data: bytes) -> io.TextIOWrapper:
+    """The lines of ``data`` as ``open(path, encoding="utf-8", newline="")`` yields them.
+
+    Decoded lazily from the bytes; a ``StringIO`` of the whole decoded text
+    would hold four bytes a character.
+    """
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+
+
 def read_columns(path: str, names: list[str], min_rows: int) -> dict[str, np.ndarray]:
     """Parse the requested columns of a header-first CSV file, each distinct name once.
 
-    The one reader for data files and prediction grids.  ``csv.reader`` is
-    the tokeniser; an empty line (no cells, or a single blank cell) is
-    skipped, and every other line is a data row.  Errors come in a fixed
-    order: an absent or twice-named requested column, then fewer than
-    ``min_rows`` data rows (an empty file counts as zero), then the first
-    bad cell of the first bad column in the order of ``names``.
+    The one reader for data files and prediction grids.  The file is read
+    once and must be UTF-8; a byte that is not raises :class:`InputError`
+    with its offset.  ``csv.reader`` parses the header.  When the file
+    holds no ``"``, the requested columns are converted in one pass by
+    ``np.loadtxt(..., delimiter=",", usecols=..., dtype=np.float64,
+    ndmin=2, comments=None, quotechar=None, encoding="utf-8")``.  Any
+    failure of that pass (a cell it cannot parse, a short row, a blank
+    line of spaces, an empty body), a non-finite value, or fewer than
+    ``min_rows`` rows hands the file to the strict per-cell reader, as
+    does any ``"`` in the file.  That reader tokenises with ``csv.reader``;
+    an empty line (no cells, or a single blank cell) is skipped, and every
+    other line is a data row.  Both paths give the same bits.  Errors come
+    in a fixed order: an absent or twice-named requested column, then
+    fewer than ``min_rows`` data rows (an empty file counts as zero), then
+    the first bad cell of the first bad column in the order of ``names``.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise TooFewRows(0, min_rows)
-        positions = _column_positions([h.strip() for h in header], names)
-        rows = [raw for raw in reader if raw and (len(raw) > 1 or raw[0].strip())]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: byte {exc.start} is not valid UTF-8") from None
+    lines = _lines(data)
+    header = next(csv.reader(lines), None)
+    if header is None:
+        raise TooFewRows(0, min_rows)
+    positions = _column_positions([h.strip() for h in header], names)
+    distinct = list(dict.fromkeys(names))
+    if b'"' not in data:
+        values = _parse_plain(lines, [positions[name] for name in distinct])
+        if values is not None and len(values) >= min_rows:
+            return {name: values[:, j].copy() for j, name in enumerate(distinct)}
+        lines = _lines(data)
+        next(lines)  # the header, one line in a file without quotes
+    rows = [raw for raw in csv.reader(lines) if raw and (len(raw) > 1 or raw[0].strip())]
     if len(rows) < min_rows:
         raise TooFewRows(len(rows), min_rows)
-    columns: dict[str, np.ndarray] = {}
-    for name in names:
-        if name not in columns:
-            columns[name] = _parse_column(rows, positions[name], name)
-    return columns
+    return {name: _parse_column(rows, positions[name], name) for name in distinct}
 
 
 def load_csv(path: str, spec: ColumnSpec) -> ObservationSet:
@@ -299,10 +333,10 @@ def load_csv(path: str, spec: ColumnSpec) -> ObservationSet:
     (missing cells, locale separators, inf/nan spellings) is an error, as
     is a requested column that is absent from the header or named twice.
     Row order is preserved; empty lines are skipped.  Each distinct column
-    is parsed once, by a vectorised fast path for plain cells with a
-    per-cell fallback that locates the first bad cell (see
-    :func:`_parse_column`); shared x/z columns are copied into both
-    matrices.
+    is parsed once (see :func:`read_columns`): a file without quotes in one
+    ``np.loadtxt`` pass, and a file with quotes, or one that pass turns
+    away, by a per-cell reader that locates the first bad cell.  Shared
+    x/z columns are copied into both matrices.
     """
     columns = read_columns(path, [spec.y_col, spec.q_col, *spec.x_cols, *spec.z_cols], MIN_ROWS)
     return ObservationSet(

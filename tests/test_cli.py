@@ -87,6 +87,15 @@ class TestEstimate:
         assert out == ""
         assert "tau0" in err and "No such file" not in err
 
+    def test_non_utf8_data_file_exits_two(self, tmp_path, capsys):
+        text = Path(NULL_CSV).read_bytes()
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(text + b"1.0,2.0,3.0,4.0,5.0,caf\xe9\n")
+        code, out, err = run_cli(["estimate", *ESTIMATE_FLAGS, "--data", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert str(path) in err and f"byte {len(text) + 23}" in err
+
     @pytest.mark.parametrize("flag, value, named", [
         ("--x", "x1,x1", "x1"),
         ("--x", "y,x2", "y"),
@@ -366,11 +375,11 @@ class TestConsoleEntryPoint:
         assert abs(doc["theta_hat"]) <= 1e-8
 
     def test_import_defers_unused_scipy_modules(self):
-        # a cold `threshmatch estimate` process never needs these; importing them
-        # at module level costs most of a second per CLI run
+        # a cold `threshmatch estimate` process never needs SciPy; importing any of
+        # it at module level costs a large share of a CLI run's start-up
         src = str(Path(__file__).parent.parent / "src")
         code = ("import sys, threshmatch.cli; "
-                "print([m for m in ('scipy.stats', 'scipy.interpolate') if m in sys.modules])")
+                "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, proc.stderr

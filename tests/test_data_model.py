@@ -19,6 +19,7 @@ from threshmatch import (
     treatment_mask,
     write_csv,
 )
+from threshmatch import data_model
 from threshmatch.data_model import MIN_ROWS
 
 
@@ -180,9 +181,12 @@ def _outcome(reader, path, spec):
 # x and z share both columns, in different orders
 _SHARED_SPEC = ColumnSpec(y_col="y", q_col="q", x_cols=["a", "b"], z_cols=["b", "a"], tau0=0.0)
 
-# (id, edits, expected error or None).  An edit (row, col, text) replaces one
-# cell with raw CSV text; text None cuts the row short before col; col None
-# replaces the whole line.  Columns are y=0, a=1, b=2, q=3.
+# (id, edits, expected error or None[, layout]).  An edit (row, col, text)
+# replaces one cell with raw CSV text; text None cuts the row short before col;
+# col None replaces the whole line.  Columns are y=0, a=1, b=2, q=3.  A layout
+# changes how the rows become a file: "eol" ends each line ("\n" by default),
+# "end" follows the last line (the eol by default), "rows" keeps that many
+# rows, and "note" prepends an unrequested column holding that raw text.
 _HOSTILE = [
     ("plain", [], None),
     ("notation", [(0, 1, "1E5"), (1, 1, "+.5"), (2, 1, "5."), (3, 1, "-0.0"), (4, 2, "007"),
@@ -206,35 +210,82 @@ _HOSTILE = [
     ("non-finite-after-parse-error", [(2, 1, "1e999"), (7, 1, "x")], NonFiniteValue),
     ("blank-lines-skipped", [(4, None, "   "), (7, None, "")], None),
     ("comma-only-line", [(4, None, ",,,")], ParseError),
+    ("hash-in-last-cell", [(3, 3, "1.5#x")], ParseError),
+    ("cr-line-endings", [], None, {"eol": "\r"}),
+    ("crlf-line-endings", [(4, None, "")], None, {"eol": "\r\n"}),
+    ("no-trailing-newline", [], None, {"end": ""}),
+    ("row-longer-than-header", [(3, None, "0.5,1.5,2.5,3.5,4.5")], None),
+    ("unrequested-text-column", [], None, {"note": "id-7"}),
+    ("unrequested-quoted-comma", [], None, {"note": '"a,5"'}),
+    ("unrequested-quoted-commas", [], None, {"note": '"a,1,2,3,4,5"'}),
+    ("header-only", [], TooFewRows, {"rows": 0}),
 ]
+
+# Layouts a file without quotes can take that the one-pass reader must accept.
+_PLAIN = ["plain", "notation", "padded", "cr-line-endings", "crlf-line-endings",
+          "no-trailing-newline", "row-longer-than-header", "unrequested-text-column"]
+
+
+def _hostile_file(tmp_path, case):
+    _, edits, _, *layout = case
+    layout = layout[0] if layout else {}
+    rng = np.random.default_rng(7)
+    rows = [[repr(v) for v in rng.normal(size=4).tolist()] for _ in range(12)]
+    for r, c, text in edits:
+        if c is None:
+            rows[r] = [text]
+        elif text is None:
+            rows[r] = rows[r][:c]
+        else:
+            rows[r][c] = text
+    header = ["y", "a", "b", "q"]
+    if "note" in layout:
+        header = ["note", *header]
+        rows = [[layout["note"], *row] for row in rows]
+    lines = [",".join(header)] + [",".join(row) for row in rows[: layout.get("rows")]]
+    eol = layout.get("eol", "\n")
+    path = tmp_path / "hostile.csv"
+    path.write_bytes((eol.join(lines) + layout.get("end", eol)).encode("utf-8"))
+    return str(path)
 
 
 class TestColumnReaderAgainstOracle:
-    @pytest.mark.parametrize("edits, expected", [case[1:] for case in _HOSTILE],
-                             ids=[case[0] for case in _HOSTILE])
-    def test_same_values_or_same_error(self, tmp_path, edits, expected):
-        rng = np.random.default_rng(7)
-        rows = [[repr(v) for v in rng.normal(size=4).tolist()] for _ in range(12)]
-        for r, c, text in edits:
-            if c is None:
-                rows[r] = [text]
-            elif text is None:
-                rows[r] = rows[r][:c]
-            else:
-                rows[r][c] = text
-        path = _write(tmp_path, "hostile.csv", "y,a,b,q\n" + "\n".join(",".join(r) for r in rows) + "\n")
+    @pytest.mark.parametrize("case", _HOSTILE, ids=lambda case: case[0])
+    def test_same_values_or_same_error(self, tmp_path, case):
+        path = _hostile_file(tmp_path, case)
         got = _outcome(load_csv, path, _SHARED_SPEC)
         assert got == _outcome(_oracle_load_csv, path, _SHARED_SPEC)
+        expected = case[2]
         if expected is None:
             assert isinstance(got[0], bytes)
         else:
             assert got[0] is expected
+
+    @pytest.mark.parametrize("case", [case for case in _HOSTILE if case[0] in _PLAIN],
+                             ids=lambda case: case[0])
+    def test_plain_files_take_the_one_pass_reader(self, tmp_path, monkeypatch, case):
+        def per_cell(*args):
+            raise AssertionError("the per-cell reader ran")
+
+        path = _hostile_file(tmp_path, case)
+        expected = _outcome(load_csv, path, _SHARED_SPEC)
+        monkeypatch.setattr(data_model, "_parse_column", per_cell)
+        assert _outcome(load_csv, path, _SHARED_SPEC) == expected
 
     def test_shared_column_is_one_array_copied_into_both_matrices(self, tmp_path):
         path = _write(tmp_path, "shared.csv", "y,a,b,q\n" + _rows(np.arange(36.0).reshape(9, 4).tolist()))
         obs = load_csv(path, _SHARED_SPEC)
         assert np.array_equal(obs.x, obs.z[:, ::-1])
         assert not np.shares_memory(obs.x, obs.z)
+
+    def test_non_utf8_byte_names_path_and_offset(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        head = ("y,a,b,q\n" + _rows(np.arange(36.0).reshape(9, 4).tolist()) + "\n").encode("utf-8")
+        path.write_bytes(head + b"1.0,2.0,3.0,caf\xe9\n")
+        with pytest.raises(InputError) as err:
+            load_csv(str(path), _SHARED_SPEC)
+        assert str(path) in str(err.value)
+        assert f"byte {len(head) + 15}" in str(err.value)
 
 
 def _oracle_write_csv(path, columns, names):

@@ -76,3 +76,26 @@ def test_dimension_errors():
         ols(np.ones((3, 1)), np.ones(4))  # row mismatch
     with pytest.raises(DimensionMismatch):
         ols(np.ones(3), np.ones(3))  # 1-D design
+
+
+def test_bits_match_solve_triangular_on_the_same_qr():
+    # up to 64 columns ols solves R coef = Q^T b in numpy, and fixed-seed outputs
+    # stay bit-identical only while that equals scipy's solve bit for bit; wider
+    # designs (65, and 76 for the d = 6 ITE design) call solve_triangular itself
+    from scipy.linalg import solve_triangular
+
+    rng = np.random.default_rng(64)
+    for p in [*range(1, 65), 65, 76]:
+        for _ in range(6):
+            m = p + int(rng.integers(0, 40))
+            a = rng.standard_normal((m, p)) * rng.uniform(0.1, 100.0, size=p)
+            b = rng.standard_normal(m)
+            q_mat, r_mat = np.linalg.qr(a, mode="reduced")
+            expected = solve_triangular(r_mat, q_mat.T @ b, lower=False)
+            assert ols(a, b).tobytes() == expected.tobytes(), p
+
+
+def test_non_finite_response_rejected():
+    a = np.column_stack([np.ones(5), np.arange(5.0)])
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        ols(a, np.array([1.0, 2.0, np.inf, 4.0, 5.0]))
