@@ -8,12 +8,14 @@ itself is treated.  ``x`` and ``z`` may share columns (including ``x == z``).
 
 Data files and prediction grids go through one strict column reader,
 :func:`read_columns`.  It reads the file's bytes once and parses the
-header with ``csv.reader``.  A file holding no ``"`` has its requested
-columns converted in one C pass by ``np.loadtxt`` (``comments=None``, so
-a ``#`` is an ordinary character; ``quotechar=None``).  When that pass
-fails, finds a non-finite value or too few rows, or the file holds a
-``"``, a per-cell loop over ``csv.reader``'s rows decides: it accepts the
-rest of the grammar and reports the first bad cell by row and column.
+header with ``csv.reader``.  When nothing after the header holds a
+``"``, the requested columns are converted in one C pass by
+``np.loadtxt`` (``comments=None``, so a ``#`` is an ordinary character;
+``quotechar=None``).  When that pass fails, finds a non-finite value or
+too few rows, or the body holds a ``"``, ``csv.reader`` tokenises the
+body and each column is converted by one ``float`` map when its cells are
+plain numbers, or else by a per-cell loop that accepts the rest of the
+grammar and reports the first bad cell by row and column.
 Data and prediction files are written by one writer,
 :func:`write_columns`.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import re
 import warnings
 from dataclasses import dataclass
@@ -45,6 +48,7 @@ MIN_ROWS = 9  # smallest n for which each of the three splits is nonempty
 # Plain decimal or scientific notation only: no underscores, no locale
 # separators, no inf/nan spellings.  Keeps file parsing bit-reproducible.
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_NUMERIC_CHARS = str.maketrans("", "", "0123456789+-.eE\n")
 
 
 def _check_tau0(tau0: float) -> None:
@@ -227,7 +231,26 @@ def _parse_cell(cell: str, row: int, col: str) -> float:
 
 
 def _parse_column(rows: list[list[str]], pos: int, name: str) -> np.ndarray:
-    """Cell ``pos`` of every row as float64; raises at the first bad cell."""
+    """Cell ``pos`` of every row as float64, checked against the strict grammar.
+
+    The column is converted by one ``float`` map once every cell is known
+    to consist of the characters in ``_NUMERIC_CHARS`` only.  Over those
+    characters, ``float`` accepts exactly ``_NUMBER_RE`` with surrounding
+    newlines, which ``_parse_cell`` strips too, so the map accepts a
+    subset of what the per-cell loop accepts and yields the same bits.
+    Any failure (a short row, another character, a malformed or non-finite
+    number) reruns the per-cell loop, which accepts the rest of the
+    grammar (padded cells, Unicode digits) and raises the first error with
+    its exact row and column.
+    """
+    try:
+        cells = [raw[pos] for raw in rows]
+        if not "\n".join(cells).translate(_NUMERIC_CHARS):
+            values = np.fromiter(map(float, cells), np.float64, len(cells))
+            if np.isfinite(values).all():
+                return values
+    except (IndexError, ValueError):
+        pass
     values = np.empty(len(rows), dtype=np.float64)
     for r, raw in enumerate(rows):
         if pos >= len(raw):
@@ -239,7 +262,7 @@ def _parse_column(rows: list[list[str]], pos: int, name: str) -> np.ndarray:
 def _parse_plain(lines: io.TextIOWrapper, positions: list[int]) -> np.ndarray | None:
     """The rest of ``lines`` as an ``(n, len(positions))`` array, or None.
 
-    For a file without quotes, in which every record is one line, this is
+    For a body without quotes, in which every record is one line, this is
     the per-cell reader's result whenever it is returned: ``np.loadtxt``
     splits lines as ``csv.reader`` does, skips the same empty lines,
     converts with the parser ``float`` uses (so the bits agree), and
@@ -251,7 +274,7 @@ def _parse_plain(lines: io.TextIOWrapper, positions: list[int]) -> np.ndarray | 
     """
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
+            warnings.simplefilter("error", UserWarning)
             values = np.loadtxt(
                 lines, delimiter=",", usecols=positions, dtype=np.float64, ndmin=2,
                 comments=None, quotechar=None, encoding="utf-8",
@@ -288,19 +311,20 @@ def read_columns(path: str, names: list[str], min_rows: int) -> dict[str, np.nda
 
     The one reader for data files and prediction grids.  The file is read
     once and must be UTF-8; a byte that is not raises :class:`InputError`
-    with its offset.  ``csv.reader`` parses the header.  When the file
-    holds no ``"``, the requested columns are converted in one pass by
-    ``np.loadtxt(..., delimiter=",", usecols=..., dtype=np.float64,
-    ndmin=2, comments=None, quotechar=None, encoding="utf-8")``.  Any
-    failure of that pass (a cell it cannot parse, a short row, a blank
-    line of spaces, an empty body), a non-finite value, or fewer than
-    ``min_rows`` rows hands the file to the strict per-cell reader, as
-    does any ``"`` in the file.  That reader tokenises with ``csv.reader``;
-    an empty line (no cells, or a single blank cell) is skipped, and every
-    other line is a data row.  Both paths give the same bits.  Errors come
-    in a fixed order: an absent or twice-named requested column, then
-    fewer than ``min_rows`` data rows (an empty file counts as zero), then
-    the first bad cell of the first bad column in the order of ``names``.
+    with its offset.  ``csv.reader`` parses the header.  When nothing after
+    the header holds a ``"``, the requested columns are converted in one
+    pass by ``np.loadtxt(..., delimiter=",", usecols=..., dtype=np.float64,
+    ndmin=2, comments=None, quotechar=None, encoding="utf-8")``; a quoted
+    header stays on that pass.  Any failure of that pass (a cell it cannot
+    parse, a short row, a blank line of spaces, an empty body), a
+    non-finite value, or fewer than ``min_rows`` rows hands the body to
+    ``csv.reader``, as does any ``"`` in it.  An empty line (no cells, or a
+    single blank cell) is skipped there, every other line is a data row,
+    and each column is converted as :func:`_parse_column` says.  Every path
+    gives the same bits.  Errors come in a fixed order: an absent or
+    twice-named requested column, then fewer than ``min_rows`` data rows
+    (an empty file counts as zero), then the first bad cell of the first
+    bad column in the order of ``names``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -308,19 +332,19 @@ def read_columns(path: str, names: list[str], min_rows: int) -> dict[str, np.nda
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: byte {exc.start} is not valid UTF-8") from None
-    lines = _lines(data)
-    header = next(csv.reader(lines), None)
+    reader = csv.reader(_lines(data))
+    header = next(reader, None)
     if header is None:
         raise TooFewRows(0, min_rows)
     positions = _column_positions([h.strip() for h in header], names)
     distinct = list(dict.fromkeys(names))
-    if b'"' not in data:
+    lines = _lines(data)
+    body_start = len("".join(itertools.islice(lines, reader.line_num)).encode("utf-8"))
+    if data.find(b'"', body_start) < 0:
         values = _parse_plain(lines, [positions[name] for name in distinct])
         if values is not None and len(values) >= min_rows:
             return {name: values[:, j].copy() for j, name in enumerate(distinct)}
-        lines = _lines(data)
-        next(lines)  # the header, one line in a file without quotes
-    rows = [raw for raw in csv.reader(lines) if raw and (len(raw) > 1 or raw[0].strip())]
+    rows = [raw for raw in reader if raw and (len(raw) > 1 or raw[0].strip())]
     if len(rows) < min_rows:
         raise TooFewRows(len(rows), min_rows)
     return {name: _parse_column(rows, positions[name], name) for name in distinct}
@@ -333,9 +357,10 @@ def load_csv(path: str, spec: ColumnSpec) -> ObservationSet:
     (missing cells, locale separators, inf/nan spellings) is an error, as
     is a requested column that is absent from the header or named twice.
     Row order is preserved; empty lines are skipped.  Each distinct column
-    is parsed once (see :func:`read_columns`): a file without quotes in one
-    ``np.loadtxt`` pass, and a file with quotes, or one that pass turns
-    away, by a per-cell reader that locates the first bad cell.  Shared
+    is parsed once (see :func:`read_columns`): a file whose body holds no
+    quote in one ``np.loadtxt`` pass, and one whose body does, or one that
+    pass turns away, through ``csv.reader`` and a per-column conversion
+    that falls back to a per-cell reader locating the first bad cell.  Shared
     x/z columns are copied into both matrices.
     """
     columns = read_columns(path, [spec.y_col, spec.q_col, *spec.x_cols, *spec.z_cols], MIN_ROWS)

@@ -5,26 +5,24 @@ regression, the first-difference coefficient fit, and the spline-basis fit.
 No intercept is ever added implicitly; callers append a constant column
 when their model has one.
 
-For ``p <= 64`` columns the triangular solve ``R coef = Q^T b`` is a
-row-oriented back substitution in numpy, so estimation never imports
-SciPy, whose import was the larger part of a cold CLI start.  Up to 64
-columns it yields the same bits as ``scipy.linalg.solve_triangular``, which
-keeps fixed-seed outputs bit-identical; ``tests/test_linreg.py`` checks
-this on random systems.  From 65 columns, the width of OpenBLAS's first
-triangular block, the two sum in different orders, so wider designs (the
-ITE spline fits reach 76 columns at ``d = 6``) keep ``solve_triangular``,
-imported only then.  The rule rests on the BLAS in use; on another build
-the seed-0 output hashes of ``perfbench`` are the guard.
+The triangular solve ``R coef = Q^T b`` is a row-oriented back
+substitution in numpy, so estimation never imports SciPy, whose import
+was the larger part of a cold CLI start.  Up to 64 columns it yields the
+same bits as ``scipy.linalg.solve_triangular`` with OpenBLAS, which kept
+fixed-seed outputs bit-identical when it replaced that call;
+``tests/test_linreg.py`` checks this on random systems.  From 65 columns
+(OpenBLAS's first triangular block) the two sum in different orders, so
+fits that wide (the ITE spline designs at ``d >= 6``) can differ from
+``solve_triangular`` in the last bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, RankDeficient
+from .errors import DimensionMismatch, NumericError, RankDeficient
 
 RANK_TOL = 1e-10  # relative floor on |diag R|; fixed, not configurable
-BACK_SUBSTITUTION_MAX_P = 64  # widest system whose bits match solve_triangular
 
 
 def ols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -34,7 +32,8 @@ def ols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     form ``b - a @ coef`` themselves.  Requires ``m >= p >= 1``.  Rank deficiency (smallest |R_jj| below
     ``RANK_TOL`` times the largest) is a hard error rather than a silent
     ridge or pseudo-inverse fallback, since a regularized score fit would
-    bias every residual downstream.
+    bias every residual downstream.  Finite inputs whose projection
+    ``Q^T b`` overflows raise :class:`NumericError` as well.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -58,12 +57,8 @@ def ols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise RankDeficient(p_effective, p)
 
     qtb = q_mat.T @ b
-    if not np.isfinite(qtb).all():  # solve_triangular's own check, kept at every width
-        raise ValueError("array must not contain infs or NaNs")
-    if p > BACK_SUBSTITUTION_MAX_P:
-        from scipy.linalg import solve_triangular  # deferred: only wide ITE designs need it
-
-        return solve_triangular(r_mat, qtb, lower=False)
+    if not np.isfinite(qtb).all():
+        raise NumericError("least-squares fit overflowed: Q^T b is not finite")
     coef = np.empty(p)
     for k in range(p - 1, -1, -1):
         coef[k] = (qtb[k] - r_mat[k, k + 1 :] @ coef[k + 1 :]) / r_mat[k, k]

@@ -132,6 +132,20 @@ class TestEstimate:
         assert code == 3
         assert "rank" in err.lower()
 
+    def test_overflowing_outcome_exits_three(self, tmp_path, capsys):
+        # finite outcomes of +/-1.7e308 overflow the first differences to inf
+        lines = Path(NULL_CSV).read_text().strip().split("\n")
+        rows = [line.split(",") for line in lines[1:]]
+        for r, row in enumerate(rows):
+            row[0] = repr(1.7e308 if r % 2 else -1.7e308)
+        path = tmp_path / "overflow.csv"
+        path.write_text("\n".join([lines[0], *map(",".join, rows)]) + "\n")
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(["estimate", *ESTIMATE_FLAGS, "--data", str(path)], capsys)
+        assert code == 3
+        assert out == ""
+        assert "not finite" in err
+
     def test_add_intercept_z(self, capsys):
         code, out, _ = run_cli(["estimate", *ESTIMATE_FLAGS, "--add-intercept-z"], capsys)
         assert code == 0

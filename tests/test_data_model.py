@@ -186,7 +186,8 @@ _SHARED_SPEC = ColumnSpec(y_col="y", q_col="q", x_cols=["a", "b"], z_cols=["b", 
 # col None replaces the whole line.  Columns are y=0, a=1, b=2, q=3.  A layout
 # changes how the rows become a file: "eol" ends each line ("\n" by default),
 # "end" follows the last line (the eol by default), "rows" keeps that many
-# rows, and "note" prepends an unrequested column holding that raw text.
+# rows, "note" prepends an unrequested column holding that raw text, and
+# "header" replaces the header line with raw text.
 _HOSTILE = [
     ("plain", [], None),
     ("notation", [(0, 1, "1E5"), (1, 1, "+.5"), (2, 1, "5."), (3, 1, "-0.0"), (4, 2, "007"),
@@ -219,11 +220,19 @@ _HOSTILE = [
     ("unrequested-quoted-comma", [], None, {"note": '"a,5"'}),
     ("unrequested-quoted-commas", [], None, {"note": '"a,1,2,3,4,5"'}),
     ("header-only", [], TooFewRows, {"rows": 0}),
+    ("quoted-header", [], None, {"header": '"y","a","b","q"'}),
+    ("quoted-header-spanning-lines", [], None, {"header": '"y","a","b","q\n"'}),
+    ("quoted-header-and-cell", [(3, 2, '"2"')], None, {"header": '"y","a","b","q"'}),
 ]
 
 # Layouts a file without quotes can take that the one-pass reader must accept.
 _PLAIN = ["plain", "notation", "padded", "cr-line-endings", "crlf-line-endings",
-          "no-trailing-newline", "row-longer-than-header", "unrequested-text-column"]
+          "no-trailing-newline", "row-longer-than-header", "unrequested-text-column",
+          "quoted-header", "quoted-header-spanning-lines"]
+
+# Files with quotes below the header whose requested cells are plain numbers.
+_QUOTED_PLAIN = ["quoted", "unrequested-quoted-comma", "unrequested-quoted-commas",
+                 "quoted-header-and-cell"]
 
 
 def _hostile_file(tmp_path, case):
@@ -242,7 +251,8 @@ def _hostile_file(tmp_path, case):
     if "note" in layout:
         header = ["note", *header]
         rows = [[layout["note"], *row] for row in rows]
-    lines = [",".join(header)] + [",".join(row) for row in rows[: layout.get("rows")]]
+    lines = [layout.get("header", ",".join(header))]
+    lines += [",".join(row) for row in rows[: layout.get("rows")]]
     eol = layout.get("eol", "\n")
     path = tmp_path / "hostile.csv"
     path.write_bytes((eol.join(lines) + layout.get("end", eol)).encode("utf-8"))
@@ -270,6 +280,17 @@ class TestColumnReaderAgainstOracle:
         path = _hostile_file(tmp_path, case)
         expected = _outcome(load_csv, path, _SHARED_SPEC)
         monkeypatch.setattr(data_model, "_parse_column", per_cell)
+        assert _outcome(load_csv, path, _SHARED_SPEC) == expected
+
+    @pytest.mark.parametrize("case", [case for case in _HOSTILE if case[0] in _QUOTED_PLAIN],
+                             ids=lambda case: case[0])
+    def test_quoted_files_convert_whole_columns(self, tmp_path, monkeypatch, case):
+        def per_cell(*args):
+            raise AssertionError("the per-cell loop ran")
+
+        path = _hostile_file(tmp_path, case)
+        expected = _outcome(load_csv, path, _SHARED_SPEC)
+        monkeypatch.setattr(data_model, "_parse_cell", per_cell)
         assert _outcome(load_csv, path, _SHARED_SPEC) == expected
 
     def test_shared_column_is_one_array_copied_into_both_matrices(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from threshmatch import DimensionMismatch, RankDeficient, ols
+from threshmatch import DimensionMismatch, NumericError, RankDeficient, ols
 
 
 def test_constant_fit():
@@ -79,13 +79,12 @@ def test_dimension_errors():
 
 
 def test_bits_match_solve_triangular_on_the_same_qr():
-    # up to 64 columns ols solves R coef = Q^T b in numpy, and fixed-seed outputs
-    # stay bit-identical only while that equals scipy's solve bit for bit; wider
-    # designs (65, and 76 for the d = 6 ITE design) call solve_triangular itself
+    # ols solves R coef = Q^T b in numpy; up to 64 columns that must equal
+    # scipy's solve bit for bit, or fixed-seed outputs would drift
     from scipy.linalg import solve_triangular
 
     rng = np.random.default_rng(64)
-    for p in [*range(1, 65), 65, 76]:
+    for p in range(1, 65):
         for _ in range(6):
             m = p + int(rng.integers(0, 40))
             a = rng.standard_normal((m, p)) * rng.uniform(0.1, 100.0, size=p)
@@ -95,7 +94,8 @@ def test_bits_match_solve_triangular_on_the_same_qr():
             assert ols(a, b).tobytes() == expected.tobytes(), p
 
 
-def test_non_finite_response_rejected():
+def test_overflowing_response_is_a_numeric_error():
+    # finite inputs whose projection overflows must not yield inf coefficients
     a = np.column_stack([np.ones(5), np.arange(5.0)])
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        ols(a, np.array([1.0, 2.0, np.inf, 4.0, 5.0]))
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        ols(a, np.full(5, 1.7e308))
