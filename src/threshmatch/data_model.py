@@ -7,15 +7,7 @@ covariates.  Treatment is assigned whenever ``q >= tau0`` -- the cutoff
 itself is treated.  ``x`` and ``z`` may share columns (including ``x == z``).
 
 Data files and prediction grids go through one strict column reader,
-:func:`read_columns`.  It reads the file's bytes once and parses the
-header with ``csv.reader``.  When nothing after the header holds a
-``"``, the requested columns are converted in one C pass by
-``np.loadtxt`` (``comments=None``, so a ``#`` is an ordinary character;
-``quotechar=None``).  When that pass fails, finds a non-finite value or
-too few rows, or the body holds a ``"``, ``csv.reader`` tokenises the
-body and each column is converted by one ``float`` map when its cells are
-plain numbers, or else by a per-cell loop that accepts the rest of the
-grammar and reports the first bad cell by row and column.
+:func:`read_columns`, whose docstring describes how it parses a file.
 Data and prediction files are written by one writer,
 :func:`write_columns`.
 """
@@ -24,9 +16,10 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
+import math
 import re
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +41,6 @@ MIN_ROWS = 9  # smallest n for which each of the three splits is nonempty
 # Plain decimal or scientific notation only: no underscores, no locale
 # separators, no inf/nan spellings.  Keeps file parsing bit-reproducible.
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-_NUMERIC_CHARS = str.maketrans("", "", "0123456789+-.eE\n")
 
 
 def _check_tau0(tau0: float) -> None:
@@ -225,7 +217,7 @@ def _parse_cell(cell: str, row: int, col: str) -> float:
     if not _NUMBER_RE.match(text):
         raise ParseError(row, col, cell)
     value = float(text)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NonFiniteValue(row, col)
     return value
 
@@ -233,24 +225,8 @@ def _parse_cell(cell: str, row: int, col: str) -> float:
 def _parse_column(rows: list[list[str]], pos: int, name: str) -> np.ndarray:
     """Cell ``pos`` of every row as float64, checked against the strict grammar.
 
-    The column is converted by one ``float`` map once every cell is known
-    to consist of the characters in ``_NUMERIC_CHARS`` only.  Over those
-    characters, ``float`` accepts exactly ``_NUMBER_RE`` with surrounding
-    newlines, which ``_parse_cell`` strips too, so the map accepts a
-    subset of what the per-cell loop accepts and yields the same bits.
-    Any failure (a short row, another character, a malformed or non-finite
-    number) reruns the per-cell loop, which accepts the rest of the
-    grammar (padded cells, Unicode digits) and raises the first error with
-    its exact row and column.
+    Raises the first bad cell's error with its exact row and column.
     """
-    try:
-        cells = [raw[pos] for raw in rows]
-        if not "\n".join(cells).translate(_NUMERIC_CHARS):
-            values = np.fromiter(map(float, cells), np.float64, len(cells))
-            if np.isfinite(values).all():
-                return values
-    except (IndexError, ValueError):
-        pass
     values = np.empty(len(rows), dtype=np.float64)
     for r, raw in enumerate(rows):
         if pos >= len(raw):
@@ -259,25 +235,19 @@ def _parse_column(rows: list[list[str]], pos: int, name: str) -> np.ndarray:
     return values
 
 
-def _parse_plain(lines: io.TextIOWrapper, positions: list[int]) -> np.ndarray | None:
-    """The rest of ``lines`` as an ``(n, len(positions))`` array, or None.
+def _parse_one_pass(lines: Iterator[str], positions: list[int]) -> np.ndarray | None:
+    """``lines`` as an ``(n, len(positions))`` array in one ``np.loadtxt`` pass, or None.
 
-    For a body without quotes, in which every record is one line, this is
-    the per-cell reader's result whenever it is returned: ``np.loadtxt``
-    splits lines as ``csv.reader`` does, skips the same empty lines,
-    converts with the parser ``float`` uses (so the bits agree), and
-    rejects every cell ``_NUMBER_RE`` rejects except the non-finite
-    spellings, which the ``isfinite`` check turns away.  None (a cell it
-    cannot parse, a short row, a blank line of spaces, a non-finite value,
-    or no rows at all, which loadtxt only warns about) leaves the verdict
-    to the per-cell reader.
+    None (a cell loadtxt cannot parse, a short row, a line of only ``""``,
+    a non-finite value, or no rows at all, which loadtxt only warns about)
+    leaves the verdict to the per-cell reader.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
             values = np.loadtxt(
                 lines, delimiter=",", usecols=positions, dtype=np.float64, ndmin=2,
-                comments=None, quotechar=None, encoding="utf-8",
+                comments=None, quotechar='"', encoding="utf-8",
             )
     except (ValueError, UserWarning):
         return None
@@ -311,20 +281,29 @@ def read_columns(path: str, names: list[str], min_rows: int) -> dict[str, np.nda
 
     The one reader for data files and prediction grids.  The file is read
     once and must be UTF-8; a byte that is not raises :class:`InputError`
-    with its offset.  ``csv.reader`` parses the header.  When nothing after
-    the header holds a ``"``, the requested columns are converted in one
-    pass by ``np.loadtxt(..., delimiter=",", usecols=..., dtype=np.float64,
-    ndmin=2, comments=None, quotechar=None, encoding="utf-8")``; a quoted
-    header stays on that pass.  Any failure of that pass (a cell it cannot
-    parse, a short row, a blank line of spaces, an empty body), a
-    non-finite value, or fewer than ``min_rows`` rows hands the body to
-    ``csv.reader``, as does any ``"`` in it.  An empty line (no cells, or a
-    single blank cell) is skipped there, every other line is a data row,
-    and each column is converted as :func:`_parse_column` says.  Every path
-    gives the same bits.  Errors come in a fixed order: an absent or
-    twice-named requested column, then fewer than ``min_rows`` data rows
-    (an empty file counts as zero), then the first bad cell of the first
-    bad column in the order of ``names``.
+    with its offset.  ``csv.reader`` parses the header.  The body's lines,
+    without the whitespace-only ones, are converted in one pass by
+    ``np.loadtxt(..., delimiter=",", usecols=..., dtype=np.float64,
+    ndmin=2, comments=None, quotechar='"', encoding="utf-8")``: a ``#`` is
+    an ordinary character, and quoted cells, quoted fields spanning lines
+    or holding commas, and ``""`` escapes split as ``csv.reader`` splits
+    them.  loadtxt converts with the parser ``float`` uses, so the bits
+    agree, and rejects every cell the strict grammar rejects except the
+    non-finite spellings, which an ``isfinite`` check turns away.  A
+    whitespace-only line is a record ``csv.reader`` skips, or lies inside
+    a quoted field, where it is either in a column nobody requested or
+    whitespace that a cell's ``strip()`` removes anyway.
+
+    What that pass turns away (a cell it cannot parse, such as a bad cell
+    or a non-ASCII digit, a non-finite value, a line of only ``""``, or
+    fewer than ``min_rows`` rows) is decided by ``csv.reader`` and
+    :func:`_parse_column`: an empty line (no cells, or a single blank
+    cell) is skipped, every other line is a data row, and each cell is
+    checked against the strict grammar.  Both conversions give the same
+    bits.  Errors come in a fixed order: an absent or twice-named
+    requested column, then fewer than ``min_rows`` data rows (an empty
+    file counts as zero), then the first bad cell of the first bad column
+    in the order of ``names``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -332,18 +311,18 @@ def read_columns(path: str, names: list[str], min_rows: int) -> dict[str, np.nda
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: byte {exc.start} is not valid UTF-8") from None
-    reader = csv.reader(_lines(data))
-    header = next(reader, None)
+    lines = _lines(data)
+    header = next(csv.reader(lines), None)
     if header is None:
         raise TooFewRows(0, min_rows)
     positions = _column_positions([h.strip() for h in header], names)
     distinct = list(dict.fromkeys(names))
-    lines = _lines(data)
-    body_start = len("".join(itertools.islice(lines, reader.line_num)).encode("utf-8"))
-    if data.find(b'"', body_start) < 0:
-        values = _parse_plain(lines, [positions[name] for name in distinct])
-        if values is not None and len(values) >= min_rows:
-            return {name: values[:, j].copy() for j, name in enumerate(distinct)}
+    body = (line for line in lines if not line.isspace())
+    values = _parse_one_pass(body, [positions[name] for name in distinct])
+    if values is not None and len(values) >= min_rows:
+        return {name: values[:, j].copy() for j, name in enumerate(distinct)}
+    reader = csv.reader(_lines(data))
+    next(reader)
     rows = [raw for raw in reader if raw and (len(raw) > 1 or raw[0].strip())]
     if len(rows) < min_rows:
         raise TooFewRows(len(rows), min_rows)
@@ -357,11 +336,8 @@ def load_csv(path: str, spec: ColumnSpec) -> ObservationSet:
     (missing cells, locale separators, inf/nan spellings) is an error, as
     is a requested column that is absent from the header or named twice.
     Row order is preserved; empty lines are skipped.  Each distinct column
-    is parsed once (see :func:`read_columns`): a file whose body holds no
-    quote in one ``np.loadtxt`` pass, and one whose body does, or one that
-    pass turns away, through ``csv.reader`` and a per-column conversion
-    that falls back to a per-cell reader locating the first bad cell.  Shared
-    x/z columns are copied into both matrices.
+    is parsed once, as :func:`read_columns` describes.  Shared x/z columns
+    are copied into both matrices.
     """
     columns = read_columns(path, [spec.y_col, spec.q_col, *spec.x_cols, *spec.z_cols], MIN_ROWS)
     return ObservationSet(

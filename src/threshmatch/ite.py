@@ -24,7 +24,13 @@ import numpy as np
 
 from .att import AttEstimate, matched_differences
 from .data_model import ObservationSet
-from .errors import ArityMismatch, DegenerateCovariate, DimensionMismatch, TooFewRows
+from .errors import (
+    ArityMismatch,
+    DegenerateCovariate,
+    DimensionMismatch,
+    NonFiniteValue,
+    TooFewRows,
+)
 from .linreg import ols
 from .rng import rng_from
 
@@ -204,8 +210,15 @@ def predict_ite_batch(model: IteModel, covariates: np.ndarray) -> np.ndarray:
 
     The one way to evaluate a fitted surface.  Columns follow the layout
     the model was fit on: the ``x`` columns, then ``eta_hat`` when
-    ``model.basis.include_eta``; any other width raises ArityMismatch.
+    ``model.basis.include_eta``; any other width raises ArityMismatch.  A
+    non-finite covariate raises NonFiniteValue naming the first such row
+    and its covariate position.
     """
+    covariates = np.atleast_2d(np.asarray(covariates, dtype=np.float64))
+    finite = np.isfinite(covariates)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise NonFiniteValue(int(row), f"covariate {col}")
     design, _ = build_basis(covariates, model.basis, model.knots)
     if design.shape[1] != model.coef.shape[0]:
         raise ArityMismatch(
@@ -248,7 +261,12 @@ def save_ite_model(model: IteModel, path: str) -> None:
 
 
 def load_ite_model(path: str) -> IteModel:
-    """Inverse of :func:`save_ite_model`."""
+    """Inverse of :func:`save_ite_model`.
+
+    A file that is not one, or whose coefficients, knots or training MSE
+    are not finite, or whose knot vectors decrease, raises ArityMismatch
+    naming the path.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != "threshmatch-ite-model v1":
@@ -274,4 +292,8 @@ def load_ite_model(path: str) -> IteModel:
         training_mse = float.fromhex(fields["training_mse"])
     except (KeyError, ValueError) as exc:
         raise ArityMismatch(f"{path}: missing or malformed field ({exc!r})") from None
+    if not all(np.isfinite(values).all() for values in (coef, training_mse, *knots)):
+        raise ArityMismatch(f"{path}: a coefficient, knot or training_mse is not finite")
+    if any((np.diff(kn) < 0).any() for kn in knots):
+        raise ArityMismatch(f"{path}: a knot vector decreases")
     return IteModel(basis=spec, knots=knots, coef=coef, training_mse=training_mse)

@@ -8,6 +8,7 @@ from threshmatch import (
     DegenerateCovariate,
     DgpConfig,
     InputError,
+    NonFiniteValue,
     SplineBasisSpec,
     TooFewRows,
     build_basis,
@@ -179,6 +180,16 @@ class TestPredict:
         assert isinstance(err.value, InputError)
         assert err.value.n == 0
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_covariate_names_row_and_position(self, value):
+        _, _, _, model = _fitted_pipeline(seed=10, n=900, alpha=lambda x, eta: x[:, 0])
+        batch = np.zeros((4, 3))
+        batch[2, 1] = value
+        batch[3, 0] = value
+        with pytest.raises(NonFiniteValue) as err:
+            predict_ite_batch(model, batch)
+        assert (err.value.row, err.value.col) == (2, "covariate 1")
+
     def test_effect_curve_in_eta_tracks_truth(self):
         # fixed x = (0.1, 0.2, 0.8), eta sweeping the confounder's range
         obs = generate(DgpConfig(n=50_000, seed=44, ite_kind=X_AND_ETA))
@@ -264,6 +275,29 @@ class TestSerialization:
     def test_loader_rejects_broken_fields(self, tmp_path, body):
         path = tmp_path / "model.txt"
         path.write_text("threshmatch-ite-model v1\n" + body, encoding="utf-8")
+        with pytest.raises(ArityMismatch, match=re.escape(str(path))):
+            load_ite_model(str(path))
+
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("coef", lambda toks: ["nan", *toks[1:]]),
+            ("knots0", lambda toks: [*toks[:-1], "inf"]),
+            ("training_mse", lambda toks: ["nan"]),
+            ("knots1", lambda toks: toks[::-1]),
+        ],
+        ids=["nan-coef", "inf-knot", "nan-training-mse", "reversed-knots"],
+    )
+    def test_loader_rejects_non_finite_or_decreasing_values(self, tmp_path, field, edit):
+        # each would load and then predict NaN or fail inside scipy
+        _, _, _, model = _fitted_pipeline(seed=14, n=900, alpha=lambda x, eta: x[:, 0])
+        path = tmp_path / "model.txt"
+        save_ite_model(model, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(field + " "))
+        lines[i] = " ".join([field, *edit(lines[i].split()[1:])])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ArityMismatch, match=re.escape(str(path))):
             load_ite_model(str(path))
 
