@@ -64,7 +64,7 @@ from .ite import (
     save_ite_model,
 )
 from .linreg import ols
-from .matching import MatchResult, match_controls, match_controls_brute
+from .matching import MatchResult, match_controls
 from .residualize import fit_gamma, residuals_eta
 from .simulate import (
     DgpConfig,
@@ -126,7 +126,6 @@ __all__ = [
     "load_csv",
     "load_ite_model",
     "match_controls",
-    "match_controls_brute",
     "matched_differences",
     "monte_carlo_att",
     "monte_carlo_ite",

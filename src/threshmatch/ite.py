@@ -63,40 +63,58 @@ class SplineBasisSpec:
             raise DimensionMismatch(f"df must be >= degree ({DEGREE})")
         object.__setattr__(self, "df_grid", grid)
 
-    def dimension(self, n_covariates: int, df: int | None = None) -> int:
-        """Number of design columns for ``n_covariates`` raw covariates."""
-        df = self.df if df is None else df
-        return 1 + n_covariates * df + n_covariates * (n_covariates - 1) // 2
+    def dimension(self, n_covariates: int) -> int:
+        """Number of design columns for ``n_covariates`` raw covariates at ``df``."""
+        return 1 + n_covariates * self.df + n_covariates * (n_covariates - 1) // 2
 
 
 @dataclass(frozen=True)
 class IteModel:
-    """Fitted effect-surface model: knots, chosen spec, and coefficients."""
+    """Fitted effect-surface model: knots, chosen spec, and coefficients.
+
+    Construction checks the one rule for a valid model, else ArityMismatch:
+    ``basis.df`` is set; each knot vector is ``df + 5`` finite, non-decreasing
+    knots, the first 4 equal to ``lo`` and the last 4 to ``hi > lo``; ``coef`` is
+    ``basis.dimension(len(knots))`` finite values; ``training_mse`` is finite.
+    """
 
     basis: SplineBasisSpec
     knots: list[np.ndarray]
     coef: np.ndarray
     training_mse: float
 
+    def __post_init__(self):
+        df = self.basis.df
+        if df is None:
+            raise ArityMismatch("model has no df")
+        size = df + DEGREE + 2
+        for j, kn in enumerate(self.knots):
+            ok = kn.shape == (size,) and np.isfinite(kn).all() and (np.diff(kn) >= 0).all()
+            if not (ok and kn[DEGREE] == kn[0] < kn[-1] == kn[-DEGREE - 1]):
+                raise ArityMismatch(f"knots{j} is not {size} finite, non-decreasing, clamped knots")
+        width = self.basis.dimension(len(self.knots))
+        if self.coef.shape != (width,) or not np.isfinite(self.coef).all():
+            raise ArityMismatch(f"coef is not {width} finite values")
+        if not np.isfinite(self.training_mse):
+            raise ArityMismatch("training_mse is not finite")
 
-def quantile_knots(values: np.ndarray, df: int, col: int = 0) -> np.ndarray:
-    """Augmented knot vector with interior knots at equally spaced quantiles.
+
+def quantile_knots(covariates: np.ndarray, df: int) -> list[np.ndarray]:
+    """One augmented knot vector per column of an ``m x d`` training matrix.
 
     ``df - DEGREE`` interior knots sit at quantiles ``j / (df - DEGREE + 1)``
-    of the training values; the boundary knots (repeated ``DEGREE + 1``
-    times) sit at the training min and max.
+    of the column, and the boundary knots (``DEGREE + 1`` times each) at its
+    min and max.  A constant column raises DegenerateCovariate.
     """
-    values = np.asarray(values, dtype=np.float64)
-    lo, hi = float(values.min()), float(values.max())
-    if lo == hi:
-        raise DegenerateCovariate(col)
-    n_interior = df - DEGREE
-    if n_interior > 0:
-        qs = np.arange(1, n_interior + 1) / (n_interior + 1)
+    qs = np.arange(1, df - DEGREE + 1) / (df - DEGREE + 1)
+    knots = []
+    for j, values in enumerate(np.asarray(covariates, dtype=np.float64).T):
+        lo, hi = float(values.min()), float(values.max())
+        if lo == hi:
+            raise DegenerateCovariate(j)
         interior = np.quantile(values, qs)
-    else:
-        interior = np.empty(0)
-    return np.concatenate([[lo] * (DEGREE + 1), interior, [hi] * (DEGREE + 1)])
+        knots.append(np.concatenate([[lo] * (DEGREE + 1), interior, [hi] * (DEGREE + 1)]))
+    return knots
 
 
 def bspline_block(values: np.ndarray, knots: np.ndarray) -> np.ndarray:
@@ -112,40 +130,31 @@ def bspline_block(values: np.ndarray, knots: np.ndarray) -> np.ndarray:
 
 
 def build_basis(
-    covariates: np.ndarray,
-    spec: SplineBasisSpec,
-    knots: list[np.ndarray] | None = None,
-) -> tuple[np.ndarray, list[np.ndarray]]:
+    covariates: np.ndarray, spec: SplineBasisSpec, knots: list[np.ndarray]
+) -> np.ndarray:
     """Assemble the regression design for an ``m x d`` covariate matrix.
 
-    Layout: constant column, then one spline block per covariate (the
-    block's first basis function is dropped, since the constant column
-    already carries the level), then pairwise products of distinct raw
-    covariates.  When ``knots`` is None they are computed from the
-    covariates themselves (training mode), which requires at least as many
-    rows as design columns; with given knots at least one row is needed.
+    Layout: constant column, then one spline block per covariate over its
+    ``knots`` (the block's first basis function is dropped, since the
+    constant column already carries the level), then pairwise products of
+    distinct raw covariates: ``spec.dimension(d)`` columns in all.  At
+    least one row is needed, and one knot vector per column.
     """
     covariates = np.atleast_2d(np.asarray(covariates, dtype=np.float64))
     m, d = covariates.shape
-    if spec.df is None:
-        raise DimensionMismatch("spec.df is unset; pick a df before building a basis")
-    training = knots is None
-    if training:
-        if m < spec.dimension(d):
-            raise TooFewRows(m, spec.dimension(d))
-        knots = [quantile_knots(covariates[:, j], spec.df, col=j) for j in range(d)]
-    elif m == 0:
+    if m == 0:
         raise TooFewRows(0, 1)
     if len(knots) != d:
         raise ArityMismatch(f"model has {len(knots)} covariates, got {d}")
 
-    blocks = [np.ones((m, 1))]
+    df = spec.df
+    design = np.empty((m, spec.dimension(d)))
+    design[:, 0] = 1.0
     for j in range(d):
-        full = bspline_block(covariates[:, j], knots[j])
-        blocks.append(full[:, 1:])
-    for a, b in combinations(range(d), 2):
-        blocks.append((covariates[:, a] * covariates[:, b])[:, None])
-    return np.hstack(blocks), knots
+        design[:, 1 + j * df : 1 + (j + 1) * df] = bspline_block(covariates[:, j], knots[j])[:, 1:]
+    for k, (a, b) in enumerate(combinations(range(d), 2), start=1 + d * df):
+        design[:, k] = covariates[:, a] * covariates[:, b]
+    return design
 
 
 def _treated_covariates(
@@ -174,32 +183,30 @@ def fit_ite(
     _, cov = _treated_covariates(obs, est, spec.include_eta)
     response = matched_differences(obs, est.beta_hat, est.matches)
     m, d = cov.shape
-    max_dim = spec.dimension(d, df=spec.df_grid[-1])
-    if m < max_dim:
-        raise TooFewRows(m, max_dim)
+    # the smallest training set, floor(3m/4) rows, must fit the widest design
+    max_dim = replace(spec, df=spec.df_grid[-1]).dimension(d)
+    if (CV_FOLDS - 1) * m // CV_FOLDS < max_dim:
+        raise TooFewRows(m, -(-CV_FOLDS * max_dim // (CV_FOLDS - 1)))
 
     perm = rng_from(cv_seed).permutation(m)
     folds = np.array_split(perm, CV_FOLDS)
-    if m - max(len(f) for f in folds) < max_dim:
-        raise TooFewRows(m, max_dim + max(len(f) for f in folds))
-
     best_df, best_mse = None, np.inf
     for df in spec.df_grid:
         cand = replace(spec, df=int(df))
         fold_mse = []
         for hold in folds:
             train = np.setdiff1d(perm, hold, assume_unique=True)
-            design, knots = build_basis(cov[train], cand)
-            coef = ols(design, response[train])
-            held_design, _ = build_basis(cov[hold], cand, knots)
-            err = response[hold] - held_design @ coef
+            design = build_basis(cov, cand, quantile_knots(cov[train], df))
+            coef = ols(design[train], response[train])
+            err = response[hold] - design[hold] @ coef
             fold_mse.append(float(np.mean(err**2)))
         mean_mse = float(np.mean(fold_mse))
         if mean_mse < best_mse:
             best_df, best_mse = int(df), mean_mse
 
     chosen = replace(spec, df=best_df)
-    design, knots = build_basis(cov, chosen)
+    knots = quantile_knots(cov, best_df)
+    design = build_basis(cov, chosen, knots)
     coef = ols(design, response)
     training_mse = float(np.mean((response - design @ coef) ** 2))
     return IteModel(basis=chosen, knots=knots, coef=coef, training_mse=training_mse)
@@ -219,12 +226,7 @@ def predict_ite_batch(model: IteModel, covariates: np.ndarray) -> np.ndarray:
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
         raise NonFiniteValue(int(row), f"covariate {col}")
-    design, _ = build_basis(covariates, model.basis, model.knots)
-    if design.shape[1] != model.coef.shape[0]:
-        raise ArityMismatch(
-            f"design has {design.shape[1]} columns, model has {model.coef.shape[0]}"
-        )
-    return design @ model.coef
+    return build_basis(covariates, model.basis, model.knots) @ model.coef
 
 
 def ite_mse(model: IteModel, obs: ObservationSet, est: AttEstimate, truth) -> float:
@@ -263,9 +265,8 @@ def save_ite_model(model: IteModel, path: str) -> None:
 def load_ite_model(path: str) -> IteModel:
     """Inverse of :func:`save_ite_model`.
 
-    A file that is not one, or whose coefficients, knots or training MSE
-    are not finite, or whose knot vectors decrease, raises ArityMismatch
-    naming the path.
+    A file that is not one, or that does not describe a valid
+    :class:`IteModel`, raises ArityMismatch naming the path.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -290,10 +291,8 @@ def load_ite_model(path: str) -> IteModel:
         )
         coef = np.array([float.fromhex(tok) for tok in fields["coef"].split()])
         training_mse = float.fromhex(fields["training_mse"])
+        return IteModel(basis=spec, knots=knots, coef=coef, training_mse=training_mse)
     except (KeyError, ValueError) as exc:
         raise ArityMismatch(f"{path}: missing or malformed field ({exc!r})") from None
-    if not all(np.isfinite(values).all() for values in (coef, training_mse, *knots)):
-        raise ArityMismatch(f"{path}: a coefficient, knot or training_mse is not finite")
-    if any((np.diff(kn) < 0).any() for kn in knots):
-        raise ArityMismatch(f"{path}: a knot vector decreases")
-    return IteModel(basis=spec, knots=knots, coef=coef, training_mse=training_mse)
+    except (ArityMismatch, DimensionMismatch) as exc:
+        raise ArityMismatch(f"{path}: {exc}") from None

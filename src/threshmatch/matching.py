@@ -28,9 +28,8 @@ pair.  :func:`match_controls` works in three vectorised passes:
    and scatter the result back to treated input order.
 
 Cost: O(n0 log n0 + n1 log n1) time, O(n0 + n1) memory.
-:func:`match_controls_brute` is the exhaustive O(n0 * n1) reference with
-the identical tie rule; it ships so equivalence can be asserted on random
-instances.
+The tests hold an exhaustive O(n0 * n1) reference with the identical tie
+rule and assert equivalence on random instances.
 """
 
 from __future__ import annotations
@@ -118,38 +117,4 @@ def match_controls(
 
     matched = np.empty_like(treated_idx)
     matched[by_value] = canonical[run_of[winner]]
-    return MatchResult(treated_idx=treated_idx, control_idx=matched)
-
-
-def match_controls_brute(
-    eta_treated: np.ndarray,
-    treated_idx: np.ndarray,
-    eta_control: np.ndarray,
-    control_idx: np.ndarray,
-) -> MatchResult:
-    """Exhaustive-scan reference implementation of :func:`match_controls`.
-
-    For each treated value ``t`` it scans every control for the nearest
-    value below ``t`` and the nearest value at or above it, keeps the left
-    one unless the right one's rounded distance is strictly smaller, and
-    then scans again for the smallest original index holding the winning
-    value.
-    """
-    eta_treated, treated_idx, eta_control, control_idx = _validate(
-        eta_treated, treated_idx, eta_control, control_idx
-    )
-    matched = np.empty_like(treated_idx)
-    for k, t_val in enumerate(eta_treated):
-        left = right = None
-        for c_val in eta_control:
-            if c_val < t_val:
-                if left is None or c_val > left:
-                    left = c_val
-            elif right is None or c_val < right:
-                right = c_val
-        if right is None or (left is not None and abs(t_val - left) <= abs(right - t_val)):
-            winner = left
-        else:
-            winner = right
-        matched[k] = min(c_idx for c_val, c_idx in zip(eta_control, control_idx) if c_val == winner)
     return MatchResult(treated_idx=treated_idx, control_idx=matched)

@@ -1,4 +1,5 @@
-"""Shared test helpers: the noiseless-null generator and tiny builders."""
+"""Shared test helpers: the noiseless-null generator, tiny builders and the
+brute-force matching oracle."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from threshmatch import ObservationSet
+from threshmatch import MatchResult, ObservationSet
+from threshmatch.matching import _validate
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -60,3 +62,37 @@ def make_pl_obs(
 @pytest.fixture()
 def null_obs() -> ObservationSet:
     return make_null_obs(seed=1234)
+
+
+def match_controls_brute(
+    eta_treated: np.ndarray,
+    treated_idx: np.ndarray,
+    eta_control: np.ndarray,
+    control_idx: np.ndarray,
+) -> MatchResult:
+    """Exhaustive-scan reference implementation of ``match_controls``.
+
+    For each treated value ``t`` it scans every control for the nearest
+    value below ``t`` and the nearest value at or above it, keeps the left
+    one unless the right one's rounded distance is strictly smaller, and
+    then scans again for the smallest original index holding the winning
+    value.
+    """
+    eta_treated, treated_idx, eta_control, control_idx = _validate(
+        eta_treated, treated_idx, eta_control, control_idx
+    )
+    matched = np.empty_like(treated_idx)
+    for k, t_val in enumerate(eta_treated):
+        left = right = None
+        for c_val in eta_control:
+            if c_val < t_val:
+                if left is None or c_val > left:
+                    left = c_val
+            elif right is None or c_val < right:
+                right = c_val
+        if right is None or (left is not None and abs(t_val - left) <= abs(right - t_val)):
+            winner = left
+        else:
+            winner = right
+        matched[k] = min(c_idx for c_val, c_idx in zip(eta_control, control_idx) if c_val == winner)
+    return MatchResult(treated_idx=treated_idx, control_idx=matched)

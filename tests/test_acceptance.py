@@ -22,7 +22,6 @@ from threshmatch import (
     estimate_att_crossfit,
     generate,
     match_controls,
-    match_controls_brute,
     monte_carlo_att,
     monte_carlo_ite,
     split_three_way,
@@ -32,7 +31,7 @@ from threshmatch.cli import main
 from threshmatch.rng import derive_seed
 from threshmatch.simulate import BETA_TRUE, X_AND_ETA, X_ONLY
 
-from conftest import FIXTURES, make_null_obs
+from conftest import FIXTURES, make_null_obs, match_controls_brute
 
 README = Path(__file__).parent.parent / "README.md"
 NULL_CSV = str(FIXTURES / "null_fixture.csv")

@@ -15,13 +15,12 @@ from threshmatch import (
     estimate_att_crossfit,
     estimate_theta,
     generate,
-    match_controls_brute,
     residuals_eta,
     split_three_way,
     treatment_mask,
 )
 
-from conftest import make_null_obs
+from conftest import make_null_obs, match_controls_brute
 
 # rows 0-2, 3-5 and 6-8 in role order, for the nine-row fixtures
 NATURAL_SPLITS_9 = SplitAssignment(np.arange(0, 3), np.arange(3, 6), np.arange(6, 9))

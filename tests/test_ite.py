@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from threshmatch import (
     DegenerateCovariate,
     DgpConfig,
     InputError,
+    MatchResult,
     NonFiniteValue,
     SplineBasisSpec,
     TooFewRows,
@@ -68,22 +70,21 @@ class TestBasis:
         rng = np.random.default_rng(0)
         x = rng.uniform(-2, 2, size=50)[:, None]
         spec = SplineBasisSpec(df_grid=(3,), df=3)
-        design, _ = build_basis(x, spec)
+        design = build_basis(x, spec, quantile_knots(x, 3))
         target = 1.5 + 2.0 * x[:, 0]
         coef = ols(design, target)
         assert np.abs(target - design @ coef).max() <= 1e-8
 
     def test_constant_covariate_rejected(self):
-        x = np.column_stack([np.ones(30), np.arange(30.0)])
-        spec = SplineBasisSpec(df_grid=(3,), df=3)
+        x = np.column_stack([np.arange(30.0), np.ones(30)])
         with pytest.raises(DegenerateCovariate) as err:
-            build_basis(x, spec)
-        assert err.value.col == 0
+            quantile_knots(x, 3)
+        assert err.value.col == 1
 
     def test_partition_of_unity_and_deboor_oracle(self):
         rng = np.random.default_rng(1)
         train = rng.uniform(0, 5, size=200)
-        knots = quantile_knots(train, df=5)
+        (knots,) = quantile_knots(train[:, None], df=5)
         points = np.concatenate([rng.uniform(0, 5, size=100), [train.min(), train.max()]])
         block = bspline_block(points, knots)
         assert np.abs(block.sum(axis=1) - 1.0).max() <= 1e-10
@@ -93,17 +94,11 @@ class TestBasis:
 
     def test_out_of_range_clamps_to_boundary(self):
         train = np.linspace(0.0, 1.0, 40)
-        knots = quantile_knots(train, df=4)
+        (knots,) = quantile_knots(train[:, None], df=4)
         low = bspline_block(np.array([-5.0, 0.0]), knots)
         high = bspline_block(np.array([7.0, 1.0]), knots)
         assert np.array_equal(low[0], low[1])
         assert np.array_equal(high[0], high[1])
-
-    def test_training_mode_requires_enough_rows(self):
-        x = np.arange(5.0)[:, None]
-        spec = SplineBasisSpec(df_grid=(10,), df=10)
-        with pytest.raises(TooFewRows):
-            build_basis(x, spec)
 
 
 class TestFitIte:
@@ -124,9 +119,23 @@ class TestFitIte:
         cases = ((est, model, splits.i3), (rotation, rot_model, splits.rotations()[1][2]))
         for run, fitted, block in cases:
             treated = block[mask[block]]
-            design, _ = build_basis(obs.x[treated], fitted.basis, fitted.knots)
+            design = build_basis(obs.x[treated], fitted.basis, fitted.knots)
             response = matched_differences(obs, run.beta_hat, run.matches)
             assert np.array_equal(fitted.coef, ols(design, response))
+
+    def test_cv_requires_enough_rows(self):
+        # x_only at the default grid: the widest design has 1 + 3 * 10 + 3 = 34
+        # columns, and the smallest training set, floor(3m/4) rows, reaches it at 46
+        obs, _, est, _ = _fitted_pipeline(seed=15, n=900, alpha=lambda x, eta: x[:, 0])
+
+        def first(m):
+            pairs = MatchResult(est.matches.treated_idx[:m], est.matches.control_idx[:m])
+            return replace(est, matches=pairs)
+
+        for m in (35, 43, 45):
+            with pytest.raises(TooFewRows, match=rf"need at least 46 rows, got {m}$"):
+                fit_ite(obs, first(m), SplineBasisSpec())
+        assert fit_ite(obs, first(46), SplineBasisSpec()).basis.df in DEFAULT_DF_GRID
 
     def test_cv_determinism(self):
         alpha = lambda x, eta: x[:, 0] ** 2 + x[:, 1] * x[:, 2]
@@ -150,7 +159,7 @@ class TestPredict:
         alpha = lambda x, eta: x[:, 0] ** 2
         obs, splits, _, model = _fitted_pipeline(seed=8, n=900, alpha=alpha)
         treated3 = splits.i3[treatment_mask(obs)[splits.i3]]
-        design, _ = build_basis(obs.x[treated3], model.basis, model.knots)
+        design = build_basis(obs.x[treated3], model.basis, model.knots)
         fitted = design @ model.coef
         batch = predict_ite_batch(model, obs.x[treated3])
         assert np.array_equal(batch, fitted)
@@ -286,11 +295,21 @@ class TestSerialization:
             ("knots0", lambda toks: [*toks[:-1], "inf"]),
             ("training_mse", lambda toks: ["nan"]),
             ("knots1", lambda toks: toks[::-1]),
+            ("knots0", lambda toks: toks[:-1]),
+            ("knots0", lambda toks: toks[:1] * len(toks)),
+            ("df", lambda toks: ["9"]),
+            ("coef", lambda toks: toks[:-1]),
+            ("df", lambda toks: ["2"]),
+            ("df_grid", lambda toks: [",".join(toks[0].split(",")[::-1])]),
         ],
-        ids=["nan-coef", "inf-knot", "nan-training-mse", "reversed-knots"],
+        ids=[
+            "nan-coef", "inf-knot", "nan-training-mse", "reversed-knots",
+            "short-knots", "equal-knots", "df-over-other-knots", "short-coef",
+            "df-below-degree", "decreasing-df-grid",
+        ],
     )
     def test_loader_rejects_non_finite_or_decreasing_values(self, tmp_path, field, edit):
-        # each would load and then predict NaN or fail inside scipy
+        # none describes a valid model, so loading must fail and name the file
         _, _, _, model = _fitted_pipeline(seed=14, n=900, alpha=lambda x, eta: x[:, 0])
         path = tmp_path / "model.txt"
         save_ite_model(model, str(path))

@@ -6,8 +6,9 @@ from threshmatch import (
     EmptyControlGroup,
     EmptyTreatedGroup,
     match_controls,
-    match_controls_brute,
 )
+
+from conftest import match_controls_brute
 
 
 def _random_instance(rng, ties=False):
