@@ -13,6 +13,11 @@ covariates, which are always included.  The per-covariate degrees of
 freedom are chosen by 4-fold cross-validation over a small grid.
 Evaluation outside the training range clamps to the boundary knots, so
 predictions stay bounded.
+
+The B-splines are evaluated in numpy, vectorised over rows, by the de
+Boor-Cox recurrence in the form SciPy's ``_deBoor_D`` uses: the same float
+operations in the same order, so designs are bit-equal to
+``scipy.interpolate.BSpline.design_matrix`` without importing SciPy.
 """
 
 from __future__ import annotations
@@ -106,27 +111,52 @@ def quantile_knots(covariates: np.ndarray, df: int) -> list[np.ndarray]:
     of the column, and the boundary knots (``DEGREE + 1`` times each) at its
     min and max.  A constant column raises DegenerateCovariate.
     """
+    columns = np.ascontiguousarray(np.asarray(covariates, dtype=np.float64).T)  # one row each
+    lo, hi = columns.min(axis=1), columns.max(axis=1)
+    constant = np.flatnonzero(lo == hi)
+    if constant.size:
+        raise DegenerateCovariate(int(constant[0]))
     qs = np.arange(1, df - DEGREE + 1) / (df - DEGREE + 1)
-    knots = []
-    for j, values in enumerate(np.asarray(covariates, dtype=np.float64).T):
-        lo, hi = float(values.min()), float(values.max())
-        if lo == hi:
-            raise DegenerateCovariate(j)
-        interior = np.quantile(values, qs)
-        knots.append(np.concatenate([[lo] * (DEGREE + 1), interior, [hi] * (DEGREE + 1)]))
-    return knots
+    knots = np.empty((columns.shape[0], df + DEGREE + 2))
+    knots[:, : DEGREE + 1] = lo[:, None]
+    knots[:, DEGREE + 1 : -DEGREE - 1] = np.quantile(columns, qs, axis=1).T
+    knots[:, -DEGREE - 1 :] = hi[:, None]
+    return list(knots)
 
 
 def bspline_block(values: np.ndarray, knots: np.ndarray) -> np.ndarray:
     """All cubic B-spline basis functions over ``knots``, evaluated with clamping.
 
     Rows sum to one inside the knot range (partition of unity); values
-    outside the boundary knots are clamped onto it first.
+    outside the boundary knots are clamped onto it first.  Bit-equal to
+    ``BSpline.design_matrix(clipped values, knots, 3).toarray()``.
     """
-    from scipy.interpolate import BSpline  # deferred: estimation never needs it
-
-    values = np.clip(np.asarray(values, dtype=np.float64), knots[0], knots[-1])
-    return BSpline.design_matrix(values, knots, DEGREE).toarray()
+    t = np.asarray(knots, dtype=np.float64)
+    x = np.clip(np.asarray(values, dtype=np.float64), t[0], t[-1])
+    n_basis = t.size - DEGREE - 1
+    # interval index: the last knot <= x, clipped to [DEGREE, n_basis - 1]
+    ell = np.full(x.shape, DEGREE)
+    for interior in t[DEGREE + 1 : n_basis]:
+        ell += x >= interior
+    # knot[c] holds t[ell + c] per row, for each offset the recurrence reads
+    knot = {c: t[ell + c] for c in range(1 - DEGREE, DEGREE + 1)}
+    # h holds the j + 1 nonzero degree-j B-splines on the interval, left to right
+    h = [np.ones_like(x)]
+    for j in range(1, DEGREE + 1):
+        hh, h = h, [np.zeros_like(x)]
+        for n in range(1, j + 1):
+            xb, xa = knot[n], knot[n - j]
+            span = xb - xa
+            # a zero-width span (repeated knots) contributes 0
+            w = np.divide(hh[n - 1], span, out=np.zeros_like(x), where=span != 0)
+            h[n - 1] += w * (xb - x)
+            h.append(w * (x - xa))
+    block = np.zeros((x.size, n_basis))
+    flat = block.reshape(-1)
+    first = np.arange(x.size) * n_basis + (ell - DEGREE)
+    for c in range(DEGREE + 1):
+        flat[first + c] = h[c] + 0.0  # + 0.0 turns -0.0 into 0.0
+    return block
 
 
 def build_basis(
@@ -189,13 +219,13 @@ def fit_ite(
         raise TooFewRows(m, -(-CV_FOLDS * max_dim // (CV_FOLDS - 1)))
 
     perm = rng_from(cv_seed).permutation(m)
-    folds = np.array_split(perm, CV_FOLDS)
+    folds = [(np.setdiff1d(perm, hold, assume_unique=True), hold)
+             for hold in np.array_split(perm, CV_FOLDS)]
     best_df, best_mse = None, np.inf
     for df in spec.df_grid:
         cand = replace(spec, df=int(df))
         fold_mse = []
-        for hold in folds:
-            train = np.setdiff1d(perm, hold, assume_unique=True)
+        for train, hold in folds:
             design = build_basis(cov, cand, quantile_knots(cov[train], df))
             coef = ols(design[train], response[train])
             err = response[hold] - design[hold] @ coef

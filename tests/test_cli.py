@@ -399,6 +399,28 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_ite_run_imports_no_scipy(self, tmp_path):
+        # the effect surface is numpy only: a whole `threshmatch ite` run, grid
+        # predictions included, never loads SciPy
+        data = tmp_path / "data.csv"
+        assert main(["simulate", "--mode", "gen", "--n", "3000", "--seed", "5",
+                     "--out", str(data)]) == 0
+        grid = tmp_path / "grid.csv"
+        grid.write_text("x1,x2,x3,eta_hat\n0.0,0.0,0.0,0.1\n1.0,0.5,-0.5,-0.2\n")
+        argv = ["ite", "--data", str(data), "--y", "y", "--q", "q",
+                "--x", "x1,x2,x3", "--z", "x1,x2,x3,x4", "--tau", "0.0",
+                "--include-eta", "true", "--model-out", str(tmp_path / "m.txt"),
+                "--predict-grid", str(grid)]
+        src = str(Path(__file__).parent.parent / "src")
+        code = ("import sys; from threshmatch.cli import main; code = main(sys.argv[1:]); "
+                "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')], "
+                "file=sys.stderr); sys.exit(code)")
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["predictions_out"]
+        assert proc.stderr.strip() == "[]"
+
     def test_benchmark_wrap_points_exist(self, monkeypatch):
         # the benchmark's tracer patches functions by name; one that an API change
         # renames or removes would silently drop its per-layer metric

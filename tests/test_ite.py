@@ -31,6 +31,8 @@ from threshmatch.simulate import X_AND_ETA, X_ONLY
 
 from conftest import make_pl_obs
 
+TIE_KINDS = ("continuous", "integer", "cubed", "rounded", "one-point")
+
 
 def deboor_basis(x: float, knots: np.ndarray, degree: int) -> np.ndarray:
     """Textbook Cox-de Boor recursion; right boundary closed like scipy."""
@@ -76,7 +78,8 @@ class TestBasis:
         assert np.abs(target - design @ coef).max() <= 1e-8
 
     def test_constant_covariate_rejected(self):
-        x = np.column_stack([np.arange(30.0), np.ones(30)])
+        # two constant columns: the error names the first
+        x = np.column_stack([np.arange(30.0), np.ones(30), np.arange(30.0), np.zeros(30)])
         with pytest.raises(DegenerateCovariate) as err:
             quantile_knots(x, 3)
         assert err.value.col == 1
@@ -99,6 +102,46 @@ class TestBasis:
         high = bspline_block(np.array([7.0, 1.0]), knots)
         assert np.array_equal(low[0], low[1])
         assert np.array_equal(high[0], high[1])
+
+    @pytest.mark.parametrize("kind", TIE_KINDS)
+    def test_bit_equal_to_scipy_design_matrix(self, kind):
+        # the evaluator repeats SciPy's recurrence, so every tie pattern must give
+        # SciPy's bytes; SciPy itself is only a test dependency
+        from scipy.interpolate import BSpline
+
+        rng = np.random.default_rng(TIE_KINDS.index(kind))
+        knot_vectors = []
+        for _ in range(30):
+            m = int(rng.integers(8, 300))
+            values = rng.normal(size=m)
+            if kind == "integer":
+                values = rng.integers(0, 5, size=m).astype(float)
+            elif kind == "cubed":
+                values = values**3
+            elif kind == "rounded":
+                values = np.round(values, 1)
+            elif kind == "one-point":
+                # the point is the min, an inner value or the max, so interior
+                # knots coincide with either boundary or with each other
+                point = rng.choice([values.min(), values[0], values.max()])
+                values = np.where(rng.random(m) < 0.7, point, values)
+            for df in DEFAULT_DF_GRID:
+                knot_vectors.append((values, *quantile_knots(values[:, None], df)))
+        # hand-made vectors with repeated interior knots, at and off the boundary
+        for knots in ([0, 0, 0, 0, 0, 1, 2, 2, 2, 2], [0, 0, 0, 0, 1, 2, 2, 2, 2, 2],
+                      [0, 0, 0, 0, 1, 1, 1, 2, 3, 3, 3, 3], [0, 0, 0, 0, 1, 1, 1, 1, 3, 3, 3, 3]):
+            knots = np.array(knots, dtype=np.float64)
+            knot_vectors.append((rng.uniform(-0.5, 3.5, size=50), knots))
+        for values, knots in knot_vectors:
+            queries = np.concatenate([
+                values, knots, np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
+                [knots[0] - 1.0, knots[-1] + 1.0, -1e300, 1e300, -0.0],
+            ])
+            block = bspline_block(queries, knots)
+            expected = BSpline.design_matrix(np.clip(queries, knots[0], knots[-1]), knots, 3)
+            expected = expected.toarray()
+            assert block.shape == expected.shape
+            assert block.tobytes() == expected.tobytes()
 
 
 class TestFitIte:
