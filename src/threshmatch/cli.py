@@ -6,8 +6,9 @@ embeds a manifest (subcommand, flags, seed, version, input digest, wall
 time) and is bit-reproducible from the manifest's flags; only the recorded
 duration varies between identical runs.
 
-Exit codes: 0 success; 2 input validation; 3 numeric failure;
-4 bootstrap failure budget exceeded.
+Exit codes: 0 success; 2 input validation; 3 numeric or structural
+failure (a singular fit, or a split left without treated or control
+rows); 4 bootstrap failure budget exceeded.
 """
 
 from __future__ import annotations
@@ -94,19 +95,15 @@ def _sha256(path: str) -> str:
 
 
 def _manifest(args: argparse.Namespace, started: float) -> dict:
-    flags = {k: v for k, v in vars(args).items() if k not in ("func",)}
-    for key, value in flags.items():
-        if isinstance(value, tuple):
-            flags[key] = list(value)
-    manifest = {
+    # json.dumps writes the tuple flags (--df-grid) as arrays
+    return {
         "subcommand": args.subcommand,
-        "flags": flags,
+        "flags": {k: v for k, v in vars(args).items() if k != "func"},
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "input_digest": _sha256(args.data) if getattr(args, "data", None) else None,
         "duration_s": time.perf_counter() - started,
     }
-    return manifest
 
 
 def _emit(payload: dict) -> None:
@@ -182,8 +179,7 @@ def cmd_ite(args: argparse.Namespace) -> dict:
     if args.predict_grid:
         # the model's covariate layout: the x columns, then eta_hat if fitted on it
         names = [*args.x, "eta_hat"] if args.include_eta else [*args.x]
-        columns = read_columns(args.predict_grid, names, min_rows=1)
-        grid = np.column_stack([columns[name] for name in names])
+        grid = read_columns(args.predict_grid, names, min_rows=1)
         preds = predict_ite_batch(model, grid)
         predictions_path = args.predictions_out or args.model_out + ".predictions.csv"
         write_columns(predictions_path, [*names, "alpha_hat"], [*grid.T, preds])
@@ -204,8 +200,8 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
         if not args.out:
             raise InputError("--mode gen requires --out PATH")
         obs = generate(DgpConfig(n=args.n, seed=args.seed, ite_kind=kind))
-        write_csv(args.out, obs, GEN_COLUMNS)
-        return {"written": args.out, "n": obs.n, "columns": ["y", "x1", "x2", "x3", "x4", "q"]}
+        columns = write_csv(args.out, obs, GEN_COLUMNS)
+        return {"written": args.out, "n": obs.n, "columns": columns}
     if args.mode == "mc-att":
         report = monte_carlo_att(
             DgpConfig(n=args.n, seed=0, ite_kind=kind),

@@ -120,7 +120,7 @@ class ObservationSet:
 
     def take(self, idx: np.ndarray) -> "ObservationSet":
         """Return the row subset (with repetition allowed, for resampling)."""
-        idx = np.asarray(idx, dtype=np.intp)
+        idx = check_indices(idx, self.n)
         return ObservationSet(self.y[idx], self.x[idx], self.z[idx], self.q[idx], self.tau0)
 
 
@@ -171,9 +171,9 @@ class SplitAssignment:
     i3: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "i1", np.sort(np.asarray(self.i1, dtype=np.intp)))
-        object.__setattr__(self, "i2", np.sort(np.asarray(self.i2, dtype=np.intp)))
-        object.__setattr__(self, "i3", np.sort(np.asarray(self.i3, dtype=np.intp)))
+        object.__setattr__(self, "i1", np.sort(row_indices(self.i1)))
+        object.__setattr__(self, "i2", np.sort(row_indices(self.i2)))
+        object.__setattr__(self, "i3", np.sort(row_indices(self.i3)))
 
     def rotations(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The three cyclic role rotations used by cross-fitting."""
@@ -203,9 +203,21 @@ def treatment_mask(obs: ObservationSet) -> np.ndarray:
     return obs.q >= obs.tau0
 
 
+def row_indices(idx: np.ndarray) -> np.ndarray:
+    """``idx`` as an ``intp`` array; a row-index array needs an integer dtype.
+
+    An empty array of any dtype passes.  Anything else, such as a boolean
+    mask or a float array, raises DimensionMismatch naming its dtype.
+    """
+    idx = np.asarray(idx)
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise DimensionMismatch(f"row indices need an integer dtype, got {idx.dtype}")
+    return idx.astype(np.intp, copy=False)
+
+
 def check_indices(idx: np.ndarray, n: int) -> np.ndarray:
     """Validate an index list against ``n`` rows; returns it as ``intp``."""
-    idx = np.asarray(idx, dtype=np.intp)
+    idx = row_indices(idx)
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         bad = idx[(idx < 0) | (idx >= n)][0]
         raise IndexOutOfRange(int(bad), n)
@@ -276,8 +288,11 @@ def _lines(data: bytes) -> io.TextIOWrapper:
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
 
 
-def read_columns(path: str, names: list[str], min_rows: int) -> dict[str, np.ndarray]:
-    """Parse the requested columns of a header-first CSV file, each distinct name once.
+def read_columns(path: str, names: list[str], min_rows: int) -> np.ndarray:
+    """A header-first CSV file's ``names`` as one ``(rows, len(names))`` float64 matrix.
+
+    Column ``k`` holds ``names[k]``; each distinct name is parsed once.
+    The matrix is column-major, so each column is contiguous.
 
     The one reader for data files and prediction grids.  The file is read
     once and must be UTF-8; a byte that is not raises :class:`InputError`
@@ -317,16 +332,17 @@ def read_columns(path: str, names: list[str], min_rows: int) -> dict[str, np.nda
         raise TooFewRows(0, min_rows)
     positions = _column_positions([h.strip() for h in header], names)
     distinct = list(dict.fromkeys(names))
+    order = [distinct.index(name) for name in names]
     body = (line for line in lines if not line.isspace())
     values = _parse_one_pass(body, [positions[name] for name in distinct])
     if values is not None and len(values) >= min_rows:
-        return {name: values[:, j].copy() for j, name in enumerate(distinct)}
+        return values[:, order]
     reader = csv.reader(_lines(data))
     next(reader)
     rows = [raw for raw in reader if raw and (len(raw) > 1 or raw[0].strip())]
     if len(rows) < min_rows:
         raise TooFewRows(len(rows), min_rows)
-    return {name: _parse_column(rows, positions[name], name) for name in distinct}
+    return np.column_stack([_parse_column(rows, positions[name], name) for name in distinct])[:, order]
 
 
 def load_csv(path: str, spec: ColumnSpec) -> ObservationSet:
@@ -335,18 +351,13 @@ def load_csv(path: str, spec: ColumnSpec) -> ObservationSet:
     Cells must be plain decimal or scientific notation; anything else
     (missing cells, locale separators, inf/nan spellings) is an error, as
     is a requested column that is absent from the header or named twice.
-    Row order is preserved; empty lines are skipped.  Each distinct column
-    is parsed once, as :func:`read_columns` describes.  Shared x/z columns
-    are copied into both matrices.
+    Row order is preserved; empty lines are skipped.  ``y``, ``q``, ``x``
+    and ``z`` are slices of the matrix :func:`read_columns` returns for
+    ``[y, q, *x_cols, *z_cols]``.
     """
-    columns = read_columns(path, [spec.y_col, spec.q_col, *spec.x_cols, *spec.z_cols], MIN_ROWS)
-    return ObservationSet(
-        y=columns[spec.y_col],
-        x=np.column_stack([columns[c] for c in spec.x_cols]),
-        z=np.column_stack([columns[c] for c in spec.z_cols]),
-        q=columns[spec.q_col],
-        tau0=spec.tau0,
-    )
+    table = read_columns(path, [spec.y_col, spec.q_col, *spec.x_cols, *spec.z_cols], MIN_ROWS)
+    d_x = len(spec.x_cols)
+    return ObservationSet(table[:, 0], table[:, 2 : 2 + d_x], table[:, 2 + d_x :], table[:, 1], spec.tau0)
 
 
 def write_columns(path: str, names: list[str], columns: list[np.ndarray]) -> None:
@@ -363,24 +374,20 @@ def write_columns(path: str, names: list[str], columns: list[np.ndarray]) -> Non
         fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
 
-def write_csv(path: str, obs: ObservationSet, spec: ColumnSpec) -> None:
+def write_csv(path: str, obs: ObservationSet, spec: ColumnSpec) -> list[str]:
     """Serialize an ObservationSet back to CSV with round-trippable floats.
 
-    Columns are emitted in the order ``y, x_cols, z_cols (new ones only),
-    q``; values use shortest round-trip decimal representation.
+    Of the roles ``y, *x_cols, *z_cols, q``, each name is written once, from
+    its first role.  Returns the header.  ``spec`` must name ``obs.d_x`` x
+    and ``obs.d_z`` z columns, else DimensionMismatch.
     """
-    names: list[str] = []
-    columns: list[np.ndarray] = []
-
-    def emit(name: str, col: np.ndarray) -> None:
-        if name not in names:
-            names.append(name)
-            columns.append(col)
-
-    emit(spec.y_col, obs.y)
-    for j, c in enumerate(spec.x_cols):
-        emit(c, obs.x[:, j])
-    for j, c in enumerate(spec.z_cols):
-        emit(c, obs.z[:, j])
-    emit(spec.q_col, obs.q)
-    write_columns(path, names, columns)
+    if (len(spec.x_cols), len(spec.z_cols)) != (obs.d_x, obs.d_z):
+        raise DimensionMismatch(
+            f"spec names {len(spec.x_cols)} x and {len(spec.z_cols)} z columns, "
+            f"the sample has {obs.d_x} and {obs.d_z}"
+        )
+    roles = [spec.y_col, *spec.x_cols, *spec.z_cols, spec.q_col]
+    columns = [obs.y, *obs.x.T, *obs.z.T, obs.q]
+    header = list(dict.fromkeys(roles))
+    write_columns(path, header, [columns[roles.index(name)] for name in header])
+    return header

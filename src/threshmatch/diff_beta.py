@@ -24,10 +24,10 @@ def order_by_eta(eta_hat: np.ndarray, control_idx: np.ndarray) -> np.ndarray:
     smaller original index, so the ordering is deterministic even though
     ties have probability zero for continuous residuals.
     """
-    control_idx = np.asarray(control_idx, dtype=np.intp)
+    eta_hat = np.asarray(eta_hat, dtype=np.float64)
+    control_idx = check_indices(control_idx, eta_hat.size)
     if control_idx.size == 0:
         raise EmptyControlGroup()
-    eta_hat = np.asarray(eta_hat, dtype=np.float64)
     order = np.lexsort((control_idx, eta_hat[control_idx]))
     return control_idx[order]
 

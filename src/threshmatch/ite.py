@@ -42,6 +42,8 @@ from .rng import rng_from
 DEFAULT_DF_GRID = (3, 4, 5, 6, 8, 10)
 CV_FOLDS = 4
 DEGREE = 3  # cubic splines; model files record it and the loader accepts only this
+# the fields of a model file, in order, before its knotsJ lines and coef
+_MODEL_KEYS = ("degree", "df", "df_grid", "include_eta", "interactions", "training_mse")
 
 
 @dataclass(frozen=True)
@@ -295,34 +297,37 @@ def save_ite_model(model: IteModel, path: str) -> None:
 def load_ite_model(path: str) -> IteModel:
     """Inverse of :func:`save_ite_model`.
 
-    A file that is not one, or that does not describe a valid
-    :class:`IteModel`, raises ArityMismatch naming the path.
+    The lines after the first are the ones :func:`save_ite_model` writes,
+    in its order, each once: ``degree, df, df_grid, include_eta,
+    interactions, training_mse, knots0 .. knots{d-1}, coef``, with
+    ``include_eta`` 0 or 1.  Any other file, or one that does not describe
+    a valid :class:`IteModel`, raises ArityMismatch naming the path.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != "threshmatch-ite-model v1":
         raise ArityMismatch(f"{path}: not a threshmatch ITE model file")
-    fields: dict[str, str] = {}
-    for ln in lines[1:]:
-        key, _, rest = ln.partition(" ")
-        fields[key] = rest
+    pairs = [ln.partition(" ")[::2] for ln in lines[1:]]
+    knot_keys = [f"knots{j}" for j in range(len(pairs) - len(_MODEL_KEYS) - 1)]
+    if [key for key, _ in pairs] != [*_MODEL_KEYS, *knot_keys, "coef"]:
+        raise ArityMismatch(f"{path}: lines are not {', '.join(_MODEL_KEYS)}, knots0.., coef in order")
+    fields = dict(pairs)
     # neither changes the coefficient count, so a mismatch would predict wrongly
-    if fields.get("degree") != str(DEGREE) or fields.get("interactions") != "1":
+    if fields["degree"] != str(DEGREE) or fields["interactions"] != "1":
         raise ArityMismatch(f"{path}: only cubic models with interactions are supported")
+    if fields["include_eta"] not in ("0", "1"):
+        raise ArityMismatch(f"{path}: include_eta is not 0 or 1")
     try:
-        knot_keys = sorted((k for k in fields if k.startswith("knots")), key=lambda s: int(s[5:]))
-        knots = [
-            np.array([float.fromhex(tok) for tok in fields[k].split()]) for k in knot_keys
-        ]
+        knots = [np.array([float.fromhex(tok) for tok in fields[k].split()]) for k in knot_keys]
         spec = SplineBasisSpec(
             df_grid=tuple(int(v) for v in fields["df_grid"].split(",")),
-            include_eta=bool(int(fields["include_eta"])),
+            include_eta=fields["include_eta"] == "1",
             df=int(fields["df"]),
         )
         coef = np.array([float.fromhex(tok) for tok in fields["coef"].split()])
         training_mse = float.fromhex(fields["training_mse"])
         return IteModel(basis=spec, knots=knots, coef=coef, training_mse=training_mse)
-    except (KeyError, ValueError) as exc:
-        raise ArityMismatch(f"{path}: missing or malformed field ({exc!r})") from None
+    except ValueError as exc:
+        raise ArityMismatch(f"{path}: malformed field ({exc!r})") from None
     except (ArityMismatch, DimensionMismatch) as exc:
         raise ArityMismatch(f"{path}: {exc}") from None

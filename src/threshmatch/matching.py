@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_model import row_indices
 from .errors import DimensionMismatch, EmptyControlGroup, EmptyTreatedGroup
 
 
@@ -63,8 +64,8 @@ class MatchResult:
 def _validate(eta_treated, treated_idx, eta_control, control_idx):
     eta_treated = np.asarray(eta_treated, dtype=np.float64)
     eta_control = np.asarray(eta_control, dtype=np.float64)
-    treated_idx = np.asarray(treated_idx, dtype=np.intp)
-    control_idx = np.asarray(control_idx, dtype=np.intp)
+    treated_idx = row_indices(treated_idx)
+    control_idx = row_indices(control_idx)
     for side, values, idx in (
         ("treated", eta_treated, treated_idx),
         ("control", eta_control, control_idx),

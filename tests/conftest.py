@@ -1,5 +1,5 @@
-"""Shared test helpers: the noiseless-null generator, tiny builders and the
-brute-force matching oracle."""
+"""Shared test helpers: the noiseless-null generator, tiny builders, a
+discrete-score variant of the generator and the brute-force matching oracle."""
 
 from __future__ import annotations
 
@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from threshmatch import MatchResult, ObservationSet
+from threshmatch import DgpConfig, MatchResult, ObservationSet, true_ite_fn
 from threshmatch.matching import _validate
+from threshmatch.rng import rng_from
+from threshmatch.simulate import EPS_SD
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -57,6 +59,29 @@ def make_pl_obs(
     if eps_sd > 0:
         y = y + rng.normal(0.0, eps_sd, size=n)
     return ObservationSet(y=y, x=x, z=covs, q=q, tau0=0.0)
+
+
+def generate_discrete(config: DgpConfig) -> ObservationSet:
+    """``generate`` with a discrete score: ``q`` on a 0.5 grid, ``x4`` drawn as +-1.
+
+    The draws are ``generate``'s, in its order, so ``x1..x3``, ``eta`` and
+    the noise equal its own for the same config; ``x4`` is the sign of its
+    normal draw.  ``y`` is built from the rounded ``q`` as ``generate``
+    builds it, so treatment is ``rounded q >= 0``; the effect surface is
+    the generator's, at the latent score ``x4 + eta``.  Matching on such
+    data pairs clustered ``eta_hat`` values, the shape of a study whose
+    score (a GPA's distance from a cutoff) is discrete.
+    """
+    rng = rng_from(config.seed)
+    covs = rng.standard_normal((config.n, 4))
+    eta = rng.uniform(-1.0, 1.0, size=config.n)
+    eps = rng.normal(0.0, EPS_SD, size=config.n)
+    covs[:, 3] = np.where(covs[:, 3] >= 0.0, 1.0, -1.0)
+    latent = covs[:, 3] + eta
+    q = np.round(2.0 * latent) / 2.0
+    alpha = true_ite_fn(config.ite_kind)(covs[:, :3], covs, latent)
+    y = alpha * (q >= 0.0) + covs[:, 0] + covs[:, 2] + eta / 2.0 + eps
+    return ObservationSet(y=y, x=covs[:, :3], z=covs, q=q, tau0=0.0)
 
 
 @pytest.fixture()

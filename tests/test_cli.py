@@ -267,7 +267,50 @@ class TestIte:
         assert message in err
 
 
+    def test_df_grid_and_include_eta_false_reach_the_model_file(self, tmp_path, case1_csv, capsys):
+        capsys.readouterr()
+        model_out = tmp_path / "m.txt"
+        args = ["ite", "--data", case1_csv, "--y", "y", "--q", "q",
+                "--x", "x1,x2,x3", "--z", "x1,x2,x3,x4", "--tau", "0.0",
+                "--df-grid", "3,4", "--include-eta", "false", "--model-out", str(model_out)]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        doc = json.loads(out)
+        validate_schema(doc)
+        assert doc["manifest"]["flags"]["df_grid"] == [3, 4]
+        assert doc["manifest"]["flags"]["include_eta"] is False
+        lines = model_out.read_text().splitlines()
+        assert "df_grid 3,4" in lines and "include_eta 0" in lines
+
+
+class TestFlagParsing:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["estimate", *ESTIMATE_FLAGS, "--seed", "-1"], "seed must be non-negative"),
+            (["estimate", *ESTIMATE_FLAGS, "--seed", "x"], "expected an unsigned integer"),
+            (["estimate", *ESTIMATE_FLAGS, "--x", ","], "comma-separated list of column names"),
+            (["ite", *ESTIMATE_FLAGS, "--model-out", "m.txt", "--df-grid", "3,x"],
+             "comma-separated list of integers"),
+            (["ite", *ESTIMATE_FLAGS, "--model-out", "m.txt", "--include-eta", "maybe"],
+             "expected true/false"),
+        ],
+        ids=["negative-seed", "non-integer-seed", "empty-column-list", "bad-df-grid", "bad-bool"],
+    )
+    def test_bad_flag_exits_two(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 class TestSimulate:
+    def test_gen_without_out_exits_two(self, capsys):
+        code, out, err = run_cli(["simulate", "--mode", "gen", "--n", "9"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--mode gen requires --out PATH" in err
+
     def test_gen_smallest_legal_n(self, tmp_path, capsys):
         out_path = tmp_path / "tiny.csv"
         code, out, _ = run_cli(
@@ -279,6 +322,7 @@ class TestSimulate:
         validate_schema(doc)
         lines = out_path.read_text().strip().split("\n")
         assert lines[0] == "y,x1,x2,x3,x4,q"
+        assert doc["columns"] == lines[0].split(",")
         assert len(lines) == 10
 
     def test_gen_estimate_round_trip_matches_in_process(self, tmp_path, capsys):

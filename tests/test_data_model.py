@@ -19,8 +19,17 @@ from threshmatch import (
     treatment_mask,
     write_csv,
 )
+from threshmatch import (
+    IndexOutOfRange,
+    SplitAssignment,
+    match_controls,
+    order_by_eta,
+    residuals_eta,
+)
 from threshmatch import data_model
-from threshmatch.data_model import MIN_ROWS
+from threshmatch.data_model import MIN_ROWS, check_indices, read_columns, row_indices
+
+from conftest import make_null_obs
 
 
 def _write(tmp_path, name, text):
@@ -378,6 +387,112 @@ def test_write_csv_bytes_match_csv_writer(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+class TestReadColumnsMatrix:
+    @pytest.mark.parametrize("blank_quoted_line", [False, True], ids=["one-pass", "per-cell"])
+    def test_column_k_holds_names_k_on_both_paths(self, tmp_path, blank_quoted_line):
+        # a line of only "" sends the file to the per-cell reader
+        values = np.arange(27.0).reshape(9, 3)
+        text = "a,b,c\n" + _rows(values.tolist()) + ('\n""\n' if blank_quoted_line else "\n")
+        table = read_columns(_write(tmp_path, "m.csv", text), ["c", "a", "c", "b"], MIN_ROWS)
+        assert isinstance(table, np.ndarray)
+        assert table.dtype == np.float64
+        assert np.array_equal(table, values[:, [2, 0, 2, 1]])
+        # column-major, so y and q are contiguous columns of the matrix
+        assert table.flags.f_contiguous
+
+    def test_load_csv_slices_one_matrix(self, tmp_path):
+        values = np.arange(45.0).reshape(9, 5)
+        path = _write(tmp_path, "s.csv", "y,a,b,c,q\n" + _rows(values.tolist()) + "\n")
+        spec = ColumnSpec(y_col="y", q_col="q", x_cols=["c", "a"], z_cols=["a", "b"], tau0=0.0)
+        obs = load_csv(path, spec)
+        assert np.array_equal(obs.y, values[:, 0]) and np.array_equal(obs.q, values[:, 4])
+        assert np.array_equal(obs.x, values[:, [3, 1]])
+        assert np.array_equal(obs.z, values[:, [1, 2]])
+        assert obs.y.flags.c_contiguous and obs.q.flags.c_contiguous
+        # row gathers, as every fit takes them, come back C-contiguous
+        assert obs.x[[0, 3]].flags.c_contiguous and obs.z[[1, 2]].flags.c_contiguous
+
+
+class TestWriteCsv:
+    def test_each_name_keeps_its_first_role_and_the_header_is_returned(self, tmp_path):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(9, 5))
+        obs = ObservationSet(y=a[:, 0], x=a[:, 1:3], z=a[:, [3, 4]], q=a[:, 4], tau0=0.0)
+        # q is also x's first column and b is in x and z: both are written from x
+        spec = ColumnSpec(y_col="y", q_col="q", x_cols=["q", "b"], z_cols=["c", "b"], tau0=0.0)
+        path = tmp_path / "roles.csv"
+        header = write_csv(str(path), obs, spec)
+        assert header == ["y", "q", "b", "c"]
+        lines = path.read_text().splitlines()
+        assert lines[0] == "y,q,b,c"
+        first = [float(v) for v in lines[1].split(",")]
+        assert first == [a[0, 0], a[0, 1], a[0, 2], a[0, 3]]
+
+    @pytest.mark.parametrize(
+        "x_cols, z_cols",
+        [(["a"], ["c", "d"]), (["a", "b", "e"], ["c", "d"]), (["a", "b"], ["c"]), (["a", "b"], ["c", "d", "e"])],
+        ids=["x-short", "x-long", "z-short", "z-long"],
+    )
+    def test_spec_width_must_match_the_sample(self, tmp_path, x_cols, z_cols):
+        # a short spec used to drop columns silently, and a long one hit numpy's IndexError
+        obs = ObservationSet(y=np.zeros(9), x=np.ones((9, 2)), z=np.ones((9, 2)), q=np.zeros(9), tau0=0.0)
+        spec = ColumnSpec(y_col="y", q_col="q", x_cols=x_cols, z_cols=z_cols, tau0=0.0)
+        with pytest.raises(DimensionMismatch, match="columns"):
+            write_csv(str(tmp_path / "w.csv"), obs, spec)
+        assert not (tmp_path / "w.csv").exists()
+
+
+_N = 30
+
+
+def _entry_points():
+    obs = make_null_obs(seed=3, n=_N)
+    return {
+        "check_indices": lambda idx: check_indices(idx, _N),
+        "take": obs.take,
+        "residuals_eta": lambda idx: residuals_eta(np.zeros(obs.d_z), obs, idx),
+        "order_by_eta": lambda idx: order_by_eta(np.zeros(_N), idx),
+        "SplitAssignment": lambda idx: SplitAssignment(idx, np.arange(3), np.arange(3)),
+        "match_controls": lambda idx: match_controls(np.zeros(len(idx)), idx, np.zeros(3), np.arange(3)),
+    }
+
+
+# SplitAssignment and match_controls know no row count, so only the dtype rule applies there
+_WITH_ROW_COUNT = ("check_indices", "take", "residuals_eta", "order_by_eta")
+
+
+class TestRowIndices:
+    @pytest.mark.parametrize("entry", sorted(_entry_points()))
+    @pytest.mark.parametrize(
+        "idx, dtype",
+        [(np.arange(_N) % 3 == 0, "bool"), (np.linspace(0.0, 8.5, 9), "float64")],
+        ids=["bool-mask", "float-array"],
+    )
+    def test_non_integer_dtype_is_rejected(self, entry, idx, dtype):
+        # a mask used to become rows 0 and 1, and floats were truncated
+        with pytest.raises(DimensionMismatch, match=f"got {dtype}"):
+            _entry_points()[entry](idx)
+
+    @pytest.mark.parametrize("entry", _WITH_ROW_COUNT)
+    @pytest.mark.parametrize("row", [-1, _N], ids=["minus-one", "n"])
+    def test_rows_outside_the_sample_are_rejected(self, entry, row):
+        # -1 used to take the last row, and n raised numpy's bare IndexError
+        with pytest.raises(IndexOutOfRange) as err:
+            _entry_points()[entry](np.full(9, row))
+        assert err.value.index == row
+
+    def test_empty_array_of_any_dtype_passes(self):
+        for empty in ([], np.array([], dtype=bool), np.array([], dtype=np.float64)):
+            out = row_indices(empty)
+            assert out.dtype == np.intp and out.size == 0
+            assert check_indices(empty, 5).size == 0
+
+    def test_integer_arrays_pass_as_intp(self):
+        for dtype in (np.int32, np.int64, np.uint8, np.intp):
+            out = check_indices(np.array([0, 4, 2], dtype=dtype), 5)
+            assert out.dtype == np.intp and out.tolist() == [0, 4, 2]
+
+
 class TestObservationSet:
     def test_rejects_nan(self):
         y = np.zeros(9)
@@ -401,6 +516,19 @@ class TestObservationSet:
             ObservationSet(
                 y=np.zeros(8), x=np.zeros((8, 1)), z=np.zeros((8, 1)), q=np.zeros(8), tau0=0.0
             )
+
+    @pytest.mark.parametrize(
+        "y, x, q, message",
+        [
+            (np.zeros((9, 1)), np.zeros((9, 1)), np.zeros(9), "one-dimensional"),
+            (np.zeros(9), np.zeros((10, 1)), np.zeros(9), "row counts differ"),
+            (np.zeros(9), np.zeros((9, 0)), np.zeros(9), "at least one column"),
+        ],
+        ids=["2d-y", "unequal-rows", "zero-column-x"],
+    )
+    def test_rejects_misshapen_columns(self, y, x, q, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            ObservationSet(y=y, x=x, z=np.zeros((9, 1)), q=q, tau0=0.0)
 
     def test_z_intercept_appends_ones(self, null_obs):
         wide = null_obs.with_z_intercept()
@@ -480,6 +608,11 @@ class TestColumnSpecValidation:
     def test_degenerate_roles_rejected(self, x_cols, z_cols, y_col, q_col, named):
         with pytest.raises(DimensionMismatch, match=f"'{named}'"):
             ColumnSpec(y_col=y_col, q_col=q_col, x_cols=x_cols, z_cols=z_cols, tau0=0.0)
+
+    @pytest.mark.parametrize("x_cols, z_cols", [([], ["a"]), (["a"], [])], ids=["x", "z"])
+    def test_empty_roles_rejected(self, x_cols, z_cols):
+        with pytest.raises(DimensionMismatch, match="nonempty"):
+            ColumnSpec(y_col="y", q_col="q", x_cols=x_cols, z_cols=z_cols, tau0=0.0)
 
     def test_overlap_and_score_in_x_allowed(self):
         ColumnSpec(y_col="y", q_col="q", x_cols=["a", "b"], z_cols=["b", "a"], tau0=0.0)

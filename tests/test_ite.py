@@ -26,7 +26,7 @@ from threshmatch import (
 )
 from threshmatch.att import crossfit_on_splits, matched_differences
 from threshmatch.data_model import treatment_mask
-from threshmatch.ite import DEFAULT_DF_GRID, bspline_block, quantile_knots
+from threshmatch.ite import DEFAULT_DF_GRID, IteModel, bspline_block, quantile_knots
 from threshmatch.simulate import X_AND_ETA, X_ONLY
 
 from conftest import make_pl_obs
@@ -344,11 +344,13 @@ class TestSerialization:
             ("coef", lambda toks: toks[:-1]),
             ("df", lambda toks: ["2"]),
             ("df_grid", lambda toks: [",".join(toks[0].split(",")[::-1])]),
+            ("df", lambda toks: ["x"]),
+            ("coef", lambda toks: ["0xzz", *toks[1:]]),
         ],
         ids=[
             "nan-coef", "inf-knot", "nan-training-mse", "reversed-knots",
             "short-knots", "equal-knots", "df-over-other-knots", "short-coef",
-            "df-below-degree", "decreasing-df-grid",
+            "df-below-degree", "decreasing-df-grid", "malformed-df", "malformed-coef",
         ],
     )
     def test_loader_rejects_non_finite_or_decreasing_values(self, tmp_path, field, edit):
@@ -362,6 +364,45 @@ class TestSerialization:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ArityMismatch, match=re.escape(str(path))):
             load_ite_model(str(path))
+
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: [*lines[:-1], "extra 1", lines[-1]],
+            lambda lines: [*lines[:-1], "training_mse 0x1.0p-3", lines[-1]],
+            lambda lines: [ln.replace("include_eta 0", "include_eta 7") for ln in lines],
+            lambda lines: [ln.replace("knots0 ", "knots-1 ") for ln in lines],
+            lambda lines: [ln.replace("knots2 ", "knots7 ") for ln in lines],
+            lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
+        ],
+        ids=["unknown-key", "repeated-key", "include-eta-7", "knots-minus-1", "knots-gap",
+             "reordered"],
+    )
+    def test_loader_takes_only_the_lines_the_writer_writes(self, tmp_path, edit):
+        # each of these files used to load: unknown keys were ignored, the last
+        # repeat won, any integer was a bool and knot lines were sorted by suffix
+        _, _, _, model = _fitted_pipeline(seed=14, n=900, alpha=lambda x, eta: x[:, 0])
+        path = tmp_path / "model.txt"
+        save_ite_model(model, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [ln.split()[0] for ln in lines[1:]] == [
+            "degree", "df", "df_grid", "include_eta", "interactions", "training_mse",
+            "knots0", "knots1", "knots2", "coef",
+        ]
+        path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        with pytest.raises(ArityMismatch, match=re.escape(str(path))):
+            load_ite_model(str(path))
+
+    def test_loader_rejects_other_files(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("threshmatch-ite-model v2\ndegree 3\n", encoding="utf-8")
+        with pytest.raises(ArityMismatch, match="not a threshmatch ITE model file"):
+            load_ite_model(str(path))
+
+    def test_model_needs_a_df(self):
+        with pytest.raises(ArityMismatch, match="no df"):
+            IteModel(basis=SplineBasisSpec(), knots=[], coef=np.zeros(1), training_mse=0.0)
 
 
 class TestSpecValidation:

@@ -76,6 +76,10 @@ def test_dimension_errors():
         ols(np.ones((3, 1)), np.ones(4))  # row mismatch
     with pytest.raises(DimensionMismatch):
         ols(np.ones(3), np.ones(3))  # 1-D design
+    with pytest.raises(DimensionMismatch, match="response must be 1-D"):
+        ols(np.ones((3, 1)), np.ones((3, 1)))
+    with pytest.raises(DimensionMismatch, match="at least one column"):
+        ols(np.ones((3, 0)), np.ones(3))
 
 
 def test_bits_match_solve_triangular_on_the_same_qr():

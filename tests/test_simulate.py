@@ -9,6 +9,7 @@ from threshmatch import (
     DimensionMismatch,
     EmptyControlGroup,
     SplineBasisSpec,
+    TooFewRows,
     generate,
     monte_carlo_att,
     monte_carlo_ite,
@@ -64,6 +65,12 @@ class TestGenerate:
         sample_se = obs.y[obs.q < 0].std() / np.sqrt((obs.q < 0).sum())
         tol = 3.0 * float(np.hypot(oracle_se, sample_se))
         assert abs(sample_mean - oracle_mean) <= tol
+
+    def test_config_rejects_small_n_and_unknown_kind(self):
+        with pytest.raises(TooFewRows):
+            DgpConfig(n=8, seed=0)
+        with pytest.raises(DimensionMismatch, match="unknown ite_kind"):
+            DgpConfig(n=9, seed=0, ite_kind="x_squared")
 
     def test_x_only_kind_drops_eta_square(self):
         cfg = DgpConfig(n=50_000, seed=8, ite_kind=X_ONLY)
