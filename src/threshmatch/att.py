@@ -14,6 +14,14 @@ reruns the pipeline under the three cyclic role rotations of one fixed
 partition and averages the resulting estimates.
 :func:`estimate_theta` turns a seed into a partition and returns the
 single-run or the cross-fitted estimate on it.
+
+A bootstrap replicate runs the same pipeline on a resample without
+copying it.  Its row map ``rows`` says which row of ``obs`` each of the
+``n`` resample positions copies.  The splits, ``eta_hat``, the treated
+mask and the matches are indexed by position, and so are the tie keys of
+the eta ordering and of matching, exactly as on a copied resample; only
+the gathers of ``z``, ``q``, ``x`` and ``y`` go through ``rows``.  A plain
+run passes no row map and gathers nothing extra.
 """
 
 from __future__ import annotations
@@ -22,7 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import ObservationSet, SplitAssignment, split_three_way, treatment_mask
+from .data_model import (
+    ObservationSet,
+    SplitAssignment,
+    check_indices,
+    rows_at,
+    split_three_way,
+    treatment_mask,
+)
 from .diff_beta import fit_beta
 from .errors import labelled
 from .matching import MatchResult, match_controls
@@ -56,10 +71,18 @@ class CrossfitEstimate:
 
 
 def matched_differences(
-    obs: ObservationSet, beta_hat: np.ndarray, matches: MatchResult
+    obs: ObservationSet,
+    beta_hat: np.ndarray,
+    matches: MatchResult,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Adjusted-outcome gaps ``(y_t - x_t @ b) - (y_c - x_c @ b)`` per pair."""
-    t_idx, c_idx = matches.treated_idx, matches.control_idx
+    """Adjusted-outcome gaps ``(y_t - x_t @ b) - (y_c - x_c @ b)`` per pair.
+
+    The matched rows must lie in ``0..n-1``; with a row map they are
+    resample positions.
+    """
+    t_idx = rows_at(rows, check_indices(matches.treated_idx, obs.n))
+    c_idx = rows_at(rows, check_indices(matches.control_idx, obs.n))
     adj_t = obs.y[t_idx] - obs.x[t_idx] @ beta_hat
     adj_c = obs.y[c_idx] - obs.x[c_idx] @ beta_hat
     return adj_t - adj_c
@@ -75,27 +98,28 @@ def _estimate_with_roles(
     gamma_split: np.ndarray,
     beta_split: np.ndarray,
     match_split: np.ndarray,
+    rows: np.ndarray | None = None,
 ) -> AttEstimate:
     with labelled("I1"):
-        gamma_hat = fit_gamma(obs, gamma_split)
+        gamma_hat = fit_gamma(obs, rows_at(rows, gamma_split))
 
     # residuals are needed on the second and third splits only; rows of the
     # first split keep NaN so accidental use fails loudly
     eta_hat = np.full(obs.n, np.nan)
     idx23 = np.concatenate([beta_split, match_split])
-    eta_hat[idx23] = residuals_eta(gamma_hat, obs, idx23)
+    eta_hat[idx23] = residuals_eta(gamma_hat, obs, rows_at(rows, idx23))
     eta_hat.setflags(write=False)
 
     with labelled("I2"):
-        beta_hat = fit_beta(obs, beta_split, eta_hat)
+        beta_hat = fit_beta(obs, beta_split, eta_hat, rows)
 
-    mask = treatment_mask(obs)
-    treated3 = match_split[mask[match_split]]
-    control3 = match_split[~mask[match_split]]
+    treated = treatment_mask(obs)[rows_at(rows, match_split)]
+    treated3 = match_split[treated]
+    control3 = match_split[~treated]
     with labelled("I3"):
         matches = match_controls(eta_hat[treated3], treated3, eta_hat[control3], control3)
 
-    theta_hat = float(np.mean(matched_differences(obs, beta_hat, matches)))
+    theta_hat = float(np.mean(matched_differences(obs, beta_hat, matches, rows)))
     return AttEstimate(theta_hat, beta_hat, gamma_hat, matches, eta_hat)
 
 
@@ -109,26 +133,33 @@ def estimate_att_crossfit(obs: ObservationSet, seed: int = 0) -> CrossfitEstimat
     return crossfit_on_splits(obs, split_three_way(obs.n, seed=seed))
 
 
-def crossfit_on_splits(obs: ObservationSet, splits: SplitAssignment) -> CrossfitEstimate:
-    """Cross-fit over the rotations of an existing partition."""
+def crossfit_on_splits(
+    obs: ObservationSet, splits: SplitAssignment, rows: np.ndarray | None = None
+) -> CrossfitEstimate:
+    """Cross-fit over the rotations of an existing partition (of positions, given ``rows``)."""
     rotations: list[AttEstimate] = []
     for r, (g, b, m) in enumerate(splits.rotations()):
         with labelled(f"rotation {r}"):
-            rotations.append(_estimate_with_roles(obs, g, b, m))
+            rotations.append(_estimate_with_roles(obs, g, b, m, rows))
     theta_cf = (
         rotations[0].theta_hat + rotations[1].theta_hat + rotations[2].theta_hat
     ) / 3.0
     return CrossfitEstimate(theta_cf=theta_cf, rotations=rotations)
 
 
-def estimate_theta(obs: ObservationSet, seed: int, crossfit: bool = False) -> float:
+def estimate_theta(
+    obs: ObservationSet, seed: int, crossfit: bool = False, rows: np.ndarray | None = None
+) -> float:
     """The ATT estimate of one seeded run on the partition drawn from ``seed``.
 
     Returns ``theta_hat`` of one pipeline run in role order or, with
     ``crossfit``, ``theta_cf`` over the partition's three role rotations.
-    Callers that need the intermediate fits call :func:`estimate_att` or
+    With a row map ``rows`` the run is on that resample of ``obs``: the
+    result equals the run on ``obs.take(rows)`` bit for bit.  Callers that
+    need the intermediate fits call :func:`estimate_att` or
     :func:`estimate_att_crossfit` instead.
     """
+    splits = split_three_way(obs.n, seed=seed)
     if crossfit:
-        return estimate_att_crossfit(obs, seed=seed).theta_cf
-    return estimate_att(obs, split_three_way(obs.n, seed=seed)).theta_hat
+        return crossfit_on_splits(obs, splits, rows).theta_cf
+    return _estimate_with_roles(obs, splits.i1, splits.i2, splits.i3, rows).theta_hat

@@ -9,7 +9,11 @@ the effective sample behind a single-run estimate.
 
 Every replicate's randomness is counter-derived from ``(seed, r)``, so
 replicate ``r`` can be recomputed alone and parallel execution cannot
-change results.
+change results.  A replicate copies no data: it runs the pipeline on the
+resample's row map (see :mod:`threshmatch.att`).  The replicates run in
+contiguous ranges on up to as many processes as ``os.sched_getaffinity``
+grants CPUs (see :mod:`threshmatch.parallel`), with results bit-identical
+to a serial run.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 from .att import estimate_theta
 from .data_model import ObservationSet
 from .errors import InputError, InvalidLevel, NumericError, StructuralError, TooManyFailures
+from .parallel import map_ranges
 from .rng import derive_seed, rng_from
 
 FAILURE_BUDGET = 0.02  # fraction of replicates allowed to fail structurally
@@ -43,11 +48,12 @@ def bootstrap_replicate(
     """Compute replicate ``r`` in isolation.
 
     Draws ``n`` rows with replacement (stream ``(seed, r, 0)``), re-splits
-    the resampled data (seed ``(seed, r, 1)``), and runs the pipeline.
+    the resampled data (seed ``(seed, r, 1)``), and runs the pipeline on
+    the resample's row map, bit-identical to a run on ``obs.take(rows)``.
     Raises the pipeline's structural errors on degenerate resamples.
     """
     rows = rng_from(seed, r, 0).integers(0, obs.n, size=obs.n)
-    return estimate_theta(obs.take(rows), derive_seed(seed, r, 1), crossfit)
+    return estimate_theta(obs, derive_seed(seed, r, 1), crossfit, rows)
 
 
 def bootstrap_att(
@@ -71,13 +77,14 @@ def bootstrap_att(
     if b < 2:
         raise InputError(f"need at least 2 bootstrap replicates, got {b}")
 
-    values: list[float] = []
-    b_failed = 0
-    for r in range(b):
+    def replicate(r: int) -> float | None:
         try:
-            values.append(bootstrap_replicate(obs, r, seed, crossfit))
+            return bootstrap_replicate(obs, r, seed, crossfit)
         except (StructuralError, NumericError):
-            b_failed += 1
+            return None  # a failed replicate, counted against the budget
+
+    values = [v for v in map_ranges(replicate, b) if v is not None]
+    b_failed = b - len(values)
     if b_failed > FAILURE_BUDGET * b or b - b_failed < 2:
         raise TooManyFailures(b_failed, b, FAILURE_BUDGET)
 

@@ -224,6 +224,16 @@ def check_indices(idx: np.ndarray, n: int) -> np.ndarray:
     return idx
 
 
+def rows_at(rows: np.ndarray | None, idx: np.ndarray) -> np.ndarray:
+    """The data rows behind positions ``idx`` of a resample: ``rows[idx]``.
+
+    ``rows`` maps each position of a bootstrap resample to the row it
+    copies.  Without one (``None``) positions are rows and ``idx`` comes
+    back as it is, so a plain run gathers nothing.
+    """
+    return idx if rows is None else rows[idx]
+
+
 def _parse_cell(cell: str, row: int, col: str) -> float:
     text = cell.strip()
     if not _NUMBER_RE.match(text):

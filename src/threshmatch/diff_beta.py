@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data_model import ObservationSet, check_indices, treatment_mask
+from .data_model import ObservationSet, check_indices, rows_at, treatment_mask
 from .errors import EmptyControlGroup, TooFewControls
 from .linreg import ols
 
@@ -45,20 +45,29 @@ def first_differences(
     return np.diff(x_sorted, axis=0), np.diff(y_sorted)
 
 
-def fit_beta(obs: ObservationSet, i2: np.ndarray, eta_hat: np.ndarray) -> np.ndarray:
+def fit_beta(
+    obs: ObservationSet,
+    i2: np.ndarray,
+    eta_hat: np.ndarray,
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
     """Estimate the linear coefficients from the control rows of ``i2``.
 
     Returns ``beta_hat``, a ``(d_x,)`` array.  Treated rows in ``i2`` are
     discarded.  The difference regression has no intercept: differencing
     annihilates level terms, so one would only add noise.
+
+    With a resample's row map ``rows``, ``i2`` and ``eta_hat`` are indexed
+    by resample position, position ``p`` holds row ``rows[p]`` of ``obs``,
+    and eta ties break toward the smaller position.
     """
     i2 = check_indices(i2, obs.n)
     mask = treatment_mask(obs)
-    controls = i2[~mask[i2]]
+    controls = i2[~mask[rows_at(rows, i2)]]
     if controls.size == 0:
         raise EmptyControlGroup()
     if controls.size < obs.d_x + 1:
         raise TooFewControls(int(controls.size), obs.d_x + 1)
     sorted_idx = order_by_eta(eta_hat, controls)
-    dx, dy = first_differences(sorted_idx, obs)
+    dx, dy = first_differences(rows_at(rows, sorted_idx), obs)
     return ols(dx, dy)

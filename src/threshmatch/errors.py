@@ -15,11 +15,13 @@ failures of single replicates, up to its failure budget.
 
 A failure raised inside one or more :func:`labelled` blocks records where
 it happened in ``split``, outermost label first, and prints it as
-``[split rotation 0: I2] ...``.
+``[split rotation 0: I2] ...``.  Every error pickles with its type, message,
+attributes and ``split``, so it can leave a worker process intact.
 """
 
 from __future__ import annotations
 
+import copyreg
 from collections.abc import Iterator
 from contextlib import contextmanager
 
@@ -40,6 +42,11 @@ class ThreshmatchError(Exception):
         if self.split is not None:
             return f"[split {self.split}] {base}"
         return base
+
+    def __reduce__(self):
+        # rebuild from the formatted args and the attribute dict: subclass
+        # constructors take other arguments than the message they format
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 @contextmanager

@@ -29,6 +29,7 @@ from .att import estimate_att, estimate_theta
 from .data_model import MIN_ROWS, ObservationSet, split_three_way
 from .errors import DimensionMismatch, TooFewRows, labelled
 from .ite import SplineBasisSpec, fit_ite, ite_mse
+from .parallel import map_ranges
 from .rng import derive_seed, rng_from
 
 X_ONLY = "x_only"
@@ -181,19 +182,22 @@ def monte_carlo_att(
     and its split from ``(master_seed, k, 1)``; ``config.seed`` is not
     used.  The scaled error is
     ``sqrt(n/3) * (theta_hat - theta0)`` for single runs and
-    ``sqrt(n) * (theta_cf - theta0)`` for cross-fitted ones.  A failing
-    replicate's error is labelled ``replicate k``.
+    ``sqrt(n) * (theta_cf - theta0)`` for cross-fitted ones.  The
+    replicates run in contiguous ranges on up to one process per CPU
+    (:func:`threshmatch.parallel.map_ranges`); the first failing replicate
+    in order raises, its error labelled ``replicate k``.
     """
     if reps < 30:
         raise DimensionMismatch("need at least 30 replicates for stable moments")
     theta0 = TRUE_ATT[config.ite_kind]
     scale = np.sqrt(config.n if crossfit else config.n // 3)
-    zetas = np.empty(reps)
-    for k in range(reps):
+
+    def theta(k: int) -> float:
         with labelled(f"replicate {k}"):
             obs = generate(replace(config, seed=derive_seed(master_seed, k, 0)))
-            theta = estimate_theta(obs, derive_seed(master_seed, k, 1), crossfit)
-        zetas[k] = scale * (theta - theta0)
+            return estimate_theta(obs, derive_seed(master_seed, k, 1), crossfit)
+
+    zetas = scale * (np.array(map_ranges(theta, reps)) - theta0)
     return _report_from_zetas(zetas)
 
 
@@ -205,18 +209,21 @@ def monte_carlo_ite(config: DgpConfig, spec: SplineBasisSpec, seeds: list[int]) 
     generator's true surface on those same rows.  The dataset comes from
     stream ``(s, 0)``, the split from ``(s, 1)`` and the CV folds from
     ``(s, 2)``; ``config.seed`` is not used.  An empty ``seeds`` list
-    raises :class:`DimensionMismatch`: there is no MSE to report.  A
-    failing replicate's error is labelled ``replicate k``, ``k`` its index
-    into ``seeds``.
+    raises :class:`DimensionMismatch`: there is no MSE to report.  The
+    seeds run as :func:`monte_carlo_att`'s replicates do, and one seed runs
+    in the calling process.  The first failing replicate in order raises,
+    its error labelled ``replicate k``, ``k`` its index into ``seeds``.
     """
     if not seeds:
         raise DimensionMismatch("need at least one seed (one Monte-Carlo replicate)")
     truth = true_ite_fn(config.ite_kind)
-    mses: list[float] = []
-    for k, s in enumerate(seeds):
+
+    def mse(k: int) -> float:
+        s = seeds[k]
         with labelled(f"replicate {k}"):
             obs = generate(replace(config, seed=derive_seed(s, 0)))
             est = estimate_att(obs, split_three_way(obs.n, seed=derive_seed(s, 1)))
             model = fit_ite(obs, est, spec, cv_seed=derive_seed(s, 2))
-            mses.append(ite_mse(model, obs, est, truth))
-    return mses
+            return ite_mse(model, obs, est, truth)
+
+    return map_ranges(mse, len(seeds))

@@ -1,8 +1,11 @@
 """Shared test helpers: the noiseless-null generator, tiny builders, a
-discrete-score variant of the generator and the brute-force matching oracle."""
+discrete-score variant of the generator and its tie-heavy design, the
+brute-force matching oracle, and a CPU-count override and a leftover-child
+check for the replicate runner."""
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +85,27 @@ def generate_discrete(config: DgpConfig) -> ObservationSet:
     alpha = true_ite_fn(config.ite_kind)(covs[:, :3], covs, latent)
     y = alpha * (q >= 0.0) + covs[:, 0] + covs[:, 2] + eta / 2.0 + eps
     return ObservationSet(y=y, x=covs[:, :3], z=covs, q=q, tau0=0.0)
+
+
+def tie_heavy_obs(config: DgpConfig) -> ObservationSet:
+    """``generate_discrete``'s columns with ``z = [x4, 1]``.
+
+    ``x1..x3`` stay out of the score regression, so ``eta_hat`` takes a few
+    values on ``q``'s grid and distinct rows tie on it in every split.
+    """
+    d = generate_discrete(config)
+    z = np.column_stack([d.z[:, 3], np.ones(d.n)])
+    return ObservationSet(y=d.y, x=d.x, z=z, q=d.q, tau0=d.tau0)
+
+
+def set_cpus(monkeypatch, cpus: int) -> None:
+    """Make ``os.sched_getaffinity`` grant ``cpus`` CPUs, the runner's process count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture()

@@ -8,6 +8,7 @@ from threshmatch import (
     EmptyControlGroup,
     EmptyTreatedGroup,
     IndexOutOfRange,
+    MatchResult,
     ObservationSet,
     SplitAssignment,
     crossfit_on_splits,
@@ -228,3 +229,23 @@ class TestErrorLabeling:
             crossfit_on_splits(make_null_obs(seed=1, n=30), splits)
         assert err.value.split == "rotation 0"
         assert "None" not in str(err.value)
+
+
+class TestMatchedDifferences:
+    @pytest.mark.parametrize("bad", [-1, 30], ids=["minus-one", "n"])
+    @pytest.mark.parametrize("side", ["treated", "control"])
+    def test_rows_outside_the_set_raise(self, side, bad):
+        # -1 would silently address row 29, and 30 raise numpy's bare IndexError
+        obs = make_null_obs(seed=1, n=30)
+        good, wrong = np.array([0, 1]), np.array([bad, 1])
+        matches = MatchResult(wrong, good) if side == "treated" else MatchResult(good, wrong)
+        with pytest.raises(IndexOutOfRange) as err:
+            att_mod.matched_differences(obs, np.zeros(3), matches)
+        assert err.value.index == bad
+
+    def test_gaps_of_hand_picked_pairs(self):
+        obs = make_null_obs(seed=1, n=30)
+        beta = np.array([1.0, 0.5, -2.0])
+        gaps = att_mod.matched_differences(obs, beta, MatchResult(np.array([3, 7]), np.array([4, 4])))
+        adjusted = obs.y - obs.x @ beta
+        assert np.array_equal(gaps, adjusted[[3, 7]] - adjusted[[4, 4]])

@@ -9,13 +9,16 @@ from threshmatch import (
     TooManyFailures,
     bootstrap_att,
     bootstrap_replicate,
+    estimate_att,
     estimate_att_crossfit,
+    estimate_theta,
     generate,
+    split_three_way,
 )
-from threshmatch.errors import EmptyControlGroup
+from threshmatch.errors import EmptyControlGroup, IndexOutOfRange, NumericError, StructuralError
 from threshmatch.rng import derive_seed, rng_from
 
-from conftest import make_null_obs
+from conftest import assert_no_child_left, make_null_obs, set_cpus, tie_heavy_obs
 
 
 class TestFormula:
@@ -116,3 +119,73 @@ class TestAgainstVarianceTarget:
         res = bootstrap_att(obs, b=60, seed=8)
         assert 6.0 < res.sigma2_hat < 20.0
         assert res.ci_low < res.ci_high
+
+
+class TestResampleByIndex:
+    @pytest.mark.parametrize("crossfit", [False, True], ids=["single", "crossfit"])
+    def test_replicate_equals_the_copied_resample_on_tied_scores(self, crossfit):
+        # distinct rows share eta_hat here, so the tie keys decide matches and
+        # the eta ordering: they must be resample positions, as on a copy
+        obs = tie_heavy_obs(DgpConfig(n=900, seed=2))
+        eta = estimate_att(obs, split_three_way(obs.n, seed=1)).eta_hat
+        eta = eta[np.isfinite(eta)]
+        assert np.unique(eta).size * 50 < eta.size
+        for r in range(40):
+            rows = rng_from(7, r, 0).integers(0, obs.n, size=obs.n)
+            expected = estimate_theta(obs.take(rows), derive_seed(7, r, 1), crossfit)
+            assert bootstrap_replicate(obs, r, 7, crossfit) == expected
+
+
+def _same_result(a, b):
+    assert np.array_equal(a.replicates, b.replicates)
+    assert (a.sigma2_hat, a.ci_low, a.ci_high, a.b_failed) == (
+        b.sigma2_hat,
+        b.ci_low,
+        b.ci_high,
+        b.b_failed,
+    )
+
+
+class TestChunks:
+    @pytest.mark.parametrize("crossfit", [False, True], ids=["single", "crossfit"])
+    def test_one_and_three_cpus_agree(self, monkeypatch, crossfit):
+        obs = generate(DgpConfig(n=600, seed=5))
+        runs = []
+        for cpus in (1, 3):
+            set_cpus(monkeypatch, cpus)
+            runs.append(bootstrap_att(obs, b=20, level=0.9, seed=6, crossfit=crossfit))
+            assert_no_child_left()
+        _same_result(*runs)
+
+    @pytest.mark.parametrize(
+        "n, seed, crossfit, failing",
+        [(36, 5, False, (47, 147)), (45, 5, True, (7, 95))],
+        ids=["single", "crossfit"],
+    )
+    def test_failures_in_two_chunks_count_once(self, monkeypatch, n, seed, crossfit, failing):
+        # b = 150 on three CPUs runs ranges of 50; the failing replicates
+        # fall in two of them, and 2 of 150 stay within the budget
+        obs = generate(DgpConfig(n=n, seed=seed))
+        for r in failing:
+            with pytest.raises((StructuralError, NumericError)):
+                bootstrap_replicate(obs, r, seed, crossfit)
+        runs = []
+        for cpus in (1, 3):
+            set_cpus(monkeypatch, cpus)
+            runs.append(bootstrap_att(obs, b=150, seed=seed, crossfit=crossfit))
+        assert runs[0].b_failed == 2
+        _same_result(*runs)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_unexpected_error_in_a_range_reaches_the_caller(self, monkeypatch, cpus):
+        def broken(obs, r, seed, crossfit):
+            if r == 11:
+                raise IndexOutOfRange(9, 9)
+            return float(r)
+
+        monkeypatch.setattr(boot_mod, "bootstrap_replicate", broken)
+        set_cpus(monkeypatch, cpus)
+        with pytest.raises(IndexOutOfRange) as err:
+            bootstrap_att(make_null_obs(seed=0, n=9), b=12, seed=0)
+        assert str(err.value) == "index 9 out of range for 9 rows"
+        assert_no_child_left()

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -16,7 +17,10 @@ from threshmatch import (
     true_att_oracle,
     true_ite_fn,
 )
+from threshmatch.rng import derive_seed
 from threshmatch.simulate import TRUE_ATT, X_AND_ETA, X_ONLY
+
+from conftest import assert_no_child_left, set_cpus
 
 
 class TestGenerate:
@@ -163,32 +167,68 @@ def _run_mc_att():
 
 
 class TestReplicateLabels:
-    @pytest.mark.parametrize("target, run", [
-        ("fit_ite", _run_mc_ite),
-        ("estimate_theta", _run_mc_att),
+    # the patched call fails for replicates 1 and 2, which it tells by the
+    # seed it is passed; on three CPUs mc-ite runs them in two children
+    @pytest.mark.parametrize("target, run, seed_of, failing", [
+        ("fit_ite", _run_mc_ite, lambda args, kwargs: kwargs["cv_seed"],
+         {derive_seed(s, 2) for s in (12, 13)}),
+        ("estimate_theta", _run_mc_att, lambda args, kwargs: args[1],
+         {derive_seed(0, k, 1) for k in (1, 2)}),
     ], ids=["mc-ite", "mc-att"])
     @pytest.mark.parametrize("split, label", [
         (None, "replicate 1"),
         ("I2", "replicate 1: I2"),
     ], ids=["unlabelled", "labelled"])
-    def test_failure_names_the_second_replicate(self, monkeypatch, target, run, split, label):
+    def test_failure_names_the_second_replicate(
+        self, monkeypatch, target, run, seed_of, failing, split, label
+    ):
         real = getattr(sim_mod, target)
-        calls = []
 
-        def fail_on_second_call(*args, **kwargs):
+        def fail_on_replicates_one_and_two(*args, **kwargs):
             calls.append(None)
-            if len(calls) == 2:
+            if seed_of(args, kwargs) in failing:
                 exc = EmptyControlGroup()
                 exc.split = split
                 raise exc
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(sim_mod, target, fail_on_second_call)
-        with pytest.raises(EmptyControlGroup) as err:
-            run()
-        assert err.value.split == label
-        assert str(err.value).startswith(f"[split {label}] ")
-        assert len(calls) == 2
+        monkeypatch.setattr(sim_mod, target, fail_on_replicates_one_and_two)
+        for cpus in (1, 3):
+            set_cpus(monkeypatch, cpus)
+            calls = []
+            with pytest.raises(EmptyControlGroup) as err:
+                run()
+            assert err.value.split == label
+            assert str(err.value).startswith(f"[split {label}] ")
+            assert_no_child_left()
+            if cpus == 1:
+                assert len(calls) == 2  # a serial run stops at the first failure
+
+
+class TestChunks:
+    def test_mc_att_on_one_and_three_cpus_agree(self, monkeypatch):
+        reports = []
+        for cpus in (1, 3):
+            set_cpus(monkeypatch, cpus)
+            reports.append(monte_carlo_att(DgpConfig(n=600, seed=0), reps=30, master_seed=5))
+        assert np.array_equal(reports[0].zetas, reports[1].zetas)
+        assert reports[0].histogram == reports[1].histogram
+
+    def test_mc_ite_on_one_and_three_cpus_agree(self, monkeypatch):
+        mses = []
+        for cpus in (1, 3):
+            set_cpus(monkeypatch, cpus)
+            mses.append(_run_mc_ite())
+        assert mses[0] == mses[1]
+
+    def test_one_seed_runs_in_process(self, monkeypatch):
+        set_cpus(monkeypatch, 3)
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert len(monte_carlo_ite(DgpConfig(n=900, seed=0), SplineBasisSpec(), [11])) == 1
 
 
 class TestSeedIndependence:
