@@ -10,7 +10,8 @@ The regression design is additive cubic B-spline blocks per covariate
 (interior knots at equally spaced quantiles of the training values), an
 explicit constant column, and the pairwise products of distinct raw
 covariates, which are always included.  The per-covariate degrees of
-freedom are chosen by 4-fold cross-validation over a small grid.
+freedom are chosen by 4-fold cross-validation over a small grid, whose
+fits run on up to one process per CPU (:func:`threshmatch.parallel.map_ranges`).
 Evaluation outside the training range clamps to the boundary knots, so
 predictions stay bounded.
 
@@ -37,6 +38,7 @@ from .errors import (
     TooFewRows,
 )
 from .linreg import ols
+from .parallel import map_ranges
 from .rng import rng_from
 
 DEFAULT_DF_GRID = (3, 4, 5, 6, 8, 10)
@@ -211,6 +213,12 @@ def fit_ite(
     ``est.eta_hat`` when the spec includes it).  ``df`` is chosen by 4-fold
     cross-validation minimizing mean validation MSE, ties to the smaller
     df; the returned model is refit on all treated rows at the chosen df.
+
+    The ``len(df_grid) * 4`` fold fits run on up to one process per CPU
+    through :func:`threshmatch.parallel.map_ranges`, or here when called
+    inside another call's ranges; the chosen df and the model do not
+    depend on how many run.  Of several failing fits, the one first in
+    df-major order (each df's folds in order) raises.  The refit runs here.
     """
     _, cov = _treated_covariates(obs, est, spec.include_eta)
     response = matched_differences(obs, est.beta_hat, est.matches)
@@ -223,18 +231,30 @@ def fit_ite(
     perm = rng_from(cv_seed).permutation(m)
     folds = [(np.setdiff1d(perm, hold, assume_unique=True), hold)
              for hold in np.array_split(perm, CV_FOLDS)]
-    best_df, best_mse = None, np.inf
-    for df in spec.df_grid:
-        cand = replace(spec, df=int(df))
-        fold_mse = []
-        for train, hold in folds:
-            design = build_basis(cov, cand, quantile_knots(cov[train], df))
+    grid = spec.df_grid
+
+    def fold_error(i: int) -> float | Exception:
+        # fold-major items, so every contiguous range holds narrow and wide designs
+        df = grid[i % len(grid)]
+        train, hold = folds[i // len(grid)]
+        try:
+            design = build_basis(cov, replace(spec, df=df), quantile_knots(cov[train], df))
             coef = ols(design[train], response[train])
             err = response[hold] - design[hold] @ coef
-            fold_mse.append(float(np.mean(err**2)))
+            return float(np.mean(err**2))
+        except Exception as exc:  # raised below, in the serial df-major order
+            return exc
+
+    results = map_ranges(fold_error, len(grid) * CV_FOLDS)
+    best_df, best_mse = None, np.inf
+    for j, df in enumerate(grid):
+        fold_mse = results[j :: len(grid)]
+        for value in fold_mse:
+            if isinstance(value, Exception):
+                raise value
         mean_mse = float(np.mean(fold_mse))
         if mean_mse < best_mse:
-            best_df, best_mse = int(df), mean_mse
+            best_df, best_mse = df, mean_mse
 
     chosen = replace(spec, df=best_df)
     knots = quantile_knots(cov, best_df)

@@ -14,10 +14,21 @@ bit-identical to serial ones.  Where ``os.fork`` or
 ``os.sched_getaffinity`` is missing, ``k`` is 1 and nothing is forked;
 a single item never forks either.  No process is started per item.
 
-While ``k > 1`` processes run, OpenBLAS (numpy's BLAS) is held to one
-thread, so k processes keep to k CPUs.  Two processes with two BLAS
-threads each on two CPUs made the ITE Monte-Carlo loop several times
-slower than a serial run.
+Processes are the package's only parallelism, so every call holds
+OpenBLAS (numpy's BLAS) to one thread until it returns, ``k = 1``
+included.  k processes then keep to k CPUs, and a replicate's value does
+not depend on how many replicates run beside it: a QR fit summed on two
+BLAS threads can differ in the last bits from the same fit on one.  Two
+processes with two BLAS threads each on two CPUs made the ITE
+Monte-Carlo loop several times slower than a serial run, and even a
+serial ITE fit ran faster on one thread than on two.
+
+Calls nest one level deep.  A call made while a forking call's ranges
+run, in the caller's range or in a child's, computes its items in its
+own process and forks nothing, so there is never more than one process
+per CPU.  A call whose ``k`` is 1 leaves the CPUs free, and a call
+inside its items may fork: one Monte-Carlo seed spreads its fit's
+cross-validation grid over every CPU.
 
 The children are forked, not spawned: they inherit ``fn`` with its
 closure and the data it reads, where a spawned worker would need all of
@@ -38,6 +49,9 @@ from typing import TypeVar
 
 T = TypeVar("T")
 
+# True while this process computes one of a forking call's ranges
+_forked = False
+
 
 def _cpus() -> int:
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
@@ -50,14 +64,18 @@ def map_ranges(fn: Callable[[int], T], count: int) -> list[T]:
 
     ``fn`` runs in forked children for all but the first range, so it must
     not depend on state it changes; its values and errors must pickle.
-    Every child has been reaped when this returns or raises.
+    OpenBLAS runs on one thread throughout; a call from inside another
+    call's ranges runs here.  Every child has been reaped when this
+    returns or raises.
     """
-    k = min(_cpus(), count)
-    if k <= 1:
-        return [fn(i) for i in range(count)]
-    bounds = [count * j // k for j in range(k + 1)]
-    children: list[_Child] = []
+    global _forked
+    k = 1 if _forked else min(_cpus(), count)
     with _one_blas_thread():  # set before forking: the children inherit it
+        if k <= 1:
+            return [fn(i) for i in range(count)]
+        bounds = [count * j // k for j in range(k + 1)]
+        children: list[_Child] = []
+        _forked = True  # the children inherit it too
         try:
             for j in range(1, k):
                 children.append(_Child(fn, range(bounds[j], bounds[j + 1])))
@@ -65,6 +83,7 @@ def map_ranges(fn: Callable[[int], T], count: int) -> list[T]:
             for child in children:
                 values.extend(child.result())
         finally:
+            _forked = False
             for child in children:
                 child.stop()
     return values

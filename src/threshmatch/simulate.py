@@ -211,8 +211,9 @@ def monte_carlo_ite(config: DgpConfig, spec: SplineBasisSpec, seeds: list[int]) 
     ``(s, 2)``; ``config.seed`` is not used.  An empty ``seeds`` list
     raises :class:`DimensionMismatch`: there is no MSE to report.  The
     seeds run as :func:`monte_carlo_att`'s replicates do, and one seed runs
-    in the calling process.  The first failing replicate in order raises,
-    its error labelled ``replicate k``, ``k`` its index into ``seeds``.
+    in the calling process, its fit's CV grid on every CPU.  The first
+    failing replicate in order raises, its error labelled ``replicate k``,
+    ``k`` its index into ``seeds``.
     """
     if not seeds:
         raise DimensionMismatch("need at least one seed (one Monte-Carlo replicate)")

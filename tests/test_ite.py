@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import threshmatch.ite as ite_mod
 from threshmatch import (
     ArityMismatch,
     DegenerateCovariate,
@@ -11,6 +12,7 @@ from threshmatch import (
     InputError,
     MatchResult,
     NonFiniteValue,
+    NumericError,
     SplineBasisSpec,
     TooFewRows,
     build_basis,
@@ -29,7 +31,7 @@ from threshmatch.data_model import treatment_mask
 from threshmatch.ite import DEFAULT_DF_GRID, IteModel, bspline_block, quantile_knots
 from threshmatch.simulate import X_AND_ETA, X_ONLY
 
-from conftest import make_pl_obs
+from conftest import assert_no_child_left, make_pl_obs, set_cpus
 
 TIE_KINDS = ("continuous", "integer", "cubed", "rounded", "one-point")
 
@@ -195,6 +197,58 @@ class TestFitIte:
         for j, kn in enumerate(model.knots):
             assert np.all(np.diff(kn) >= 0)
             assert kn[0] == cov[:, j].min() and kn[-1] == cov[:, j].max()
+
+
+class TestCvGrid:
+    def test_one_and_three_cpus_fit_the_same_model(self, monkeypatch):
+        alpha = lambda x, eta: np.sin(2.0 * x[:, 0]) + x[:, 1] * eta
+        models = []
+        for cpus in (1, 3):
+            set_cpus(monkeypatch, cpus)
+            models.append(_fitted_pipeline(seed=8, n=1500, alpha=alpha, include_eta=True)[3])
+        one, three = models
+        assert one.basis == three.basis
+        assert len(one.knots) == len(three.knots)
+        assert all(np.array_equal(a, b) for a, b in zip(one.knots, three.knots))
+        assert np.array_equal(one.coef, three.coef)
+        assert one.training_mse == three.training_mse
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("failing", [((4, 2), (8, 0)), ((8, 0), (4, 2))])
+    def test_first_failure_in_df_major_order_raises(self, monkeypatch, cpus, failing):
+        # df 4 fold 2 comes first in a df-major loop, df 8 fold 0 first in
+        # fold-major item order and in the caller's range at 3 CPUs
+        obs, _, est, _ = _fitted_pipeline(seed=9, n=900, alpha=lambda x, eta: x[:, 0])
+        spec = SplineBasisSpec()
+        df_of_width = {replace(spec, df=df).dimension(3): df for df in spec.df_grid}
+        calls = []
+
+        def recording_ols(a, b):
+            calls.append((a.shape[1], b.tobytes()))
+            return ols(a, b)
+
+        set_cpus(monkeypatch, 1)
+        monkeypatch.setattr(ite_mod, "ols", recording_ols)
+        fit_ite(obs, est, spec, cv_seed=9)
+        # each df's folds are fitted in fold order; the last call is the refit
+        fit_of = {}
+        for width, response in calls[:-1]:
+            df = df_of_width[width]
+            fit_of[width, response] = (df, sum(v[0] == df for v in fit_of.values()))
+        assert sorted(fit_of.values()) == [(df, f) for df in spec.df_grid for f in range(4)]
+
+        def failing_ols(a, b):
+            fit = fit_of.get((a.shape[1], b.tobytes()))
+            if fit in failing:
+                raise NumericError(f"fit df={fit[0]} fold={fit[1]}")
+            return ols(a, b)
+
+        set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(ite_mod, "ols", failing_ols)
+        with pytest.raises(NumericError, match=r"^fit df=4 fold=2$"):
+            fit_ite(obs, est, spec, cv_seed=9)
+        assert_no_child_left()
 
 
 class TestPredict:

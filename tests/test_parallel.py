@@ -1,5 +1,6 @@
 """The replicate runner: contiguous ranges, values in item order, the first
-failure in order raised, and no child process left behind."""
+failure in order raised, one BLAS thread, one level of processes, and no
+child process left behind."""
 
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import threshmatch
 from threshmatch.errors import IndexOutOfRange
-from threshmatch.parallel import map_ranges
+from threshmatch.parallel import _openblas_threads, map_ranges
 
 from conftest import assert_no_child_left, set_cpus
 
@@ -50,6 +51,47 @@ def test_one_item_never_forks(monkeypatch, cpus):
 def test_without_affinity_everything_runs_here(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     assert map_ranges(lambda i: os.getpid(), 4) == [os.getpid()] * 4
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_blas_runs_on_one_thread_inside_and_is_restored_after(monkeypatch, count):
+    calls = _openblas_threads()
+    if calls is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, set_ = calls
+    set_cpus(monkeypatch, 3)
+    before = get()
+    set_(2)
+    try:
+        assert map_ranges(lambda i: get(), count) == [1] * count
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+def test_a_call_inside_a_range_forks_nothing(monkeypatch):
+    # three outer ranges, the caller's and two children's; each item's inner
+    # call runs in the process that computes the item, in item order
+    set_cpus(monkeypatch, 3)
+
+    def outer(i):
+        return os.getpid(), map_ranges(lambda j: (os.getpid(), i, j), 4)
+
+    results = map_ranges(outer, 3)
+    assert results[0][0] == os.getpid()
+    assert len({pid for pid, _ in results}) == 3
+    for i, (pid, inner) in enumerate(results):
+        assert inner == [(pid, i, j) for j in range(4)]
+    assert_no_child_left()
+    # the rule ends with the call: a later call forks again
+    assert len(set(map_ranges(lambda i: os.getpid(), 3))) == 3
+
+
+def test_a_call_inside_a_single_range_may_fork(monkeypatch):
+    set_cpus(monkeypatch, 3)
+    [inner] = map_ranges(lambda i: map_ranges(lambda j: os.getpid(), 3), 1)
+    assert inner[0] == os.getpid() and len(set(inner)) == 3
+    assert_no_child_left()
 
 
 def test_first_failure_in_item_order_wins(monkeypatch):

@@ -222,13 +222,25 @@ class TestChunks:
         assert mses[0] == mses[1]
 
     def test_one_seed_runs_in_process(self, monkeypatch):
+        # the replicate runs here; the only forks are its CV grid's k - 1 = 2 children
         set_cpus(monkeypatch, 3)
+        fit_pids, forks = [], []
+        real_fork, real_fit = os.fork, sim_mod.fit_ite
 
-        def no_fork():
-            raise AssertionError("forked")
+        def counting_fork():
+            forks.append(os.getpid())
+            return real_fork()
 
-        monkeypatch.setattr(os, "fork", no_fork)
+        def fit(*args, **kwargs):
+            fit_pids.append(os.getpid())
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(sim_mod, "fit_ite", fit)
         assert len(monte_carlo_ite(DgpConfig(n=900, seed=0), SplineBasisSpec(), [11])) == 1
+        assert fit_pids == [os.getpid()]
+        assert forks == [os.getpid()] * 2
+        assert_no_child_left()
 
 
 class TestSeedIndependence:

@@ -24,6 +24,8 @@ from threshmatch import (
 )
 from threshmatch.simulate import X_AND_ETA
 
+from conftest import set_cpus
+
 TRACER_PY = Path(__file__).parent.parent / "perfbench" / "tracer.py"
 
 
@@ -46,7 +48,7 @@ def _run_pipeline():
     return [crossfit.theta_cf, *boot.replicates, boot.sigma2_hat, boot.b_failed, *mses]
 
 
-def test_traced_run_finds_every_wrap_point_and_matches_untraced(monkeypatch):
+def _traced_and_untraced(monkeypatch):
     untraced = _run_pipeline()
     tracer = _load_tracer(monkeypatch).Tracer()
     tracer.install()
@@ -54,6 +56,14 @@ def test_traced_run_finds_every_wrap_point_and_matches_untraced(monkeypatch):
         traced = _run_pipeline()
     finally:
         tracer.restore()
+    return tracer, traced, untraced
+
+
+def test_traced_run_finds_every_wrap_point_and_matches_untraced(monkeypatch):
+    # one CPU: spans recorded in forked children are lost with the child, so
+    # exact counts hold only for a run that never forks
+    set_cpus(monkeypatch, 1)
+    tracer, traced, untraced = _traced_and_untraced(monkeypatch)
     assert tracer.missing == []
     assert np.array_equal(np.array(traced), np.array(untraced))
 
@@ -63,3 +73,10 @@ def test_traced_run_finds_every_wrap_point_and_matches_untraced(monkeypatch):
     assert all(span.counts["cells"] > 0 for span in basis)
     metrics, _ = tracer.layer_metrics()
     assert metrics["ite.build_basis.calls"]["value"] == 26
+
+
+def test_traced_run_on_two_cpus_matches_untraced(monkeypatch):
+    set_cpus(monkeypatch, 2)
+    tracer, traced, untraced = _traced_and_untraced(monkeypatch)
+    assert tracer.missing == []
+    assert np.array_equal(np.array(traced), np.array(untraced))
