@@ -8,20 +8,26 @@ of the difference in linearly-adjusted outcomes::
 
     theta_hat = mean_i [ (y_i - x_i @ beta_hat) - (y_c(i) - x_c(i) @ beta_hat) ]
 
-A run's record, :class:`AttEstimate`, holds five fields: ``theta_hat``,
-``beta_hat``, ``gamma_hat``, ``matches`` and ``eta_hat``.  Cross-fitting
-reruns the pipeline under the three cyclic role rotations of one fixed
-partition and averages the resulting estimates.
-:func:`estimate_theta` turns a seed into a partition and returns the
-single-run or the cross-fitted estimate on it.
+A run's record, :class:`AttEstimate`, holds six fields: ``theta_hat``,
+``beta_hat``, ``gamma_hat``, ``matches``, ``eta_hat`` and ``differences``,
+the matched gaps that ``theta_hat`` averages.  Cross-fitting reruns the
+pipeline under the three cyclic role rotations of one fixed partition
+and averages the resulting estimates.  :func:`estimate_theta` turns a
+seed into a partition and returns the single-run or the cross-fitted
+estimate on it.
 
 A bootstrap replicate runs the same pipeline on a resample without
 copying it.  Its row map ``rows`` says which row of ``obs`` each of the
 ``n`` resample positions copies.  The splits, ``eta_hat``, the treated
 mask and the matches are indexed by position, and so are the tie keys of
 the eta ordering and of matching, exactly as on a copied resample; only
-the gathers of ``z``, ``q``, ``x`` and ``y`` go through ``rows``.  A plain
-run passes no row map and gathers nothing extra.
+the reads of data rows go through ``rows``.  A plain run passes no row map
+and gathers nothing extra.
+
+Per-row linear products (``z @ gamma_hat`` for the residuals, ``x @
+beta_hat`` for the adjusted outcomes) run once over all rows of ``obs``,
+whose ``x`` and ``z`` are stored row-major; the pipeline then gathers
+scalars at the rows it needs, never 2-D rows of ``x`` or ``z``.
 """
 
 from __future__ import annotations
@@ -53,6 +59,9 @@ class AttEstimate:
     pairs every treated row of the matching split with its control.
     ``eta_hat`` holds the score residuals of the run over all ``n`` rows:
     finite on the difference and matching splits, NaN on the score split.
+    ``differences`` holds the adjusted-outcome gap of each matched pair,
+    in treated input order; ``theta_hat`` is its mean.  Both arrays are
+    read-only.
     """
 
     theta_hat: float
@@ -60,6 +69,7 @@ class AttEstimate:
     gamma_hat: np.ndarray
     matches: MatchResult
     eta_hat: np.ndarray
+    differences: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -79,13 +89,13 @@ def matched_differences(
     """Adjusted-outcome gaps ``(y_t - x_t @ b) - (y_c - x_c @ b)`` per pair.
 
     The matched rows must lie in ``0..n-1``; with a row map they are
-    resample positions.
+    resample positions.  The adjusted outcome ``y - x @ b`` is formed
+    once over all ``n`` rows, then gathered at the pairs' rows.
     """
     t_idx = rows_at(rows, check_indices(matches.treated_idx, obs.n))
     c_idx = rows_at(rows, check_indices(matches.control_idx, obs.n))
-    adj_t = obs.y[t_idx] - obs.x[t_idx] @ beta_hat
-    adj_c = obs.y[c_idx] - obs.x[c_idx] @ beta_hat
-    return adj_t - adj_c
+    adj = obs.y - obs.x @ beta_hat
+    return adj[t_idx] - adj[c_idx]
 
 
 def estimate_att(obs: ObservationSet, splits: SplitAssignment) -> AttEstimate:
@@ -103,11 +113,14 @@ def _estimate_with_roles(
     with labelled("I1"):
         gamma_hat = fit_gamma(obs, rows_at(rows, gamma_split))
 
+    # a row outside the set in the other two splits fails here, outside the
+    # role blocks, under the caller's label alone
+    check_indices(beta_split, obs.n)
+    check_indices(match_split, obs.n)
     # residuals are needed on the second and third splits only; rows of the
-    # first split keep NaN so accidental use fails loudly
-    eta_hat = np.full(obs.n, np.nan)
-    idx23 = np.concatenate([beta_split, match_split])
-    eta_hat[idx23] = residuals_eta(gamma_hat, obs, rows_at(rows, idx23))
+    # first split get NaN so accidental use fails loudly
+    eta_hat = residuals_eta(gamma_hat, obs, rows)
+    eta_hat[gamma_split] = np.nan
     eta_hat.setflags(write=False)
 
     with labelled("I2"):
@@ -119,8 +132,11 @@ def _estimate_with_roles(
     with labelled("I3"):
         matches = match_controls(eta_hat[treated3], treated3, eta_hat[control3], control3)
 
-    theta_hat = float(np.mean(matched_differences(obs, beta_hat, matches, rows)))
-    return AttEstimate(theta_hat, beta_hat, gamma_hat, matches, eta_hat)
+    differences = matched_differences(obs, beta_hat, matches, rows)
+    differences.setflags(write=False)
+    return AttEstimate(
+        float(np.mean(differences)), beta_hat, gamma_hat, matches, eta_hat, differences
+    )
 
 
 def estimate_att_crossfit(obs: ObservationSet, seed: int = 0) -> CrossfitEstimate:

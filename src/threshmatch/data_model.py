@@ -48,6 +48,21 @@ def _check_tau0(tau0: float) -> None:
         raise InputError(f"threshold tau0 must be finite, got {float(tau0)!r}")
 
 
+def _row_major(a: np.ndarray) -> np.ndarray:
+    """``a``, or a C-ordered copy of it unless BLAS can read it row by row.
+
+    A matrix is kept when each row is contiguous and rows lie at least a
+    row apart in increasing order, as in a column slice of a C-ordered
+    array.  Any other layout (column-major, a reversed or overlapping row
+    stride) would send ``a @ v`` to another kernel that sums in another
+    order.
+    """
+    row_stride, col_stride = a.strides
+    if col_stride == a.itemsize and row_stride >= a.shape[1] * a.itemsize:
+        return a
+    return np.ascontiguousarray(a)
+
+
 @dataclass(frozen=True)
 class ObservationSet:
     """Immutable columnar sample.
@@ -59,6 +74,15 @@ class ObservationSet:
     z : (n, dZ) score-side covariates
     q : (n,) score values
     tau0 : treatment threshold; rows with ``q >= tau0`` are treated
+
+    ``x`` and ``z`` are stored row-major.  A matrix whose rows are each
+    contiguous and lie in increasing order, at least a row apart, is kept
+    as given: the generator's ``x``, a column slice of its ``z``, is not
+    copied.  Any other layout, such as the column-major slices
+    :func:`load_csv` takes, is copied into C order.  The pipeline's
+    per-row products ``x @ beta_hat`` and ``z @ gamma_hat`` therefore
+    take the same BLAS kernel, and give the same bits, whatever layout
+    the caller passed.
     """
 
     y: np.ndarray
@@ -69,8 +93,8 @@ class ObservationSet:
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=np.float64)
-        x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
-        z = np.atleast_2d(np.asarray(self.z, dtype=np.float64))
+        x = _row_major(np.atleast_2d(np.asarray(self.x, dtype=np.float64)))
+        z = _row_major(np.atleast_2d(np.asarray(self.z, dtype=np.float64)))
         q = np.asarray(self.q, dtype=np.float64)
         if y.ndim != 1 or q.ndim != 1:
             raise DimensionMismatch("y and q must be one-dimensional")
@@ -193,7 +217,7 @@ def split_three_way(n: int, seed: int = 0) -> SplitAssignment:
     """
     if n < MIN_ROWS:
         raise TooFewRows(n, MIN_ROWS)
-    order = rng_from(seed).permutation(n).astype(np.intp)
+    order = rng_from(seed).permutation(n).astype(np.intp, copy=False)
     k = n // 3
     return SplitAssignment(order[:k], order[k : 2 * k], order[2 * k :])
 
@@ -363,7 +387,8 @@ def load_csv(path: str, spec: ColumnSpec) -> ObservationSet:
     is a requested column that is absent from the header or named twice.
     Row order is preserved; empty lines are skipped.  ``y``, ``q``, ``x``
     and ``z`` are slices of the matrix :func:`read_columns` returns for
-    ``[y, q, *x_cols, *z_cols]``.
+    ``[y, q, *x_cols, *z_cols]``; that matrix is column-major, so
+    :class:`ObservationSet` copies ``x`` and ``z`` into row-major order.
     """
     table = read_columns(path, [spec.y_col, spec.q_col, *spec.x_cols, *spec.z_cols], MIN_ROWS)
     d_x = len(spec.x_cols)

@@ -21,14 +21,32 @@ def order_by_eta(eta_hat: np.ndarray, control_idx: np.ndarray) -> np.ndarray:
     """Sort ``control_idx`` ascending by ``eta_hat`` value.
 
     ``eta_hat`` is addressed by original row index.  Ties break toward the
-    smaller original index, so the ordering is deterministic even though
-    ties have probability zero for continuous residuals.
+    smaller original index, so the ordering is deterministic: continuous
+    residuals rarely tie, but a bootstrap resample's repeated rows always
+    do.  ``-0.0`` and ``0.0`` tie, and NaN values come last, in index
+    order.  The result equals ``control_idx[np.lexsort((control_idx,
+    values))]``; it is computed by one unstable ``np.argsort`` of the
+    values, numpy's vectorised sort, and a re-sort by index of the runs
+    of equal values only.
     """
     eta_hat = np.asarray(eta_hat, dtype=np.float64)
     control_idx = check_indices(control_idx, eta_hat.size)
     if control_idx.size == 0:
         raise EmptyControlGroup()
-    order = np.lexsort((control_idx, eta_hat[control_idx]))
+    values = eta_hat[control_idx]
+    order = np.argsort(values)
+    ranked = values[order]
+    # tied[k]: sorted places k and k + 1 hold equal values (NaN sorts last,
+    # so a NaN at k has one at k + 1 too)
+    tied = (ranked[1:] == ranked[:-1]) | np.isnan(ranked[:-1])
+    if tied.any():
+        in_run = np.zeros(values.size, dtype=bool)
+        in_run[:-1] = tied
+        in_run[1:] |= tied
+        places = np.flatnonzero(in_run)
+        run = np.concatenate(([0], np.cumsum(~tied)))[places]  # run number per place
+        held = order[places]
+        order[places] = held[np.lexsort((control_idx[held], run))]
     return control_idx[order]
 
 

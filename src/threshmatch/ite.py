@@ -28,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .att import AttEstimate, matched_differences
+from .att import AttEstimate
 from .data_model import ObservationSet
 from .errors import (
     ArityMismatch,
@@ -208,11 +208,12 @@ def fit_ite(
 
     The rows are ``est.matches.treated_idx``, the treated rows of the run's
     matching split, so the estimate of any cross-fit rotation works as well
-    as a single run's.  The response is the matched adjusted-outcome gap
-    per treated row; the covariates are that row's ``x`` (plus its
-    ``est.eta_hat`` when the spec includes it).  ``df`` is chosen by 4-fold
-    cross-validation minimizing mean validation MSE, ties to the smaller
-    df; the returned model is refit on all treated rows at the chosen df.
+    as a single run's.  The response is the run's ``est.differences``,
+    the matched adjusted-outcome gap per treated row; the covariates are
+    that row's ``x`` (plus its ``est.eta_hat`` when the spec includes it).
+    ``df`` is chosen by 4-fold cross-validation minimizing mean validation
+    MSE, ties to the smaller df; the returned model is refit on all
+    treated rows at the chosen df.
 
     The ``len(df_grid) * 4`` fold fits run on up to one process per CPU
     through :func:`threshmatch.parallel.map_ranges`, or here when called
@@ -221,7 +222,7 @@ def fit_ite(
     df-major order (each df's folds in order) raises.  The refit runs here.
     """
     _, cov = _treated_covariates(obs, est, spec.include_eta)
-    response = matched_differences(obs, est.beta_hat, est.matches)
+    response = est.differences
     m, d = cov.shape
     # the smallest training set, floor(3m/4) rows, must fit the widest design
     max_dim = replace(spec, df=spec.df_grid[-1]).dimension(d)

@@ -4,6 +4,13 @@ The score is modeled as linear in the score-side covariates,
 ``q = z @ gamma + eta``.  ``gamma`` is fit by OLS on the first split and
 the residuals ``eta_hat`` stand in for the unobserved confounder in every
 later step (ordering, differencing, matching).
+
+The residuals are one product over the whole row-major ``z``, gathered
+afterwards: a pipeline run needs them on two of its three splits, and
+one ``n``-row matrix-vector product is cheaper than gathering those
+rows of ``z`` first.  Up to 7 columns its bits equal those of
+multiplying the gathered rows; README's reproducibility section states
+the limits.
 """
 
 from __future__ import annotations
@@ -26,10 +33,15 @@ def fit_gamma(obs: ObservationSet, i1: np.ndarray) -> np.ndarray:
     return ols(obs.z[i1], obs.q[i1])
 
 
-def residuals_eta(gamma_hat: np.ndarray, obs: ObservationSet, idx: np.ndarray) -> np.ndarray:
-    """``q - z @ gamma_hat`` over ``idx``, order preserved.
+def residuals_eta(
+    gamma_hat: np.ndarray, obs: ObservationSet, idx: np.ndarray | None = None
+) -> np.ndarray:
+    """``q - z @ gamma_hat`` over every row, or gathered at ``idx`` in its order.
 
-    ``gamma_hat`` is the ``(d_z,)`` array :func:`fit_gamma` returns.
+    ``gamma_hat`` is the ``(d_z,)`` array :func:`fit_gamma` returns.  The
+    product runs over all ``n`` rows even when ``idx`` is given.
     """
-    idx = check_indices(idx, obs.n)
-    return obs.q[idx] - obs.z[idx] @ gamma_hat
+    if idx is not None:
+        idx = check_indices(idx, obs.n)
+    eta = obs.q - obs.z @ gamma_hat
+    return eta if idx is None else eta[idx]

@@ -1,7 +1,8 @@
 """Shared test helpers: the noiseless-null generator, tiny builders, a
-discrete-score variant of the generator and its tie-heavy design, the
-brute-force matching oracle, and a CPU-count override and a leftover-child
-check for the replicate runner."""
+sample of any covariate widths in any memory layout, a discrete-score
+variant of the generator and its tie-heavy design, the brute-force
+matching oracle, and a CPU-count override and a leftover-child check for
+the replicate runner."""
 
 from __future__ import annotations
 
@@ -62,6 +63,43 @@ def make_pl_obs(
     if eps_sd > 0:
         y = y + rng.normal(0.0, eps_sd, size=n)
     return ObservationSet(y=y, x=x, z=covs, q=q, tau0=0.0)
+
+
+# memory layouts a caller may pass for x and z
+LAYOUTS = ("C", "F", "row-strided", "row-reversed")
+
+
+def in_layout(a: np.ndarray, layout: str) -> np.ndarray:
+    """The values of ``a`` in the named memory layout."""
+    if layout == "C":
+        return np.ascontiguousarray(a)
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "row-strided":
+        # rows two apart, one column in from the left of a wider buffer
+        buf = np.zeros((2 * a.shape[0], a.shape[1] + 2))
+        buf[::2, 1:-1] = a
+        return buf[::2, 1:-1]
+    return np.ascontiguousarray(a[::-1])[::-1]  # a negative row stride
+
+
+def synthetic(n: int, d_x: int, d_z: int, seed: int, layout: str = "C") -> ObservationSet:
+    """A sample with ``d_x`` outcome and ``d_z`` score columns over shared draws.
+
+    ``x`` is the first ``d_x`` and ``z`` the last ``d_z`` of ``max(d_x, d_z)``
+    standard-normal columns; the effect is ``1 + x1^2 + eta^2``.
+    """
+    rng = np.random.default_rng(seed)
+    width = max(d_x, d_z)
+    covs = rng.standard_normal((n, width))
+    eta = rng.uniform(-1.0, 1.0, size=n)
+    noise = rng.normal(0.0, 0.5, size=n)
+    x = np.ascontiguousarray(covs[:, :d_x])
+    z = np.ascontiguousarray(covs[:, width - d_z :])
+    q = z @ np.linspace(1.0, 0.5, d_z) + eta
+    alpha = 1.0 + x[:, 0] ** 2 + eta**2
+    y = alpha * (q >= 0.0) + x @ np.linspace(-1.0, 1.0, d_x) + eta / 2.0 + noise
+    return ObservationSet(y=y, x=in_layout(x, layout), z=in_layout(z, layout), q=q, tau0=0.0)
 
 
 def generate_discrete(config: DgpConfig) -> ObservationSet:

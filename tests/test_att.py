@@ -119,6 +119,18 @@ class TestInvariants:
         )
         assert not est.eta_hat.flags.writeable
 
+    def test_differences_are_the_runs_matched_gaps(self):
+        obs = generate(DgpConfig(n=600, seed=6))
+        splits = split_three_way(obs.n, seed=6)
+        est = estimate_att(obs, splits)
+        treated3 = splits.i3[treatment_mask(obs)[splits.i3]]
+        assert est.differences.shape == treated3.shape
+        assert np.array_equal(
+            est.differences, att_mod.matched_differences(obs, est.beta_hat, est.matches)
+        )
+        assert est.theta_hat == float(np.mean(est.differences))
+        assert not est.differences.flags.writeable
+
     def test_rotation_structure(self):
         s = split_three_way(30, seed=1)
         rots = s.rotations()
@@ -138,7 +150,8 @@ class TestInvariants:
 
     def test_identical_rotations_average_to_themselves(self, monkeypatch):
         stub = AttEstimate(
-            theta_hat=0.25, beta_hat=None, gamma_hat=None, matches=None, eta_hat=None
+            theta_hat=0.25, beta_hat=None, gamma_hat=None, matches=None, eta_hat=None,
+            differences=None,
         )
         monkeypatch.setattr(att_mod, "_estimate_with_roles", lambda *a, **k: stub)
         obs = make_null_obs(seed=0, n=60)

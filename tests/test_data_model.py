@@ -29,7 +29,7 @@ from threshmatch import (
 from threshmatch import data_model
 from threshmatch.data_model import MIN_ROWS, check_indices, read_columns, row_indices
 
-from conftest import make_null_obs
+from conftest import LAYOUTS, make_null_obs, synthetic
 
 
 def _write(tmp_path, name, text):
@@ -534,6 +534,31 @@ class TestObservationSet:
         wide = null_obs.with_z_intercept()
         assert wide.d_z == null_obs.d_z + 1
         assert np.all(wide.z[:, -1] == 1.0)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_covariates_are_stored_row_major(self, layout):
+        obs = synthetic(30, 3, 4, seed=2, layout=layout)
+        reference = synthetic(30, 3, 4, seed=2)
+        for stored, given in ((obs.x, reference.x), (obs.z, reference.z)):
+            assert stored.strides[1] == stored.itemsize
+            assert stored.strides[0] >= stored.shape[1] * stored.itemsize
+            assert np.array_equal(stored, given)
+
+    def test_row_major_views_are_not_copied(self):
+        # the generator's x is a column slice of its C-ordered z
+        covs = np.random.default_rng(4).standard_normal((30, 4))
+        obs = ObservationSet(y=covs[:, 0], x=covs[:, :3], z=covs, q=covs[:, 3], tau0=0.0)
+        assert np.shares_memory(obs.x, covs) and np.shares_memory(obs.z, covs)
+
+    def test_loaded_covariates_are_row_major(self, tmp_path):
+        # x is the first two of z's three columns, as synthetic draws them
+        spec = ColumnSpec(y_col="y", q_col="q", x_cols=["a", "b"], z_cols=["a", "b", "c"], tau0=0.0)
+        path = str(tmp_path / "rows.csv")
+        written = synthetic(30, 2, 3, seed=5)
+        write_csv(path, written, spec)
+        obs = load_csv(path, spec)
+        assert obs.x.flags.c_contiguous and obs.z.flags.c_contiguous
+        assert np.array_equal(obs.x, written.x) and np.array_equal(obs.z, written.z)
 
 
 class TestSplitThreeWay:

@@ -35,6 +35,34 @@ class TestOrderByEta:
         with pytest.raises(EmptyControlGroup):
             order_by_eta(np.arange(5.0), np.array([], dtype=int))
 
+    @staticmethod
+    def _lexsort_order(eta, idx):
+        return idx[np.lexsort((idx, eta[idx]))]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_lexsort_on_random_ties(self, seed):
+        # few distinct values, signed zeros among them, and unsorted labels;
+        # a bootstrap resample's repeated rows tie the same way
+        rng = np.random.default_rng(seed)
+        n = 50 + 400 * seed
+        eta = rng.integers(-3, 4, size=n) / 2.0
+        eta[rng.random(n) < 0.2] = -0.0
+        idx = rng.permutation(n)[: n - seed]
+        assert np.array_equal(order_by_eta(eta, idx), self._lexsort_order(eta, idx))
+
+    def test_signed_zeros_tie(self):
+        eta = np.zeros(6)
+        eta[[1, 4]] = -0.0
+        for idx in (np.array([4, 3, 1, 0]), np.array([0, 1, 3, 4])):
+            assert order_by_eta(eta, idx).tolist() == [0, 1, 3, 4]
+
+    def test_nan_comes_last_in_index_order_as_in_lexsort(self):
+        eta = np.array([0.5, np.nan, -1.0, np.nan, 0.5, 2.0, np.nan])
+        idx = np.array([6, 5, 3, 4, 1, 0, 2])
+        out = order_by_eta(eta, idx)
+        assert out.tolist() == [2, 0, 4, 5, 1, 3, 6]
+        assert np.array_equal(out, self._lexsort_order(eta, idx))
+
 
 class TestFirstDifferences:
     def test_two_rows(self):

@@ -168,6 +168,14 @@ class TestFitIte:
             response = matched_differences(obs, run.beta_hat, run.matches)
             assert np.array_equal(fitted.coef, ols(design, response))
 
+    def test_response_is_the_records_differences(self, monkeypatch):
+        obs, _, est, model = _fitted_pipeline(seed=8, n=900, alpha=lambda x, eta: x[:, 0] ** 2)
+        # no second pass over the matches: doubling the record doubles the fit
+        monkeypatch.setattr("threshmatch.att.matched_differences", None)
+        doubled = fit_ite(obs, replace(est, differences=2.0 * est.differences), SplineBasisSpec(), 8)
+        assert doubled.basis.df == model.basis.df
+        assert np.array_equal(doubled.coef, 2.0 * model.coef)
+
     def test_cv_requires_enough_rows(self):
         # x_only at the default grid: the widest design has 1 + 3 * 10 + 3 = 34
         # columns, and the smallest training set, floor(3m/4) rows, reaches it at 46
@@ -175,7 +183,7 @@ class TestFitIte:
 
         def first(m):
             pairs = MatchResult(est.matches.treated_idx[:m], est.matches.control_idx[:m])
-            return replace(est, matches=pairs)
+            return replace(est, matches=pairs, differences=est.differences[:m])
 
         for m in (35, 43, 45):
             with pytest.raises(TooFewRows, match=rf"need at least 46 rows, got {m}$"):
