@@ -18,7 +18,6 @@ from .att import (
     estimate_att,
     estimate_att_crossfit,
     estimate_theta,
-    matched_differences,
 )
 from .bootstrap import BootstrapResult, bootstrap_att, bootstrap_replicate
 from .data_model import (
@@ -126,7 +125,6 @@ __all__ = [
     "load_csv",
     "load_ite_model",
     "match_controls",
-    "matched_differences",
     "monte_carlo_att",
     "monte_carlo_ite",
     "ols",

@@ -24,10 +24,20 @@ the eta ordering and of matching, exactly as on a copied resample; only
 the reads of data rows go through ``rows``.  A plain run passes no row map
 and gathers nothing extra.
 
+The roles of a run are always the parts of one :class:`SplitAssignment`,
+which checks that they partition ``0..N-1`` with ``N`` the sum of their
+sizes.  The run adds one check of its own, before any role's label: ``N``
+must be its number of positions, ``obs.n``, or ``len(rows)`` with a row
+map.  Otherwise it raises DimensionMismatch, so a partition of part of
+the sample, or a row map of another length than ``obs.n``, fails loudly.
+
 Per-row linear products (``z @ gamma_hat`` for the residuals, ``x @
 beta_hat`` for the adjusted outcomes) run once over all rows of ``obs``,
 whose ``x`` and ``z`` are stored row-major; the pipeline then gathers
 scalars at the rows it needs, never 2-D rows of ``x`` or ``z``.
+:func:`matched_differences`, the step that forms the matched gaps, is
+reached as ``threshmatch.att.matched_differences``; the package exports
+the run's record of them, ``AttEstimate.differences``, instead.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ from .data_model import (
     treatment_mask,
 )
 from .diff_beta import fit_beta
-from .errors import labelled
+from .errors import DimensionMismatch, labelled
 from .matching import MatchResult, match_controls
 from .residualize import fit_gamma, residuals_eta
 
@@ -110,13 +120,16 @@ def _estimate_with_roles(
     match_split: np.ndarray,
     rows: np.ndarray | None = None,
 ) -> AttEstimate:
+    # the roles are the parts of one SplitAssignment, which checks that they
+    # partition their own positions; those must be the run's, under the
+    # caller's label alone
+    positions = obs.n if rows is None else len(rows)
+    if gamma_split.size + beta_split.size + match_split.size != positions:
+        raise DimensionMismatch(f"the split does not partition the run's {positions} positions")
+
     with labelled("I1"):
         gamma_hat = fit_gamma(obs, rows_at(rows, gamma_split))
 
-    # a row outside the set in the other two splits fails here, outside the
-    # role blocks, under the caller's label alone
-    check_indices(beta_split, obs.n)
-    check_indices(match_split, obs.n)
     # residuals are needed on the second and third splits only; rows of the
     # first split get NaN so accidental use fails loudly
     eta_hat = residuals_eta(gamma_hat, obs, rows)
@@ -171,7 +184,9 @@ def estimate_theta(
     Returns ``theta_hat`` of one pipeline run in role order or, with
     ``crossfit``, ``theta_cf`` over the partition's three role rotations.
     With a row map ``rows`` the run is on that resample of ``obs``: the
-    result equals the run on ``obs.take(rows)`` bit for bit.  Callers that
+    result equals the run on ``obs.take(rows)`` bit for bit.  The partition
+    is drawn over ``obs.n`` positions, so a row map of any other length
+    raises DimensionMismatch.  Callers that
     need the intermediate fits call :func:`estimate_att` or
     :func:`estimate_att_crossfit` instead.
     """

@@ -185,9 +185,14 @@ class ColumnSpec:
 class SplitAssignment:
     """Disjoint index partition ``i1, i2, i3`` covering ``{0..n-1}``.
 
-    The first two parts have ``floor(n/3)`` rows each and the third takes
-    the remainder.  Index lists are stored sorted ascending; membership,
-    not order, is what a split means.
+    ``n`` is the sum of the parts' sizes.  Each part needs integer row
+    indices (:func:`row_indices`), of any shape: a part is the rows it
+    holds, stored flat.  Then every index must lie in ``0..n-1``,
+    else IndexOutOfRange names it, and every row must appear exactly once,
+    else DimensionMismatch names a row found in two parts or twice in one.
+    :func:`split_three_way` gives the first two parts ``floor(n/3)`` rows
+    each and the third the remainder.  Index lists are stored sorted
+    ascending; membership, not order, is what a split means.
     """
 
     i1: np.ndarray
@@ -195,9 +200,17 @@ class SplitAssignment:
     i3: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "i1", np.sort(row_indices(self.i1)))
-        object.__setattr__(self, "i2", np.sort(row_indices(self.i2)))
-        object.__setattr__(self, "i3", np.sort(row_indices(self.i3)))
+        parts = [np.sort(row_indices(p), axis=None) for p in (self.i1, self.i2, self.i3)]
+        n = sum(p.size for p in parts)
+        # a sorted part lies in 0..n-1 when its first and last rows do
+        check_indices([p[end] for p in parts if p.size for end in (0, -1)], n)
+        cover = np.zeros(n, dtype=bool)
+        for name, p in zip(("i1", "i2", "i3"), parts):
+            cover[p] = True
+            object.__setattr__(self, name, p)
+        if not cover.all():  # n indices in range miss a row only if one repeats
+            row = np.flatnonzero(np.bincount(np.concatenate(parts)) > 1)[0]
+            raise DimensionMismatch(f"row {row} appears more than once in the split")
 
     def rotations(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The three cyclic role rotations used by cross-fitting."""

@@ -218,8 +218,10 @@ def fit_ite(
     The ``len(df_grid) * 4`` fold fits run on up to one process per CPU
     through :func:`threshmatch.parallel.map_ranges`, or here when called
     inside another call's ranges; the chosen df and the model do not
-    depend on how many run.  Of several failing fits, the one first in
-    df-major order (each df's folds in order) raises.  The refit runs here.
+    depend on how many run.  The items run in fold-major order (every df
+    of the first fold, then of the next), and the first failing fit in that
+    order raises, as ``map_ranges`` raises; fits after it in the caller's
+    range are not run.  The refit runs here.
     """
     _, cov = _treated_covariates(obs, est, spec.include_eta)
     response = est.differences
@@ -234,26 +236,19 @@ def fit_ite(
              for hold in np.array_split(perm, CV_FOLDS)]
     grid = spec.df_grid
 
-    def fold_error(i: int) -> float | Exception:
+    def fold_error(i: int) -> float:
         # fold-major items, so every contiguous range holds narrow and wide designs
         df = grid[i % len(grid)]
         train, hold = folds[i // len(grid)]
-        try:
-            design = build_basis(cov, replace(spec, df=df), quantile_knots(cov[train], df))
-            coef = ols(design[train], response[train])
-            err = response[hold] - design[hold] @ coef
-            return float(np.mean(err**2))
-        except Exception as exc:  # raised below, in the serial df-major order
-            return exc
+        design = build_basis(cov, replace(spec, df=df), quantile_knots(cov[train], df))
+        coef = ols(design[train], response[train])
+        err = response[hold] - design[hold] @ coef
+        return float(np.mean(err**2))
 
     results = map_ranges(fold_error, len(grid) * CV_FOLDS)
     best_df, best_mse = None, np.inf
     for j, df in enumerate(grid):
-        fold_mse = results[j :: len(grid)]
-        for value in fold_mse:
-            if isinstance(value, Exception):
-                raise value
-        mean_mse = float(np.mean(fold_mse))
+        mean_mse = float(np.mean(results[j :: len(grid)]))
         if mean_mse < best_mse:
             best_df, best_mse = df, mean_mse
 

@@ -5,6 +5,7 @@ import threshmatch.att as att_mod
 from threshmatch import (
     AttEstimate,
     DgpConfig,
+    DimensionMismatch,
     EmptyControlGroup,
     EmptyTreatedGroup,
     IndexOutOfRange,
@@ -235,13 +236,39 @@ class TestErrorLabeling:
         assert err.value.split == "I2"
 
     def test_rotation_label_stands_alone_outside_role_blocks(self):
-        # row 99 of a 30-row set fails in residuals_eta, outside the I1/I2/I3
-        # blocks, so the rotation's label is the only one
-        splits = SplitAssignment(np.arange(0, 10), np.r_[10:19, 99], np.arange(20, 30))
-        with pytest.raises(IndexOutOfRange) as err:
-            crossfit_on_splits(make_null_obs(seed=1, n=30), splits)
+        # a valid 30-row partition on a 31-row set fails the run's own size
+        # check, outside the I1/I2/I3 blocks, so the rotation's label is the only one
+        splits = SplitAssignment(np.arange(0, 10), np.arange(10, 20), np.arange(20, 30))
+        with pytest.raises(DimensionMismatch) as err:
+            crossfit_on_splits(make_null_obs(seed=1, n=31), splits)
         assert err.value.split == "rotation 0"
         assert "None" not in str(err.value)
+
+
+class TestRunPositions:
+    # a partition of part of the sample, or a row map of another length,
+    # used to run silently (a 150-row partition of 300 rows gave 2.076)
+    @pytest.fixture(scope="class")
+    def obs(self):
+        return generate(DgpConfig(n=300, seed=1))
+
+    def test_partial_partition_is_rejected_by_a_single_run(self, obs):
+        with pytest.raises(DimensionMismatch, match=r"run's 300 positions") as err:
+            estimate_att(obs, split_three_way(150, seed=0))
+        assert err.value.split is None
+
+    def test_partial_partition_is_rejected_by_crossfit(self, obs):
+        with pytest.raises(DimensionMismatch, match=r"run's 300 positions") as err:
+            crossfit_on_splits(obs, split_three_way(150, seed=0))
+        assert err.value.split == "rotation 0"
+
+    @pytest.mark.parametrize("extra", [30, -100], ids=["n-plus-30", "n-minus-100"])
+    @pytest.mark.parametrize("crossfit", [False, True], ids=["single", "crossfit"])
+    def test_row_map_of_another_length_is_rejected(self, obs, extra, crossfit):
+        # n + 30 used to give 0.898 (take(rows) gives 0.786), n - 100 a bare IndexError
+        rows = np.arange(obs.n + extra) % obs.n
+        with pytest.raises(DimensionMismatch, match=rf"run's {obs.n + extra} positions"):
+            estimate_theta(obs, seed=0, crossfit=crossfit, rows=rows)
 
 
 class TestMatchedDifferences:

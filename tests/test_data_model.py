@@ -457,7 +457,8 @@ def _entry_points():
     }
 
 
-# SplitAssignment and match_controls know no row count, so only the dtype rule applies there
+# SplitAssignment takes its row count from its parts and match_controls knows
+# none, so only the dtype rule is checked here (TestSplitPartition has the rest)
 _WITH_ROW_COUNT = ("check_indices", "take", "residuals_eta", "order_by_eta")
 
 
@@ -587,6 +588,43 @@ class TestSplitThreeWay:
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
             split_three_way(8, seed=0)
+
+
+class TestSplitPartition:
+    def test_valid_partition_is_stored_sorted(self):
+        s = SplitAssignment(np.array([4, 0]), np.array([5, 2, 1]), np.array([3]))
+        assert [p.tolist() for p in (s.i1, s.i2, s.i3)] == [[0, 4], [1, 2, 5], [3]]
+        assert all(p.dtype == np.intp for p in (s.i1, s.i2, s.i3))
+
+    def test_part_of_any_shape_is_the_rows_it_holds(self):
+        # a 2-D part used to reach the score fit as a 3-D design
+        s = SplitAssignment(np.array([[5, 0], [2, 1]]), np.array([3]), np.array([4]))
+        assert s.i1.tolist() == [0, 1, 2, 5]
+
+    def test_row_in_two_parts_is_rejected(self):
+        # 6 indices, so rows 0..5; row 3 sits in the first and third parts
+        with pytest.raises(DimensionMismatch, match=r"^row 3 appears more than once"):
+            SplitAssignment(np.array([0, 3]), np.array([1, 2]), np.array([3, 4]))
+
+    def test_row_twice_in_one_part_is_rejected(self):
+        with pytest.raises(DimensionMismatch, match=r"^row 4 appears more than once"):
+            SplitAssignment(np.array([0, 1]), np.array([4, 2, 4]), np.array([3]))
+
+    @pytest.mark.parametrize("part", [0, 1, 2])
+    @pytest.mark.parametrize("row", [-1, 9], ids=["minus-one", "n"])
+    def test_rows_outside_the_partition_are_rejected(self, part, row):
+        # nine indices partition rows 0..8; -1 or 9 replaces one part's middle row
+        parts = [np.arange(0, 3), np.arange(3, 6), np.arange(6, 9)]
+        parts[part] = np.where(parts[part] == 3 * part + 1, row, parts[part])
+        with pytest.raises(IndexOutOfRange) as err:
+            SplitAssignment(*parts)
+        assert err.value.index == row
+        assert str(err.value) == f"index {row} out of range for 9 rows"
+
+    def test_range_is_checked_before_repeats(self):
+        # row 9 of nine indices also means some row is missing or repeated
+        with pytest.raises(IndexOutOfRange):
+            SplitAssignment(np.arange(0, 3), np.array([3, 3, 9]), np.arange(6, 9))
 
 
 class TestTreatmentMask:

@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import threshmatch
+import threshmatch.att
 
 
 def test_all_is_unique_resolvable_and_star_importable():
@@ -12,6 +13,14 @@ def test_all_is_unique_resolvable_and_star_importable():
     namespace: dict = {}
     exec("from threshmatch import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def test_matched_differences_stays_in_att_only():
+    # the run's record, AttEstimate.differences, is the exported form of the
+    # matched gaps; the step itself stays reachable where it is defined
+    assert "matched_differences" not in threshmatch.__all__
+    assert not hasattr(threshmatch, "matched_differences")
+    assert callable(threshmatch.att.matched_differences)
 
 
 def _private_cross_module_imports(source: str) -> list[str]:

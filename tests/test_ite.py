@@ -224,9 +224,9 @@ class TestCvGrid:
 
     @pytest.mark.parametrize("cpus", [1, 3])
     @pytest.mark.parametrize("failing", [((4, 2), (8, 0)), ((8, 0), (4, 2))])
-    def test_first_failure_in_df_major_order_raises(self, monkeypatch, cpus, failing):
-        # df 4 fold 2 comes first in a df-major loop, df 8 fold 0 first in
-        # fold-major item order and in the caller's range at 3 CPUs
+    def test_first_failure_in_fold_major_order_raises(self, monkeypatch, cpus, failing):
+        # df 8 fold 0 comes before df 4 fold 2 in fold-major item order and
+        # lies in the caller's range at 3 CPUs; df 4 fold 2 lies in a child's
         obs, _, est, _ = _fitted_pipeline(seed=9, n=900, alpha=lambda x, eta: x[:, 0])
         spec = SplineBasisSpec()
         df_of_width = {replace(spec, df=df).dimension(3): df for df in spec.df_grid}
@@ -254,9 +254,24 @@ class TestCvGrid:
 
         set_cpus(monkeypatch, cpus)
         monkeypatch.setattr(ite_mod, "ols", failing_ols)
-        with pytest.raises(NumericError, match=r"^fit df=4 fold=2$"):
+        with pytest.raises(NumericError, match=r"^fit df=8 fold=0$"):
             fit_ite(obs, est, spec, cv_seed=9)
         assert_no_child_left()
+
+    def test_failing_grid_stops_at_its_first_fit(self, monkeypatch):
+        # on one CPU the first fold's first fit fails and no other is tried
+        obs, _, est, _ = _fitted_pipeline(seed=9, n=900, alpha=lambda x, eta: x[:, 0])
+        calls = []
+
+        def failing_ols(a, b):
+            calls.append(a.shape)
+            raise NumericError("fit failed")
+
+        set_cpus(monkeypatch, 1)
+        monkeypatch.setattr(ite_mod, "ols", failing_ols)
+        with pytest.raises(NumericError, match=r"^fit failed$"):
+            fit_ite(obs, est, SplineBasisSpec(), cv_seed=9)
+        assert len(calls) == 1
 
 
 class TestPredict:
