@@ -77,64 +77,9 @@ from .simulate import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttEstimate",
-    "ArityMismatch",
-    "BootstrapResult",
-    "ColumnSpec",
-    "CrossfitEstimate",
-    "DegenerateCovariate",
-    "DgpConfig",
-    "DimensionMismatch",
-    "DuplicateColumn",
-    "EmptyControlGroup",
-    "EmptyTreatedGroup",
-    "IndexOutOfRange",
-    "InputError",
-    "InvalidLevel",
-    "IteModel",
-    "MatchResult",
-    "McReport",
-    "MissingColumn",
-    "NonFiniteValue",
-    "NumericError",
-    "ObservationSet",
-    "ParseError",
-    "RankDeficient",
-    "SplineBasisSpec",
-    "SplitAssignment",
-    "SplitTooSmall",
-    "StructuralError",
-    "ThreshmatchError",
-    "TooFewControls",
-    "TooFewRows",
-    "TooManyFailures",
-    "bootstrap_att",
-    "bootstrap_replicate",
-    "build_basis",
-    "crossfit_on_splits",
-    "estimate_att",
-    "estimate_att_crossfit",
-    "estimate_theta",
-    "first_differences",
-    "fit_beta",
-    "fit_gamma",
-    "fit_ite",
-    "generate",
-    "ite_mse",
-    "load_csv",
-    "load_ite_model",
-    "match_controls",
-    "monte_carlo_att",
-    "monte_carlo_ite",
-    "ols",
-    "order_by_eta",
-    "predict_ite_batch",
-    "residuals_eta",
-    "save_ite_model",
-    "split_three_way",
-    "treatment_mask",
-    "true_att_oracle",
-    "true_ite_fn",
-    "write_csv",
-]
+# the names imported above: every package-level object a submodule defines
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if getattr(value, "__module__", "").startswith(__name__ + ".")
+)

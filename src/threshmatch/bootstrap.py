@@ -49,7 +49,9 @@ def bootstrap_replicate(
 
     Draws ``n`` rows with replacement (stream ``(seed, r, 0)``), re-splits
     the resampled data (seed ``(seed, r, 1)``), and runs the pipeline on
-    the resample's row map, bit-identical to a run on ``obs.take(rows)``.
+    the resample's row map, bit-identical to a run on ``obs.take(rows)``
+    with up to 7 columns in ``x`` and in ``z`` (from 8, the last bits may
+    differ; see :func:`threshmatch.att.estimate_theta`).
     Raises the pipeline's structural errors on degenerate resamples.
     """
     rows = rng_from(seed, r, 0).integers(0, obs.n, size=obs.n)

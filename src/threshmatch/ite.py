@@ -23,8 +23,9 @@ operations in the same order, so designs are bit-equal to
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, count, zip_longest
 
 import numpy as np
 
@@ -44,8 +45,7 @@ from .rng import rng_from
 DEFAULT_DF_GRID = (3, 4, 5, 6, 8, 10)
 CV_FOLDS = 4
 DEGREE = 3  # cubic splines; model files record it and the loader accepts only this
-# the fields of a model file, in order, before its knotsJ lines and coef
-_MODEL_KEYS = ("degree", "df", "df_grid", "include_eta", "interactions", "training_mse")
+_MODEL_HEADER = "threshmatch-ite-model v1"
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,7 @@ def bspline_block(values: np.ndarray, knots: np.ndarray) -> np.ndarray:
     x = np.clip(np.asarray(values, dtype=np.float64), t[0], t[-1])
     n_basis = t.size - DEGREE - 1
     # interval index: the last knot <= x, clipped to [DEGREE, n_basis - 1]
-    ell = np.full(x.shape, DEGREE)
-    for interior in t[DEGREE + 1 : n_basis]:
-        ell += x >= interior
+    ell = DEGREE + np.searchsorted(t[DEGREE + 1 : n_basis], x, side="right")
     # knot[c] holds t[ell + c] per row, for each offset the recurrence reads
     knot = {c: t[ell + c] for c in range(1 - DEGREE, DEGREE + 1)}
     # h holds the j + 1 nonzero degree-j B-splines on the interval, left to right
@@ -222,7 +220,12 @@ def fit_ite(
     of the first fold, then of the next), and the first failing fit in that
     order raises, as ``map_ranges`` raises; fits after it in the caller's
     range are not run.  The refit runs here.
+
+    Cross-validation picks ``df``, so a ``spec`` whose ``df`` is already set
+    raises DimensionMismatch.
     """
+    if spec.df is not None:
+        raise DimensionMismatch(f"spec.df is {spec.df}; fit_ite picks df from df_grid")
     _, cov = _treated_covariates(obs, est, spec.include_eta)
     response = est.differences
     m, d = cov.shape
@@ -293,57 +296,76 @@ def ite_mse(model: IteModel, obs: ObservationSet, est: AttEstimate, truth) -> fl
     return float(np.mean((predicted - actual) ** 2))
 
 
+def _model_text(model: IteModel) -> str:
+    """The text of ``model``'s file: the one statement of the format."""
+    spec = model.basis
+    lines = [
+        _MODEL_HEADER,
+        f"degree {DEGREE}",
+        f"df {spec.df}",
+        f"df_grid {','.join(str(v) for v in spec.df_grid)}",
+        f"include_eta {int(spec.include_eta)}",
+        "interactions 1",
+        f"training_mse {float(model.training_mse).hex()}",
+        *(f"knots{j} " + " ".join(float(v).hex() for v in kn) for j, kn in enumerate(model.knots)),
+        "coef " + " ".join(float(v).hex() for v in model.coef),
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def save_ite_model(model: IteModel, path: str) -> None:
     """Serialize to a flat text file; floats in hex so round-trips are bit-exact."""
-    lines = ["threshmatch-ite-model v1"]
-    spec = model.basis
-    lines.append(f"degree {DEGREE}")
-    lines.append(f"df {spec.df}")
-    lines.append(f"df_grid {','.join(str(v) for v in spec.df_grid)}")
-    lines.append(f"include_eta {int(spec.include_eta)}")
-    lines.append("interactions 1")
-    lines.append(f"training_mse {float(model.training_mse).hex()}")
-    for j, kn in enumerate(model.knots):
-        lines.append(f"knots{j} " + " ".join(float(v).hex() for v in kn))
-    lines.append("coef " + " ".join(float(v).hex() for v in model.coef))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_model_text(model))
+
+
+def _hex_floats(field: str) -> np.ndarray:
+    return np.array([float.fromhex(tok) for tok in field.split()])
 
 
 def load_ite_model(path: str) -> IteModel:
     """Inverse of :func:`save_ite_model`.
 
-    The lines after the first are the ones :func:`save_ite_model` writes,
-    in its order, each once: ``degree, df, df_grid, include_eta,
-    interactions, training_mse, knots0 .. knots{d-1}, coef``, with
-    ``include_eta`` 0 or 1.  Any other file, or one that does not describe
-    a valid :class:`IteModel`, raises ArityMismatch naming the path.
+    A file loads if and only if it is the text :func:`save_ite_model` writes
+    for the valid :class:`IteModel` it describes, with any newline
+    convention.  The lines after the first are parsed by key into a model,
+    whose construction checks it, and the file must then be that model's
+    text.  Any other file raises ArityMismatch naming the path: one that is
+    not UTF-8 names the offset of its first bad byte, and one that is not
+    the writer's text names its first line that differs and what the writer
+    writes there.  A file that cannot be opened raises OSError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != "threshmatch-ite-model v1":
-        raise ArityMismatch(f"{path}: not a threshmatch ITE model file")
-    pairs = [ln.partition(" ")[::2] for ln in lines[1:]]
-    knot_keys = [f"knots{j}" for j in range(len(pairs) - len(_MODEL_KEYS) - 1)]
-    if [key for key, _ in pairs] != [*_MODEL_KEYS, *knot_keys, "coef"]:
-        raise ArityMismatch(f"{path}: lines are not {', '.join(_MODEL_KEYS)}, knots0.., coef in order")
-    fields = dict(pairs)
-    # neither changes the coefficient count, so a mismatch would predict wrongly
-    if fields["degree"] != str(DEGREE) or fields["interactions"] != "1":
-        raise ArityMismatch(f"{path}: only cubic models with interactions are supported")
-    if fields["include_eta"] not in ("0", "1"):
-        raise ArityMismatch(f"{path}: include_eta is not 0 or 1")
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        knots = [np.array([float.fromhex(tok) for tok in fields[k].split()]) for k in knot_keys]
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ArityMismatch(f"{path}: byte {exc.start} is not valid UTF-8") from None
+    lines = io.StringIO(text, newline=None).readlines()  # universal newlines, ends kept
+    if not lines or lines[0].rstrip("\n") != _MODEL_HEADER:
+        raise ArityMismatch(f"{path}: not a threshmatch ITE model file")
+    fields = dict(ln.rstrip("\n").partition(" ")[::2] for ln in lines[1:])
+    try:
         spec = SplineBasisSpec(
             df_grid=tuple(int(v) for v in fields["df_grid"].split(",")),
             include_eta=fields["include_eta"] == "1",
             df=int(fields["df"]),
         )
-        coef = np.array([float.fromhex(tok) for tok in fields["coef"].split()])
-        training_mse = float.fromhex(fields["training_mse"])
-        return IteModel(basis=spec, knots=knots, coef=coef, training_mse=training_mse)
-    except ValueError as exc:
+        n_knots = next(j for j in count() if f"knots{j}" not in fields)
+        model = IteModel(
+            basis=spec,
+            knots=[_hex_floats(fields[f"knots{j}"]) for j in range(n_knots)],
+            coef=_hex_floats(fields["coef"]),
+            training_mse=float.fromhex(fields["training_mse"]),
+        )
+    except KeyError as exc:
+        raise ArityMismatch(f"{path}: no {exc.args[0]} line") from None
+    except (ValueError, OverflowError) as exc:
         raise ArityMismatch(f"{path}: malformed field ({exc!r})") from None
     except (ArityMismatch, DimensionMismatch) as exc:
         raise ArityMismatch(f"{path}: {exc}") from None
+    written = io.StringIO(_model_text(model)).readlines()
+    for k, (got, want) in enumerate(zip_longest(lines, written, fillvalue=""), start=1):
+        if got != want:
+            raise ArityMismatch(f"{path}: line {k} is not what save_ite_model writes there, {want!r}")
+    return model

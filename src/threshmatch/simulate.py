@@ -21,7 +21,7 @@ E[eta^2]`` = ``1 + 0 + 1/3`` for "x_and_eta" (and ``1`` for "x_only").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -46,6 +46,9 @@ EPS_SD = float(np.sqrt(0.5))
 # Reference variance of the scaled estimation error under this generator;
 # Monte-Carlo reports measure their KS distance against N(0, this).
 TARGET_ZETA_VARIANCE = 11.455
+
+# One histogram bin: its edges and the number of scaled errors in it.
+_HISTOGRAM_COLUMNS = ("bin_left", "bin_right", "count")
 
 
 @dataclass(frozen=True)
@@ -134,22 +137,20 @@ class McReport:
     histogram: list[tuple[float, float, int]]
 
     def to_json_dict(self) -> dict:
-        return {
-            "zetas": [float(z) for z in self.zetas],
-            "mean": self.mean,
-            "variance": self.variance,
-            "skewness": self.skewness,
-            "excess_kurtosis": self.excess_kurtosis,
-            "ks_stat": self.ks_stat,
-            "histogram": [
-                {"bin_left": left, "bin_right": right, "count": count}
-                for left, right, count in self.histogram
-            ],
-        }
+        """Each field by name: arrays as lists, each histogram bin as a dict."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            elif isinstance(value, list):
+                value = [dict(zip(_HISTOGRAM_COLUMNS, bin_)) for bin_ in value]
+            out[f.name] = value
+        return out
 
     def write_histogram_csv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("bin_left,bin_right,count\n")
+            fh.write(",".join(_HISTOGRAM_COLUMNS) + "\n")
             for left, right, count in self.histogram:
                 fh.write(f"{left!r},{right!r},{count}\n")
 

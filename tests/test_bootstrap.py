@@ -18,7 +18,7 @@ from threshmatch import (
 from threshmatch.errors import EmptyControlGroup, IndexOutOfRange, NumericError, StructuralError
 from threshmatch.rng import derive_seed, rng_from
 
-from conftest import assert_no_child_left, make_null_obs, set_cpus, tie_heavy_obs
+from conftest import assert_no_child_left, make_null_obs, set_cpus, synthetic, tie_heavy_obs
 
 
 class TestFormula:
@@ -134,6 +134,18 @@ class TestResampleByIndex:
             rows = rng_from(7, r, 0).integers(0, obs.n, size=obs.n)
             expected = estimate_theta(obs.take(rows), derive_seed(7, r, 1), crossfit)
             assert bootstrap_replicate(obs, r, 7, crossfit) == expected
+
+    @pytest.mark.parametrize("crossfit", [False, True], ids=["single", "crossfit"])
+    @pytest.mark.parametrize("d_z", range(1, 8))
+    @pytest.mark.parametrize("d_x", range(1, 8))
+    def test_replicate_equals_the_copied_resample_up_to_7_columns(self, d_x, d_z, crossfit):
+        # README's limit: from 8 columns the row-wide products may differ in the
+        # last bits from the copy's, so the promise holds for widths 1-7
+        obs = synthetic(1200 + d_x + d_z, d_x, d_z, seed=10 * d_x + d_z)
+        for r in range(5):
+            rows = rng_from(7, r, 0).integers(0, obs.n, size=obs.n)
+            expected = estimate_theta(obs.take(rows), derive_seed(7, r, 1), crossfit)
+            assert bootstrap_replicate(obs, r, 7, crossfit).hex() == expected.hex()
 
 
 def _same_result(a, b):

@@ -9,6 +9,7 @@ from threshmatch import (
     ArityMismatch,
     DegenerateCovariate,
     DgpConfig,
+    DimensionMismatch,
     InputError,
     MatchResult,
     NonFiniteValue,
@@ -175,6 +176,12 @@ class TestFitIte:
         doubled = fit_ite(obs, replace(est, differences=2.0 * est.differences), SplineBasisSpec(), 8)
         assert doubled.basis.df == model.basis.df
         assert np.array_equal(doubled.coef, 2.0 * model.coef)
+
+    def test_preset_df_is_rejected(self):
+        # cross-validation picks df; a preset one used to be silently replaced
+        obs, _, est, _ = _fitted_pipeline(seed=9, n=900, alpha=lambda x, eta: x[:, 0])
+        with pytest.raises(DimensionMismatch, match="df"):
+            fit_ite(obs, est, SplineBasisSpec(include_eta=True, df=10), cv_seed=3)
 
     def test_cv_requires_enough_rows(self):
         # x_only at the default grid: the widest design has 1 + 3 * 10 + 3 = 34
@@ -360,6 +367,11 @@ class TestIteMse:
         assert wins >= 9
 
 
+def _first_coef_in_decimal(line: str) -> str:
+    key, first, *rest = line.split()
+    return " ".join([key, repr(float.fromhex(first)), *rest]) + "\n"
+
+
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, tmp_path):
         alpha = lambda x, eta: x[:, 0] ** 2 + eta
@@ -423,11 +435,13 @@ class TestSerialization:
             ("df_grid", lambda toks: [",".join(toks[0].split(",")[::-1])]),
             ("df", lambda toks: ["x"]),
             ("coef", lambda toks: ["0xzz", *toks[1:]]),
+            ("training_mse", lambda toks: ["0x1p5000"]),
         ],
         ids=[
             "nan-coef", "inf-knot", "nan-training-mse", "reversed-knots",
             "short-knots", "equal-knots", "df-over-other-knots", "short-coef",
             "df-below-degree", "decreasing-df-grid", "malformed-df", "malformed-coef",
+            "overflowing-training-mse",
         ],
     )
     def test_loader_rejects_non_finite_or_decreasing_values(self, tmp_path, field, edit):
@@ -446,30 +460,78 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda lines: [*lines[:-1], "extra 1", lines[-1]],
-            lambda lines: [*lines[:-1], "training_mse 0x1.0p-3", lines[-1]],
+            lambda lines: [*lines[:-1], "extra 1\n", lines[-1]],
+            lambda lines: [*lines[:-1], "training_mse 0x1.0p-3\n", lines[-1]],
             lambda lines: [ln.replace("include_eta 0", "include_eta 7") for ln in lines],
             lambda lines: [ln.replace("knots0 ", "knots-1 ") for ln in lines],
             lambda lines: [ln.replace("knots2 ", "knots7 ") for ln in lines],
             lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
+            lambda lines: [*lines[:3], "\n", *lines[3:]],
+            lambda lines: [*lines[:-1], "coef " + "  ".join(lines[-1].split()[1:]) + "\n"],
+            lambda lines: [ln.replace(",", ", ") for ln in lines],
+            lambda lines: [re.sub("^df ", "df 0", ln) for ln in lines],
+            lambda lines: [*lines[:-1], lines[-1].rstrip("\n")],
+            lambda lines: [*lines[:-1], _first_coef_in_decimal(lines[-1])],
         ],
         ids=["unknown-key", "repeated-key", "include-eta-7", "knots-minus-1", "knots-gap",
-             "reordered"],
+             "reordered", "blank-line", "two-spaces-in-coef", "spaced-df-grid", "df-03",
+             "no-final-newline", "decimal-coef"],
     )
     def test_loader_takes_only_the_lines_the_writer_writes(self, tmp_path, edit):
         # each of these files used to load: unknown keys were ignored, the last
-        # repeat won, any integer was a bool and knot lines were sorted by suffix
+        # repeat won, any integer was a bool, knot lines were sorted by suffix,
+        # blank lines were skipped, int() and split() forgave spacing and zeros,
+        # and float.fromhex read a decimal coefficient as hex, to another value
         _, _, _, model = _fitted_pipeline(seed=14, n=900, alpha=lambda x, eta: x[:, 0])
         path = tmp_path / "model.txt"
         save_ite_model(model, str(path))
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         assert [ln.split()[0] for ln in lines[1:]] == [
             "degree", "df", "df_grid", "include_eta", "interactions", "training_mse",
             "knots0", "knots1", "knots2", "coef",
         ]
-        path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        path.write_text("".join(edit(lines)), encoding="utf-8")
         with pytest.raises(ArityMismatch, match=re.escape(str(path))):
             load_ite_model(str(path))
+
+    def test_a_differing_line_is_named_with_the_writers_text(self, tmp_path):
+        _, _, _, model = _fitted_pipeline(seed=14, n=900, alpha=lambda x, eta: x[:, 0])
+        path = tmp_path / "model.txt"
+        save_ite_model(model, str(path))
+        text = path.read_text(encoding="utf-8")
+        line = f"df {model.basis.df}\n"
+        assert text.count(f"\n{line}") == 1
+        path.write_text(text.replace(f"\n{line}", f"\ndf 0{line[3:]}"), encoding="utf-8")
+        named = re.escape(f"{path}: line 3 ") + ".*" + re.escape(repr(line))
+        with pytest.raises(ArityMismatch, match=named):
+            load_ite_model(str(path))
+
+    def test_crlf_copy_loads_the_same_model(self, tmp_path):
+        # a file the writer wrote on Windows; text mode reads any newline convention
+        alpha = lambda x, eta: x[:, 0] ** 2 + eta
+        _, _, _, model = _fitted_pipeline(seed=13, n=900, alpha=alpha, include_eta=True)
+        path = tmp_path / "model.txt"
+        save_ite_model(model, str(path))
+        data = path.read_bytes()
+        assert b"\r" not in data
+        path.write_bytes(data.replace(b"\n", b"\r\n"))
+        loaded = load_ite_model(str(path))
+        assert loaded.basis == model.basis
+        assert loaded.coef.tobytes() == model.coef.tobytes()
+        assert loaded.training_mse.hex() == model.training_mse.hex()
+        assert [k.tobytes() for k in loaded.knots] == [k.tobytes() for k in model.knots]
+
+    def test_non_utf8_file_names_path_and_offset(self, tmp_path):
+        _, _, _, model = _fitted_pipeline(seed=14, n=900, alpha=lambda x, eta: x[:, 0])
+        path = tmp_path / "model.txt"
+        save_ite_model(model, str(path))
+        data = path.read_bytes()
+        at = data.index(b"\ncoef ") + 1
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        with pytest.raises(ArityMismatch, match=re.escape(f"{path}: byte {at} ")):
+            load_ite_model(str(path))
+        with pytest.raises(FileNotFoundError):
+            load_ite_model(str(tmp_path / "missing.txt"))
 
     def test_loader_rejects_other_files(self, tmp_path):
         path = tmp_path / "model.txt"
