@@ -21,10 +21,9 @@ copying it.  Its row map ``rows`` says which row of ``obs`` each of the
 ``n`` resample positions copies.  The splits, ``eta_hat``, the treated
 mask and the matches are indexed by position, and so are the tie keys of
 the eta ordering and of matching, exactly as on a copied resample; only
-the reads of data rows go through ``rows``.  With up to 7 columns in ``x``
-and in ``z`` the result is bit-equal to the run on the copy; from 8 columns
-the per-row products may differ from the copy's in the last bits (README,
-reproducibility).  A plain run passes no row map and gathers nothing extra.
+the reads of data rows go through ``rows``.  The result is bit-equal to
+the run on the copy within the column limit README's reproducibility note
+states.  A plain run passes no row map and gathers nothing extra.
 
 The roles of a run are always the parts of one :class:`SplitAssignment`,
 which checks that they partition ``0..N-1`` with ``N`` the sum of their
@@ -185,11 +184,11 @@ def estimate_theta(
 
     Returns ``theta_hat`` of one pipeline run in role order or, with
     ``crossfit``, ``theta_cf`` over the partition's three role rotations.
-    With a row map ``rows`` the run is on that resample of ``obs``: with up
-    to 7 columns in ``x`` and in ``z`` the result equals the run on
-    ``obs.take(rows)`` bit for bit, and from 8 columns it may differ in the
-    last bits.  The partition is drawn over ``obs.n`` positions, so a row
-    map of any other length raises DimensionMismatch.  Callers that need
+    With a row map ``rows`` the run is on that resample of ``obs``, and
+    equals the run on ``obs.take(rows)`` bit for bit within the column
+    limit README's reproducibility note states.  The partition is drawn
+    over ``obs.n`` positions, so a row map of any other length raises
+    DimensionMismatch.  Callers that need
     the intermediate fits call :func:`estimate_att` or
     :func:`estimate_att_crossfit` instead.
     """

@@ -1,11 +1,11 @@
 """Resampling-based variance and confidence intervals for the ATT.
 
-Analytic plug-in variance for the matching estimator needs density ratios
-and conditional moments that are hard to estimate well, so inference runs
-through the n-out-of-n bootstrap instead: resample rows with replacement,
-rerun the whole pipeline (fresh split included), and scale the replicate
-variance by a third of the sample size -- the size of one split, which is
-the effective sample behind a single-run estimate.
+The matching estimator has no analytic standard error yet (ROADMAP item
+2), so inference runs through the n-out-of-n bootstrap instead: resample
+rows with replacement, rerun the whole pipeline (fresh split included),
+and scale the replicate variance by a third of the sample size -- the
+size of one split, which is the effective sample behind a single-run
+estimate.
 
 Every replicate's randomness is counter-derived from ``(seed, r)``, so
 replicate ``r`` can be recomputed alone and parallel execution cannot
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .att import estimate_theta
-from .data_model import ObservationSet
+from .data_model import ObservationSet, whole_number
 from .errors import InputError, InvalidLevel, NumericError, StructuralError, TooManyFailures
 from .parallel import map_ranges
 from .rng import derive_seed, rng_from
@@ -50,8 +50,7 @@ def bootstrap_replicate(
     Draws ``n`` rows with replacement (stream ``(seed, r, 0)``), re-splits
     the resampled data (seed ``(seed, r, 1)``), and runs the pipeline on
     the resample's row map, bit-identical to a run on ``obs.take(rows)``
-    with up to 7 columns in ``x`` and in ``z`` (from 8, the last bits may
-    differ; see :func:`threshmatch.att.estimate_theta`).
+    within the column limit README's reproducibility note states.
     Raises the pipeline's structural errors on degenerate resamples.
     """
     rows = rng_from(seed, r, 0).integers(0, obs.n, size=obs.n)
@@ -76,7 +75,7 @@ def bootstrap_att(
     """
     if not (0.0 < level < 1.0):
         raise InvalidLevel(level)
-    if b < 2:
+    if whole_number(b, "b") < 2:
         raise InputError(f"need at least 2 bootstrap replicates, got {b}")
 
     def replicate(r: int) -> float | None:

@@ -52,6 +52,9 @@ GEN_COLUMNS = ColumnSpec(
 
 _KIND_BY_FLAG = {"x-only": X_ONLY, "x-and-eta": X_AND_ETA}
 
+# the exit code of a failure: the first row whose class it is an instance of
+_EXIT_CODES = ((TooManyFailures, 4), ((InputError, OSError), 2), (ThreshmatchError, 3))
+
 
 def _comma_list(text: str) -> list[str]:
     items = [t.strip() for t in text.split(",") if t.strip()]
@@ -99,7 +102,7 @@ def _manifest(args: argparse.Namespace, started: float) -> dict:
     return {
         "subcommand": args.subcommand,
         "flags": {k: v for k, v in vars(args).items() if k != "func"},
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "version": __version__,
         "input_digest": _sha256(args.data) if getattr(args, "data", None) else None,
         "duration_s": time.perf_counter() - started,
@@ -115,7 +118,7 @@ def _load(args: argparse.Namespace) -> ObservationSet:
         y_col=args.y, q_col=args.q, x_cols=args.x, z_cols=args.z, tau0=args.tau
     )
     obs = load_csv(args.data, spec)
-    if getattr(args, "add_intercept_z", False):
+    if args.add_intercept_z:
         obs = obs.with_z_intercept()
     return obs
 
@@ -195,27 +198,25 @@ def cmd_ite(args: argparse.Namespace) -> dict:
 
 
 def cmd_simulate(args: argparse.Namespace) -> dict:
-    kind = _KIND_BY_FLAG[args.ite_kind]
+    # resolved in args, so the manifest's flags record the value used
+    if args.include_eta is None:
+        args.include_eta = args.ite_kind == "x-and-eta"
+    if args.mode == "gen" and not args.out:
+        raise InputError("--mode gen requires --out PATH")
+    config = DgpConfig(n=args.n, seed=args.seed, ite_kind=_KIND_BY_FLAG[args.ite_kind])
     if args.mode == "gen":
-        if not args.out:
-            raise InputError("--mode gen requires --out PATH")
-        obs = generate(DgpConfig(n=args.n, seed=args.seed, ite_kind=kind))
+        obs = generate(config)
         columns = write_csv(args.out, obs, GEN_COLUMNS)
         return {"written": args.out, "n": obs.n, "columns": columns}
     if args.mode == "mc-att":
-        report = monte_carlo_att(
-            DgpConfig(n=args.n, seed=0, ite_kind=kind),
-            reps=args.reps,
-            crossfit=args.crossfit,
-            master_seed=args.seed,
-        )
+        report = monte_carlo_att(config, reps=args.reps, crossfit=args.crossfit)
         if args.out:
             report.write_histogram_csv(args.out)
         return {"report": report.to_json_dict(), "histogram_out": args.out}
     # mc-ite
     spec = SplineBasisSpec(df_grid=args.df_grid, include_eta=args.include_eta)
     seeds = [derive_seed(args.seed, k) for k in range(args.reps)]
-    mses = monte_carlo_ite(DgpConfig(n=args.n, seed=0, ite_kind=kind), spec, seeds)
+    mses = monte_carlo_ite(config, spec, seeds)
     return {"mses": mses, "median_mse": float(np.median(mses))}
 
 
@@ -262,10 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.subcommand == "simulate" and getattr(args, "include_eta", None) is None:
-        args.include_eta = args.ite_kind == "x-and-eta"
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         # every command returns its payload; the manifest and output are shared
@@ -273,15 +271,9 @@ def main(argv: list[str] | None = None) -> int:
         payload["manifest"] = _manifest(args, started)
         _emit(payload)
         return 0
-    except (InputError, OSError) as exc:
+    except (ThreshmatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TooManyFailures as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ThreshmatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import re
 import warnings
 from collections.abc import Iterator
@@ -228,7 +229,7 @@ def split_three_way(n: int, seed: int = 0) -> SplitAssignment:
     slicing, which restores exchangeability for files that arrive sorted.
     Deterministic for fixed ``(n, seed)``.
     """
-    if n < MIN_ROWS:
+    if whole_number(n, "n") < MIN_ROWS:
         raise TooFewRows(n, MIN_ROWS)
     order = rng_from(seed).permutation(n).astype(np.intp, copy=False)
     k = n // 3
@@ -238,6 +239,19 @@ def split_three_way(n: int, seed: int = 0) -> SplitAssignment:
 def treatment_mask(obs: ObservationSet) -> np.ndarray:
     """Boolean vector: True where ``q >= tau0``.  The cutoff itself is treated."""
     return obs.q >= obs.tau0
+
+
+def whole_number(value: int, name: str) -> int:
+    """``value`` as an ``int`` by Python's own rule, ``operator.index``.
+
+    A count (rows, replicates, samples, degrees of freedom) must be an
+    integer of any integer type.  Anything else, a float such as ``300.5``
+    or ``300.0`` included, raises DimensionMismatch naming ``name``.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DimensionMismatch(f"{name} must be an integer, got {value!r}") from None
 
 
 def row_indices(idx: np.ndarray) -> np.ndarray:
@@ -335,6 +349,22 @@ def _lines(data: bytes) -> io.TextIOWrapper:
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
 
 
+def utf8_bytes(path: str, error: type[InputError]) -> bytes:
+    """The bytes of the file at ``path``, checked to be UTF-8.
+
+    The one encoding check of the files the package reads: a byte that is
+    not UTF-8 raises ``error``, the caller's class, naming the path and the
+    byte's offset.  A file that cannot be opened raises OSError.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: byte {exc.start} is not valid UTF-8") from None
+    return data
+
+
 def read_columns(path: str, names: list[str], min_rows: int) -> np.ndarray:
     """A header-first CSV file's ``names`` as one ``(rows, len(names))`` float64 matrix.
 
@@ -342,9 +372,10 @@ def read_columns(path: str, names: list[str], min_rows: int) -> np.ndarray:
     The matrix is column-major, so each column is contiguous.
 
     The one reader for data files and prediction grids.  The file is read
-    once and must be UTF-8; a byte that is not raises :class:`InputError`
-    with its offset.  ``csv.reader`` parses the header.  The body's lines,
-    without the whitespace-only ones, are converted in one pass by
+    once by :func:`utf8_bytes`, so a byte that is not UTF-8 raises
+    :class:`InputError` with its offset.  ``csv.reader`` parses the
+    header.  The body's lines, without the whitespace-only ones, are
+    converted in one pass by
     ``np.loadtxt(..., delimiter=",", usecols=..., dtype=np.float64,
     ndmin=2, comments=None, quotechar='"', encoding="utf-8")``: a ``#`` is
     an ordinary character, and quoted cells, quoted fields spanning lines
@@ -367,12 +398,7 @@ def read_columns(path: str, names: list[str], min_rows: int) -> np.ndarray:
     file counts as zero), then the first bad cell of the first bad column
     in the order of ``names``.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: byte {exc.start} is not valid UTF-8") from None
+    data = utf8_bytes(path, InputError)
     lines = _lines(data)
     header = next(csv.reader(lines), None)
     if header is None:

@@ -30,7 +30,7 @@ from itertools import combinations, count, zip_longest
 import numpy as np
 
 from .att import AttEstimate
-from .data_model import ObservationSet
+from .data_model import ObservationSet, utf8_bytes, whole_number
 from .errors import (
     ArityMismatch,
     DegenerateCovariate,
@@ -54,6 +54,9 @@ class SplineBasisSpec:
 
     ``df`` is the per-covariate degrees of freedom actually used to build
     a basis; it is None until cross-validation picks one from ``df_grid``.
+    ``df`` and the grid's entries are integers (of any integer type) of at
+    least ``DEGREE``, the grid nonempty and strictly increasing; anything
+    else raises DimensionMismatch.
     """
 
     df_grid: tuple[int, ...] = DEFAULT_DF_GRID
@@ -61,14 +64,14 @@ class SplineBasisSpec:
     df: int | None = None
 
     def __post_init__(self):
-        grid = tuple(int(v) for v in self.df_grid)
+        grid = tuple(whole_number(v, "every df_grid entry") for v in self.df_grid)
         if not grid:
             raise DimensionMismatch("df_grid must be nonempty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise DimensionMismatch("df_grid must be strictly increasing")
         if grid[0] < DEGREE:
             raise DimensionMismatch(f"every df must be >= degree ({DEGREE})")
-        if self.df is not None and self.df < DEGREE:
+        if self.df is not None and whole_number(self.df, "df") < DEGREE:
             raise DimensionMismatch(f"df must be >= degree ({DEGREE})")
         object.__setattr__(self, "df_grid", grid)
 
@@ -335,12 +338,7 @@ def load_ite_model(path: str) -> IteModel:
     the writer's text names its first line that differs and what the writer
     writes there.  A file that cannot be opened raises OSError.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ArityMismatch(f"{path}: byte {exc.start} is not valid UTF-8") from None
+    text = utf8_bytes(path, ArityMismatch).decode("utf-8")
     lines = io.StringIO(text, newline=None).readlines()  # universal newlines, ends kept
     if not lines or lines[0].rstrip("\n") != _MODEL_HEADER:
         raise ArityMismatch(f"{path}: not a threshmatch ITE model file")

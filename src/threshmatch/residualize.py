@@ -8,9 +8,8 @@ later step (ordering, differencing, matching).
 The residuals are one product over the whole row-major ``z``, gathered
 afterwards: a pipeline run needs them on two of its three splits, and
 one ``n``-row matrix-vector product is cheaper than gathering those
-rows of ``z`` first.  Up to 7 columns its bits equal those of
-multiplying the gathered rows; README's reproducibility section states
-the limits.
+rows of ``z`` first.  Its bits equal those of multiplying the gathered
+rows within the column limit README's reproducibility note states.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .att import estimate_att, estimate_theta
-from .data_model import MIN_ROWS, ObservationSet, split_three_way
+from .data_model import MIN_ROWS, ObservationSet, split_three_way, whole_number
 from .errors import DimensionMismatch, TooFewRows, labelled
 from .ite import SplineBasisSpec, fit_ite, ite_mse
 from .parallel import map_ranges
@@ -53,14 +53,17 @@ _HISTOGRAM_COLUMNS = ("bin_left", "bin_right", "count")
 
 @dataclass(frozen=True)
 class DgpConfig:
-    """Size, seed, and effect-surface kind of one dataset."""
+    """Size, seed, and effect-surface kind of one dataset.
+
+    :func:`monte_carlo_att` derives every replicate's streams from ``seed``.
+    """
 
     n: int
     seed: int
     ite_kind: str = X_AND_ETA
 
     def __post_init__(self):
-        if self.n < MIN_ROWS:
+        if whole_number(self.n, "n") < MIN_ROWS:
             raise TooFewRows(self.n, MIN_ROWS)
         if self.ite_kind not in (X_ONLY, X_AND_ETA):
             raise DimensionMismatch(f"unknown ite_kind {self.ite_kind!r}")
@@ -105,13 +108,15 @@ def generate(config: DgpConfig) -> ObservationSet:
 def true_att_oracle(samples: int, seed: int = 0, ite_kind: str = X_AND_ETA) -> float:
     """Monte-Carlo evaluation of the true ATT, independent of the estimator.
 
-    Draws fresh ``(x, eta)`` pairs and averages the effect surface over the
-    treated region ``x4 + eta >= 0``.
+    Draws ``samples`` fresh ``(x, eta)`` pairs and averages the effect
+    surface over the treated region ``x4 + eta >= 0``.  ``samples`` is an
+    integer.  When no draw is treated, as when ``samples < 1``, there is
+    no average, and DimensionMismatch names ``samples``.
     """
     rng = rng_from(seed)
     total = 0.0
     count = 0
-    remaining = int(samples)
+    remaining = whole_number(samples, "samples")
     while remaining > 0:
         m = min(remaining, 1_000_000)
         covs = rng.standard_normal((m, 4))
@@ -121,6 +126,8 @@ def true_att_oracle(samples: int, seed: int = 0, ite_kind: str = X_AND_ETA) -> f
         total += float(alpha[treated].sum())
         count += int(treated.sum())
         remaining -= m
+    if count == 0:
+        raise DimensionMismatch(f"samples={samples} gave no treated draw to average over")
     return total / count
 
 
@@ -174,29 +181,26 @@ def _report_from_zetas(zetas: np.ndarray) -> McReport:
     )
 
 
-def monte_carlo_att(
-    config: DgpConfig, reps: int, crossfit: bool = False, master_seed: int = 0
-) -> McReport:
+def monte_carlo_att(config: DgpConfig, reps: int, crossfit: bool = False) -> McReport:
     """Repeatedly generate and estimate, reporting the scaled errors.
 
-    Replicate ``k`` draws its dataset from stream ``(master_seed, k, 0)``
-    and its split from ``(master_seed, k, 1)``; ``config.seed`` is not
-    used.  The scaled error is
+    Replicate ``k`` draws its dataset from stream ``(config.seed, k, 0)``
+    and its split from ``(config.seed, k, 1)``.  The scaled error is
     ``sqrt(n/3) * (theta_hat - theta0)`` for single runs and
     ``sqrt(n) * (theta_cf - theta0)`` for cross-fitted ones.  The
     replicates run in contiguous ranges on up to one process per CPU
     (:func:`threshmatch.parallel.map_ranges`); the first failing replicate
     in order raises, its error labelled ``replicate k``.
     """
-    if reps < 30:
+    if whole_number(reps, "reps") < 30:
         raise DimensionMismatch("need at least 30 replicates for stable moments")
     theta0 = TRUE_ATT[config.ite_kind]
     scale = np.sqrt(config.n if crossfit else config.n // 3)
 
     def theta(k: int) -> float:
         with labelled(f"replicate {k}"):
-            obs = generate(replace(config, seed=derive_seed(master_seed, k, 0)))
-            return estimate_theta(obs, derive_seed(master_seed, k, 1), crossfit)
+            obs = generate(replace(config, seed=derive_seed(config.seed, k, 0)))
+            return estimate_theta(obs, derive_seed(config.seed, k, 1), crossfit)
 
     zetas = scale * (np.array(map_ranges(theta, reps)) - theta0)
     return _report_from_zetas(zetas)

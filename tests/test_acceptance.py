@@ -53,7 +53,7 @@ def test_criterion_1_truth_oracle():
 def test_criterion_2_simulation_crossfit():
     started = time.perf_counter()
     report = monte_carlo_att(
-        DgpConfig(n=12_000, seed=0), reps=300, crossfit=True, master_seed=7
+        DgpConfig(n=12_000, seed=7), reps=300, crossfit=True
     )
     elapsed = time.perf_counter() - started
     ok = (
@@ -71,7 +71,7 @@ def test_criterion_2_simulation_crossfit():
 
 def test_criterion_3_simulation_single_run():
     report = monte_carlo_att(
-        DgpConfig(n=12_000, seed=0), reps=300, crossfit=False, master_seed=7
+        DgpConfig(n=12_000, seed=7), reps=300, crossfit=False
     )
     n_tilde = 12_000 // 3
     mean_theta = 4.0 / 3.0 + report.mean / np.sqrt(n_tilde)

@@ -87,6 +87,15 @@ class TestEstimate:
         assert out == ""
         assert "tau0" in err and "No such file" not in err
 
+    def test_missing_data_file_exits_two(self, tmp_path, capsys):
+        # an OSError is an input failure, reported like any other
+        missing = str(tmp_path / "absent.csv")
+        code, out, err = run_cli(["estimate", *ESTIMATE_FLAGS, "--data", missing], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert missing in err
+
     def test_non_utf8_data_file_exits_two(self, tmp_path, capsys):
         text = Path(NULL_CSV).read_bytes()
         path = tmp_path / "latin1.csv"
@@ -366,6 +375,21 @@ class TestSimulate:
         assert len(doc["mses"]) == 3
         assert doc["median_mse"] >= 0
 
+
+    @pytest.mark.parametrize("kind", ["x-only", "x-and-eta"])
+    @pytest.mark.parametrize("mode, flags", [
+        ("gen", ["--n", "9"]),
+        ("mc-att", ["--n", "600", "--reps", "30"]),
+        ("mc-ite", ["--n", "600", "--reps", "1", "--df-grid", "3,4"]),
+    ], ids=["gen", "mc-att", "mc-ite"])
+    def test_manifest_records_the_resolved_include_eta(self, tmp_path, mode, flags, kind, capsys):
+        # without --include-eta, the flag follows --ite-kind in every mode
+        out_flags = ["--out", str(tmp_path / "out.csv")] if mode != "mc-ite" else []
+        code, out, _ = run_cli(
+            ["simulate", "--mode", mode, *flags, "--ite-kind", kind, *out_flags], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["manifest"]["flags"]["include_eta"] is (kind == "x-and-eta")
 
     @pytest.mark.parametrize("reps", ["0", "-3"])
     def test_mc_ite_without_reps_exits_two(self, reps, capsys):

@@ -554,3 +554,9 @@ class TestSpecValidation:
             SplineBasisSpec(df_grid=(2, 4))
         with pytest.raises(DimensionMismatch):
             SplineBasisSpec(df_grid=())
+        # dfs are whole numbers: a fractional one is not truncated to another df
+        with pytest.raises(DimensionMismatch, match="df_grid entry"):
+            SplineBasisSpec(df_grid=(3.7, 4.2))
+        with pytest.raises(DimensionMismatch, match="df must be an integer"):
+            SplineBasisSpec(df=4.5)
+        assert SplineBasisSpec(df_grid=(np.int64(3), np.int32(5)), df=np.int64(4)).df_grid == (3, 5)

@@ -23,7 +23,10 @@ class TestStreams:
 
 
 class TestNegativeSeeds:
-    @pytest.mark.parametrize("path", [(-1,), (0, -1), (3, 0, -2)])
+    # a fractional seed would otherwise become another seed's stream
+    @pytest.mark.parametrize(
+        "path", [(-1,), (0, -1), (3, 0, -2), (1.5,), (0, np.float64(2.0))]
+    )
     def test_rng_rejects_negative_entries(self, path):
         with pytest.raises(InputError, match="non-negative"):
             derive_seed(*path)
@@ -31,15 +34,18 @@ class TestNegativeSeeds:
             rng_from(*path)
 
     @pytest.mark.parametrize(
+        "seed", [-1, 1.5, np.float64(2.0)], ids=["negative", "fractional", "float64"]
+    )
+    @pytest.mark.parametrize(
         "call",
         [
-            lambda: generate(DgpConfig(n=30, seed=-1)),
-            lambda: split_three_way(30, seed=-1),
-            lambda: bootstrap_att(make_null_obs(seed=0, n=30), b=5, seed=-1),
-            lambda: estimate_att_crossfit(make_null_obs(seed=0, n=30), seed=-2),
+            lambda seed: generate(DgpConfig(n=30, seed=seed)),
+            lambda seed: split_three_way(30, seed=seed),
+            lambda seed: bootstrap_att(make_null_obs(seed=0, n=30), b=5, seed=seed),
+            lambda seed: estimate_att_crossfit(make_null_obs(seed=0, n=30), seed=seed),
         ],
         ids=["generate", "split_three_way", "bootstrap_att", "estimate_att_crossfit"],
     )
-    def test_entry_points_raise_input_error(self, call):
+    def test_entry_points_raise_input_error(self, call, seed):
         with pytest.raises(InputError, match="non-negative"):
-            call()
+            call(seed)

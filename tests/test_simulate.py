@@ -9,18 +9,21 @@ from threshmatch import (
     DgpConfig,
     DimensionMismatch,
     EmptyControlGroup,
+    InputError,
     SplineBasisSpec,
     TooFewRows,
+    bootstrap_att,
     generate,
     monte_carlo_att,
     monte_carlo_ite,
+    split_three_way,
     true_att_oracle,
     true_ite_fn,
 )
 from threshmatch.rng import derive_seed
 from threshmatch.simulate import TRUE_ATT, X_AND_ETA, X_ONLY
 
-from conftest import assert_no_child_left, set_cpus
+from conftest import assert_no_child_left, make_null_obs, set_cpus
 
 
 class TestGenerate:
@@ -111,15 +114,15 @@ class TestTrueIteFn:
 
 class TestMonteCarloAtt:
     def test_determinism(self):
-        cfg = DgpConfig(n=600, seed=0)
-        a = monte_carlo_att(cfg, reps=30, master_seed=1)
-        b = monte_carlo_att(cfg, reps=30, master_seed=1)
+        cfg = DgpConfig(n=600, seed=1)
+        a = monte_carlo_att(cfg, reps=30)
+        b = monte_carlo_att(cfg, reps=30)
         assert np.array_equal(a.zetas, b.zetas)
 
     def test_zeta_scaling_single_vs_crossfit(self):
-        cfg = DgpConfig(n=600, seed=0)
-        single = monte_carlo_att(cfg, reps=30, crossfit=False, master_seed=2)
-        cf = monte_carlo_att(cfg, reps=30, crossfit=True, master_seed=2)
+        cfg = DgpConfig(n=600, seed=2)
+        single = monte_carlo_att(cfg, reps=30, crossfit=False)
+        cf = monte_carlo_att(cfg, reps=30, crossfit=True)
         assert len(single.zetas) == len(cf.zetas) == 30
         assert single.variance > 0 and cf.variance > 0
 
@@ -127,13 +130,13 @@ class TestMonteCarloAtt:
         monkeypatch.setattr(
             sim_mod, "estimate_theta", lambda obs, seed, crossfit: TRUE_ATT[X_AND_ETA]
         )
-        rep = monte_carlo_att(DgpConfig(n=90, seed=0), reps=30, master_seed=3)
+        rep = monte_carlo_att(DgpConfig(n=90, seed=3), reps=30)
         assert np.all(rep.zetas == 0.0)
         assert rep.variance == 0.0
         assert sum(c for _, _, c in rep.histogram) == 30
 
     def test_report_serialization(self, tmp_path):
-        rep = monte_carlo_att(DgpConfig(n=600, seed=0), reps=30, master_seed=4)
+        rep = monte_carlo_att(DgpConfig(n=600, seed=4), reps=30)
         doc = json.loads(json.dumps(rep.to_json_dict(), sort_keys=True))
         assert set(doc) == {
             "zetas", "mean", "variance", "skewness", "excess_kurtosis", "ks_stat", "histogram",
@@ -149,7 +152,7 @@ class TestMonteCarloAtt:
 
     def test_minimum_reps_enforced(self):
         with pytest.raises(Exception):
-            monte_carlo_att(DgpConfig(n=600, seed=0), reps=10, master_seed=0)
+            monte_carlo_att(DgpConfig(n=600, seed=0), reps=10)
 
 
 class TestMonteCarloIte:
@@ -163,7 +166,7 @@ def _run_mc_ite():
 
 
 def _run_mc_att():
-    return monte_carlo_att(DgpConfig(n=600, seed=0), reps=30, master_seed=0)
+    return monte_carlo_att(DgpConfig(n=600, seed=0), reps=30)
 
 
 class TestReplicateLabels:
@@ -210,7 +213,7 @@ class TestChunks:
         reports = []
         for cpus in (1, 3):
             set_cpus(monkeypatch, cpus)
-            reports.append(monte_carlo_att(DgpConfig(n=600, seed=0), reps=30, master_seed=5))
+            reports.append(monte_carlo_att(DgpConfig(n=600, seed=5), reps=30))
         assert np.array_equal(reports[0].zetas, reports[1].zetas)
         assert reports[0].histogram == reports[1].histogram
 
@@ -254,3 +257,18 @@ class TestSeedIndependence:
         assert not np.array_equal(direct.y, other.y)
         again = generate(DgpConfig(n=600, seed=derive_seed(9, 2, 0)))
         assert np.array_equal(direct.y, again.y)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: generate(DgpConfig(n=300.5, seed=0)), "n"),
+    (lambda: split_three_way(300.5), "n"),
+    (lambda: bootstrap_att(make_null_obs(seed=0, n=30), b=3.5), "b"),
+    (lambda: monte_carlo_att(DgpConfig(n=600, seed=0), reps=30.5), "reps"),
+    (lambda: true_att_oracle(0), "samples"),
+    (lambda: true_att_oracle(-5), "samples"),
+], ids=["dgp-n", "split-n", "bootstrap-b", "mc-att-reps", "oracle-zero", "oracle-negative"])
+def test_counts_raise_input_errors_naming_the_argument(call, name):
+    # a count is a whole number by operator.index; a float or an empty
+    # oracle used to escape as a bare TypeError, AxisError or ZeroDivisionError
+    with pytest.raises(InputError, match=rf"^{name}[ =]"):
+        call()
