@@ -16,14 +16,24 @@ and averages the resulting estimates.  :func:`estimate_theta` turns a
 seed into a partition and returns the single-run or the cross-fitted
 estimate on it.
 
-A bootstrap replicate runs the same pipeline on a resample without
-copying it.  Its row map ``rows`` says which row of ``obs`` each of the
-``n`` resample positions copies.  The splits, ``eta_hat``, the treated
-mask and the matches are indexed by position, and so are the tie keys of
-the eta ordering and of matching, exactly as on a copied resample; only
-the reads of data rows go through ``rows``.  The result is bit-equal to
-the run on the copy within the column limit README's reproducibility note
-states.  A plain run passes no row map and gathers nothing extra.
+The row-map contract.  Every public record of a run, :class:`AttEstimate`
+and :class:`CrossfitEstimate`, indexes the rows of the ``obs`` it was
+computed on, and the public functions of this module take data rows.
+:func:`estimate_theta` alone also takes a row map ``rows``: position
+``p`` of a bootstrap resample holds row ``rows[p]`` of ``obs``.  It
+checks the map once against ``obs.n``, before any role label, so an
+entry outside ``0..n-1`` raises IndexOutOfRange and a non-integer map
+DimensionMismatch, wherever the bad entry sits.  Inside that run the
+splits, ``eta_hat``, the treated mask and the matches are indexed by
+position, and so are the tie keys of the eta ordering and of matching,
+exactly as on a copied resample.  The run hands its stages data rows,
+with two exceptions: ``residuals_eta`` gets the map as the rows to
+gather, and ``fit_beta`` gets it beside positions, because its tie rule
+needs positions.  The matched pairs are turned into data rows before
+their gaps are formed.  The run's records stay inside it; only its float
+comes out.  It is bit-equal to the run on ``obs.take(rows)`` within the
+column limit README's reproducibility note states.  A plain run passes
+no row map and gathers nothing extra.
 
 The roles of a run are always the parts of one :class:`SplitAssignment`,
 which checks that they partition ``0..N-1`` with ``N`` the sum of their
@@ -34,8 +44,10 @@ the sample, or a row map of another length than ``obs.n``, fails loudly.
 
 Per-row linear products (``z @ gamma_hat`` for the residuals, ``x @
 beta_hat`` for the adjusted outcomes) run once over all rows of ``obs``,
-whose ``x`` and ``z`` are stored row-major; the pipeline then gathers
-scalars at the rows it needs, never 2-D rows of ``x`` or ``z``.
+whose ``x`` and ``z`` are stored row-major, and the run gathers scalars
+of them at the rows it needs.  The two fits still gather 2-D rows: the
+score fit those of ``z`` on the first split, and the difference fit
+those of ``x`` along its eta ordering.
 :func:`matched_differences`, the step that forms the matched gaps, is
 reached as ``threshmatch.att.matched_differences``; the package exports
 the run's record of them, ``AttEstimate.differences``, instead.
@@ -92,19 +104,16 @@ class CrossfitEstimate:
 
 
 def matched_differences(
-    obs: ObservationSet,
-    beta_hat: np.ndarray,
-    matches: MatchResult,
-    rows: np.ndarray | None = None,
+    obs: ObservationSet, beta_hat: np.ndarray, matches: MatchResult
 ) -> np.ndarray:
     """Adjusted-outcome gaps ``(y_t - x_t @ b) - (y_c - x_c @ b)`` per pair.
 
-    The matched rows must lie in ``0..n-1``; with a row map they are
-    resample positions.  The adjusted outcome ``y - x @ b`` is formed
-    once over all ``n`` rows, then gathered at the pairs' rows.
+    The matched rows are data rows of ``obs`` and must lie in ``0..n-1``.
+    The adjusted outcome ``y - x @ b`` is formed once over all ``n`` rows,
+    then gathered at the pairs' rows.
     """
-    t_idx = rows_at(rows, check_indices(matches.treated_idx, obs.n))
-    c_idx = rows_at(rows, check_indices(matches.control_idx, obs.n))
+    t_idx = check_indices(matches.treated_idx, obs.n)
+    c_idx = check_indices(matches.control_idx, obs.n)
     adj = obs.y - obs.x @ beta_hat
     return adj[t_idx] - adj[c_idx]
 
@@ -146,7 +155,8 @@ def _estimate_with_roles(
     with labelled("I3"):
         matches = match_controls(eta_hat[treated3], treated3, eta_hat[control3], control3)
 
-    differences = matched_differences(obs, beta_hat, matches, rows)
+    pairs = MatchResult(rows_at(rows, matches.treated_idx), rows_at(rows, matches.control_idx))
+    differences = matched_differences(obs, beta_hat, pairs)
     differences.setflags(write=False)
     return AttEstimate(
         float(np.mean(differences)), beta_hat, gamma_hat, matches, eta_hat, differences
@@ -163,10 +173,15 @@ def estimate_att_crossfit(obs: ObservationSet, seed: int = 0) -> CrossfitEstimat
     return crossfit_on_splits(obs, split_three_way(obs.n, seed=seed))
 
 
-def crossfit_on_splits(
+def crossfit_on_splits(obs: ObservationSet, splits: SplitAssignment) -> CrossfitEstimate:
+    """Cross-fit over the rotations of an existing partition of ``obs``'s rows."""
+    return _crossfit(obs, splits)
+
+
+def _crossfit(
     obs: ObservationSet, splits: SplitAssignment, rows: np.ndarray | None = None
 ) -> CrossfitEstimate:
-    """Cross-fit over the rotations of an existing partition (of positions, given ``rows``)."""
+    # the one rotation loop: a partition of the rows, or of a row map's positions
     rotations: list[AttEstimate] = []
     for r, (g, b, m) in enumerate(splits.rotations()):
         with labelled(f"rotation {r}"):
@@ -184,15 +199,18 @@ def estimate_theta(
 
     Returns ``theta_hat`` of one pipeline run in role order or, with
     ``crossfit``, ``theta_cf`` over the partition's three role rotations.
-    With a row map ``rows`` the run is on that resample of ``obs``, and
-    equals the run on ``obs.take(rows)`` bit for bit within the column
-    limit README's reproducibility note states.  The partition is drawn
-    over ``obs.n`` positions, so a row map of any other length raises
-    DimensionMismatch.  Callers that need
-    the intermediate fits call :func:`estimate_att` or
+    With a row map ``rows`` the run is on that resample of ``obs``, under
+    the row-map contract of this module's docstring: the map is checked
+    once, before any role label, and the run equals the run on
+    ``obs.take(rows)`` bit for bit within the column limit README's
+    reproducibility note states.  The partition is drawn over ``obs.n``
+    positions, so a row map of any other length raises DimensionMismatch.
+    Callers that need the intermediate fits call :func:`estimate_att` or
     :func:`estimate_att_crossfit` instead.
     """
+    if rows is not None:
+        rows = check_indices(rows, obs.n)
     splits = split_three_way(obs.n, seed=seed)
     if crossfit:
-        return crossfit_on_splits(obs, splits, rows).theta_cf
+        return _crossfit(obs, splits, rows).theta_cf
     return _estimate_with_roles(obs, splits.i1, splits.i2, splits.i3, rows).theta_hat

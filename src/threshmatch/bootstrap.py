@@ -10,7 +10,9 @@ estimate.
 Every replicate's randomness is counter-derived from ``(seed, r)``, so
 replicate ``r`` can be recomputed alone and parallel execution cannot
 change results.  A replicate copies no data: it runs the pipeline on the
-resample's row map (see :mod:`threshmatch.att`).  The replicates run in
+resample's row map through :func:`threshmatch.att.estimate_theta`, the one
+function that takes a map (see the row-map contract in the
+:mod:`threshmatch.att` docstring).  The replicates run in
 contiguous ranges on up to as many processes as ``os.sched_getaffinity``
 grants CPUs (see :mod:`threshmatch.parallel`), with results bit-identical
 to a serial run.
@@ -50,7 +52,9 @@ def bootstrap_replicate(
     Draws ``n`` rows with replacement (stream ``(seed, r, 0)``), re-splits
     the resampled data (seed ``(seed, r, 1)``), and runs the pipeline on
     the resample's row map, bit-identical to a run on ``obs.take(rows)``
-    within the column limit README's reproducibility note states.
+    within the column limit README's reproducibility note states.  The
+    map stays inside :func:`threshmatch.att.estimate_theta`, under the
+    row-map contract of the :mod:`threshmatch.att` docstring.
     Raises the pipeline's structural errors on degenerate resamples.
     """
     rows = rng_from(seed, r, 0).integers(0, obs.n, size=obs.n)

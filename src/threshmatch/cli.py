@@ -52,6 +52,9 @@ GEN_COLUMNS = ColumnSpec(
 
 _KIND_BY_FLAG = {"x-only": X_ONLY, "x-and-eta": X_AND_ETA}
 
+# simulate flags a mode would drop without using them
+_UNUSED_BY_MODE = {"gen": ("crossfit",), "mc-ite": ("crossfit", "out")}
+
 # the exit code of a failure: the first row whose class it is an instance of
 _EXIT_CODES = ((TooManyFailures, 4), ((InputError, OSError), 2), (ThreshmatchError, 3))
 
@@ -172,6 +175,8 @@ def cmd_bootstrap(args: argparse.Namespace) -> dict:
 
 
 def cmd_ite(args: argparse.Namespace) -> dict:
+    if args.predictions_out and not args.predict_grid:
+        raise InputError("--predictions-out requires --predict-grid PATH")
     obs = _load(args)
     est = estimate_att(obs, split_three_way(obs.n, seed=args.seed))
     spec = SplineBasisSpec(df_grid=args.df_grid, include_eta=args.include_eta)
@@ -198,6 +203,9 @@ def cmd_ite(args: argparse.Namespace) -> dict:
 
 
 def cmd_simulate(args: argparse.Namespace) -> dict:
+    for flag in _UNUSED_BY_MODE.get(args.mode, ()):
+        if getattr(args, flag):
+            raise InputError(f"--{flag} does not apply to --mode {args.mode}")
     # resolved in args, so the manifest's flags record the value used
     if args.include_eta is None:
         args.include_eta = args.ite_kind == "x-and-eta"
@@ -253,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", required=True, type=int, help="rows per dataset")
     p_sim.add_argument("--reps", type=int, default=100, help="Monte-Carlo replicates")
     p_sim.add_argument("--seed", type=_u64, default=0, help="master seed")
-    p_sim.add_argument("--crossfit", action="store_true")
+    p_sim.add_argument("--crossfit", action="store_true", help="mc-att: cross-fit every replicate")
     p_sim.add_argument("--ite-kind", choices=sorted(_KIND_BY_FLAG), default="x-and-eta", help="effect surface of the generator")
     p_sim.add_argument("--include-eta", type=_bool_flag, default=None, help="mc-ite: regress on the score residual (default: matches --ite-kind)")
     p_sim.add_argument("--df-grid", type=_comma_ints, default=DEFAULT_DF_GRID)

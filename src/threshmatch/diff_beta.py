@@ -77,7 +77,10 @@ def fit_beta(
 
     With a resample's row map ``rows``, ``i2`` and ``eta_hat`` are indexed
     by resample position, position ``p`` holds row ``rows[p]`` of ``obs``,
-    and eta ties break toward the smaller position.
+    and eta ties break toward the smaller position.  That tie rule is why
+    this step takes the map rather than data rows: a resample repeats rows,
+    and only positions order the copies as a copied resample would (see
+    the row-map contract in :mod:`threshmatch.att`).
     """
     i2 = check_indices(i2, obs.n)
     mask = treatment_mask(obs)

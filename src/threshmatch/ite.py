@@ -173,7 +173,9 @@ def build_basis(
     ``knots`` (the block's first basis function is dropped, since the
     constant column already carries the level), then pairwise products of
     distinct raw covariates: ``spec.dimension(d)`` columns in all.  At
-    least one row is needed, and one knot vector per column.
+    least one row is needed, and one knot vector per column.  An unset
+    ``spec.df`` raises DimensionMismatch, and a knot vector of another
+    length than ``df + 5`` raises ArityMismatch.
     """
     covariates = np.atleast_2d(np.asarray(covariates, dtype=np.float64))
     m, d = covariates.shape
@@ -181,8 +183,13 @@ def build_basis(
         raise TooFewRows(0, 1)
     if len(knots) != d:
         raise ArityMismatch(f"model has {len(knots)} covariates, got {d}")
-
     df = spec.df
+    if df is None:
+        raise DimensionMismatch("build_basis needs spec.df set")
+    for j, kn in enumerate(knots):
+        if len(kn) != df + DEGREE + 2:
+            raise ArityMismatch(f"knots{j} has {len(kn)} knots; df {df} needs {df + DEGREE + 2}")
+
     design = np.empty((m, spec.dimension(d)))
     design[:, 0] = 1.0
     for j in range(d):
@@ -212,6 +219,9 @@ def fit_ite(
     as a single run's.  The response is the run's ``est.differences``,
     the matched adjusted-outcome gap per treated row; the covariates are
     that row's ``x`` (plus its ``est.eta_hat`` when the spec includes it).
+    ``est`` must come from a run on ``obs`` itself, since its indices are
+    read as rows of ``obs``; every public record is (see the row-map
+    contract in :mod:`threshmatch.att`).
     ``df`` is chosen by 4-fold cross-validation minimizing mean validation
     MSE, ties to the smaller df; the returned model is refit on all
     treated rows at the chosen df.
@@ -291,7 +301,8 @@ def ite_mse(model: IteModel, obs: ObservationSet, est: AttEstimate, truth) -> fl
     supply it.  The average runs over ``est.matches.treated_idx``, the
     treated rows of the run's matching split (any cross-fit rotation's
     estimate works), with the model evaluated at ``(x, est.eta_hat)``
-    exactly as it predicts.
+    exactly as it predicts.  As in :func:`fit_ite`, ``est`` must come from
+    a run on ``obs`` itself.
     """
     treated, cov = _treated_covariates(obs, est, model.basis.include_eta)
     predicted = predict_ite_batch(model, cov)

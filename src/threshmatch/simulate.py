@@ -56,6 +56,8 @@ class DgpConfig:
     """Size, seed, and effect-surface kind of one dataset.
 
     :func:`monte_carlo_att` derives every replicate's streams from ``seed``.
+    Construction checks ``seed`` by :mod:`threshmatch.rng`'s rule, so a
+    seed that rule rejects raises InputError here, before any replicate.
     """
 
     n: int
@@ -67,6 +69,7 @@ class DgpConfig:
             raise TooFewRows(self.n, MIN_ROWS)
         if self.ite_kind not in (X_ONLY, X_AND_ETA):
             raise DimensionMismatch(f"unknown ite_kind {self.ite_kind!r}")
+        derive_seed(self.seed)  # raises InputError unless rng takes it as a seed
 
 
 def _effect_surface(x: np.ndarray, eta, ite_kind: str) -> np.ndarray:

@@ -270,6 +270,26 @@ class TestRunPositions:
         with pytest.raises(DimensionMismatch, match=rf"run's {obs.n + extra} positions"):
             estimate_theta(obs, seed=0, crossfit=crossfit, rows=rows)
 
+    # a bad entry used to be caught by whichever stage first read it: labelled
+    # "I1" in the score split, unlabelled in the other two
+    @pytest.mark.parametrize("part", ["i1", "i2", "i3"])
+    @pytest.mark.parametrize("bad", [-1, 300], ids=["minus-one", "n"])
+    @pytest.mark.parametrize("crossfit", [False, True], ids=["single", "crossfit"])
+    def test_a_bad_row_map_entry_raises_unlabelled_in_any_split(self, obs, part, bad, crossfit):
+        rows = np.arange(obs.n)
+        rows[getattr(split_three_way(obs.n, seed=0), part)[0]] = bad
+        with pytest.raises(IndexOutOfRange) as err:
+            estimate_theta(obs, seed=0, crossfit=crossfit, rows=rows)
+        assert err.value.index == bad
+        assert err.value.split is None
+
+    @pytest.mark.parametrize("crossfit", [False, True], ids=["single", "crossfit"])
+    def test_a_float_row_map_raises_unlabelled(self, obs, crossfit):
+        rows = np.arange(obs.n, dtype=np.float64)
+        with pytest.raises(DimensionMismatch, match="integer dtype") as err:
+            estimate_theta(obs, seed=0, crossfit=crossfit, rows=rows)
+        assert err.value.split is None
+
 
 class TestMatchedDifferences:
     @pytest.mark.parametrize("bad", [-1, 30], ids=["minus-one", "n"])

@@ -391,6 +391,21 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["manifest"]["flags"]["include_eta"] is (kind == "x-and-eta")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "--mode", "mc-ite", "--n", "600", "--reps", "1", "--crossfit"], "--crossfit"),
+        (["simulate", "--mode", "mc-ite", "--n", "600", "--reps", "1"], "--out"),
+        (["simulate", "--mode", "gen", "--n", "9", "--crossfit"], "--crossfit"),
+        (["ite", *ESTIMATE_FLAGS, "--predictions-out", "preds.csv"], "--predictions-out"),
+    ], ids=["mc-ite-crossfit", "mc-ite-out", "gen-crossfit", "ite-predictions-out"])
+    def test_a_flag_the_run_would_drop_exits_two(self, tmp_path, argv, flag, capsys):
+        # each used to exit 0, ignoring the flag (mc-ite wrote no --out file)
+        out_flag = "--model-out" if argv[0] == "ite" else "--out"
+        code, out, err = run_cli([*argv, out_flag, str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and flag in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("reps", ["0", "-3"])
     def test_mc_ite_without_reps_exits_two(self, reps, capsys):
         code, out, err = run_cli(

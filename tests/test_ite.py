@@ -80,6 +80,23 @@ class TestBasis:
         coef = ols(design, target)
         assert np.abs(target - design @ coef).max() <= 1e-8
 
+    @pytest.mark.parametrize(
+        "df, knot_df, error, message",
+        [
+            (None, 4, DimensionMismatch, "spec.df"),
+            (4, 5, ArityMismatch, "knots1 has 10 knots; df 4 needs 9"),
+            (5, 4, ArityMismatch, "knots1 has 9 knots; df 5 needs 10"),
+        ],
+        ids=["unset-df", "longer-knots", "shorter-knots"],
+    )
+    def test_spec_and_knots_must_agree(self, df, knot_df, error, message):
+        # used to raise a bare TypeError (no df) or numpy's broadcast ValueError
+        x = np.random.default_rng(2).uniform(-2, 2, size=(50, 2))
+        knots = quantile_knots(x, df or knot_df)
+        knots[1] = quantile_knots(x, knot_df)[1]
+        with pytest.raises(error, match=re.escape(message)):
+            build_basis(x, SplineBasisSpec(df=df), knots)
+
     def test_constant_covariate_rejected(self):
         # two constant columns: the error names the first
         x = np.column_stack([np.arange(30.0), np.ones(30), np.arange(30.0), np.zeros(30)])

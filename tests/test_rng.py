@@ -7,6 +7,7 @@ from threshmatch import (
     bootstrap_att,
     estimate_att_crossfit,
     generate,
+    monte_carlo_att,
     split_three_way,
 )
 from threshmatch.rng import derive_seed, rng_from
@@ -43,9 +44,13 @@ class TestNegativeSeeds:
             lambda seed: split_three_way(30, seed=seed),
             lambda seed: bootstrap_att(make_null_obs(seed=0, n=30), b=5, seed=seed),
             lambda seed: estimate_att_crossfit(make_null_obs(seed=0, n=30), seed=seed),
+            # DgpConfig checks its seed, so this fails before any replicate
+            lambda seed: monte_carlo_att(DgpConfig(n=600, seed=seed), reps=30),
         ],
-        ids=["generate", "split_three_way", "bootstrap_att", "estimate_att_crossfit"],
+        ids=["generate", "split_three_way", "bootstrap_att", "estimate_att_crossfit",
+             "monte_carlo_att"],
     )
     def test_entry_points_raise_input_error(self, call, seed):
-        with pytest.raises(InputError, match="non-negative"):
+        with pytest.raises(InputError, match="non-negative") as err:
             call(seed)
+        assert err.value.split is None

@@ -61,7 +61,8 @@ def test_matched_differences_equal_the_gathered_product(width, n):
         t = matches.treated_idx if row_map is None else row_map[matches.treated_idx]
         c = matches.control_idx if row_map is None else row_map[matches.control_idx]
         expected = (obs.y[t] - obs.x[t] @ beta) - (obs.y[c] - obs.x[c] @ beta)
-        assert _bits(matched_differences(obs, beta, matches, row_map)) == _bits(expected)
+        # the step takes data rows: a row map's pairs are turned into rows first
+        assert _bits(matched_differences(obs, beta, MatchResult(t, c))) == _bits(expected)
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
