@@ -16,6 +16,20 @@ and averages the resulting estimates.  :func:`estimate_theta` turns a
 seed into a partition and returns the single-run or the cross-fitted
 estimate on it.
 
+A cross-fit runs its rotations on two threads when
+:func:`threshmatch.parallel.second_cpu_free` says a second CPU is free,
+and in one loop otherwise, as inside a bootstrap or Monte-Carlo
+replicate.  A run splits at its score fit: the calling thread fits
+``gamma_hat`` for rotations 0, 1 and 2 in order and then finishes
+rotation 2, while one worker thread finishes rotations 0 and 1 as their
+``gamma_hat`` arrive.  numpy releases the GIL in the products, sorts and
+gathers that make up most of a run, and OpenBLAS splits each QR by its
+global thread count whichever thread calls it, so the records equal the
+serial loop's bit for bit.  At most two stages run at once, which keeps
+peak memory near the loop's.  The error raised is the serial loop's
+first: that of the first failing rotation, at its first failing stage.
+The worker is joined before the cross-fit returns or raises.
+
 The row-map contract.  Every public record of a run, :class:`AttEstimate`
 and :class:`CrossfitEstimate`, indexes the rows of the ``obs`` it was
 computed on, and the public functions of this module take data rows.
@@ -55,6 +69,7 @@ the run's record of them, ``AttEstimate.differences``, instead.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +85,7 @@ from .data_model import (
 from .diff_beta import fit_beta
 from .errors import DimensionMismatch, labelled
 from .matching import MatchResult, match_controls
+from .parallel import second_cpu_free
 from .residualize import fit_gamma, residuals_eta
 
 
@@ -114,7 +130,8 @@ def matched_differences(
     """
     t_idx = check_indices(matches.treated_idx, obs.n)
     c_idx = check_indices(matches.control_idx, obs.n)
-    adj = obs.y - obs.x @ beta_hat
+    adj = obs.x @ beta_hat
+    np.subtract(obs.y, adj, out=adj)  # in place: one n-row temporary, not two
     return adj[t_idx] - adj[c_idx]
 
 
@@ -123,22 +140,35 @@ def estimate_att(obs: ObservationSet, splits: SplitAssignment) -> AttEstimate:
     return _estimate_with_roles(obs, splits.i1, splits.i2, splits.i3)
 
 
-def _estimate_with_roles(
+def _fit_scores(
     obs: ObservationSet,
     gamma_split: np.ndarray,
     beta_split: np.ndarray,
     match_split: np.ndarray,
     rows: np.ndarray | None = None,
-) -> AttEstimate:
+) -> np.ndarray:
+    """The first stage of a run: ``gamma_hat`` fit on the rows of ``gamma_split``."""
     # the roles are the parts of one SplitAssignment, which checks that they
     # partition their own positions; those must be the run's, under the
     # caller's label alone
     positions = obs.n if rows is None else len(rows)
     if gamma_split.size + beta_split.size + match_split.size != positions:
         raise DimensionMismatch(f"the split does not partition the run's {positions} positions")
-
     with labelled("I1"):
-        gamma_hat = fit_gamma(obs, rows_at(rows, gamma_split))
+        return fit_gamma(obs, rows_at(rows, gamma_split))
+
+
+def _estimate_with_roles(
+    obs: ObservationSet,
+    gamma_split: np.ndarray,
+    beta_split: np.ndarray,
+    match_split: np.ndarray,
+    rows: np.ndarray | None = None,
+    gamma_hat: np.ndarray | None = None,
+) -> AttEstimate:
+    # a gamma_hat given is _fit_scores' on these roles; the run goes on from it
+    if gamma_hat is None:
+        gamma_hat = _fit_scores(obs, gamma_split, beta_split, match_split, rows)
 
     # residuals are needed on the second and third splits only; rows of the
     # first split get NaN so accidental use fails loudly
@@ -181,15 +211,70 @@ def crossfit_on_splits(obs: ObservationSet, splits: SplitAssignment) -> Crossfit
 def _crossfit(
     obs: ObservationSet, splits: SplitAssignment, rows: np.ndarray | None = None
 ) -> CrossfitEstimate:
-    # the one rotation loop: a partition of the rows, or of a row map's positions
-    rotations: list[AttEstimate] = []
-    for r, (g, b, m) in enumerate(splits.rotations()):
-        with labelled(f"rotation {r}"):
-            rotations.append(_estimate_with_roles(obs, g, b, m, rows))
+    # the rotations of a partition of the rows, or of a row map's positions
+    roles = splits.rotations()
+    if second_cpu_free():
+        rotations = _rotations_on_two_threads(obs, roles, rows)
+    else:
+        rotations = []
+        for r, role in enumerate(roles):
+            with labelled(f"rotation {r}"):
+                rotations.append(_estimate_with_roles(obs, *role, rows))
     theta_cf = (
         rotations[0].theta_hat + rotations[1].theta_hat + rotations[2].theta_hat
     ) / 3.0
     return CrossfitEstimate(theta_cf=theta_cf, rotations=rotations)
+
+
+def _rotations_on_two_threads(
+    obs: ObservationSet, roles: list[tuple[np.ndarray, ...]], rows: np.ndarray | None
+) -> list[AttEstimate]:
+    """The three rotations' runs, each bit-equal to its serial run.
+
+    The caller fits the scores of rotations 0, 1 and 2 in order, then
+    finishes rotation 2; one worker thread finishes rotations 0 and 1, each
+    as soon as its ``gamma_hat`` is ready.  So at most a score fit and a
+    finish, or two finishes, run at once, and peak memory stays near the
+    serial loop's.  The error raised is the one the serial loop would
+    raise: the worker only finishes rotations before the caller's, so its
+    error comes first.  The worker is joined before this returns or raises.
+    """
+    rotations: list[AttEstimate | None] = [None, None, None]
+    gammas: list[np.ndarray | None] = [None, None]
+    ready = [threading.Event(), threading.Event()]
+    failure: list[BaseException] = []
+
+    def finish_earlier() -> None:
+        try:
+            for r in (0, 1):
+                ready[r].wait()
+                if gammas[r] is None:  # the caller stopped first
+                    return
+                with labelled(f"rotation {r}"):
+                    rotations[r] = _estimate_with_roles(obs, *roles[r], rows, gammas[r])
+        except BaseException as exc:
+            failure.append(exc)
+
+    worker = threading.Thread(target=finish_earlier, name="threshmatch-crossfit")
+    worker.start()
+    try:
+        for r, role in enumerate(roles):
+            if failure:
+                break
+            with labelled(f"rotation {r}"):
+                gamma_hat = _fit_scores(obs, *role, rows)
+                if r == 2:
+                    rotations[r] = _estimate_with_roles(obs, *role, rows, gamma_hat)
+            if r < 2:
+                gammas[r] = gamma_hat
+                ready[r].set()
+    finally:
+        for event in ready:
+            event.set()  # a worker still waiting finds no gamma_hat and returns
+        worker.join()
+        if failure:
+            raise failure[0] from None
+    return rotations
 
 
 def estimate_theta(

@@ -52,8 +52,13 @@ GEN_COLUMNS = ColumnSpec(
 
 _KIND_BY_FLAG = {"x-only": X_ONLY, "x-and-eta": X_AND_ETA}
 
-# simulate flags a mode would drop without using them
-_UNUSED_BY_MODE = {"gen": ("crossfit",), "mc-ite": ("crossfit", "out")}
+# simulate flags a mode would drop without using them; each defaults to None,
+# so a flag given is one that is not None
+_UNUSED_BY_MODE = {
+    "gen": ("crossfit", "reps", "df_grid", "include_eta"),
+    "mc-att": ("df_grid", "include_eta"),
+    "mc-ite": ("crossfit", "out"),
+}
 
 # the exit code of a failure: the first row whose class it is an instance of
 _EXIT_CODES = ((TooManyFailures, 4), ((InputError, OSError), 2), (ThreshmatchError, 3))
@@ -203,12 +208,19 @@ def cmd_ite(args: argparse.Namespace) -> dict:
 
 
 def cmd_simulate(args: argparse.Namespace) -> dict:
-    for flag in _UNUSED_BY_MODE.get(args.mode, ()):
-        if getattr(args, flag):
-            raise InputError(f"--{flag} does not apply to --mode {args.mode}")
+    for flag in _UNUSED_BY_MODE[args.mode]:
+        if getattr(args, flag) is not None:
+            raise InputError(f"--{flag.replace('_', '-')} does not apply to --mode {args.mode}")
     # resolved in args, so the manifest's flags record the value used
-    if args.include_eta is None:
-        args.include_eta = args.ite_kind == "x-and-eta"
+    defaults = {
+        "crossfit": False,
+        "reps": 100,
+        "df_grid": DEFAULT_DF_GRID,
+        "include_eta": args.ite_kind == "x-and-eta",
+    }
+    for flag, value in defaults.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, value)
     if args.mode == "gen" and not args.out:
         raise InputError("--mode gen requires --out PATH")
     config = DgpConfig(n=args.n, seed=args.seed, ite_kind=_KIND_BY_FLAG[args.ite_kind])
@@ -259,12 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="synthetic generation and Monte-Carlo checks")
     p_sim.add_argument("--mode", required=True, choices=["mc-att", "mc-ite", "gen"])
     p_sim.add_argument("--n", required=True, type=int, help="rows per dataset")
-    p_sim.add_argument("--reps", type=int, default=100, help="Monte-Carlo replicates")
+    p_sim.add_argument("--reps", type=int, default=None, help="mc-att, mc-ite: Monte-Carlo replicates (default: 100)")
     p_sim.add_argument("--seed", type=_u64, default=0, help="master seed")
-    p_sim.add_argument("--crossfit", action="store_true", help="mc-att: cross-fit every replicate")
+    p_sim.add_argument("--crossfit", action="store_true", default=None, help="mc-att: cross-fit every replicate")
     p_sim.add_argument("--ite-kind", choices=sorted(_KIND_BY_FLAG), default="x-and-eta", help="effect surface of the generator")
     p_sim.add_argument("--include-eta", type=_bool_flag, default=None, help="mc-ite: regress on the score residual (default: matches --ite-kind)")
-    p_sim.add_argument("--df-grid", type=_comma_ints, default=DEFAULT_DF_GRID)
+    p_sim.add_argument("--df-grid", type=_comma_ints, default=None, help=f"mc-ite: candidate degrees of freedom (comma-separated; default {','.join(map(str, DEFAULT_DF_GRID))})")
     p_sim.add_argument("--out", default=None, help="gen: CSV path; mc-att: histogram CSV path")
     p_sim.set_defaults(func=cmd_simulate)
     return parser

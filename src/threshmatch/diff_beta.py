@@ -80,9 +80,13 @@ def fit_beta(
     and eta ties break toward the smaller position.  That tie rule is why
     this step takes the map rather than data rows: a resample repeats rows,
     and only positions order the copies as a copied resample would (see
-    the row-map contract in :mod:`threshmatch.att`).
+    the row-map contract in :mod:`threshmatch.att`).  The map is checked
+    against ``obs.n`` like ``i2``, so an entry outside ``0..n-1`` raises
+    IndexOutOfRange rather than wrapping to another row.
     """
     i2 = check_indices(i2, obs.n)
+    if rows is not None:
+        rows = check_indices(rows, obs.n)
     mask = treatment_mask(obs)
     controls = i2[~mask[rows_at(rows, i2)]]
     if controls.size == 0:

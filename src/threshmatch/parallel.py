@@ -14,14 +14,15 @@ bit-identical to serial ones.  Where ``os.fork`` or
 ``os.sched_getaffinity`` is missing, ``k`` is 1 and nothing is forked;
 a single item never forks either.  No process is started per item.
 
-Processes are the package's only parallelism, so every call holds
-OpenBLAS (numpy's BLAS) to one thread until it returns, ``k = 1``
-included.  k processes then keep to k CPUs, and a replicate's value does
-not depend on how many replicates run beside it: a QR fit summed on two
-BLAS threads can differ in the last bits from the same fit on one.  Two
-processes with two BLAS threads each on two CPUs made the ITE
-Monte-Carlo loop several times slower than a serial run, and even a
-serial ITE fit ran faster on one thread than on two.
+Processes are the package's parallelism (a cross-fit's two threads,
+below, are the one exception), so every call holds OpenBLAS (numpy's
+BLAS) to one thread until it returns, ``k = 1`` included.  k processes
+then keep to k CPUs, and a replicate's value does not depend on how
+many replicates run beside it: a QR fit summed on two BLAS threads can
+differ in the last bits from the same fit on one.  Two processes with
+two BLAS threads each on two CPUs made the ITE Monte-Carlo loop several
+times slower than a serial run, and even a serial ITE fit ran faster on
+one thread than on two.
 
 Calls nest one level deep.  A call made while a forking call's ranges
 run, in the caller's range or in a child's, computes its items in its
@@ -29,6 +30,19 @@ own process and forks nothing, so there is never more than one process
 per CPU.  A call whose ``k`` is 1 leaves the CPUs free, and a call
 inside its items may fork: one Monte-Carlo seed spreads its fit's
 cross-validation grid over every CPU.
+
+The exception is a cross-fit (:func:`threshmatch.att.crossfit_on_splits`
+and the runs that call it): its three rotations share one process and
+run on two threads when :func:`second_cpu_free` says a second thread has
+a CPU to itself.  Threads keep the bits where processes would not.
+Both threads call one OpenBLAS, which splits each QR by its one global
+thread count, whichever thread calls it; two forked processes would each
+keep the caller's count and oversubscribe the CPUs, or, held to one
+BLAS thread, move the last bits of ``gamma_hat``.  Inside a forking
+call's ranges, as in bootstrap and Monte-Carlo replicates, or with one
+CPU, the rotations run in one loop and start no thread.  The cross-fit
+joins its thread before it returns or raises, so none is alive at a
+fork.
 
 The children are forked, not spawned: they inherit ``fn`` with its
 closure and the data it reads, where a spawned worker would need all of
@@ -57,6 +71,15 @@ def _cpus() -> int:
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
+
+
+def second_cpu_free() -> bool:
+    """Whether a second thread of this process would have a CPU to itself.
+
+    It would not with one CPU, nor while this process computes a range of
+    a forking call, whose ranges take one CPU each.
+    """
+    return not _forked and _cpus() > 1
 
 
 def map_ranges(fn: Callable[[int], T], count: int) -> list[T]:

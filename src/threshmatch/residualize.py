@@ -42,5 +42,6 @@ def residuals_eta(
     """
     if idx is not None:
         idx = check_indices(idx, obs.n)
-    eta = obs.q - obs.z @ gamma_hat
+    eta = obs.z @ gamma_hat
+    np.subtract(obs.q, eta, out=eta)  # in place: one n-row temporary, not two
     return eta if idx is None else eta[idx]

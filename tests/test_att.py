@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,9 @@ from threshmatch import (
     treatment_mask,
 )
 
-from conftest import make_null_obs, match_controls_brute
+from threshmatch.parallel import map_ranges
+
+from conftest import make_null_obs, match_controls_brute, set_cpus
 
 # rows 0-2, 3-5 and 6-8 in role order, for the nine-row fixtures
 NATURAL_SPLITS_9 = SplitAssignment(np.arange(0, 3), np.arange(3, 6), np.arange(6, 9))
@@ -149,14 +154,22 @@ class TestInvariants:
         assert cf.theta_cf == (thetas[0] + thetas[1] + thetas[2]) / 3.0
         assert len(cf.rotations) == 3
 
-    def test_identical_rotations_average_to_themselves(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "two-threads"])
+    def test_identical_rotations_average_to_themselves(self, monkeypatch, cpus):
+        # on two threads the caller fits each rotation's scores and hands the
+        # run its gamma_hat; the runs themselves are stubbed either way
+        set_cpus(monkeypatch, cpus)
         stub = AttEstimate(
             theta_hat=0.25, beta_hat=None, gamma_hat=None, matches=None, eta_hat=None,
             differences=None,
         )
-        monkeypatch.setattr(att_mod, "_estimate_with_roles", lambda *a, **k: stub)
+        runs = []
+        monkeypatch.setattr(att_mod, "_estimate_with_roles", lambda *a, **k: runs.append(a) or stub)
         obs = make_null_obs(seed=0, n=60)
-        assert estimate_att_crossfit(obs, seed=0).theta_cf == 0.25
+        cf = estimate_att_crossfit(obs, seed=0)
+        assert cf.theta_cf == 0.25
+        assert cf.rotations == [stub, stub, stub]
+        assert len(runs) == 3
 
     @pytest.mark.parametrize("seed", [0, 8, 2**40])
     def test_estimate_theta_is_the_seeded_run(self, seed):
@@ -309,3 +322,134 @@ class TestMatchedDifferences:
         gaps = att_mod.matched_differences(obs, beta, MatchResult(np.array([3, 7]), np.array([4, 4])))
         adjusted = obs.y - obs.x @ beta
         assert np.array_equal(gaps, adjusted[[3, 7]] - adjusted[[4, 4]])
+
+
+class TestTwoThreadCrossfit:
+    """With a second CPU free, the rotations run on the caller and one worker thread."""
+
+    @staticmethod
+    def _crossfit_on(monkeypatch, cpus, obs, seed):
+        set_cpus(monkeypatch, cpus)
+        return estimate_att_crossfit(obs, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_records_equal_the_serial_loop_bit_for_bit(self, monkeypatch, seed):
+        # 150k rows: OpenBLAS splits the fits' QR over its threads at this size
+        obs = generate(DgpConfig(n=150_000, seed=seed))
+        threaded = self._crossfit_on(monkeypatch, 2, obs, seed)
+        serial = self._crossfit_on(monkeypatch, 1, obs, seed)
+        assert threaded.theta_cf == serial.theta_cf
+        for a, b in zip(threaded.rotations, serial.rotations, strict=True):
+            assert a.theta_hat == b.theta_hat
+            for name in ("beta_hat", "gamma_hat", "eta_hat", "differences"):
+                assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+            assert np.array_equal(a.matches.treated_idx, b.matches.treated_idx)
+            assert np.array_equal(a.matches.control_idx, b.matches.control_idx)
+
+    def test_a_row_map_run_equals_the_serial_loop(self, monkeypatch):
+        obs = generate(DgpConfig(n=150_000, seed=4))
+        rows = np.random.default_rng(5).integers(0, obs.n, size=obs.n)
+        set_cpus(monkeypatch, 2)
+        threaded = estimate_theta(obs, seed=6, crossfit=True, rows=rows)
+        set_cpus(monkeypatch, 1)
+        assert threaded == estimate_theta(obs, seed=6, crossfit=True, rows=rows)
+
+    # block k of the natural 30-row partition serves rotation r as its score
+    # split when k == r, difference split when k == r + 1, matching split
+    # when k == r + 2 (mod 3)
+    @pytest.mark.parametrize("failing, expected", [
+        ([(0, "I2"), (1, "I1")], "rotation 0: I2"),
+        ([(1, "I1")], "rotation 1: I1"),
+        ([(0, "I1"), (0, "I3")], "rotation 0: I1"),
+        ([(1, "I3"), (2, "I1")], "rotation 1: I3"),
+        ([(0, "I3"), (2, "I2")], "rotation 0: I3"),
+        ([(2, "I3")], "rotation 2: I3"),
+    ], ids=["worker-first", "caller-fit", "first-fit", "worker-second", "both-finishes",
+            "caller-finish"])
+    def test_the_serial_loops_first_error_is_raised(self, monkeypatch, failing, expected):
+        splits = SplitAssignment(np.arange(0, 10), np.arange(10, 20), np.arange(20, 30))
+        obs = make_null_obs(seed=3, n=30)
+        fail_on = {((r + ("I1", "I2", "I3").index(stage)) % 3, stage) for r, stage in failing}
+
+        def failing_stage(fn, stage, split_arg):
+            def stage_fn(*args):
+                if (int(args[split_arg][0]) // 10, stage) in fail_on:
+                    raise EmptyControlGroup()
+                return fn(*args)
+            return stage_fn
+
+        monkeypatch.setattr(att_mod, "fit_gamma", failing_stage(att_mod.fit_gamma, "I1", 1))
+        monkeypatch.setattr(att_mod, "fit_beta", failing_stage(att_mod.fit_beta, "I2", 1))
+        monkeypatch.setattr(
+            att_mod, "match_controls", failing_stage(att_mod.match_controls, "I3", 1)
+        )
+        raised = []
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            before = threading.active_count()
+            with pytest.raises(EmptyControlGroup) as err:
+                crossfit_on_splits(obs, splits)
+            assert threading.active_count() == before
+            raised.append(str(err.value))
+        assert raised == [f"[split {expected}] {EmptyControlGroup()}"] * 2
+
+    def test_many_interleavings_keep_the_serial_estimates(self, monkeypatch):
+        # eight cross-fits at once, sixteen threads on fewer CPUs, switching
+        # every microsecond: a lost hand-off would lose a rotation or swap two
+        obs = generate(DgpConfig(n=600, seed=8))
+        set_cpus(monkeypatch, 1)
+        serial = [estimate_att_crossfit(obs, s).theta_cf for s in range(8)]
+        set_cpus(monkeypatch, 2)
+        threaded = [None] * 8
+
+        def run(s: int) -> None:
+            threaded[s] = estimate_att_crossfit(obs, s).theta_cf
+
+        callers = [threading.Thread(target=run, args=(s,)) for s in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert threaded == serial
+
+    @staticmethod
+    def _count_thread_starts(monkeypatch) -> list[str]:
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda self: (started.append(self.name), start(self))[1]
+        )
+        return started
+
+    def test_one_worker_is_started_and_joined(self, monkeypatch):
+        started = self._count_thread_starts(monkeypatch)
+        set_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        estimate_att_crossfit(make_null_obs(seed=0, n=60), seed=0)
+        assert started == ["threshmatch-crossfit"]
+        assert threading.active_count() == before
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        started = self._count_thread_starts(monkeypatch)
+        set_cpus(monkeypatch, 1)
+        estimate_att_crossfit(make_null_obs(seed=0, n=60), seed=0)
+        assert started == []
+
+    def test_a_map_ranges_item_starts_no_thread(self, monkeypatch):
+        # bootstrap and mc-att replicates run their cross-fits inside such items,
+        # in the calling process and in forked children alike
+        started = self._count_thread_starts(monkeypatch)
+        set_cpus(monkeypatch, 2)
+        obs = make_null_obs(seed=0, n=60)
+
+        def item(i: int) -> int:
+            estimate_theta(obs, seed=i, crossfit=True)
+            return len(started)
+
+        assert map_ranges(item, 4) == [0, 0, 0, 0]

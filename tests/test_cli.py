@@ -391,14 +391,35 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["manifest"]["flags"]["include_eta"] is (kind == "x-and-eta")
 
+    def test_gen_manifest_records_the_defaults_it_resolves(self, tmp_path, capsys):
+        # the flags gen does not use default to None, and resolve after the check
+        code, out, _ = run_cli(
+            ["simulate", "--mode", "gen", "--n", "9", "--out", str(tmp_path / "g.csv")], capsys
+        )
+        assert code == 0
+        flags = json.loads(out)["manifest"]["flags"]
+        assert flags["crossfit"] is False and flags["reps"] == 100
+        assert flags["df_grid"] == [3, 4, 5, 6, 8, 10]
+
     @pytest.mark.parametrize("argv, flag", [
         (["simulate", "--mode", "mc-ite", "--n", "600", "--reps", "1", "--crossfit"], "--crossfit"),
         (["simulate", "--mode", "mc-ite", "--n", "600", "--reps", "1"], "--out"),
         (["simulate", "--mode", "gen", "--n", "9", "--crossfit"], "--crossfit"),
+        (["simulate", "--mode", "gen", "--n", "9", "--include-eta", "true"], "--include-eta"),
+        (["simulate", "--mode", "gen", "--n", "9", "--include-eta", "false"], "--include-eta"),
+        (["simulate", "--mode", "gen", "--n", "9", "--df-grid", "3,4"], "--df-grid"),
+        (["simulate", "--mode", "gen", "--n", "9", "--reps", "5"], "--reps"),
+        (["simulate", "--mode", "mc-att", "--n", "600", "--reps", "30", "--df-grid", "3,4"],
+         "--df-grid"),
+        (["simulate", "--mode", "mc-att", "--n", "600", "--reps", "30", "--include-eta", "true"],
+         "--include-eta"),
         (["ite", *ESTIMATE_FLAGS, "--predictions-out", "preds.csv"], "--predictions-out"),
-    ], ids=["mc-ite-crossfit", "mc-ite-out", "gen-crossfit", "ite-predictions-out"])
+    ], ids=["mc-ite-crossfit", "mc-ite-out", "gen-crossfit", "gen-include-eta",
+            "gen-include-eta-false", "gen-df-grid", "gen-reps", "mc-att-df-grid",
+            "mc-att-include-eta", "ite-predictions-out"])
     def test_a_flag_the_run_would_drop_exits_two(self, tmp_path, argv, flag, capsys):
-        # each used to exit 0, ignoring the flag (mc-ite wrote no --out file)
+        # each used to exit 0, ignoring the flag (mc-ite wrote no --out file);
+        # the simulate flags default to None, so a false value counts as given
         out_flag = "--model-out" if argv[0] == "ite" else "--out"
         code, out, err = run_cli([*argv, out_flag, str(tmp_path / "out")], capsys)
         assert code == 2

@@ -2,12 +2,19 @@ import numpy as np
 import pytest
 
 from threshmatch import (
+    DgpConfig,
     EmptyControlGroup,
+    IndexOutOfRange,
     ObservationSet,
     TooFewControls,
     first_differences,
     fit_beta,
+    fit_gamma,
+    generate,
     order_by_eta,
+    residuals_eta,
+    split_three_way,
+    treatment_mask,
 )
 
 from conftest import make_pl_obs
@@ -189,3 +196,16 @@ class TestFitBeta:
         one_control = np.where(obs.q < 0)[0][:1]
         with pytest.raises(TooFewControls):
             fit_beta(obs, one_control, eta)
+
+    @pytest.mark.parametrize("bad", [-1, 300], ids=["minus-one", "n"])
+    def test_a_row_map_entry_outside_the_rows_raises(self, bad):
+        # -1 used to wrap to row n-1, treated here, so the control at that
+        # position was dropped silently and beta_hat moved
+        obs = generate(DgpConfig(n=300, seed=1))
+        splits = split_three_way(obs.n, seed=0)
+        eta = residuals_eta(fit_gamma(obs, splits.i1), obs)
+        rows = np.arange(obs.n)
+        rows[splits.i2[~treatment_mask(obs)[splits.i2]][0]] = bad
+        with pytest.raises(IndexOutOfRange) as err:
+            fit_beta(obs, splits.i2, eta, rows)
+        assert err.value.index == bad
