@@ -23,10 +23,12 @@ replicate.  A run splits at its score fit: the calling thread fits
 ``gamma_hat`` for rotations 0, 1 and 2 in order and then finishes
 rotation 2, while one worker thread finishes rotations 0 and 1 as their
 ``gamma_hat`` arrive.  numpy releases the GIL in the products, sorts and
-gathers that make up most of a run, and OpenBLAS splits each QR by its
-global thread count whichever thread calls it, so the records equal the
-serial loop's bit for bit.  At most two stages run at once, which keeps
-peak memory near the loop's.  The error raised is the serial loop's
+gathers that make up most of a run's finish, but a score fit does not:
+:func:`threshmatch.linreg.ols` holds the GIL while LAPACK factors, so
+the worker runs only inside such numpy calls while the caller fits.
+OpenBLAS splits each QR by its global thread count whichever thread
+calls it, so the records equal the serial loop's bit for bit.  At most
+two stages run at once, which keeps peak memory near the loop's.  The error raised is the serial loop's
 first: that of the first failing rotation, at its first failing stage.
 The worker is joined before the cross-fit returns or raises.
 

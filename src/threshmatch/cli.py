@@ -31,6 +31,7 @@ from .data_model import (
     read_columns,
     split_three_way,
     treatment_mask,
+    utf8_bytes,
     write_columns,
     write_csv,
 )
@@ -97,22 +98,14 @@ def _bool_flag(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected true/false, got {text!r}")
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _manifest(args: argparse.Namespace, started: float) -> dict:
+def _manifest(args: argparse.Namespace, started: float, input_digest: str | None) -> dict:
     # json.dumps writes the tuple flags (--df-grid) as arrays
     return {
         "subcommand": args.subcommand,
         "flags": {k: v for k, v in vars(args).items() if k != "func"},
         "seed": args.seed,
         "version": __version__,
-        "input_digest": _sha256(args.data) if getattr(args, "data", None) else None,
+        "input_digest": input_digest,
         "duration_s": time.perf_counter() - started,
     }
 
@@ -121,14 +114,20 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _load(args: argparse.Namespace) -> ObservationSet:
+def _load(args: argparse.Namespace) -> tuple[ObservationSet, str]:
+    """The ``--data`` sample and the SHA-256 of the bytes it was parsed from.
+
+    The file is read once, so the digest is that of the parsed bytes even
+    if the file changes while the command runs.
+    """
     spec = ColumnSpec(
         y_col=args.y, q_col=args.q, x_cols=args.x, z_cols=args.z, tau0=args.tau
     )
-    obs = load_csv(args.data, spec)
+    data = utf8_bytes(args.data, InputError)
+    obs = load_csv(args.data, spec, data)
     if args.add_intercept_z:
         obs = obs.with_z_intercept()
-    return obs
+    return obs, hashlib.sha256(data).hexdigest()
 
 
 def _add_estimate_flags(parser: argparse.ArgumentParser) -> None:
@@ -143,7 +142,7 @@ def _add_estimate_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_estimate(args: argparse.Namespace) -> dict:
-    obs = _load(args)
+    obs, digest = _load(args)
     mask = treatment_mask(obs)
     if args.crossfit:
         cf = estimate_att_crossfit(obs, seed=args.seed)
@@ -162,11 +161,12 @@ def cmd_estimate(args: argparse.Namespace) -> dict:
         "n_treated": int(mask.sum()),
         "n_control": int((~mask).sum()),
         **extra,
+        "input_digest": digest,
     }
 
 
 def cmd_bootstrap(args: argparse.Namespace) -> dict:
-    obs = _load(args)
+    obs, digest = _load(args)
     theta = estimate_theta(obs, args.seed, args.crossfit)
     result = bootstrap_att(obs, b=args.b, level=args.level, seed=args.seed, crossfit=args.crossfit)
     return {
@@ -176,13 +176,14 @@ def cmd_bootstrap(args: argparse.Namespace) -> dict:
         "level": args.level,
         "b": args.b,
         "b_failed": result.b_failed,
+        "input_digest": digest,
     }
 
 
 def cmd_ite(args: argparse.Namespace) -> dict:
     if args.predictions_out and not args.predict_grid:
         raise InputError("--predictions-out requires --predict-grid PATH")
-    obs = _load(args)
+    obs, digest = _load(args)
     est = estimate_att(obs, split_three_way(obs.n, seed=args.seed))
     spec = SplineBasisSpec(df_grid=args.df_grid, include_eta=args.include_eta)
     model = fit_ite(obs, est, spec, cv_seed=derive_seed(args.seed, 1))
@@ -204,6 +205,7 @@ def cmd_ite(args: argparse.Namespace) -> dict:
         "n_train": est.matches.treated_idx.size,
         "model_out": args.model_out,
         "predictions_out": predictions_path,
+        "input_digest": digest,
     }
 
 
@@ -286,9 +288,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        # every command returns its payload; the manifest and output are shared
+        # every command returns its payload, with the digest of the data it
+        # parsed, if any, for the manifest; the manifest and output are shared
         payload = args.func(args)
-        payload["manifest"] = _manifest(args, started)
+        payload["manifest"] = _manifest(args, started, payload.pop("input_digest", None))
         _emit(payload)
         return 0
     except (ThreshmatchError, OSError) as exc:

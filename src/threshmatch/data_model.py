@@ -365,7 +365,7 @@ def utf8_bytes(path: str, error: type[InputError]) -> bytes:
     return data
 
 
-def read_columns(path: str, names: list[str], min_rows: int) -> np.ndarray:
+def read_columns(path: str, names: list[str], min_rows: int, data: bytes | None = None) -> np.ndarray:
     """A header-first CSV file's ``names`` as one ``(rows, len(names))`` float64 matrix.
 
     Column ``k`` holds ``names[k]``; each distinct name is parsed once.
@@ -373,9 +373,10 @@ def read_columns(path: str, names: list[str], min_rows: int) -> np.ndarray:
 
     The one reader for data files and prediction grids.  The file is read
     once by :func:`utf8_bytes`, so a byte that is not UTF-8 raises
-    :class:`InputError` with its offset.  ``csv.reader`` parses the
-    header.  The body's lines, without the whitespace-only ones, are
-    converted in one pass by
+    :class:`InputError` with its offset; a caller that has already read
+    it that way passes its bytes as ``data``, and the file is not opened
+    again.  ``csv.reader`` parses the header.  The body's lines, without
+    the whitespace-only ones, are converted in one pass by
     ``np.loadtxt(..., delimiter=",", usecols=..., dtype=np.float64,
     ndmin=2, comments=None, quotechar='"', encoding="utf-8")``: a ``#`` is
     an ordinary character, and quoted cells, quoted fields spanning lines
@@ -398,7 +399,8 @@ def read_columns(path: str, names: list[str], min_rows: int) -> np.ndarray:
     file counts as zero), then the first bad cell of the first bad column
     in the order of ``names``.
     """
-    data = utf8_bytes(path, InputError)
+    if data is None:
+        data = utf8_bytes(path, InputError)
     lines = _lines(data)
     header = next(csv.reader(lines), None)
     if header is None:
@@ -418,7 +420,7 @@ def read_columns(path: str, names: list[str], min_rows: int) -> np.ndarray:
     return np.column_stack([_parse_column(rows, positions[name], name) for name in distinct])[:, order]
 
 
-def load_csv(path: str, spec: ColumnSpec) -> ObservationSet:
+def load_csv(path: str, spec: ColumnSpec, data: bytes | None = None) -> ObservationSet:
     """Read a UTF-8, comma-separated, header-first CSV into an ObservationSet.
 
     Cells must be plain decimal or scientific notation; anything else
@@ -428,8 +430,10 @@ def load_csv(path: str, spec: ColumnSpec) -> ObservationSet:
     and ``z`` are slices of the matrix :func:`read_columns` returns for
     ``[y, q, *x_cols, *z_cols]``; that matrix is column-major, so
     :class:`ObservationSet` copies ``x`` and ``z`` into row-major order.
+    ``data``, the file's bytes as :func:`utf8_bytes` read them, is parsed
+    in place of the file when given.
     """
-    table = read_columns(path, [spec.y_col, spec.q_col, *spec.x_cols, *spec.z_cols], MIN_ROWS)
+    table = read_columns(path, [spec.y_col, spec.q_col, *spec.x_cols, *spec.z_cols], MIN_ROWS, data)
     d_x = len(spec.x_cols)
     return ObservationSet(table[:, 0], table[:, 2 : 2 + d_x], table[:, 2 + d_x :], table[:, 1], spec.tau0)
 

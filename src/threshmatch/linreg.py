@@ -5,6 +5,21 @@ regression, the first-difference coefficient fit, and the spline-basis fit.
 No intercept is ever added implicitly; callers append a constant column
 when their model has one.
 
+The QR is LAPACK's: ``dgeqrf`` factors the design and ``dorgqr`` forms the
+reduced ``Q``, both called in place through ``numpy.linalg.lapack_lite``
+on one column-major copy of the design.  These are the routines, from the
+same OpenBLAS library, that ``np.linalg.qr(a, mode="reduced")`` calls,
+with the same arguments and the same workspace sizes (``max(1, p)`` or
+LAPACK's own workspace query, whichever is larger; the size decides
+whether the blocked code runs, from 129 columns).  ``np.linalg.qr``
+copies the design into and out of column-major order around each call;
+:func:`ols` makes one copy in.  ``R`` and ``Q`` are then copied out in
+the row-major layouts ``np.linalg.qr`` returns, so the projection ``Q^T
+b`` and the back substitution run the same BLAS kernels and every bit
+equals a fit through ``np.linalg.qr``; ``tests/test_linreg.py`` checks
+this against that fit.  Unlike numpy's QR, ``lapack_lite`` holds the GIL
+while LAPACK runs, so another Python thread waits for the factorization.
+
 The triangular solve ``R coef = Q^T b`` is a row-oriented back
 substitution in numpy, so estimation never imports SciPy, whose import
 was the larger part of a cold CLI start.  Up to 64 columns it yields the
@@ -19,10 +34,29 @@ fits that wide (the ITE spline designs at ``d >= 6``) can differ from
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import DimensionMismatch, NumericError, RankDeficient
 
 RANK_TOL = 1e-10  # relative floor on |diag R|; fixed, not configurable
+
+
+def _lapack(routine, qt: np.ndarray, tau: np.ndarray, *k: int) -> None:
+    """Run ``dgeqrf`` (``k`` empty) or ``dorgqr`` (``k = (p,)``) in place on ``qt``.
+
+    ``qt`` is a C-ordered ``(p, m)`` float64 array, an ``m x p`` matrix in
+    column-major order, and ``tau`` its ``(p,)`` reflector scales.
+    ``lapack_lite`` checks only dtypes and contiguity, so the sizes come
+    from ``qt`` itself.  A workspace query comes first, and the workspace
+    is sized as ``np.linalg.qr`` sizes it.
+    """
+    p, m = qt.shape
+    query = np.zeros(1)
+    routine(m, p, *k, qt, m, tau, query, -1, 0)
+    work = np.zeros(max(1, p, int(query[0])))
+    info = routine(m, p, *k, qt, m, tau, work, work.size, 0)["info"]
+    if info != 0:
+        raise NumericError(f"LAPACK QR routine failed with info {info}")
 
 
 def ols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -33,7 +67,8 @@ def ols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``RANK_TOL`` times the largest) is a hard error rather than a silent
     ridge or pseudo-inverse fallback, since a regularized score fit would
     bias every residual downstream.  Finite inputs whose projection
-    ``Q^T b`` overflows raise :class:`NumericError` as well.
+    ``Q^T b`` overflows raise :class:`NumericError` as well.  ``a`` and
+    ``b`` are only read.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -49,13 +84,18 @@ def ols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if m < p:
         raise DimensionMismatch(f"need at least as many rows ({m}) as columns ({p})")
 
-    q_mat, r_mat = np.linalg.qr(a, mode="reduced")
+    qt = a.T.copy()  # a in column-major order, factored in place
+    tau = np.zeros(p)
+    _lapack(lapack_lite.dgeqrf, qt, tau)
+    r_mat = qt[:, :p].T.copy()  # R in its upper triangle; the reflectors below are never read
     diag = np.abs(np.diag(r_mat))
-    tol = RANK_TOL * diag.max() if diag.size else 0.0
+    tol = RANK_TOL * diag.max()
     p_effective = int(np.sum(diag > tol))
     if p_effective < p:
         raise RankDeficient(p_effective, p)
 
+    _lapack(lapack_lite.dorgqr, qt, tau, p)
+    q_mat = qt.T.copy()
     qtb = q_mat.T @ b
     if not np.isfinite(qtb).all():
         raise NumericError("least-squares fit overflowed: Q^T b is not finite")

@@ -35,6 +35,10 @@ The exception is a cross-fit (:func:`threshmatch.att.crossfit_on_splits`
 and the runs that call it): its three rotations share one process and
 run on two threads when :func:`second_cpu_free` says a second thread has
 a CPU to itself.  Threads keep the bits where processes would not.
+They share one GIL: numpy releases it in most of a rotation's products,
+sorts and gathers, but a QR fit (:func:`threshmatch.linreg.ols`) holds
+it while LAPACK factors, and meanwhile the other thread runs only
+inside numpy calls that had released it.
 Both threads call one OpenBLAS, which splits each QR by its one global
 thread count, whichever thread calls it; two forked processes would each
 keep the caller's count and oversubscribe the CPUs, or, held to one

@@ -1,8 +1,8 @@
 """Shared test helpers: the noiseless-null generator, tiny builders, a
 sample of any covariate widths in any memory layout, a discrete-score
 variant of the generator and its tie-heavy design, the brute-force
-matching oracle, and a CPU-count override and a leftover-child check for
-the replicate runner."""
+matching oracle, the ``np.linalg.qr`` least-squares oracle, and a
+CPU-count override and a leftover-child check for the replicate runner."""
 
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from threshmatch import DgpConfig, MatchResult, ObservationSet, true_ite_fn
+from threshmatch import DgpConfig, MatchResult, NumericError, ObservationSet, RankDeficient, true_ite_fn
+from threshmatch.linreg import RANK_TOL
 from threshmatch.matching import _validate
 from threshmatch.rng import rng_from
 from threshmatch.simulate import EPS_SD
@@ -183,3 +184,24 @@ def match_controls_brute(
             winner = right
         matched[k] = min(c_idx for c_val, c_idx in zip(eta_control, control_idx) if c_val == winner)
     return MatchResult(treated_idx=treated_idx, control_idx=matched)
+
+
+def ols_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Reference implementation of ``ols`` through ``np.linalg.qr``.
+
+    For a float64 ``(m, p)`` design and ``(m,)`` response with ``m >= p >=
+    1``: the reduced QR, the rank check, the overflow check and the
+    row-oriented back substitution, raising what ``ols`` raises.
+    """
+    q_mat, r_mat = np.linalg.qr(a, mode="reduced")
+    diag = np.abs(np.diag(r_mat))
+    p_effective = int(np.sum(diag > RANK_TOL * diag.max()))
+    if p_effective < a.shape[1]:
+        raise RankDeficient(p_effective, a.shape[1])
+    qtb = q_mat.T @ b
+    if not np.isfinite(qtb).all():
+        raise NumericError("least-squares fit overflowed: Q^T b is not finite")
+    coef = np.empty(a.shape[1])
+    for k in range(a.shape[1] - 1, -1, -1):
+        coef[k] = (qtb[k] - r_mat[k, k + 1 :] @ coef[k + 1 :]) / r_mat[k, k]
+    return coef

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from threshmatch import DgpConfig, estimate_att, generate, load_ite_model, split_three_way
+from threshmatch import cli
 from threshmatch.cli import main
 
 from conftest import FIXTURES
@@ -86,6 +88,28 @@ class TestEstimate:
         assert code == 2
         assert out == ""
         assert "tau0" in err and "No such file" not in err
+
+    @pytest.mark.parametrize("command", [["estimate", "--crossfit"], ["bootstrap", "--b", "2"]])
+    @pytest.mark.parametrize("change", ["rewrite", "delete"])
+    def test_digest_is_of_the_bytes_parsed(self, command, change, tmp_path, monkeypatch, capsys):
+        # the file changes after it was parsed, while the command still runs
+        original = Path(NULL_CSV).read_bytes()
+        path = tmp_path / "data.csv"
+        path.write_bytes(original)
+        load_csv = cli.load_csv
+
+        def load_then_change(*args):
+            obs = load_csv(*args)
+            if change == "rewrite":
+                path.write_bytes(original.replace(b"\n", b"\n\n"))
+            else:
+                path.unlink()
+            return obs
+
+        monkeypatch.setattr(cli, "load_csv", load_then_change)
+        code, out, _ = run_cli([*command, *ESTIMATE_FLAGS, "--data", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["manifest"]["input_digest"] == hashlib.sha256(original).hexdigest()
 
     def test_missing_data_file_exits_two(self, tmp_path, capsys):
         # an OSError is an input failure, reported like any other

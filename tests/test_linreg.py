@@ -1,7 +1,13 @@
+import contextlib
+import threading
+
 import numpy as np
 import pytest
 
 from threshmatch import DimensionMismatch, NumericError, RankDeficient, ols
+from threshmatch.parallel import _one_blas_thread
+
+from conftest import LAYOUTS, in_layout, ols_reference
 
 
 def test_constant_fit():
@@ -103,3 +109,86 @@ def test_overflowing_response_is_a_numeric_error():
     a = np.column_stack([np.ones(5), np.arange(5.0)])
     with np.errstate(over="ignore"), pytest.raises(NumericError):
         ols(a, np.full(5, 1.7e308))
+
+
+def _system(rng, m, p):
+    a = rng.standard_normal((m, p)) * rng.uniform(0.1, 100.0, size=p)
+    return a, rng.standard_normal(m)
+
+
+def _layout(a, k):
+    """``a`` in the k-th of the caller layouts and a read-only copy, in turn."""
+    layouts = (*LAYOUTS, "read-only")
+    if layouts[k % len(layouts)] == "read-only":
+        a = a.copy()
+        a.setflags(write=False)
+        return a
+    return in_layout(a, layouts[k % len(layouts)])
+
+
+BLAS_THREADS = {"default": contextlib.nullcontext, "one": _one_blas_thread}
+
+
+@pytest.mark.parametrize("blas", sorted(BLAS_THREADS))
+def test_bits_equal_the_np_linalg_qr_fit(blas):
+    # ols calls np.linalg.qr's LAPACK routines in place; from 129 columns
+    # they take their blocked path, where the workspace size matters
+    rng = np.random.default_rng(129)
+    with BLAS_THREADS[blas]():
+        for k, p in enumerate([*range(1, 66), *range(129, 201)]):
+            m = int(np.exp(rng.uniform(np.log(p), np.log(5000))))
+            a, b = _system(rng, m, p)
+            assert ols(_layout(a, k), b).tobytes() == ols_reference(a, b).tobytes(), (p, m)
+        a, b = _system(rng, 300_000, 4)
+        assert ols(a, b).tobytes() == ols_reference(a, b).tobytes()
+
+
+def _raised(fn, a, b):
+    with np.errstate(over="ignore"), pytest.raises(Exception) as err:
+        fn(a, b)
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("p", [2, 5, 130])
+def test_errors_equal_the_np_linalg_qr_fit(p):
+    rng = np.random.default_rng(p)
+    a, b = _system(rng, 3 * p, p)
+    a[:, -1] = 2.0 * a[:, 0]  # rank deficient
+    assert _raised(ols, a, b) == _raised(ols_reference, a, b)
+    assert _raised(ols, a, b)[0] is RankDeficient
+    a, _ = _system(rng, 3 * p, p)
+    a[:, 0] = 1.0
+    b = np.full(3 * p, 1.7e308)  # Q^T b's first entry is sqrt(3p) * 1.7e308
+    assert _raised(ols, a, b) == _raised(ols_reference, a, b)
+    assert _raised(ols, a, b)[0] is NumericError
+
+
+def test_inputs_are_only_read():
+    rng = np.random.default_rng(3)
+    for layout in LAYOUTS:
+        a, b = _system(rng, 50, 4)
+        a = in_layout(a, layout)
+        before = a.tobytes(), b.tobytes()
+        ols(a, b)
+        assert (a.tobytes(), b.tobytes()) == before, layout
+
+
+def test_two_threads_give_the_serial_bits():
+    rng = np.random.default_rng(2)
+    systems = [[_system(rng, 20_000, p) for p in (3, 7, 40)] for _ in range(2)]
+    serial = [[ols(a, b).tobytes() for a, b in thread] for thread in systems]
+    results = [[], []]
+    start = threading.Barrier(2)
+
+    def fit(j):
+        start.wait()
+        for _ in range(5):
+            results[j].append([ols(a, b).tobytes() for a, b in systems[j]])
+
+    threads = [threading.Thread(target=fit, args=(j,)) for j in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert results == [[serial[0]] * 5, [serial[1]] * 5]
