@@ -16,21 +16,9 @@ and averages the resulting estimates.  :func:`estimate_theta` turns a
 seed into a partition and returns the single-run or the cross-fitted
 estimate on it.
 
-A cross-fit runs its rotations on two threads when
-:func:`threshmatch.parallel.second_cpu_free` says a second CPU is free,
-and in one loop otherwise, as inside a bootstrap or Monte-Carlo
-replicate.  A run splits at its score fit: the calling thread fits
-``gamma_hat`` for rotations 0, 1 and 2 in order and then finishes
-rotation 2, while one worker thread finishes rotations 0 and 1 as their
-``gamma_hat`` arrive.  numpy releases the GIL in the products, sorts and
-gathers that make up most of a run's finish, but a score fit does not:
-:func:`threshmatch.linreg.ols` holds the GIL while LAPACK factors, so
-the worker runs only inside such numpy calls while the caller fits.
-OpenBLAS splits each QR by its global thread count whichever thread
-calls it, so the records equal the serial loop's bit for bit.  At most
-two stages run at once, which keeps peak memory near the loop's.  The error raised is the serial loop's
-first: that of the first failing rotation, at its first failing stage.
-The worker is joined before the cross-fit returns or raises.
+A cross-fit's rotations run through :func:`threshmatch.parallel.map_staged`,
+whose docstring states when they run on two threads and why the records
+equal the serial loop's bit for bit.
 
 The row-map contract.  Every public record of a run, :class:`AttEstimate`
 and :class:`CrossfitEstimate`, indexes the rows of the ``obs`` it was
@@ -71,7 +59,6 @@ the run's record of them, ``AttEstimate.differences``, instead.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +74,7 @@ from .data_model import (
 from .diff_beta import fit_beta
 from .errors import DimensionMismatch, labelled
 from .matching import MatchResult, match_controls
-from .parallel import second_cpu_free
+from .parallel import map_staged
 from .residualize import fit_gamma, residuals_eta
 
 
@@ -213,70 +200,23 @@ def crossfit_on_splits(obs: ObservationSet, splits: SplitAssignment) -> Crossfit
 def _crossfit(
     obs: ObservationSet, splits: SplitAssignment, rows: np.ndarray | None = None
 ) -> CrossfitEstimate:
-    # the rotations of a partition of the rows, or of a row map's positions
+    # the rotations of a partition of the rows, or of a row map's positions;
+    # a run splits at its score fit
     roles = splits.rotations()
-    if second_cpu_free():
-        rotations = _rotations_on_two_threads(obs, roles, rows)
-    else:
-        rotations = []
-        for r, role in enumerate(roles):
-            with labelled(f"rotation {r}"):
-                rotations.append(_estimate_with_roles(obs, *role, rows))
+
+    def fit(r: int) -> np.ndarray:
+        with labelled(f"rotation {r}"):
+            return _fit_scores(obs, *roles[r], rows)
+
+    def finish(r: int, gamma_hat: np.ndarray) -> AttEstimate:
+        with labelled(f"rotation {r}"):
+            return _estimate_with_roles(obs, *roles[r], rows, gamma_hat)
+
+    rotations = map_staged(fit, finish, 3)
     theta_cf = (
         rotations[0].theta_hat + rotations[1].theta_hat + rotations[2].theta_hat
     ) / 3.0
     return CrossfitEstimate(theta_cf=theta_cf, rotations=rotations)
-
-
-def _rotations_on_two_threads(
-    obs: ObservationSet, roles: list[tuple[np.ndarray, ...]], rows: np.ndarray | None
-) -> list[AttEstimate]:
-    """The three rotations' runs, each bit-equal to its serial run.
-
-    The caller fits the scores of rotations 0, 1 and 2 in order, then
-    finishes rotation 2; one worker thread finishes rotations 0 and 1, each
-    as soon as its ``gamma_hat`` is ready.  So at most a score fit and a
-    finish, or two finishes, run at once, and peak memory stays near the
-    serial loop's.  The error raised is the one the serial loop would
-    raise: the worker only finishes rotations before the caller's, so its
-    error comes first.  The worker is joined before this returns or raises.
-    """
-    rotations: list[AttEstimate | None] = [None, None, None]
-    gammas: list[np.ndarray | None] = [None, None]
-    ready = [threading.Event(), threading.Event()]
-    failure: list[BaseException] = []
-
-    def finish_earlier() -> None:
-        try:
-            for r in (0, 1):
-                ready[r].wait()
-                if gammas[r] is None:  # the caller stopped first
-                    return
-                with labelled(f"rotation {r}"):
-                    rotations[r] = _estimate_with_roles(obs, *roles[r], rows, gammas[r])
-        except BaseException as exc:
-            failure.append(exc)
-
-    worker = threading.Thread(target=finish_earlier, name="threshmatch-crossfit")
-    worker.start()
-    try:
-        for r, role in enumerate(roles):
-            if failure:
-                break
-            with labelled(f"rotation {r}"):
-                gamma_hat = _fit_scores(obs, *role, rows)
-                if r == 2:
-                    rotations[r] = _estimate_with_roles(obs, *role, rows, gamma_hat)
-            if r < 2:
-                gammas[r] = gamma_hat
-                ready[r].set()
-    finally:
-        for event in ready:
-            event.set()  # a worker still waiting finds no gamma_hat and returns
-        worker.join()
-        if failure:
-            raise failure[0] from None
-    return rotations
 
 
 def estimate_theta(

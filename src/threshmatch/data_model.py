@@ -341,12 +341,14 @@ def _column_positions(header: list[str], names: list[str]) -> dict[str, int]:
 
 
 def _lines(data: bytes) -> io.TextIOWrapper:
-    """The lines of ``data`` as ``open(path, encoding="utf-8", newline="")`` yields them.
+    """The lines of ``data`` as ``open(path, encoding="utf-8-sig", newline="")`` yields them.
 
-    Decoded lazily from the bytes; a ``StringIO`` of the whole decoded text
-    would hold four bytes a character.
+    A leading byte-order mark, as spreadsheet exports write it, is skipped;
+    one anywhere else is an ordinary character.  Decoded lazily from the
+    bytes; a ``StringIO`` of the whole decoded text would hold four bytes a
+    character.
     """
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
 
 
 def utf8_bytes(path: str, error: type[InputError]) -> bytes:

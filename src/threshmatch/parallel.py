@@ -1,4 +1,4 @@
-"""Replicate loops on up to one forked process per CPU.
+"""Replicate loops on up to one forked process per CPU, and staged loops on two threads.
 
 :func:`map_ranges` computes ``[fn(i) for i in range(count)]``.  It cuts
 ``range(count)`` into ``k = min(CPUs, count)`` contiguous ranges, where
@@ -14,9 +14,9 @@ bit-identical to serial ones.  Where ``os.fork`` or
 ``os.sched_getaffinity`` is missing, ``k`` is 1 and nothing is forked;
 a single item never forks either.  No process is started per item.
 
-Processes are the package's parallelism (a cross-fit's two threads,
-below, are the one exception), so every call holds OpenBLAS (numpy's
-BLAS) to one thread until it returns, ``k = 1`` included.  k processes
+Processes are the package's parallelism (:func:`map_staged`'s one thread,
+below, is the exception), so every call holds OpenBLAS (numpy's BLAS) to
+one thread until it returns, ``k = 1`` included.  k processes
 then keep to k CPUs, and a replicate's value does not depend on how
 many replicates run beside it: a QR fit summed on two BLAS threads can
 differ in the last bits from the same fit on one.  Two processes with
@@ -31,22 +31,29 @@ per CPU.  A call whose ``k`` is 1 leaves the CPUs free, and a call
 inside its items may fork: one Monte-Carlo seed spreads its fit's
 cross-validation grid over every CPU.
 
-The exception is a cross-fit (:func:`threshmatch.att.crossfit_on_splits`
-and the runs that call it): its three rotations share one process and
-run on two threads when :func:`second_cpu_free` says a second thread has
-a CPU to itself.  Threads keep the bits where processes would not.
-They share one GIL: numpy releases it in most of a rotation's products,
-sorts and gathers, but a QR fit (:func:`threshmatch.linreg.ols`) holds
-it while LAPACK factors, and meanwhile the other thread runs only
-inside numpy calls that had released it.
-Both threads call one OpenBLAS, which splits each QR by its one global
-thread count, whichever thread calls it; two forked processes would each
-keep the caller's count and oversubscribe the CPUs, or, held to one
-BLAS thread, move the last bits of ``gamma_hat``.  Inside a forking
-call's ranges, as in bootstrap and Monte-Carlo replicates, or with one
-CPU, the rotations run in one loop and start no thread.  The cross-fit
-joins its thread before it returns or raises, so none is alive at a
-fork.
+:func:`map_staged` computes ``[second(i, first(i)) for i in range(count)]``,
+as a cross-fit (:func:`threshmatch.att.crossfit_on_splits`) runs its
+three rotations: ``first`` fits a rotation's scores and ``second``
+finishes the rotation from them.  When a second thread would have a CPU
+to itself, the calling thread runs every ``first`` stage in order and
+then the last ``second``, while one worker thread runs the earlier
+``second`` stages in order, each as soon as its ``first`` value is
+handed over.  So at most two stages run at once, and peak memory stays
+near the loop's.  With one CPU, or inside a forking call's ranges, as in
+bootstrap and Monte-Carlo replicates, it is the loop in the caller and
+starts no thread.  The worker is joined before the call returns or
+raises, so none is alive at a fork.
+
+Threads keep the bits where processes would not.  Both threads call one
+OpenBLAS, which splits each QR by its one global thread count, whichever
+thread calls it, so every stage computes the bits the loop computes;
+two forked processes would each keep the caller's count and
+oversubscribe the CPUs, or, held to one BLAS thread, move the last bits
+of a cross-fit's ``gamma_hat``.  The threads share one GIL: numpy
+releases it in most of a rotation's products, sorts and gathers, but a
+QR fit (:func:`threshmatch.linreg.ols`) holds it while LAPACK factors,
+and meanwhile the other thread runs only inside numpy calls that had
+released it.
 
 The children are forked, not spawned: they inherit ``fn`` with its
 closure and the data it reads, where a spawned worker would need all of
@@ -66,6 +73,7 @@ from contextlib import contextmanager
 from typing import TypeVar
 
 T = TypeVar("T")
+U = TypeVar("U")
 
 # True while this process computes one of a forking call's ranges
 _forked = False
@@ -77,7 +85,7 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def second_cpu_free() -> bool:
+def _second_cpu_free() -> bool:
     """Whether a second thread of this process would have a CPU to itself.
 
     It would not with one CPU, nor while this process computes a range of
@@ -114,6 +122,33 @@ def map_ranges(fn: Callable[[int], T], count: int) -> list[T]:
             for child in children:
                 child.stop()
     return values
+
+
+def map_staged(first: Callable[[int], T], second: Callable[[int, T], U], count: int) -> list[U]:
+    """``[second(i, first(i)) for i in range(count)]``, on two threads when a CPU is free.
+
+    The calling thread runs the ``first`` stages and the last ``second``;
+    one worker thread runs the earlier ``second`` stages, in item order.
+    The error raised is the loop's first: that of the smallest failing
+    item, at its first failing stage.  The other thread runs on past a
+    failure; errors after the first are dropped.
+    """
+    if count < 2 or not _second_cpu_free():
+        return [second(i, first(i)) for i in range(count)]
+    from concurrent.futures import Future, ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="threshmatch-staged") as worker:
+        earlier: list[Future[U]] = []
+        try:
+            for i in range(count - 1):
+                earlier.append(worker.submit(second, i, first(i)))
+            last = second(count - 1, first(count - 1))
+        finally:
+            # the worker's items come before any the caller was running
+            for future in earlier:
+                if (error := future.exception()) is not None:
+                    raise error from None
+    return [future.result() for future in earlier] + [last]
 
 
 @functools.cache

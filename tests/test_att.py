@@ -432,7 +432,7 @@ class TestTwoThreadCrossfit:
         set_cpus(monkeypatch, 2)
         before = threading.active_count()
         estimate_att_crossfit(make_null_obs(seed=0, n=60), seed=0)
-        assert started == ["threshmatch-crossfit"]
+        assert started == ["threshmatch-staged_0"]
         assert threading.active_count() == before
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):

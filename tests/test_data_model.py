@@ -116,6 +116,23 @@ class TestLoadCsv:
             load_csv(_write(tmp_path, "inf.csv", bad), spec)
         assert err.value.col == "a"
 
+    # a line of only "" turns the one-pass reader away, so the csv reader runs
+    @pytest.mark.parametrize("blank_quoted_line", [False, True], ids=["one-pass", "per-cell"])
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path, blank_quoted_line):
+        values = np.random.default_rng(12).normal(size=(9, 4)).tolist()
+        text = "y,a,b,q\n" + ('""\n' if blank_quoted_line else "") + _rows(values) + "\n"
+        plain = load_csv(_write(tmp_path, "plain.csv", text), _SHARED_SPEC)
+        marked = load_csv(_write(tmp_path, "marked.csv", "\ufeff" + text), _SHARED_SPEC)
+        for name in ("y", "x", "z", "q"):
+            assert getattr(marked, name).tobytes() == getattr(plain, name).tobytes()
+
+    def test_a_byte_order_mark_inside_the_body_is_a_bad_cell(self, tmp_path):
+        values = np.arange(36.0).reshape(9, 4).tolist()
+        text = "y,a,b,q\n" + _rows(values[:3]) + "\n\ufeff" + _rows(values[3:]) + "\n"
+        with pytest.raises(ParseError) as err:
+            load_csv(_write(tmp_path, "inner.csv", "\ufeff" + text), _SHARED_SPEC)
+        assert (err.value.row, err.value.col) == (3, "y")
+
     def test_round_trip_preserves_values(self, tmp_path):
         rng = np.random.default_rng(11)
         values = rng.normal(scale=3.0, size=(15, 4))

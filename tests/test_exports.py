@@ -78,3 +78,56 @@ def test_only_errors_module_sets_the_split_label():
         for line in _split_assignments(path.read_text(encoding="utf-8"))
     }
     assert offenders == set()
+
+
+def _concurrency_uses(source: str) -> list[tuple[int, str]]:
+    """Imports of ``threading`` or ``concurrent`` and uses of ``os.fork``, in order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+            if node.module == "os" and any(alias.name == "fork" for alias in node.names):
+                modules.append("os.fork")
+        elif isinstance(node, ast.Attribute) and node.attr == "fork" and (
+            isinstance(node.value, ast.Name) and node.value.id == "os"
+        ):
+            modules = ["os.fork"]
+        else:
+            continue
+        found += [
+            (node.lineno, name)
+            for name in modules
+            if name == "os.fork" or name.split(".")[0] in ("threading", "concurrent")
+        ]
+    return sorted(found)
+
+
+def test_concurrency_scan_flags_threads_executors_and_forks():
+    source = (
+        "import threading\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import os, concurrent.futures as cf\n"
+        "pid = os.fork()\n"
+        "from os import fork, getpid\n"
+        "from . import threading_notes\n"
+        "ok = hasattr(os, 'fork') and os.getpid()\n"
+        "def f():\n"
+        "    from threading import Event\n"
+    )
+    assert _concurrency_uses(source) == [
+        (1, "threading"), (2, "concurrent.futures"), (3, "concurrent.futures"), (4, "os.fork"),
+        (5, "os.fork"), (9, "threading"),
+    ]
+
+
+def test_only_the_parallel_module_starts_threads_or_processes():
+    # when to use a second thread or process, and how, is decided in one place
+    package = Path(threshmatch.__file__).parent
+    offenders = {
+        path.name: uses
+        for path in sorted(package.glob("*.py"))
+        if path.name != "parallel.py" and (uses := _concurrency_uses(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}

@@ -1,17 +1,19 @@
 """The replicate runner: contiguous ranges, values in item order, the first
 failure in order raised, one BLAS thread, one level of processes, and no
-child process left behind."""
+child process left behind; and the staged runner: the loop's values and
+first error, one worker thread where a second CPU is free, joined."""
 
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
 import threshmatch
 from threshmatch.errors import IndexOutOfRange
-from threshmatch.parallel import _openblas_threads, map_ranges
+from threshmatch.parallel import _openblas_threads, map_ranges, map_staged
 
 from conftest import assert_no_child_left, set_cpus
 
@@ -160,3 +162,122 @@ def test_children_never_flush_the_callers_buffered_stdout():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60, check=True
     ).stdout
     assert out == "buffered line\n"
+
+
+def _started_threads(monkeypatch) -> list[threading.Thread]:
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(
+        threading.Thread, "start", lambda self: (started.append(self), start(self))[1]
+    )
+    return started
+
+
+def _stage_log():
+    """``first`` and ``second`` stages that record their thread and compute ``(i, i * i)``."""
+    log = []
+
+    def first(i):
+        log.append(("first", i, threading.current_thread()))
+        return i * i
+
+    def second(i, value):
+        log.append(("second", i, threading.current_thread()))
+        return i, value
+
+    return log, first, second
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4])
+def test_staged_values_equal_the_loop(monkeypatch, cpus, count):
+    set_cpus(monkeypatch, cpus)
+    _, first, second = _stage_log()
+    assert map_staged(first, second, count) == [second(i, first(i)) for i in range(count)]
+
+
+def test_the_caller_runs_the_first_stages_and_the_last_second(monkeypatch):
+    set_cpus(monkeypatch, 2)
+    log, first, second = _stage_log()
+    map_staged(first, second, 4)
+    caller = threading.current_thread()
+    assert [i for stage, i, thread in log if stage == "first" and thread is caller] == [0, 1, 2, 3]
+    assert [i for stage, i, thread in log if stage == "second" and thread is caller] == [3]
+    assert [i for stage, i, thread in log if thread is not caller] == [0, 1, 2]
+    assert len({thread for _, _, thread in log}) == 2
+
+
+def _failing(stages):
+    """Stages that raise ``ValueError("<stage> <i>")`` at the ``(stage, i)`` in ``stages``."""
+
+    def first(i):
+        if ("first", i) in stages:
+            raise ValueError(f"first {i}")
+        return i
+
+    def second(i, value):
+        if ("second", i) in stages:
+            time.sleep(0.05)  # the caller's later failure comes first in time
+            raise ValueError(f"second {i}")
+        return value
+
+    return first, second
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("stages, expected", [
+    ({("second", 1), ("first", 2)}, "second 1"),
+    ({("first", 0), ("second", 0)}, "first 0"),
+    ({("second", 0), ("second", 1)}, "second 0"),
+    ({("first", 1), ("second", 2)}, "first 1"),
+    ({("second", 2)}, "second 2"),
+])
+def test_the_loops_first_error_is_raised(monkeypatch, cpus, stages, expected):
+    set_cpus(monkeypatch, cpus)
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        map_staged(*_failing(stages), 3)
+
+
+@pytest.mark.parametrize("cpus, count", [(2, 0), (2, 1), (1, 3)])
+def test_no_thread_starts_below_two_items_or_on_one_cpu(monkeypatch, cpus, count):
+    started = _started_threads(monkeypatch)
+    set_cpus(monkeypatch, cpus)
+    map_staged(lambda i: i, lambda i, v: v, count)
+    assert started == []
+
+
+def test_a_map_ranges_item_starts_no_thread(monkeypatch):
+    started = _started_threads(monkeypatch)
+    set_cpus(monkeypatch, 2)
+
+    def item(i):
+        return map_staged(lambda j: j, lambda j, v: i + v, 3), len(started)
+
+    assert map_ranges(item, 2) == [([0, 1, 2], 0), ([1, 2, 3], 0)]
+    assert_no_child_left()
+
+
+def test_the_worker_is_joined_after_a_raise(monkeypatch):
+    started = _started_threads(monkeypatch)
+    set_cpus(monkeypatch, 2)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="^second 0$"):
+        map_staged(*_failing({("second", 0)}), 3)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == before
+
+
+class _Halt(BaseException):
+    pass
+
+
+def test_a_base_exception_in_a_worker_stage_reaches_the_caller(monkeypatch):
+    set_cpus(monkeypatch, 2)
+
+    def second(i, value):
+        if i == 0:
+            raise _Halt()
+        return value
+
+    with pytest.raises(_Halt):
+        map_staged(lambda i: i, second, 3)
