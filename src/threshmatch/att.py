@@ -8,13 +8,15 @@ of the difference in linearly-adjusted outcomes::
 
     theta_hat = mean_i [ (y_i - x_i @ beta_hat) - (y_c(i) - x_c(i) @ beta_hat) ]
 
-A run's record, :class:`AttEstimate`, holds six fields: ``theta_hat``,
-``beta_hat``, ``gamma_hat``, ``matches``, ``eta_hat`` and ``differences``,
-the matched gaps that ``theta_hat`` averages.  Cross-fitting reruns the
-pipeline under the three cyclic role rotations of one fixed partition
-and averages the resulting estimates.  :func:`estimate_theta` turns a
-seed into a partition and returns the single-run or the cross-fitted
-estimate on it.
+A run's record, :class:`AttEstimate`, holds five fields: ``beta_hat``,
+``gamma_hat``, ``matches``, ``eta_hat`` and ``differences``, the matched
+gaps.  Its ``theta_hat`` is not stored: it is the mean of
+``differences``, computed when read.  Cross-fitting reruns the pipeline
+under the three cyclic role rotations of one fixed partition; its
+record, :class:`CrossfitEstimate`, holds the three rotation records, and
+its ``theta_cf`` is their estimates' mean, computed when read.
+:func:`estimate_theta` turns a seed into a partition and returns the
+single-run or the cross-fitted estimate on it.
 
 A cross-fit's rotations run through :func:`threshmatch.parallel.map_staged`,
 whose docstring states when they run on two threads and why the records
@@ -31,13 +33,14 @@ DimensionMismatch, wherever the bad entry sits.  Inside that run the
 splits, ``eta_hat``, the treated mask and the matches are indexed by
 position, and so are the tie keys of the eta ordering and of matching,
 exactly as on a copied resample.  The run hands its stages data rows,
-with two exceptions: ``residuals_eta`` gets the map as the rows to
-gather, and ``fit_beta`` gets it beside positions, because its tie rule
-needs positions.  The matched pairs are turned into data rows before
-their gaps are formed.  The run's records stay inside it; only its float
-comes out.  It is bit-equal to the run on ``obs.take(rows)`` within the
-column limit README's reproducibility note states.  A plain run passes
-no row map and gathers nothing extra.
+with one exception: ``fit_beta`` gets the map beside positions, because
+its tie rule needs positions.  The run gathers ``eta_hat`` at the map
+itself, from the residuals ``residuals_eta`` returns by data row.  The
+matched pairs are turned into data rows before their gaps are formed.
+The run's records stay inside it; only its float comes out.  It is
+bit-equal to the run on ``obs.take(rows)`` within the column limit
+README's reproducibility note states.  A plain run passes no row map
+and gathers nothing extra.
 
 The roles of a run are always the parts of one :class:`SplitAssignment`,
 which checks that they partition ``0..N-1`` with ``N`` the sum of their
@@ -80,32 +83,40 @@ from .residualize import fit_gamma, residuals_eta
 
 @dataclass(frozen=True)
 class AttEstimate:
-    """ATT point estimate of one pipeline run with the arrays it was built from.
+    """The arrays one pipeline run built, and the ATT estimate they give.
 
-    ``theta_hat`` is the mean matched difference; ``beta_hat`` and
-    ``gamma_hat`` are the difference and score coefficients; ``matches``
-    pairs every treated row of the matching split with its control.
-    ``eta_hat`` holds the score residuals of the run over all ``n`` rows:
-    finite on the difference and matching splits, NaN on the score split.
-    ``differences`` holds the adjusted-outcome gap of each matched pair,
-    in treated input order; ``theta_hat`` is its mean.  Both arrays are
-    read-only.
+    ``beta_hat`` and ``gamma_hat`` are the difference and score
+    coefficients; ``matches`` pairs every treated row of the matching
+    split with its control.  ``eta_hat`` holds the score residuals of the
+    run over all ``n`` rows: finite on the difference and matching
+    splits, NaN on the score split.  ``differences`` holds the
+    adjusted-outcome gap of each matched pair, in treated input order.
+    Both arrays are read-only.
     """
 
-    theta_hat: float
     beta_hat: np.ndarray
     gamma_hat: np.ndarray
     matches: MatchResult
     eta_hat: np.ndarray
     differences: np.ndarray
 
+    @property
+    def theta_hat(self) -> float:
+        """The ATT estimate: the mean matched difference."""
+        return float(np.mean(self.differences))
+
 
 @dataclass(frozen=True)
 class CrossfitEstimate:
-    """Mean of the three rotation estimates, ``(t1 + t2 + t3) / 3``."""
+    """The three rotation estimates of one partition, in rotation order."""
 
-    theta_cf: float
     rotations: list[AttEstimate]
+
+    @property
+    def theta_cf(self) -> float:
+        """Mean of the rotation estimates, ``(t0 + t1 + t2) / 3``, summed in that order."""
+        r0, r1, r2 = self.rotations
+        return (r0.theta_hat + r1.theta_hat + r2.theta_hat) / 3.0
 
 
 def matched_differences(
@@ -113,10 +124,14 @@ def matched_differences(
 ) -> np.ndarray:
     """Adjusted-outcome gaps ``(y_t - x_t @ b) - (y_c - x_c @ b)`` per pair.
 
-    The matched rows are data rows of ``obs`` and must lie in ``0..n-1``.
-    The adjusted outcome ``y - x @ b`` is formed once over all ``n`` rows,
-    then gathered at the pairs' rows.
+    The matched rows are data rows of ``obs`` and must lie in ``0..n-1``,
+    and ``beta_hat`` needs ``obs.d_x`` entries; otherwise it raises
+    IndexOutOfRange or DimensionMismatch.  The adjusted outcome
+    ``y - x @ b`` is formed once over all ``n`` rows, then gathered at the
+    pairs' rows.
     """
+    if np.shape(beta_hat) != (obs.d_x,):
+        raise DimensionMismatch(f"beta_hat has shape {np.shape(beta_hat)}; obs has d_x = {obs.d_x}")
     t_idx = check_indices(matches.treated_idx, obs.n)
     c_idx = check_indices(matches.control_idx, obs.n)
     adj = obs.x @ beta_hat
@@ -161,7 +176,9 @@ def _estimate_with_roles(
 
     # residuals are needed on the second and third splits only; rows of the
     # first split get NaN so accidental use fails loudly
-    eta_hat = residuals_eta(gamma_hat, obs, rows)
+    eta_hat = residuals_eta(gamma_hat, obs)
+    if rows is not None:
+        eta_hat = eta_hat[rows]  # by position; estimate_theta checked the map
     eta_hat[gamma_split] = np.nan
     eta_hat.setflags(write=False)
 
@@ -177,9 +194,7 @@ def _estimate_with_roles(
     pairs = MatchResult(rows_at(rows, matches.treated_idx), rows_at(rows, matches.control_idx))
     differences = matched_differences(obs, beta_hat, pairs)
     differences.setflags(write=False)
-    return AttEstimate(
-        float(np.mean(differences)), beta_hat, gamma_hat, matches, eta_hat, differences
-    )
+    return AttEstimate(beta_hat, gamma_hat, matches, eta_hat, differences)
 
 
 def estimate_att_crossfit(obs: ObservationSet, seed: int = 0) -> CrossfitEstimate:
@@ -212,11 +227,7 @@ def _crossfit(
         with labelled(f"rotation {r}"):
             return _estimate_with_roles(obs, *roles[r], rows, gamma_hat)
 
-    rotations = map_staged(fit, finish, 3)
-    theta_cf = (
-        rotations[0].theta_hat + rotations[1].theta_hat + rotations[2].theta_hat
-    ) / 3.0
-    return CrossfitEstimate(theta_cf=theta_cf, rotations=rotations)
+    return CrossfitEstimate(map_staged(fit, finish, 3))
 
 
 def estimate_theta(

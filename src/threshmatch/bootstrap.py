@@ -71,7 +71,11 @@ def bootstrap_att(
     """Run ``b`` bootstrap replicates of the ATT pipeline.
 
     ``sigma2_hat`` is ``floor(n/3)`` times the sample variance of the
-    successful replicates; the confidence interval takes the empirical
+    successful replicates, with or without ``crossfit``: a cross-fitted
+    replicate averages three runs, yet its variance is scaled as a single
+    run's, by the size of one split.  (``monte_carlo_att`` scales
+    cross-fitted errors by ``n`` instead, so the two are not on one scale
+    under ``crossfit``.)  The confidence interval takes the empirical
     ``(1-level)/2`` and ``1-(1-level)/2`` quantiles (linear interpolation
     between order statistics).  Replicates whose resample cannot support
     estimation (say, a split without controls) are dropped, up to the

@@ -202,6 +202,10 @@ def build_basis(
 def _treated_covariates(
     obs: ObservationSet, est: AttEstimate, include_eta: bool
 ) -> tuple[np.ndarray, np.ndarray]:
+    if est.eta_hat.shape != (obs.n,):
+        raise DimensionMismatch(
+            f"the estimate is of a {est.eta_hat.shape[0]}-row sample; obs has {obs.n} rows"
+        )
     treated = est.matches.treated_idx
     cov = obs.x[treated]
     if include_eta:
@@ -221,7 +225,8 @@ def fit_ite(
     that row's ``x`` (plus its ``est.eta_hat`` when the spec includes it).
     ``est`` must come from a run on ``obs`` itself, since its indices are
     read as rows of ``obs``; every public record is (see the row-map
-    contract in :mod:`threshmatch.att`).
+    contract in :mod:`threshmatch.att`).  An estimate whose ``eta_hat``
+    does not have ``obs.n`` rows raises DimensionMismatch.
     ``df`` is chosen by 4-fold cross-validation minimizing mean validation
     MSE, ties to the smaller df; the returned model is refit on all
     treated rows at the chosen df.
@@ -302,7 +307,8 @@ def ite_mse(model: IteModel, obs: ObservationSet, est: AttEstimate, truth) -> fl
     treated rows of the run's matching split (any cross-fit rotation's
     estimate works), with the model evaluated at ``(x, est.eta_hat)``
     exactly as it predicts.  As in :func:`fit_ite`, ``est`` must come from
-    a run on ``obs`` itself.
+    a run on ``obs`` itself, and one of another row count raises
+    DimensionMismatch.
     """
     treated, cov = _treated_covariates(obs, est, model.basis.include_eta)
     predicted = predict_ite_batch(model, cov)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import row_indices
-from .errors import DimensionMismatch, EmptyControlGroup, EmptyTreatedGroup
+from .errors import DimensionMismatch, EmptyControlGroup, EmptyTreatedGroup, NonFiniteValue
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,9 @@ def _validate(eta_treated, treated_idx, eta_control, control_idx):
                 f"{side} values {values.shape} and indices {idx.shape} must be "
                 "one-dimensional and of equal length"
             )
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise NonFiniteValue(int(idx[np.argmin(finite)]), f"eta_{side}")
     if eta_treated.size == 0:
         raise EmptyTreatedGroup()
     if eta_control.size == 0:
@@ -91,7 +94,8 @@ def match_controls(
     """Match every treated value to its nearest control value.
 
     ``eta_treated[k]`` belongs to original row ``treated_idx[k]``, and
-    likewise for the controls.
+    likewise for the controls.  A NaN or infinite value on either side
+    raises NonFiniteValue naming the side and the row of the first one.
     """
     eta_treated, treated_idx, eta_control, control_idx = _validate(
         eta_treated, treated_idx, eta_control, control_idx

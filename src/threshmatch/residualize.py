@@ -5,11 +5,13 @@ The score is modeled as linear in the score-side covariates,
 the residuals ``eta_hat`` stand in for the unobserved confounder in every
 later step (ordering, differencing, matching).
 
-The residuals are one product over the whole row-major ``z``, gathered
-afterwards: a pipeline run needs them on two of its three splits, and
-one ``n``-row matrix-vector product is cheaper than gathering those
-rows of ``z`` first.  Its bits equal those of multiplying the gathered
-rows within the column limit README's reproducibility note states.
+The residuals are one product over the whole row-major ``z``, returned
+by data row, and the caller gathers the rows it needs: a pipeline run
+needs them on two of its three splits, and one ``n``-row matrix-vector
+product is cheaper than gathering those rows of ``z`` first.  Its bits
+equal those of multiplying the gathered rows within the column limit
+README's reproducibility note states.  Neither function takes a row map;
+a bootstrap run gathers ``eta_hat`` at its map itself.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data_model import ObservationSet, check_indices
-from .errors import SplitTooSmall
+from .errors import DimensionMismatch, SplitTooSmall
 from .linreg import ols
 
 
@@ -32,16 +34,15 @@ def fit_gamma(obs: ObservationSet, i1: np.ndarray) -> np.ndarray:
     return ols(obs.z[i1], obs.q[i1])
 
 
-def residuals_eta(
-    gamma_hat: np.ndarray, obs: ObservationSet, idx: np.ndarray | None = None
-) -> np.ndarray:
-    """``q - z @ gamma_hat`` over every row, or gathered at ``idx`` in its order.
+def residuals_eta(gamma_hat: np.ndarray, obs: ObservationSet) -> np.ndarray:
+    """``q - z @ gamma_hat`` over every row of ``obs``, by data row.
 
-    ``gamma_hat`` is the ``(d_z,)`` array :func:`fit_gamma` returns.  The
-    product runs over all ``n`` rows even when ``idx`` is given.
+    ``gamma_hat`` is the ``(d_z,)`` array :func:`fit_gamma` returns; any
+    other shape raises DimensionMismatch.  A caller that needs the
+    residuals at some rows gathers them from the result.
     """
-    if idx is not None:
-        idx = check_indices(idx, obs.n)
+    if np.shape(gamma_hat) != (obs.d_z,):
+        raise DimensionMismatch(f"gamma_hat has shape {np.shape(gamma_hat)}; obs has d_z = {obs.d_z}")
     eta = obs.z @ gamma_hat
     np.subtract(obs.q, eta, out=eta)  # in place: one n-row temporary, not two
-    return eta if idx is None else eta[idx]
+    return eta

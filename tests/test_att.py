@@ -1,5 +1,6 @@
 import sys
 import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import threshmatch.att as att_mod
 from threshmatch import (
     AttEstimate,
+    CrossfitEstimate,
     DgpConfig,
     DimensionMismatch,
     EmptyControlGroup,
@@ -114,6 +116,13 @@ class TestInvariants:
         )
         assert recomputed == est.theta_hat
 
+    def test_records_store_what_they_average_only(self):
+        # theta_hat and theta_cf are read from the gaps and the rotations
+        assert [f.name for f in fields(AttEstimate)] == [
+            "beta_hat", "gamma_hat", "matches", "eta_hat", "differences"
+        ]
+        assert [f.name for f in fields(CrossfitEstimate)] == ["rotations"]
+
     def test_eta_hat_is_the_runs_residuals(self):
         obs = generate(DgpConfig(n=600, seed=6))
         splits = split_three_way(obs.n, seed=6)
@@ -121,7 +130,7 @@ class TestInvariants:
         idx23 = np.concatenate([splits.i2, splits.i3])
         assert np.all(np.isnan(est.eta_hat[splits.i1]))
         assert np.array_equal(
-            est.eta_hat[idx23], residuals_eta(est.gamma_hat, obs, idx23)
+            est.eta_hat[idx23], residuals_eta(est.gamma_hat, obs)[idx23]
         )
         assert not est.eta_hat.flags.writeable
 
@@ -160,8 +169,8 @@ class TestInvariants:
         # run its gamma_hat; the runs themselves are stubbed either way
         set_cpus(monkeypatch, cpus)
         stub = AttEstimate(
-            theta_hat=0.25, beta_hat=None, gamma_hat=None, matches=None, eta_hat=None,
-            differences=None,
+            beta_hat=None, gamma_hat=None, matches=None, eta_hat=None,
+            differences=np.array([0.25]),
         )
         runs = []
         monkeypatch.setattr(att_mod, "_estimate_with_roles", lambda *a, **k: runs.append(a) or stub)
@@ -322,6 +331,13 @@ class TestMatchedDifferences:
         gaps = att_mod.matched_differences(obs, beta, MatchResult(np.array([3, 7]), np.array([4, 4])))
         adjusted = obs.y - obs.x @ beta
         assert np.array_equal(gaps, adjusted[[3, 7]] - adjusted[[4, 4]])
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_beta_of_another_width_raises(self, width):
+        # numpy's matmul used to raise a bare ValueError
+        obs = make_null_obs(seed=1, n=30)
+        with pytest.raises(DimensionMismatch, match=rf"shape \({width},\); obs has d_x = 3"):
+            att_mod.matched_differences(obs, np.zeros(width), MatchResult(np.array([3]), np.array([4])))
 
 
 class TestTwoThreadCrossfit:

@@ -42,7 +42,7 @@ def constant_effect_baseline(obs, splits) -> float:
     gamma_hat = fit_gamma(obs, splits.i1)
     rows = np.concatenate([splits.i2, splits.i3])
     eta_hat = np.full(obs.n, np.nan)
-    eta_hat[rows] = residuals_eta(gamma_hat, obs, rows)
+    eta_hat[rows] = residuals_eta(gamma_hat, obs)[rows]
     ordered = order_by_eta(eta_hat, rows)
     dx, dy = first_differences(ordered, obs)
     d_treated = np.diff(treatment_mask(obs)[ordered].astype(np.float64))

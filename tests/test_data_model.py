@@ -24,7 +24,6 @@ from threshmatch import (
     SplitAssignment,
     match_controls,
     order_by_eta,
-    residuals_eta,
 )
 from threshmatch import data_model
 from threshmatch.data_model import MIN_ROWS, check_indices, read_columns, row_indices
@@ -467,7 +466,6 @@ def _entry_points():
     return {
         "check_indices": lambda idx: check_indices(idx, _N),
         "take": obs.take,
-        "residuals_eta": lambda idx: residuals_eta(np.zeros(obs.d_z), obs, idx),
         "order_by_eta": lambda idx: order_by_eta(np.zeros(_N), idx),
         "SplitAssignment": lambda idx: SplitAssignment(idx, np.arange(3), np.arange(3)),
         "match_controls": lambda idx: match_controls(np.zeros(len(idx)), idx, np.zeros(3), np.arange(3)),
@@ -476,7 +474,7 @@ def _entry_points():
 
 # SplitAssignment takes its row count from its parts and match_controls knows
 # none, so only the dtype rule is checked here (TestSplitPartition has the rest)
-_WITH_ROW_COUNT = ("check_indices", "take", "residuals_eta", "order_by_eta")
+_WITH_ROW_COUNT = ("check_indices", "take", "order_by_eta")
 
 
 class TestRowIndices:

@@ -181,7 +181,7 @@ class TestFitBeta:
             gamma = fit_gamma(obs, splits.i1)
             eta = np.full(obs.n, np.nan)
             idx = np.concatenate([splits.i2, splits.i3])
-            eta[idx] = residuals_eta(gamma, obs, idx)
+            eta[idx] = residuals_eta(gamma, obs)[idx]
             beta_hat = fit_beta(obs, splits.i2, eta)
             if np.abs(beta_hat - np.array([1.0, 0.0, 1.0])).max() <= 0.1:
                 hits += 1

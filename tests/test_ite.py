@@ -359,6 +359,21 @@ class TestPredict:
         assert np.abs(preds - truth).max() <= 0.3
 
 
+class TestEstimateOfAnotherSample:
+    @pytest.mark.parametrize("n_est, n_obs", [(1800, 900), (900, 1800)], ids=["larger", "smaller"])
+    def test_fit_and_mse_raise(self, n_est, n_obs):
+        # a larger sample's estimate raised numpy's bare IndexError, and a
+        # smaller one's fitted rows of obs it was never run on
+        alpha = lambda x, eta: x[:, 0]
+        _, _, est, model = _fitted_pipeline(seed=13, n=n_est, alpha=alpha)
+        obs = make_pl_obs(seed=14, n=n_obs, beta=np.array([2.0, -1.0, 0.5]), alpha=alpha)
+        message = rf"{n_est}-row sample; obs has {n_obs} rows"
+        with pytest.raises(DimensionMismatch, match=message):
+            fit_ite(obs, est, SplineBasisSpec())
+        with pytest.raises(DimensionMismatch, match=message):
+            ite_mse(model, obs, est, lambda x, z, q: x[:, 0])
+
+
 class TestIteMse:
     def test_zero_when_truth_equals_model(self):
         alpha = lambda x, eta: x[:, 0] ** 2

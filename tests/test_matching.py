@@ -5,6 +5,7 @@ from threshmatch import (
     DimensionMismatch,
     EmptyControlGroup,
     EmptyTreatedGroup,
+    NonFiniteValue,
     match_controls,
 )
 
@@ -198,3 +199,16 @@ class TestProperties:
             match(np.array([0.1]), np.array([3]), np.array([1.0, 2.0]), np.array([9]))
         with pytest.raises(DimensionMismatch, match="control"):
             match(np.array([0.1]), np.array([3]), np.array(1.0), np.array(9))
+
+    @pytest.mark.parametrize("match", [match_controls, match_controls_brute])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "plus-inf", "minus-inf"])
+    @pytest.mark.parametrize("side", ["treated", "control"])
+    def test_non_finite_value_raises(self, match, bad, side):
+        # a NaN treated value used to match the largest control silently,
+        # and an infinite one printed a RuntimeWarning and gave any pair
+        treated, controls = np.array([0.1, 0.2]), np.array([-1.0, 0.0, 1.0])
+        values = treated if side == "treated" else controls
+        values[1:] = bad  # rows 11 and up (treated) or 21 and up (controls) are bad
+        with pytest.raises(NonFiniteValue, match=f"eta_{side}") as err:
+            match(treated, np.array([10, 11]), controls, np.array([20, 21, 22]))
+        assert err.value.row == (11 if side == "treated" else 21)

@@ -3,7 +3,7 @@ import pytest
 
 from threshmatch import (
     DgpConfig,
-    IndexOutOfRange,
+    DimensionMismatch,
     ObservationSet,
     SplitTooSmall,
     fit_gamma,
@@ -43,7 +43,7 @@ def test_square_system_interpolates():
     obs, _ = _noiseless_obs(seed=5)
     rng = np.random.default_rng(6)
     i1 = rng.choice(obs.n, size=obs.d_z, replace=False)
-    eta = residuals_eta(fit_gamma(obs, i1), obs, i1)
+    eta = residuals_eta(fit_gamma(obs, i1), obs)[i1]
     assert np.abs(eta).max() <= 1e-9
 
 
@@ -53,14 +53,14 @@ def test_hand_residual_example():
     z[0] = [1.0, 2.0]
     q = np.full(9, 3.0)
     obs = ObservationSet(y=np.zeros(9), x=np.ones((9, 1)), z=z, q=q, tau0=0.0)
-    eta = residuals_eta(np.array([0.5, 0.25]), obs, np.array([0]))
+    eta = residuals_eta(np.array([0.5, 0.25]), obs)[np.array([0])]
     assert eta[0] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_zero_gamma_returns_q():
     obs, _ = _noiseless_obs(seed=9)
     idx = np.arange(10)
-    assert np.array_equal(residuals_eta(np.zeros(obs.d_z), obs, idx), obs.q[idx])
+    assert np.array_equal(residuals_eta(np.zeros(obs.d_z), obs)[idx], obs.q[idx])
 
 
 def test_linearity_in_q():
@@ -71,8 +71,8 @@ def test_linearity_in_q():
     doubled = ObservationSet(y=np.zeros(30), x=z[:, :1], z=z, q=2 * q, tau0=0.0)
     i1 = np.arange(15)
     idx = np.arange(15, 30)
-    eta = residuals_eta(fit_gamma(obs, i1), obs, idx)
-    eta2 = residuals_eta(fit_gamma(doubled, i1), doubled, idx)
+    eta = residuals_eta(fit_gamma(obs, i1), obs)[idx]
+    eta2 = residuals_eta(fit_gamma(doubled, i1), doubled)[idx]
     assert np.abs(eta2 - 2 * eta).max() <= 1e-10 * (1 + np.abs(eta).max())
 
 
@@ -82,7 +82,7 @@ def test_orthogonality_on_fit_split():
     q = z @ np.array([1.0, -2.0, 0.5, 3.0]) + rng.uniform(-1, 1, 60)
     obs = ObservationSet(y=np.zeros(60), x=z[:, :1], z=z, q=q, tau0=0.0)
     i1 = np.arange(30)
-    eta = residuals_eta(fit_gamma(obs, i1), obs, i1)
+    eta = residuals_eta(fit_gamma(obs, i1), obs)[i1]
     scale = 1 + np.abs(obs.z[i1]).max() * np.abs(eta).max()
     assert np.abs(obs.z[i1].T @ eta).max() <= 1e-8 * scale
 
@@ -92,5 +92,5 @@ def test_errors():
     with pytest.raises(SplitTooSmall):
         fit_gamma(obs, np.arange(obs.d_z - 1))
     gamma_hat = fit_gamma(obs, np.arange(20))
-    with pytest.raises(IndexOutOfRange):
-        residuals_eta(gamma_hat, obs, np.array([obs.n]))
+    with pytest.raises(DimensionMismatch, match=r"shape \(3,\); obs has d_z = 4"):
+        residuals_eta(gamma_hat[:3], obs)
