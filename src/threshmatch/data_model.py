@@ -72,7 +72,8 @@ class ObservationSet:
     ----------
     y : (n,) outcome values
     x : (n, dX) outcome-side covariates
-    z : (n, dZ) score-side covariates
+    z : (n, dZ) score-side covariates; an ``x`` or ``z`` of any other
+        number of dimensions raises DimensionMismatch naming its shape
     q : (n,) score values
     tau0 : treatment threshold; rows with ``q >= tau0`` are treated
 
@@ -93,12 +94,13 @@ class ObservationSet:
     tau0: float
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.float64)
-        x = _row_major(np.atleast_2d(np.asarray(self.x, dtype=np.float64)))
-        z = _row_major(np.atleast_2d(np.asarray(self.z, dtype=np.float64)))
-        q = np.asarray(self.q, dtype=np.float64)
+        y, x, z, q = (np.asarray(a, dtype=np.float64) for a in (self.y, self.x, self.z, self.q))
         if y.ndim != 1 or q.ndim != 1:
             raise DimensionMismatch("y and q must be one-dimensional")
+        for name, a in (("x", x), ("z", z)):
+            if a.ndim != 2:
+                raise DimensionMismatch(f"{name} must be an (n, d) matrix, got shape {a.shape}")
+        x, z = _row_major(x), _row_major(z)
         n = y.shape[0]
         if not (x.shape[0] == z.shape[0] == q.shape[0] == n):
             raise DimensionMismatch(
@@ -108,19 +110,15 @@ class ObservationSet:
             raise TooFewRows(n, MIN_ROWS)
         if x.shape[1] < 1 or z.shape[1] < 1:
             raise DimensionMismatch("x and z need at least one column each")
-        for name, arr in (("y", y), ("x", x), ("z", z), ("q", q)):
+        columns = {"y": y, "x": x, "z": z, "q": q}
+        for name, arr in columns.items():
             if not np.all(np.isfinite(arr)):
                 bad = np.argwhere(~np.isfinite(arr))[0]
                 raise NonFiniteValue(int(bad[0]), name)
         _check_tau0(self.tau0)
-        y.setflags(write=False)
-        x.setflags(write=False)
-        z.setflags(write=False)
-        q.setflags(write=False)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "q", q)
+        for name, arr in columns.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "tau0", float(self.tau0))
 
     @property
@@ -311,9 +309,10 @@ def _parse_column(rows: list[list[str]], pos: int, name: str) -> np.ndarray:
 def _parse_one_pass(lines: Iterator[str], positions: list[int]) -> np.ndarray | None:
     """``lines`` as an ``(n, len(positions))`` array in one ``np.loadtxt`` pass, or None.
 
-    None (a cell loadtxt cannot parse, a short row, a line of only ``""``,
-    a non-finite value, or no rows at all, which loadtxt only warns about)
-    leaves the verdict to the per-cell reader.
+    None (a cell loadtxt cannot parse, a short row, a line of only ``""``
+    that :func:`_body_lines` keeps, a non-finite value, or no rows at all,
+    which loadtxt only warns about) leaves the verdict to the per-cell
+    reader.
     """
     try:
         with warnings.catch_warnings():
@@ -325,6 +324,26 @@ def _parse_one_pass(lines: Iterator[str], positions: list[int]) -> np.ndarray | 
     except (ValueError, UserWarning):
         return None
     return values if np.isfinite(values).all() else None
+
+
+def _body_lines(lines: Iterator[str]) -> Iterator[str]:
+    """``lines`` for the one-pass reader, without those that hold no record.
+
+    A whitespace-only line goes (see :func:`read_columns`).  So does a line
+    of only ``""`` until a body line holds a quote: before that, every line
+    starts a record, and ``csv.reader`` reads that one as a single blank
+    cell, an empty line.  After it, such a line may lie inside a quoted
+    field, where dropping it could turn a bad cell into a good one; it is
+    kept, loadtxt cannot parse it, and the per-cell reader decides.
+    """
+    quoted = False
+    for line in lines:
+        if not quoted and '"' in line:
+            if line.rstrip("\r\n") == '""':
+                continue
+            quoted = True
+        if not line.isspace():
+            yield line
 
 
 def _column_positions(header: list[str], names: list[str]) -> dict[str, int]:
@@ -378,7 +397,8 @@ def read_columns(path: str, names: list[str], min_rows: int, data: bytes | None 
     :class:`InputError` with its offset; a caller that has already read
     it that way passes its bytes as ``data``, and the file is not opened
     again.  ``csv.reader`` parses the header.  The body's lines, without
-    the whitespace-only ones, are converted in one pass by
+    the whitespace-only ones and the lines of only ``""`` that come before
+    any other quote (:func:`_body_lines`), are converted in one pass by
     ``np.loadtxt(..., delimiter=",", usecols=..., dtype=np.float64,
     ndmin=2, comments=None, quotechar='"', encoding="utf-8")``: a ``#`` is
     an ordinary character, and quoted cells, quoted fields spanning lines
@@ -391,8 +411,8 @@ def read_columns(path: str, names: list[str], min_rows: int, data: bytes | None 
     whitespace that a cell's ``strip()`` removes anyway.
 
     What that pass turns away (a cell it cannot parse, such as a bad cell
-    or a non-ASCII digit, a non-finite value, a line of only ``""``, or
-    fewer than ``min_rows`` rows) is decided by ``csv.reader`` and
+    or a non-ASCII digit, a non-finite value, a line of only ``""`` after
+    a quote, or fewer than ``min_rows`` rows) is decided by ``csv.reader`` and
     :func:`_parse_column`: an empty line (no cells, or a single blank
     cell) is skipped, every other line is a data row, and each cell is
     checked against the strict grammar.  Both conversions give the same
@@ -410,8 +430,7 @@ def read_columns(path: str, names: list[str], min_rows: int, data: bytes | None 
     positions = _column_positions([h.strip() for h in header], names)
     distinct = list(dict.fromkeys(names))
     order = [distinct.index(name) for name in names]
-    body = (line for line in lines if not line.isspace())
-    values = _parse_one_pass(body, [positions[name] for name in distinct])
+    values = _parse_one_pass(_body_lines(lines), [positions[name] for name in distinct])
     if values is not None and len(values) >= min_rows:
         return values[:, order]
     reader = csv.reader(_lines(data))

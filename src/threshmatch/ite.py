@@ -172,12 +172,21 @@ def build_basis(
     Layout: constant column, then one spline block per covariate over its
     ``knots`` (the block's first basis function is dropped, since the
     constant column already carries the level), then pairwise products of
-    distinct raw covariates: ``spec.dimension(d)`` columns in all.  At
-    least one row is needed, and one knot vector per column.  An unset
+    distinct raw covariates: ``spec.dimension(d)`` columns in all.  A
+    vector is one row; an array of more than two dimensions raises
+    DimensionMismatch naming its shape, and a non-finite covariate raises
+    NonFiniteValue naming the first such row and its covariate position.
+    At least one row is needed, and one knot vector per column.  An unset
     ``spec.df`` raises DimensionMismatch, and a knot vector of another
     length than ``df + 5`` raises ArityMismatch.
     """
     covariates = np.atleast_2d(np.asarray(covariates, dtype=np.float64))
+    if covariates.ndim != 2:
+        raise DimensionMismatch(f"covariates must be an m x d matrix, got shape {covariates.shape}")
+    finite = np.isfinite(covariates)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise NonFiniteValue(int(row), f"covariate {col}")
     m, d = covariates.shape
     if m == 0:
         raise TooFewRows(0, 1)
@@ -286,15 +295,12 @@ def predict_ite_batch(model: IteModel, covariates: np.ndarray) -> np.ndarray:
 
     The one way to evaluate a fitted surface.  Columns follow the layout
     the model was fit on: the ``x`` columns, then ``eta_hat`` when
-    ``model.basis.include_eta``; any other width raises ArityMismatch.  A
-    non-finite covariate raises NonFiniteValue naming the first such row
-    and its covariate position.
+    ``model.basis.include_eta``; any other width raises ArityMismatch.
+    :func:`build_basis` checks the covariates: an array of more than two
+    dimensions raises DimensionMismatch naming its shape, and a non-finite
+    covariate raises NonFiniteValue naming the first such row and its
+    covariate position.
     """
-    covariates = np.atleast_2d(np.asarray(covariates, dtype=np.float64))
-    finite = np.isfinite(covariates)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise NonFiniteValue(int(row), f"covariate {col}")
     return build_basis(covariates, model.basis, model.knots) @ model.coef
 
 

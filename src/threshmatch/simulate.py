@@ -17,11 +17,16 @@ The sign-flip symmetry ``(x4, eta) -> (-x4, -eta)`` keeps ``eta^2``
 invariant while exchanging the treated and control halves, so the treated
 fraction is exactly one half and the true ATT is ``E[x1^2] + E[x2*x3] +
 E[eta^2]`` = ``1 + 0 + 1/3`` for "x_and_eta" (and ``1`` for "x_only").
+
+The draw and the outcome equation are each written once: ``_draw`` gives
+the covariates and then ``eta``, for :func:`generate` and for
+:func:`true_att_oracle` alike, and ``_outcome`` draws ``eps`` and builds
+``y``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,6 +54,9 @@ TARGET_ZETA_VARIANCE = 11.455
 
 # One histogram bin: its edges and the number of scaled errors in it.
 _HISTOGRAM_COLUMNS = ("bin_left", "bin_right", "count")
+
+# The keys of a report's JSON form: its scaled errors, then their summary.
+_REPORT_KEYS = ("zetas", "mean", "variance", "skewness", "excess_kurtosis", "ks_stat", "histogram")
 
 
 @dataclass(frozen=True)
@@ -84,46 +92,52 @@ def true_ite_fn(ite_kind: str):
     """Vectorized truth ``alpha(x, z, q)`` for the built-in generator.
 
     The confounder is recovered exactly as ``eta = q - z @ (0,0,0,1)``,
-    which only works for data from :func:`generate`.
+    which only works for data from :func:`generate`.  Both kinds read
+    ``z`` and ``q``; "x_only" then ignores the recovered ``eta``.
     """
 
     def alpha(x: np.ndarray, z: np.ndarray, q: np.ndarray) -> np.ndarray:
-        eta = None
-        if ite_kind == X_AND_ETA:
-            eta = np.asarray(q) - np.atleast_2d(z) @ GAMMA_TRUE
-        return _effect_surface(np.atleast_2d(x), eta, ite_kind)
+        return _effect_surface(np.atleast_2d(x), np.asarray(q) - np.atleast_2d(z) @ GAMMA_TRUE, ite_kind)
 
     return alpha
+
+
+def _draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` rows of the covariates ``x1..x4``, then their ``n`` confounders ``eta``."""
+    covs = rng.standard_normal((n, 4))
+    return covs, rng.uniform(-1.0, 1.0, size=n)
+
+
+def _outcome(rng: np.random.Generator, covs: np.ndarray, eta: np.ndarray, alpha, treated):
+    """``y = alpha * treated + x1 + x3 + eta / 2 + eps``, drawing the noise ``eps`` from ``rng``."""
+    eps = rng.normal(0.0, EPS_SD, size=eta.shape[0])
+    return alpha * treated + covs[:, 0] + covs[:, 2] + eta / 2.0 + eps
 
 
 def generate(config: DgpConfig) -> ObservationSet:
     """Draw one i.i.d. dataset; bit-identical for a fixed config."""
     rng = rng_from(config.seed)
-    covs = rng.standard_normal((config.n, 4))
-    eta = rng.uniform(-1.0, 1.0, size=config.n)
-    eps = rng.normal(0.0, EPS_SD, size=config.n)
+    covs, eta = _draw(rng, config.n)
     q = covs[:, 3] + eta
-    alpha = _effect_surface(covs, eta, config.ite_kind)
-    y = alpha * (q >= 0.0) + covs[:, 0] + covs[:, 2] + eta / 2.0 + eps
+    y = _outcome(rng, covs, eta, _effect_surface(covs, eta, config.ite_kind), q >= 0.0)
     return ObservationSet(y=y, x=covs[:, :3], z=covs, q=q, tau0=0.0)
 
 
 def true_att_oracle(samples: int, seed: int = 0, ite_kind: str = X_AND_ETA) -> float:
     """Monte-Carlo evaluation of the true ATT, independent of the estimator.
 
-    Draws ``samples`` fresh ``(x, eta)`` pairs and averages the effect
-    surface over the treated region ``x4 + eta >= 0``.  ``samples`` is an
+    Draws ``samples`` fresh ``(x, eta)`` pairs, as :func:`generate` draws
+    them, in chunks of up to a million, and averages the effect surface
+    over the treated region ``x4 + eta >= 0``.  ``samples`` is an
     integer.  When no draw is treated, as when ``samples < 1``, there is
     no average, and DimensionMismatch names ``samples``.
     """
     rng = rng_from(seed)
-    total = 0.0
-    count = 0
+    total, count = 0.0, 0
     remaining = whole_number(samples, "samples")
     while remaining > 0:
         m = min(remaining, 1_000_000)
-        covs = rng.standard_normal((m, 4))
-        eta = rng.uniform(-1.0, 1.0, size=m)
+        covs, eta = _draw(rng, m)
         treated = covs[:, 3] + eta >= 0.0
         alpha = _effect_surface(covs, eta, ite_kind)
         total += float(alpha[treated].sum())
@@ -136,26 +150,55 @@ def true_att_oracle(samples: int, seed: int = 0, ite_kind: str = X_AND_ETA) -> f
 
 @dataclass(frozen=True)
 class McReport:
-    """Moments, normality diagnostics, and histogram of the scaled errors."""
+    """The scaled errors of a Monte-Carlo run, and the summary derived from them.
+
+    ``zetas`` is the one field.  ``mean``, ``variance`` (``ddof=1``),
+    ``skewness``, ``excess_kurtosis``, ``ks_stat`` (the KS distance to
+    ``N(0, TARGET_ZETA_VARIANCE)``) and ``histogram`` (Freedman-Diaconis
+    bins, each ``(left, right, count)``) are read-only properties computed
+    from ``zetas`` on each access, so a report cannot disagree with its
+    own errors.  Only these properties import SciPy.
+    """
 
     zetas: np.ndarray
-    mean: float
-    variance: float
-    skewness: float
-    excess_kurtosis: float
-    ks_stat: float
-    histogram: list[tuple[float, float, int]]
+
+    @property
+    def mean(self) -> float:
+        return float(np.mean(self.zetas))
+
+    @property
+    def variance(self) -> float:
+        return float(np.var(self.zetas, ddof=1))
+
+    @property
+    def skewness(self) -> float:
+        from scipy import stats  # deferred: estimation never needs it
+
+        return float(stats.skew(self.zetas))
+
+    @property
+    def excess_kurtosis(self) -> float:
+        from scipy import stats
+
+        return float(stats.kurtosis(self.zetas))
+
+    @property
+    def ks_stat(self) -> float:
+        from scipy import stats
+
+        target = stats.norm(loc=0.0, scale=np.sqrt(TARGET_ZETA_VARIANCE))
+        return float(stats.kstest(self.zetas, target.cdf).statistic)
+
+    @property
+    def histogram(self) -> list[tuple[float, float, int]]:
+        counts, edges = np.histogram(self.zetas, bins="fd")
+        return [(float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(len(counts))]
 
     def to_json_dict(self) -> dict:
-        """Each field by name: arrays as lists, each histogram bin as a dict."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, np.ndarray):
-                value = value.tolist()
-            elif isinstance(value, list):
-                value = [dict(zip(_HISTOGRAM_COLUMNS, bin_)) for bin_ in value]
-            out[f.name] = value
+        """Each of :data:`_REPORT_KEYS` by name: ``zetas`` as a list, each histogram bin as a dict."""
+        out = {key: getattr(self, key) for key in _REPORT_KEYS}
+        out["zetas"] = self.zetas.tolist()
+        out["histogram"] = [dict(zip(_HISTOGRAM_COLUMNS, bin_)) for bin_ in out["histogram"]]
         return out
 
     def write_histogram_csv(self, path: str) -> None:
@@ -163,25 +206,6 @@ class McReport:
             fh.write(",".join(_HISTOGRAM_COLUMNS) + "\n")
             for left, right, count in self.histogram:
                 fh.write(f"{left!r},{right!r},{count}\n")
-
-
-def _report_from_zetas(zetas: np.ndarray) -> McReport:
-    from scipy import stats  # deferred: estimation never needs it
-
-    counts, edges = np.histogram(zetas, bins="fd")
-    histogram = [
-        (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(len(counts))
-    ]
-    ks = stats.kstest(zetas, stats.norm(loc=0.0, scale=np.sqrt(TARGET_ZETA_VARIANCE)).cdf)
-    return McReport(
-        zetas=zetas,
-        mean=float(np.mean(zetas)),
-        variance=float(np.var(zetas, ddof=1)),
-        skewness=float(stats.skew(zetas)),
-        excess_kurtosis=float(stats.kurtosis(zetas)),
-        ks_stat=float(ks.statistic),
-        histogram=histogram,
-    )
 
 
 def monte_carlo_att(config: DgpConfig, reps: int, crossfit: bool = False) -> McReport:
@@ -205,8 +229,7 @@ def monte_carlo_att(config: DgpConfig, reps: int, crossfit: bool = False) -> McR
             obs = generate(replace(config, seed=derive_seed(config.seed, k, 0)))
             return estimate_theta(obs, derive_seed(config.seed, k, 1), crossfit)
 
-    zetas = scale * (np.array(map_ranges(theta, reps)) - theta0)
-    return _report_from_zetas(zetas)
+    return McReport(scale * (np.array(map_ranges(theta, reps)) - theta0))
 
 
 def monte_carlo_ite(config: DgpConfig, spec: SplineBasisSpec, seeds: list[int]) -> list[float]:

@@ -16,7 +16,7 @@ from threshmatch import DgpConfig, MatchResult, NumericError, ObservationSet, Ra
 from threshmatch.linreg import RANK_TOL
 from threshmatch.matching import _validate
 from threshmatch.rng import rng_from
-from threshmatch.simulate import EPS_SD
+from threshmatch.simulate import _draw, _outcome
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -106,23 +106,22 @@ def synthetic(n: int, d_x: int, d_z: int, seed: int, layout: str = "C") -> Obser
 def generate_discrete(config: DgpConfig) -> ObservationSet:
     """``generate`` with a discrete score: ``q`` on a 0.5 grid, ``x4`` drawn as +-1.
 
-    The draws are ``generate``'s, in its order, so ``x1..x3``, ``eta`` and
-    the noise equal its own for the same config; ``x4`` is the sign of its
-    normal draw.  ``y`` is built from the rounded ``q`` as ``generate``
-    builds it, so treatment is ``rounded q >= 0``; the effect surface is
-    the generator's, at the latent score ``x4 + eta``.  Matching on such
-    data pairs clustered ``eta_hat`` values, the shape of a study whose
-    score (a GPA's distance from a cutoff) is discrete.
+    It draws through the generator's own draw and outcome equation
+    (``simulate._draw`` and ``simulate._outcome``), so ``x1..x3``, ``eta``
+    and the noise equal ``generate``'s for the same config; ``x4`` is the
+    sign of its normal draw.  Treatment is ``rounded q >= 0``, and the
+    effect surface is the generator's at the latent score ``x4 + eta``,
+    evaluated at ``latent - x4`` as ``true_ite_fn`` recovers it.  Matching
+    on such data pairs clustered ``eta_hat`` values, the shape of a study
+    whose score (a GPA's distance from a cutoff) is discrete.
     """
     rng = rng_from(config.seed)
-    covs = rng.standard_normal((config.n, 4))
-    eta = rng.uniform(-1.0, 1.0, size=config.n)
-    eps = rng.normal(0.0, EPS_SD, size=config.n)
+    covs, eta = _draw(rng, config.n)
     covs[:, 3] = np.where(covs[:, 3] >= 0.0, 1.0, -1.0)
     latent = covs[:, 3] + eta
     q = np.round(2.0 * latent) / 2.0
     alpha = true_ite_fn(config.ite_kind)(covs[:, :3], covs, latent)
-    y = alpha * (q >= 0.0) + covs[:, 0] + covs[:, 2] + eta / 2.0 + eps
+    y = _outcome(rng, covs, eta, alpha, q >= 0.0)
     return ObservationSet(y=y, x=covs[:, :3], z=covs, q=q, tau0=0.0)
 
 

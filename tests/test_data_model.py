@@ -255,6 +255,9 @@ _HOSTILE = [
     ("padded-quoted", [(3, 1, '" 1.5"')], None),
     ("text-after-quote", [(3, 1, '1"5"')], ParseError),
     ("cr-quoted-note", [], None, {"eol": "\r", "note": '"x\ry"'}),
+    ("empty-quoted-line-after-quoted-cell", [(2, 1, '"0.5"'), (4, None, '""')], None),
+    ("unrequested-quoted-empty-quoted-line", [], None, {"note": '"x\n""\ny"'}),
+    ("quoted-cell-holding-empty-quoted-line", [(3, 2, '"1.5\n""\n"')], ParseError),
 ]
 
 # Layouts, quoted ones included, that the one-pass reader must accept.
@@ -263,7 +266,7 @@ _PLAIN = ["plain", "notation", "padded", "cr-line-endings", "crlf-line-endings",
           "quoted-header", "quoted-header-spanning-lines", "quoted", "unrequested-quoted-comma",
           "unrequested-quoted-commas", "quoted-header-and-cell", "blank-lines-skipped",
           "unrequested-quoted-newline", "unrequested-quoted-blank-line",
-          "unrequested-doubled-quote", "padded-quoted", "cr-quoted-note"]
+          "unrequested-doubled-quote", "padded-quoted", "cr-quoted-note", "empty-quoted-line"]
 
 
 def _hostile_file(tmp_path, case):
@@ -292,7 +295,8 @@ def _hostile_file(tmp_path, case):
 
 # Raw text the generated files draw on: unrequested notes, blank records and
 # the characters a mutation writes.
-_NOTES = ["id-7", '"a,5"', '"a,1,2,3,4,5"', '"x\ny"', '"x\n   \ny"', '"q""q"', '"x\r\ny"', '""']
+_NOTES = ["id-7", '"a,5"', '"a,1,2,3,4,5"', '"x\ny"', '"x\n   \ny"', '"q""q"', '"x\r\ny"', '""',
+          '"x\n""\ny"']
 _BLANK_LINES = ["", "   ", "\t", '""']
 _MUTATION_CHARS = '0123456789.,+-eE" \t\n\r#x\u0663'
 
@@ -545,6 +549,16 @@ class TestObservationSet:
     def test_rejects_misshapen_columns(self, y, x, q, message):
         with pytest.raises(DimensionMismatch, match=message):
             ObservationSet(y=y, x=x, z=np.zeros((9, 1)), q=q, tau0=0.0)
+
+    @pytest.mark.parametrize("role", ["x", "z"])
+    @pytest.mark.parametrize("shape", [(30,), (30, 2, 1)], ids=["1d", "3d"])
+    def test_covariates_need_two_dimensions(self, role, shape):
+        # neither n values in a vector nor a stack of matrices is an (n, d) matrix
+        columns = {"y": np.zeros(30), "x": np.zeros((30, 2)), "z": np.zeros((30, 2)), "q": np.zeros(30)}
+        columns[role] = np.zeros(shape)
+        with pytest.raises(DimensionMismatch) as err:
+            ObservationSet(**columns, tau0=0.0)
+        assert str(err.value) == f"{role} must be an (n, d) matrix, got shape {shape}"
 
     def test_z_intercept_appends_ones(self, null_obs):
         wide = null_obs.with_z_intercept()

@@ -10,6 +10,12 @@ refactors.  ``tests/fixtures/golden_bits.json`` holds, per case:
   ``sigma2_hat``, ``ci_low`` and ``ci_high``;
 - ``ite``: ``training_mse`` of ``fit_ite`` on the single run.
 
+Three cases pin the synthetic design itself: ``monte_carlo_att``'s report
+(a digest of its scaled errors, then its moments, ``ks_stat`` and every
+histogram bin), single and cross-fit; ``true_att_oracle`` over two draw
+chunks, for both effect surfaces; and digests of
+``conftest.generate_discrete``'s ``y``, ``x``, ``z`` and ``q``.
+
 The cases cover every ``n mod 4``, covariate widths 1-7 in C-ordered,
 F-ordered, row-strided and row-reversed layouts (each layout must give
 the C-ordered bits), the generator's own column views, ``with_z_intercept``,
@@ -45,10 +51,13 @@ from threshmatch import (  # noqa: E402
     estimate_att_crossfit,
     fit_ite,
     generate,
+    monte_carlo_att,
     split_three_way,
+    true_att_oracle,
 )
+from threshmatch.simulate import X_AND_ETA, X_ONLY  # noqa: E402
 
-from conftest import FIXTURES, LAYOUTS, synthetic, tie_heavy_obs  # noqa: E402
+from conftest import FIXTURES, LAYOUTS, generate_discrete, synthetic, tie_heavy_obs  # noqa: E402
 
 GOLDEN_PATH = FIXTURES / "golden_bits.json"
 WIDTHS = range(1, 8)
@@ -130,12 +139,37 @@ SINGLE_TREATED = {
 }
 
 
+def record_mc_att(crossfit: bool) -> list[str]:
+    report = monte_carlo_att(DgpConfig(n=600, seed=8), reps=30, crossfit=crossfit)
+    summary = [report.mean, report.variance, report.skewness, report.excess_kurtosis, report.ks_stat]
+    return [_digest(report.zetas), *_hex(summary), *_hex(v for bin_ in report.histogram for v in bin_)]
+
+
+def record_oracle() -> dict[str, list[str]]:
+    # past the oracle's 1M-draw chunk, so the second chunk's draws count too
+    return {kind: _hex([true_att_oracle(1_200_000, seed=9, ite_kind=kind)]) for kind in (X_AND_ETA, X_ONLY)}
+
+
+def record_discrete() -> list[str]:
+    obs = generate_discrete(DgpConfig(n=1201, seed=10))
+    return [_digest(a) for a in (obs.y, obs.x, obs.z, obs.q)]
+
+
+# name -> recorder of a case that pins the synthetic design
+SYNTHETIC = {
+    "mc-att-600": lambda: {"single": record_mc_att(False), "crossfit": record_mc_att(True)},
+    "oracle-1200000": record_oracle,
+    "discrete-1201": lambda: {"arrays": record_discrete()},
+}
+
+
 def all_records() -> dict[str, dict[str, list[str]]]:
     out = {f"width-{w}": record(width_obs(w), NARROW_GRID) for w in WIDTHS}
     out.update({name: record(make(), spec) for name, (make, spec) in DESIGNS.items()})
     for name, make in SINGLE_TREATED.items():
         obs = make()
         out[name] = {"estimate": record_estimate(obs, single_treated_splits(obs))}
+    out.update({name: make() for name, make in SYNTHETIC.items()})
     return out
 
 
@@ -169,8 +203,13 @@ def test_single_treated_row(golden, name):
     assert record_estimate(obs, splits) == golden[name]["estimate"]
 
 
+@pytest.mark.parametrize("name", sorted(SYNTHETIC))
+def test_synthetic_design(golden, name):
+    assert SYNTHETIC[name]() == golden[name]
+
+
 def test_every_pinned_case_is_checked(golden):
-    names = {f"width-{w}" for w in WIDTHS} | set(DESIGNS) | set(SINGLE_TREATED)
+    names = {f"width-{w}" for w in WIDTHS} | set(DESIGNS) | set(SINGLE_TREATED) | set(SYNTHETIC)
     assert set(golden) == names
 
 

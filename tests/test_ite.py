@@ -343,6 +343,17 @@ class TestPredict:
             predict_ite_batch(model, batch)
         assert (err.value.row, err.value.col) == (2, "covariate 1")
 
+    @pytest.mark.parametrize("shape", [(4, 3, 1), (2, 2, 3)], ids=["trailing-axis", "stacked"])
+    def test_covariates_of_three_dimensions_name_their_shape(self, shape):
+        obs = generate(DgpConfig(n=3000, seed=1))
+        model = fit_ite(obs, estimate_att(obs, split_three_way(obs.n, seed=1)), SplineBasisSpec())
+        with pytest.raises(DimensionMismatch) as err:
+            predict_ite_batch(model, np.zeros(shape))
+        assert isinstance(err.value, InputError)
+        assert str(shape) in str(err.value)
+        with pytest.raises(DimensionMismatch, match=re.escape(str(shape))):
+            build_basis(np.zeros(shape), model.basis, model.knots)
+
     def test_effect_curve_in_eta_tracks_truth(self):
         # fixed x = (0.1, 0.2, 0.8), eta sweeping the confounder's range
         obs = generate(DgpConfig(n=50_000, seed=44, ite_kind=X_AND_ETA))

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from threshmatch import (
     DimensionMismatch,
     EmptyControlGroup,
     InputError,
+    McReport,
     SplineBasisSpec,
     TooFewRows,
     bootstrap_att,
@@ -149,6 +151,14 @@ class TestMonteCarloAtt:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "bin_left,bin_right,count"
         assert len(lines) == len(rep.histogram) + 1
+
+    def test_report_derives_its_summary_from_its_errors(self):
+        rep = monte_carlo_att(DgpConfig(n=600, seed=4), reps=30)
+        assert [f.name for f in fields(McReport)] == ["zetas"]
+        shifted = McReport(rep.zetas + 1.0)
+        assert shifted.mean == pytest.approx(rep.mean + 1.0)
+        assert shifted.variance == pytest.approx(rep.variance)
+        assert np.allclose(np.array(shifted.histogram)[:, :2] - 1.0, np.array(rep.histogram)[:, :2])
 
     def test_minimum_reps_enforced(self):
         with pytest.raises(Exception):
