@@ -81,7 +81,7 @@ from .parallel import map_staged
 from .residualize import fit_gamma, residuals_eta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttEstimate:
     """The arrays one pipeline run built, and the ATT estimate they give.
 
@@ -106,7 +106,7 @@ class AttEstimate:
         return float(np.mean(self.differences))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrossfitEstimate:
     """The three rotation estimates of one partition, in rotation order."""
 

@@ -33,7 +33,7 @@ from .rng import derive_seed, rng_from
 FAILURE_BUDGET = 0.02  # fraction of replicates allowed to fail structurally
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BootstrapResult:
     """Replicate estimates with the scaled variance and percentile interval."""
 

@@ -6,8 +6,9 @@ treatment, ``x`` the outcome-side covariates, and ``z`` the score-side
 covariates.  Treatment is assigned whenever ``q >= tau0`` -- the cutoff
 itself is treated.  ``x`` and ``z`` may share columns (including ``x == z``).
 
-Data files and prediction grids go through one strict column reader,
-:func:`read_columns`, whose docstring describes how it parses a file.
+Data files and prediction grids go through one strict column parser,
+which :func:`read_columns` and :func:`load_csv` share and whose rules
+:func:`read_columns`'s docstring describes.
 Data and prediction files are written by one writer,
 :func:`write_columns`.
 """
@@ -38,6 +39,7 @@ from .errors import (
 from .rng import rng_from
 
 MIN_ROWS = 9  # smallest n for which each of the three splits is nonempty
+WRITE_BLOCK_ROWS = 4096  # rows write_columns formats and writes at a time
 
 # Plain decimal or scientific notation only: no underscores, no locale
 # separators, no inf/nan spellings.  Keeps file parsing bit-reproducible.
@@ -64,7 +66,7 @@ def _row_major(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationSet:
     """Immutable columnar sample.
 
@@ -80,11 +82,10 @@ class ObservationSet:
     ``x`` and ``z`` are stored row-major.  A matrix whose rows are each
     contiguous and lie in increasing order, at least a row apart, is kept
     as given: the generator's ``x``, a column slice of its ``z``, is not
-    copied.  Any other layout, such as the column-major slices
-    :func:`load_csv` takes, is copied into C order.  The pipeline's
-    per-row products ``x @ beta_hat`` and ``z @ gamma_hat`` therefore
-    take the same BLAS kernel, and give the same bits, whatever layout
-    the caller passed.
+    copied.  Any other layout, such as a column-major matrix, is copied
+    into C order.  The pipeline's per-row products ``x @ beta_hat`` and
+    ``z @ gamma_hat`` therefore take the same BLAS kernel, and give the
+    same bits, whatever layout the caller passed.
     """
 
     y: np.ndarray
@@ -180,7 +181,7 @@ class ColumnSpec:
         _check_tau0(self.tau0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitAssignment:
     """Disjoint index partition ``i1, i2, i3`` covering ``{0..n-1}``.
 
@@ -386,13 +387,41 @@ def utf8_bytes(path: str, error: type[InputError]) -> bytes:
     return data
 
 
+def _parse(path: str, names: list[str], min_rows: int, data: bytes | None) -> np.ndarray:
+    """The distinct ``names``, in first-seen order, as one ``(rows, k)`` float64 matrix.
+
+    The one parse behind :func:`read_columns` and :func:`load_csv`, whose
+    docstrings describe it.  The matrix is row-major, as ``np.loadtxt``
+    and ``np.column_stack`` build it.
+    """
+    if data is None:
+        data = utf8_bytes(path, InputError)
+    lines = _lines(data)
+    header = next(csv.reader(lines), None)
+    if header is None:
+        raise TooFewRows(0, min_rows)
+    positions = _column_positions([h.strip() for h in header], names)
+    distinct = list(dict.fromkeys(names))
+    values = _parse_one_pass(_body_lines(lines), [positions[name] for name in distinct])
+    if values is not None and len(values) >= min_rows:
+        return values
+    reader = csv.reader(_lines(data))
+    next(reader)
+    rows = [raw for raw in reader if raw and (len(raw) > 1 or raw[0].strip())]
+    if len(rows) < min_rows:
+        raise TooFewRows(len(rows), min_rows)
+    return np.column_stack([_parse_column(rows, positions[name], name) for name in distinct])
+
+
 def read_columns(path: str, names: list[str], min_rows: int, data: bytes | None = None) -> np.ndarray:
     """A header-first CSV file's ``names`` as one ``(rows, len(names))`` float64 matrix.
 
-    Column ``k`` holds ``names[k]``; each distinct name is parsed once.
-    The matrix is column-major, so each column is contiguous.
+    Column ``k`` holds ``names[k]``; each distinct name is parsed once,
+    and a name given twice is copied from that one parse.  The matrix is
+    column-major, so each column is contiguous.
 
-    The one reader for data files and prediction grids.  The file is read
+    The one reader for data files and prediction grids; :func:`load_csv`
+    takes its columns from the same parse.  The file is read
     once by :func:`utf8_bytes`, so a byte that is not UTF-8 raises
     :class:`InputError` with its offset; a caller that has already read
     it that way passes its bytes as ``data``, and the file is not opened
@@ -421,24 +450,8 @@ def read_columns(path: str, names: list[str], min_rows: int, data: bytes | None 
     file counts as zero), then the first bad cell of the first bad column
     in the order of ``names``.
     """
-    if data is None:
-        data = utf8_bytes(path, InputError)
-    lines = _lines(data)
-    header = next(csv.reader(lines), None)
-    if header is None:
-        raise TooFewRows(0, min_rows)
-    positions = _column_positions([h.strip() for h in header], names)
     distinct = list(dict.fromkeys(names))
-    order = [distinct.index(name) for name in names]
-    values = _parse_one_pass(_body_lines(lines), [positions[name] for name in distinct])
-    if values is not None and len(values) >= min_rows:
-        return values[:, order]
-    reader = csv.reader(_lines(data))
-    next(reader)
-    rows = [raw for raw in reader if raw and (len(raw) > 1 or raw[0].strip())]
-    if len(rows) < min_rows:
-        raise TooFewRows(len(rows), min_rows)
-    return np.column_stack([_parse_column(rows, positions[name], name) for name in distinct])[:, order]
+    return _parse(path, names, min_rows, data)[:, [distinct.index(name) for name in names]]
 
 
 def load_csv(path: str, spec: ColumnSpec, data: bytes | None = None) -> ObservationSet:
@@ -447,16 +460,22 @@ def load_csv(path: str, spec: ColumnSpec, data: bytes | None = None) -> Observat
     Cells must be plain decimal or scientific notation; anything else
     (missing cells, locale separators, inf/nan spellings) is an error, as
     is a requested column that is absent from the header or named twice.
-    Row order is preserved; empty lines are skipped.  ``y``, ``q``, ``x``
-    and ``z`` are slices of the matrix :func:`read_columns` returns for
-    ``[y, q, *x_cols, *z_cols]``; that matrix is column-major, so
-    :class:`ObservationSet` copies ``x`` and ``z`` into row-major order.
-    ``data``, the file's bytes as :func:`utf8_bytes` read them, is parsed
-    in place of the file when given.
+    Row order is preserved; empty lines are skipped.  The file is parsed
+    as :func:`read_columns` parses ``[y, q, *x_cols, *z_cols]``, into one
+    matrix of the distinct columns, and ``y``, ``q``, ``x`` and ``z`` are
+    copied out of it: contiguous vectors and row-major matrices, a column
+    that ``x`` and ``z`` share copied into each.  The matrix is then
+    dropped, so the result holds each of its columns once and nothing
+    more.  ``data``, the file's bytes as :func:`utf8_bytes` read them, is
+    parsed in place of the file when given.
     """
-    table = read_columns(path, [spec.y_col, spec.q_col, *spec.x_cols, *spec.z_cols], MIN_ROWS, data)
-    d_x = len(spec.x_cols)
-    return ObservationSet(table[:, 0], table[:, 2 : 2 + d_x], table[:, 2 + d_x :], table[:, 1], spec.tau0)
+    names = [spec.y_col, spec.q_col, *spec.x_cols, *spec.z_cols]
+    values = _parse(path, names, MIN_ROWS, data)
+    position = list(dict.fromkeys(names)).index
+    # np.take copies into new C-ordered arrays, which ObservationSet keeps as they are
+    y, q = (values.take(position(name), axis=1) for name in (spec.y_col, spec.q_col))
+    x, z = (values.take([position(name) for name in cols], axis=1) for cols in (spec.x_cols, spec.z_cols))
+    return ObservationSet(y, x, z, q, spec.tau0)
 
 
 def write_columns(path: str, names: list[str], columns: list[np.ndarray]) -> None:
@@ -465,12 +484,17 @@ def write_columns(path: str, names: list[str], columns: list[np.ndarray]) -> Non
     The one writer for data files and prediction files.  The header goes
     through ``csv.writer``; each cell is the shortest round-trip ``repr`` of
     its value and each row ends in ``\\r\\n``: the bytes ``csv.writer``
-    writes for the same cells, which never need quoting.
+    writes for the same cells, which never need quoting.  Rows are
+    formatted and written :data:`WRITE_BLOCK_ROWS` at a time, so the
+    memory the writer needs beyond its input does not grow with the row
+    count.
     """
-    cells = [map(repr, np.asarray(col, dtype=np.float64).tolist()) for col in columns]
+    columns = [np.asarray(col, dtype=np.float64) for col in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(names)
-        fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
+        for start in range(0, min(map(len, columns), default=0), WRITE_BLOCK_ROWS):
+            block = [map(repr, col[start : start + WRITE_BLOCK_ROWS].tolist()) for col in columns]
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*block))
 
 
 def write_csv(path: str, obs: ObservationSet, spec: ColumnSpec) -> list[str]:

@@ -80,7 +80,7 @@ class SplineBasisSpec:
         return 1 + n_covariates * self.df + n_covariates * (n_covariates - 1) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IteModel:
     """Fitted effect-surface model: knots, chosen spec, and coefficients.
 

@@ -42,7 +42,7 @@ from .data_model import row_indices
 from .errors import DimensionMismatch, EmptyControlGroup, EmptyTreatedGroup, NonFiniteValue
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchResult:
     """Matched pairs as two parallel ``intp`` arrays in treated input order.
 

@@ -148,7 +148,7 @@ def true_att_oracle(samples: int, seed: int = 0, ite_kind: str = X_AND_ETA) -> f
     return total / count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class McReport:
     """The scaled errors of a Monte-Carlo run, and the summary derived from them.
 

@@ -1,5 +1,6 @@
 import csv
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -393,18 +394,60 @@ def _oracle_write_csv(path, columns, names):
             writer.writerow([repr(float(col[r])) for col in columns])
 
 
-def test_write_csv_bytes_match_csv_writer(tmp_path):
+_B = data_model.WRITE_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [1, 12, _B - 1, _B, _B + 1, 2 * _B + 3])
+def test_write_csv_bytes_match_csv_writer(tmp_path, n):
+    # row counts on both sides of the writer's block boundaries
     rng = np.random.default_rng(5)
-    y = rng.normal(size=12)
-    y[:8] = [-0.0, 0.0, 5e-324, 1e-300, 1e22, -1.7976931348623157e308, 0.1, 1 / 3]
-    x = rng.normal(size=(12, 2))
-    q = rng.normal(size=12)
-    spec = ColumnSpec(y_col="y", q_col="q", x_cols=["a", "b"], z_cols=["b", "c"], tau0=0.0)
-    z = np.column_stack([x[:, 1], rng.normal(size=12)])
-    obs = ObservationSet(y=y, x=x, z=z, q=q, tau0=0.0)
-    write_csv(str(tmp_path / "new.csv"), obs, spec)
-    _oracle_write_csv(str(tmp_path / "old.csv"), [y, x[:, 0], x[:, 1], z[:, 1], q], ["y", "a", "b", "c", "q"])
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    y, a, b, c, q = rng.normal(size=(5, n))
+    y[:8] = [-0.0, 0.0, 5e-324, 1e-300, 1e22, -1.7976931348623157e308, 0.1, 1 / 3][:n]
+    names = ["y", "a", "b", "c", "q"]
+    _oracle_write_csv(str(tmp_path / "old.csv"), [y, a, b, c, q], names)
+    expected = (tmp_path / "old.csv").read_bytes()
+    data_model.write_columns(str(tmp_path / "columns.csv"), names, [y, a, b, c, q])
+    assert (tmp_path / "columns.csv").read_bytes() == expected
+    if n >= MIN_ROWS:
+        # strided columns of x and z, and b written once from its first role
+        spec = ColumnSpec(y_col="y", q_col="q", x_cols=["a", "b"], z_cols=["b", "c"], tau0=0.0)
+        obs = ObservationSet(y=y, x=np.column_stack([a, b]), z=np.column_stack([b, c]), q=q, tau0=0.0)
+        assert write_csv(str(tmp_path / "new.csv"), obs, spec) == names
+        assert (tmp_path / "new.csv").read_bytes() == expected
+
+
+def _traced(call):
+    """``call()``'s result, the bytes it allocated and still holds, and its traced peak."""
+    tracemalloc.start()
+    try:
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak
+
+
+class TestCsvMemory:
+    def test_write_peak_does_not_grow_with_rows(self, tmp_path):
+        spec = ColumnSpec(y_col="y", q_col="q", x_cols=["a"], z_cols=["a"], tau0=0.0)
+        path = str(tmp_path / "w.csv")
+        peaks = []
+        for n in (50_000, 200_000):
+            obs = synthetic(n, 1, 1, seed=6)
+            peaks.append(_traced(lambda: write_csv(path, obs, spec))[2])
+        # rows are formatted a block at a time, so the peak is one block's
+        assert peaks[1] < 1.25 * peaks[0]
+
+    def test_load_retains_only_the_sample_it_returns(self, tmp_path):
+        # the generator's layout: x's columns are also z's, six distinct of nine
+        spec = ColumnSpec(y_col="y", q_col="q", x_cols=["a", "b", "c"], z_cols=["a", "b", "c", "d"], tau0=0.0)
+        path = str(tmp_path / "r.csv")
+        write_csv(path, synthetic(50_000, 3, 4, seed=7), spec)
+        load_csv(path, spec)  # first-call caches are not the sample's
+        obs, retained, _ = _traced(lambda: load_csv(path, spec))
+        own = sum(a.nbytes for a in (obs.y, obs.q, obs.x, obs.z))
+        # one copy of each of the sample's columns, and no parsed matrix behind them
+        assert own <= retained < own + 64 * 1024
 
 
 class TestReadColumnsMatrix:

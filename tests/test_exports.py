@@ -1,8 +1,22 @@
 import ast
+import copy
 from pathlib import Path
+
+import numpy as np
 
 import threshmatch
 import threshmatch.att
+from threshmatch import (
+    BootstrapResult,
+    McReport,
+    SplineBasisSpec,
+    estimate_att,
+    estimate_att_crossfit,
+    fit_ite,
+    split_three_way,
+)
+
+from conftest import make_null_obs
 
 
 def test_all_is_unique_resolvable_and_star_importable():
@@ -131,3 +145,18 @@ def test_only_the_parallel_module_starts_threads_or_processes():
         if path.name != "parallel.py" and (uses := _concurrency_uses(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
+
+
+def test_array_records_compare_and_hash_by_identity():
+    # a generated __eq__ compares array fields with ==, which raises
+    obs = make_null_obs(seed=1)
+    splits = split_three_way(obs.n, seed=0)
+    est = estimate_att(obs, splits)
+    crossfit = estimate_att_crossfit(obs, seed=0)
+    model = fit_ite(obs, est, SplineBasisSpec(df_grid=(3,)), cv_seed=0)
+    boot = BootstrapResult(np.arange(3.0), 1.0, 0.0, 2.0, 0)
+    records = [obs, splits, est.matches, est, crossfit, boot, model, McReport(np.arange(3.0))]
+    for record in records:
+        twin = copy.copy(record)
+        assert record == record and record != twin
+        assert len({record, twin, record}) == 2
