@@ -31,7 +31,6 @@ from .data_model import (
     read_columns,
     split_three_way,
     treatment_mask,
-    utf8_bytes,
     write_columns,
     write_csv,
 )
@@ -117,17 +116,19 @@ def _emit(payload: dict) -> None:
 def _load(args: argparse.Namespace) -> tuple[ObservationSet, str]:
     """The ``--data`` sample and the SHA-256 of the bytes it was parsed from.
 
-    The file is read once, so the digest is that of the parsed bytes even
-    if the file changes while the command runs.
+    The digest is fed by the chunked read that parses the file
+    (:func:`~threshmatch.data_model.load_csv`), so it is that of the
+    parsed bytes even if the file changes while the command runs; a file
+    that changes between the per-cell reader's two reads exits 2.
     """
     spec = ColumnSpec(
         y_col=args.y, q_col=args.q, x_cols=args.x, z_cols=args.z, tau0=args.tau
     )
-    data = utf8_bytes(args.data, InputError)
-    obs = load_csv(args.data, spec, data)
+    sha256 = hashlib.sha256()
+    obs = load_csv(args.data, spec, sha256)
     if args.add_intercept_z:
         obs = obs.with_z_intercept()
-    return obs, hashlib.sha256(data).hexdigest()
+    return obs, sha256.hexdigest()
 
 
 def _add_estimate_flags(parser: argparse.ArgumentParser) -> None:

@@ -15,14 +15,18 @@ Data and prediction files are written by one writer,
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import io
 import math
 import operator
 import re
+import tempfile
 import warnings
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import BinaryIO, TypeVar
 
 import numpy as np
 
@@ -40,6 +44,9 @@ from .rng import rng_from
 
 MIN_ROWS = 9  # smallest n for which each of the three splits is nonempty
 WRITE_BLOCK_ROWS = 4096  # rows write_columns formats and writes at a time
+READ_CHUNK_BYTES = io.DEFAULT_BUFFER_SIZE  # most bytes a CSV read takes from its file at a time
+
+_T = TypeVar("_T")
 
 # Plain decimal or scientific notation only: no underscores, no locale
 # separators, no inf/nan spellings.  Keeps file parsing bit-reproducible.
@@ -66,6 +73,19 @@ def _row_major(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
+def _column_run(x: np.ndarray, z: np.ndarray) -> int | None:
+    """``s`` if ``x`` is the view ``z[:, s : s + x.shape[1]]``, else None.
+
+    Two matrices of the same row count and strides whose first elements lie
+    ``s`` items apart, with ``x``'s columns inside ``z``'s rows, address the
+    same memory as that view.
+    """
+    start, rest = divmod(x.ctypes.data - z.ctypes.data, z.itemsize)
+    if x.strides != z.strides or x.shape[0] != z.shape[0] or rest:
+        return None
+    return start if 0 <= start <= z.shape[1] - x.shape[1] else None
+
+
 @dataclass(frozen=True, eq=False)
 class ObservationSet:
     """Immutable columnar sample.
@@ -82,10 +102,12 @@ class ObservationSet:
     ``x`` and ``z`` are stored row-major.  A matrix whose rows are each
     contiguous and lie in increasing order, at least a row apart, is kept
     as given: the generator's ``x``, a column slice of its ``z``, is not
-    copied.  Any other layout, such as a column-major matrix, is copied
-    into C order.  The pipeline's per-row products ``x @ beta_hat`` and
-    ``z @ gamma_hat`` therefore take the same BLAS kernel, and give the
-    same bits, whatever layout the caller passed.
+    copied, and neither is :func:`load_csv`'s ``x`` when its columns are a
+    run of ``z``'s, which it then stores once, as a view of ``z``.  Any
+    other layout, such as a column-major matrix, is copied into C order.
+    The pipeline's per-row products ``x @ beta_hat`` and ``z @ gamma_hat``
+    therefore take the same BLAS kernel, and give the same bits, whatever
+    layout the caller passed.
     """
 
     y: np.ndarray
@@ -138,9 +160,14 @@ class ObservationSet:
         """Return a copy whose z matrix carries an appended constant column.
 
         The score regression has no implicit intercept; callers opt in here.
+        An ``x`` that views a run of ``z``'s columns, as the generator's and
+        :func:`load_csv`'s may, becomes the same view of the new ``z``, so
+        the result does not keep the old ``z`` alive behind it.
         """
-        ones = np.ones((self.n, 1))
-        return ObservationSet(self.y, self.x, np.hstack([self.z, ones]), self.q, self.tau0)
+        z = np.hstack([self.z, np.ones((self.n, 1))])
+        start = _column_run(self.x, self.z)
+        x = self.x if start is None else z[:, start : start + self.d_x]
+        return ObservationSet(self.y, x, z, self.q, self.tau0)
 
     def take(self, idx: np.ndarray) -> "ObservationSet":
         """Return the row subset (with repetition allowed, for resampling)."""
@@ -313,7 +340,8 @@ def _parse_one_pass(lines: Iterator[str], positions: list[int]) -> np.ndarray | 
     None (a cell loadtxt cannot parse, a short row, a line of only ``""``
     that :func:`_body_lines` keeps, a non-finite value, or no rows at all,
     which loadtxt only warns about) leaves the verdict to the per-cell
-    reader.
+    reader.  A byte of ``lines``' file that is not UTF-8 raises its
+    UnicodeDecodeError.
     """
     try:
         with warnings.catch_warnings():
@@ -322,6 +350,8 @@ def _parse_one_pass(lines: Iterator[str], positions: list[int]) -> np.ndarray | 
                 lines, delimiter=",", usecols=positions, dtype=np.float64, ndmin=2,
                 comments=None, quotechar='"', encoding="utf-8",
             )
+    except UnicodeDecodeError:
+        raise  # a ValueError, but of the file, not of a cell: _read_text reports it
     except (ValueError, UserWarning):
         return None
     return values if np.isfinite(values).all() else None
@@ -360,60 +390,134 @@ def _column_positions(header: list[str], names: list[str]) -> dict[str, int]:
     return positions
 
 
-def _lines(data: bytes) -> io.TextIOWrapper:
-    """The lines of ``data`` as ``open(path, encoding="utf-8-sig", newline="")`` yields them.
+class _HashingReader(io.RawIOBase):
+    """The bytes of the open binary file ``file``, fed to ``sha256`` as they are read.
 
-    A leading byte-order mark, as spreadsheet exports write it, is skipped;
-    one anywhere else is an ordinary character.  Decoded lazily from the
-    bytes; a ``StringIO`` of the whole decoded text would hold four bytes a
-    character.
+    At most :data:`READ_CHUNK_BYTES` are read at a time, and each chunk is
+    also written to ``copy`` when one is given.  ``offset`` counts the
+    bytes read so far.  Closing the reader leaves ``file`` open.
     """
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+
+    def __init__(self, file: BinaryIO, sha256, copy: BinaryIO | None):
+        super().__init__()
+        self._file = file
+        self._copy = copy
+        self.sha256 = sha256
+        self.offset = 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        chunk = memoryview(buffer)[:READ_CHUNK_BYTES]
+        n = self._file.readinto(chunk)
+        self.sha256.update(chunk[:n])
+        if self._copy is not None:
+            self._copy.write(chunk[:n])
+        self.offset += n
+        return n
 
 
-def utf8_bytes(path: str, error: type[InputError]) -> bytes:
-    """The bytes of the file at ``path``, checked to be UTF-8.
+def _not_utf8(error: type[InputError], path: str, offset: int) -> InputError:
+    return error(f"{path}: byte {offset} is not valid UTF-8")
 
-    The one encoding check of the files the package reads: a byte that is
-    not UTF-8 raises ``error``, the caller's class, naming the path and the
-    byte's offset.  A file that cannot be opened raises OSError.
+
+def _read_text(
+    file: BinaryIO, path: str, read: Callable[[io.TextIOWrapper], _T], sha256, copy: BinaryIO | None
+) -> _T:
+    """``read(lines)``, where ``lines`` yields the lines of ``file``, the open file at ``path``.
+
+    The lines are those ``open(path, encoding="utf-8-sig", newline="")``
+    yields: a leading byte-order mark, as spreadsheet exports write it, is
+    skipped, and one anywhere else is an ordinary character.  The file is
+    read once to its end, :data:`READ_CHUNK_BYTES` at most at a time,
+    and each chunk is fed to ``sha256``, written to ``copy`` when one is
+    given, and decoded as it arrives, so neither the file's bytes nor its
+    text is ever held whole.  When ``read`` returns or raises an
+    InputError, the rest of the file is read too: ``sha256`` is then of
+    every byte of the file, and a byte anywhere in it that is not UTF-8
+    raises InputError naming the path and the byte's offset, in place of
+    ``read``'s error.
+    """
+    lines = io.TextIOWrapper(_HashingReader(file, sha256, copy), encoding="utf-8-sig", newline="")
+    try:
+        try:
+            result = read(lines)
+        except InputError:
+            while lines.read(READ_CHUNK_BYTES):
+                pass
+            raise
+        while lines.read(READ_CHUNK_BYTES):
+            pass
+    except UnicodeDecodeError as exc:
+        # exc.object is the input of the decode that failed, which ends at the bytes read so far
+        raise _not_utf8(InputError, path, lines.buffer.offset - len(exc.object) + exc.start) from None
+    return result
+
+
+def utf8_text(path: str, error: type[InputError]) -> str:
+    """The text of the file at ``path``, decoded once as UTF-8.
+
+    A byte that is not UTF-8 raises ``error``, the caller's class, naming
+    the path and the byte's offset.  A file that cannot be opened raises
+    OSError.  For small files read whole, such as model files; data files
+    and prediction grids are read in chunks by :func:`read_columns`.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: byte {exc.start} is not valid UTF-8") from None
-    return data
+        raise _not_utf8(error, path, exc.start) from None
 
 
-def _parse(path: str, names: list[str], min_rows: int, data: bytes | None) -> np.ndarray:
+def _parse(path: str, names: list[str], min_rows: int, sha256) -> np.ndarray:
     """The distinct ``names``, in first-seen order, as one ``(rows, k)`` float64 matrix.
 
     The one parse behind :func:`read_columns` and :func:`load_csv`, whose
     docstrings describe it.  The matrix is row-major, as ``np.loadtxt``
-    and ``np.column_stack`` build it.
+    and ``np.column_stack`` build it.  ``sha256`` is fed the file's bytes
+    as the one chunked read (:func:`_read_text`) of the header and the
+    one-pass reader goes through them.  When the per-cell reader decides,
+    it reads the open file a second time the same way, and a file whose
+    bytes differ from the first read's raises InputError naming the path.
+    A pipe cannot be read twice, so the first read of a file that cannot
+    seek writes its bytes to a temporary file, which the second read
+    reads.  A file that cannot be opened raises OSError.
     """
-    if data is None:
-        data = utf8_bytes(path, InputError)
-    lines = _lines(data)
-    header = next(csv.reader(lines), None)
-    if header is None:
-        raise TooFewRows(0, min_rows)
-    positions = _column_positions([h.strip() for h in header], names)
     distinct = list(dict.fromkeys(names))
-    values = _parse_one_pass(_body_lines(lines), [positions[name] for name in distinct])
-    if values is not None and len(values) >= min_rows:
-        return values
-    reader = csv.reader(_lines(data))
-    next(reader)
-    rows = [raw for raw in reader if raw and (len(raw) > 1 or raw[0].strip())]
+    again = sha256.copy()  # the state before any byte, for a second read
+
+    def one_pass(lines: io.TextIOWrapper) -> tuple[list[int], np.ndarray | None]:
+        header = next(csv.reader(lines), None)
+        if header is None:
+            raise TooFewRows(0, min_rows)
+        positions = _column_positions([h.strip() for h in header], names)
+        usecols = [positions[name] for name in distinct]
+        return usecols, _parse_one_pass(_body_lines(lines), usecols)
+
+    def records(lines: io.TextIOWrapper) -> list[list[str]]:
+        reader = csv.reader(lines)
+        next(reader, None)
+        return [raw for raw in reader if raw and (len(raw) > 1 or raw[0].strip())]
+
+    with open(path, "rb", buffering=0) as file, (
+        contextlib.nullcontext() if file.seekable() else tempfile.TemporaryFile()
+    ) as copy:
+        usecols, values = _read_text(file, path, one_pass, sha256, copy)
+        if values is not None and len(values) >= min_rows:
+            return values
+        source = file if copy is None else copy
+        source.seek(0)
+        rows = _read_text(source, path, records, again, None)
+    if again.digest() != sha256.digest():
+        raise InputError(f"{path}: the file changed between its two reads")
     if len(rows) < min_rows:
         raise TooFewRows(len(rows), min_rows)
-    return np.column_stack([_parse_column(rows, positions[name], name) for name in distinct])
+    return np.column_stack([_parse_column(rows, pos, name) for pos, name in zip(usecols, distinct)])
 
 
-def read_columns(path: str, names: list[str], min_rows: int, data: bytes | None = None) -> np.ndarray:
+def read_columns(path: str, names: list[str], min_rows: int) -> np.ndarray:
     """A header-first CSV file's ``names`` as one ``(rows, len(names))`` float64 matrix.
 
     Column ``k`` holds ``names[k]``; each distinct name is parsed once,
@@ -421,11 +525,12 @@ def read_columns(path: str, names: list[str], min_rows: int, data: bytes | None 
     column-major, so each column is contiguous.
 
     The one reader for data files and prediction grids; :func:`load_csv`
-    takes its columns from the same parse.  The file is read
-    once by :func:`utf8_bytes`, so a byte that is not UTF-8 raises
-    :class:`InputError` with its offset; a caller that has already read
-    it that way passes its bytes as ``data``, and the file is not opened
-    again.  ``csv.reader`` parses the header.  The body's lines, without
+    takes its columns from the same parse.  The file is read once, in
+    chunks of :data:`READ_CHUNK_BYTES`, and decoded as UTF-8 as it is
+    read (:func:`_read_text`): no copy of the whole file, as bytes or as
+    text, is ever held.  A byte that is not UTF-8 anywhere in the file
+    raises :class:`InputError` with its offset, ahead of every other
+    error.  ``csv.reader`` parses the header.  The body's lines, without
     the whitespace-only ones and the lines of only ``""`` that come before
     any other quote (:func:`_body_lines`), are converted in one pass by
     ``np.loadtxt(..., delimiter=",", usecols=..., dtype=np.float64,
@@ -442,39 +547,51 @@ def read_columns(path: str, names: list[str], min_rows: int, data: bytes | None 
     What that pass turns away (a cell it cannot parse, such as a bad cell
     or a non-ASCII digit, a non-finite value, a line of only ``""`` after
     a quote, or fewer than ``min_rows`` rows) is decided by ``csv.reader`` and
-    :func:`_parse_column`: an empty line (no cells, or a single blank
-    cell) is skipped, every other line is a data row, and each cell is
-    checked against the strict grammar.  Both conversions give the same
-    bits.  Errors come in a fixed order: an absent or twice-named
-    requested column, then fewer than ``min_rows`` data rows (an empty
-    file counts as zero), then the first bad cell of the first bad column
-    in the order of ``names``.
+    :func:`_parse_column`, on a second read of the file made the same
+    way (of a copy of the first read's bytes, for a pipe): a file whose
+    bytes differ from the first read's, because it changed in between,
+    raises :class:`InputError` naming the path.  An empty line (no cells, or a
+    single blank cell) is skipped, every other line is a data row, and
+    each cell is checked against the strict grammar.  Both conversions
+    give the same bits.  Errors come in a fixed order: a byte that is not
+    UTF-8, then an absent or twice-named requested column, then fewer than
+    ``min_rows`` data rows (an empty file counts as zero), then the first
+    bad cell of the first bad column in the order of ``names``.
     """
     distinct = list(dict.fromkeys(names))
-    return _parse(path, names, min_rows, data)[:, [distinct.index(name) for name in names]]
+    return _parse(path, names, min_rows, hashlib.sha256())[:, [distinct.index(name) for name in names]]
 
 
-def load_csv(path: str, spec: ColumnSpec, data: bytes | None = None) -> ObservationSet:
+def load_csv(path: str, spec: ColumnSpec, sha256=None) -> ObservationSet:
     """Read a UTF-8, comma-separated, header-first CSV into an ObservationSet.
 
     Cells must be plain decimal or scientific notation; anything else
     (missing cells, locale separators, inf/nan spellings) is an error, as
     is a requested column that is absent from the header or named twice.
-    Row order is preserved; empty lines are skipped.  The file is parsed
-    as :func:`read_columns` parses ``[y, q, *x_cols, *z_cols]``, into one
-    matrix of the distinct columns, and ``y``, ``q``, ``x`` and ``z`` are
-    copied out of it: contiguous vectors and row-major matrices, a column
-    that ``x`` and ``z`` share copied into each.  The matrix is then
-    dropped, so the result holds each of its columns once and nothing
-    more.  ``data``, the file's bytes as :func:`utf8_bytes` read them, is
-    parsed in place of the file when given.
+    Row order is preserved; empty lines are skipped.  The file is read and
+    parsed as :func:`read_columns` reads and parses ``[y, q, *x_cols,
+    *z_cols]``, into one matrix of the distinct columns.  ``y`` and ``q``
+    are copied out of it as contiguous vectors and ``z`` as one row-major
+    matrix.  When ``x_cols`` is a run of consecutive ``z_cols`` in the
+    same order, as in the generator's files, ``x`` is a view of those
+    columns of ``z``, as :func:`~threshmatch.simulate.generate`'s ``x`` is;
+    any other ``x`` is copied out as well.  The matrix is then dropped,
+    so the result holds each distinct column it uses once (a column
+    shared by a copied ``x`` and ``z`` twice) and nothing more.
+
+    ``sha256``, a ``hashlib`` hash object, is fed every byte of the file
+    as it is read, so its digest is that of the bytes the sample was
+    parsed from, even if the file changes afterwards.
     """
     names = [spec.y_col, spec.q_col, *spec.x_cols, *spec.z_cols]
-    values = _parse(path, names, MIN_ROWS, data)
+    values = _parse(path, names, MIN_ROWS, hashlib.sha256() if sha256 is None else sha256)
     position = list(dict.fromkeys(names)).index
     # np.take copies into new C-ordered arrays, which ObservationSet keeps as they are
     y, q = (values.take(position(name), axis=1) for name in (spec.y_col, spec.q_col))
-    x, z = (values.take([position(name) for name in cols], axis=1) for cols in (spec.x_cols, spec.z_cols))
+    z = values.take([position(name) for name in spec.z_cols], axis=1)
+    d_x = len(spec.x_cols)
+    start = next((s for s in range(len(spec.z_cols)) if spec.z_cols[s : s + d_x] == spec.x_cols), None)
+    x = values.take([position(name) for name in spec.x_cols], axis=1) if start is None else z[:, start : start + d_x]
     return ObservationSet(y, x, z, q, spec.tau0)
 
 

@@ -30,7 +30,7 @@ from itertools import combinations, count, zip_longest
 import numpy as np
 
 from .att import AttEstimate
-from .data_model import ObservationSet, utf8_bytes, whole_number
+from .data_model import ObservationSet, utf8_text, whole_number
 from .errors import (
     ArityMismatch,
     DegenerateCovariate,
@@ -271,8 +271,9 @@ def fit_ite(
         df = grid[i % len(grid)]
         train, hold = folds[i // len(grid)]
         design = build_basis(cov, replace(spec, df=df), quantile_knots(cov[train], df))
-        coef = ols(design[train], response[train])
-        err = response[hold] - design[hold] @ coef
+        # build_basis's design is C-contiguous, so take gathers whole rows
+        coef = ols(design.take(train, axis=0), response[train])
+        err = response[hold] - design.take(hold, axis=0) @ coef
         return float(np.mean(err**2))
 
     results = map_ranges(fold_error, len(grid) * CV_FOLDS)
@@ -361,8 +362,8 @@ def load_ite_model(path: str) -> IteModel:
     the writer's text names its first line that differs and what the writer
     writes there.  A file that cannot be opened raises OSError.
     """
-    text = utf8_bytes(path, ArityMismatch).decode("utf-8")
-    lines = io.StringIO(text, newline=None).readlines()  # universal newlines, ends kept
+    # universal newlines, line ends kept
+    lines = io.StringIO(utf8_text(path, ArityMismatch), newline=None).readlines()
     if not lines or lines[0].rstrip("\n") != _MODEL_HEADER:
         raise ArityMismatch(f"{path}: not a threshmatch ITE model file")
     fields = dict(ln.rstrip("\n").partition(" ")[::2] for ln in lines[1:])

@@ -31,7 +31,8 @@ def fit_gamma(obs: ObservationSet, i1: np.ndarray) -> np.ndarray:
     i1 = check_indices(i1, obs.n)
     if len(i1) < obs.d_z:
         raise SplitTooSmall(len(i1), obs.d_z)
-    return ols(obs.z[i1], obs.q[i1])
+    # take copies whole rows of the row-major z; same bits as z[i1]
+    return ols(obs.z.take(i1, axis=0), obs.q[i1])
 
 
 def residuals_eta(gamma_hat: np.ndarray, obs: ObservationSet) -> np.ndarray:

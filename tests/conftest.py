@@ -1,12 +1,15 @@
 """Shared test helpers: the noiseless-null generator, tiny builders, a
 sample of any covariate widths in any memory layout, a discrete-score
 variant of the generator and its tie-heavy design, the brute-force
-matching oracle, the ``np.linalg.qr`` least-squares oracle, and a
-CPU-count override and a leftover-child check for the replicate runner."""
+matching oracle, the ``np.linalg.qr`` least-squares oracle, a
+CPU-count override and a leftover-child check for the replicate runner,
+and a pipe to read a file's bytes from."""
 
 from __future__ import annotations
 
+import contextlib
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -204,3 +207,21 @@ def ols_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k in range(a.shape[1] - 1, -1, -1):
         coef[k] = (qtb[k] - r_mat[k, k + 1 :] @ coef[k + 1 :]) / r_mat[k, k]
     return coef
+
+
+@contextlib.contextmanager
+def piped(data: bytes):
+    """A ``/dev/fd`` path whose reader reads ``data`` from a pipe, as ``<(cat file)`` gives."""
+    read_fd, write_fd = os.pipe()
+
+    def write() -> None:
+        with contextlib.suppress(BrokenPipeError), open(write_fd, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_fd}"
+    finally:
+        os.close(read_fd)
+        writer.join()

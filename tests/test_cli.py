@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from threshmatch import DgpConfig, estimate_att, generate, load_ite_model, split_three_way
-from threshmatch import cli
+from threshmatch import cli, data_model
 from threshmatch.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, piped
 
 SCHEMA_PATH = Path(__file__).parent.parent / "schemas" / "cli_output.schema.json"
 NULL_CSV = str(FIXTURES / "null_fixture.csv")
@@ -110,6 +110,58 @@ class TestEstimate:
         code, out, _ = run_cli([*command, *ESTIMATE_FLAGS, "--data", str(path)], capsys)
         assert code == 0
         assert json.loads(out)["manifest"]["input_digest"] == hashlib.sha256(original).hexdigest()
+
+    @pytest.mark.parametrize("per_cell", [False, True], ids=["one-pass", "per-cell"])
+    def test_digest_covers_every_chunk(self, per_cell, tmp_path, monkeypatch, capsys):
+        # an Arabic-Indic zero reads as 0 but sends the file to the per-cell reader
+        original = Path(NULL_CSV).read_bytes()
+        if per_cell:
+            original = original.replace(b"-0.814501518808203", "-\u0660.814501518808203".encode(), 1)
+        path = tmp_path / "data.csv"
+        path.write_bytes(original)
+        argv = ["estimate", *ESTIMATE_FLAGS, "--data", str(path)]
+        _, whole, _ = run_cli(argv, capsys)
+        monkeypatch.setattr(data_model, "READ_CHUNK_BYTES", 1000)
+        assert len(original) > 30 * data_model.READ_CHUNK_BYTES
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["manifest"]["input_digest"] == hashlib.sha256(original).hexdigest()
+        assert strip_duration(out) == strip_duration(whole)
+
+    @pytest.mark.parametrize("per_cell", [False, True], ids=["one-pass", "per-cell"])
+    def test_a_pipe_reads_as_its_file(self, per_cell, tmp_path, monkeypatch, capsys):
+        # as --data <(cat file) gives: the per-cell reader reads a copy of the pipe's bytes
+        original = Path(NULL_CSV).read_bytes()
+        if per_cell:
+            original = original.replace(b"-0.814501518808203", "-\u0660.814501518808203".encode(), 1)
+        path = tmp_path / "data.csv"
+        path.write_bytes(original)
+        _, whole, _ = run_cli(["estimate", *ESTIMATE_FLAGS, "--data", str(path)], capsys)
+        monkeypatch.setattr(data_model, "READ_CHUNK_BYTES", 1000)
+        with piped(original) as pipe:
+            code, out, _ = run_cli(["estimate", *ESTIMATE_FLAGS, "--data", pipe], capsys)
+        assert code == 0
+        assert json.loads(out)["manifest"]["input_digest"] == hashlib.sha256(original).hexdigest()
+        # the manifest names the path given as --data
+        assert strip_duration(out.replace(json.dumps(pipe), json.dumps(str(path)))) == strip_duration(whole)
+
+    def test_file_changed_between_the_two_reads_exits_two(self, tmp_path, monkeypatch, capsys):
+        # the per-cell reader reads the file again, and finds other bytes
+        original = Path(NULL_CSV).read_bytes()
+        path = tmp_path / "data.csv"
+        path.write_bytes(original.replace(b"-0.814501518808203", "-\u0660.814501518808203".encode(), 1))
+        read_text = data_model._read_text
+
+        def read_then_change(*args):
+            result = read_text(*args)
+            path.write_bytes(original)
+            return result
+
+        monkeypatch.setattr(data_model, "_read_text", read_then_change)
+        code, out, err = run_cli(["estimate", *ESTIMATE_FLAGS, "--data", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert str(path) in err and "changed" in err
 
     def test_missing_data_file_exits_two(self, tmp_path, capsys):
         # an OSError is an input failure, reported like any other

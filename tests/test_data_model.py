@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import re
 import tracemalloc
 
@@ -29,7 +30,7 @@ from threshmatch import (
 from threshmatch import data_model
 from threshmatch.data_model import MIN_ROWS, check_indices, read_columns, row_indices
 
-from conftest import LAYOUTS, make_null_obs, synthetic
+from conftest import LAYOUTS, make_null_obs, piped, synthetic
 
 
 def _write(tmp_path, name, text):
@@ -386,6 +387,140 @@ class TestColumnReaderAgainstOracle:
         assert f"byte {len(head) + 15}" in str(err.value)
 
 
+def _chunked_text(eol, per_cell):
+    """A file whose lines and characters straddle chunks of a few bytes.
+
+    An unrequested note column holds multi-byte characters and quoted
+    fields spanning lines; ``per_cell`` puts an Arabic-Indic digit in one
+    cell, which sends the file to the per-cell reader.
+    """
+    values = np.random.default_rng(21).normal(size=(10, 4))
+    notes = ['"caf\u00e9"', '"\u20ac\U0001d11e"', '"line\none"', '"a,\r\nb\rc"', '"""q"" \u00e9\n"']
+    lines = ["note,y,a,b,q"]
+    for r, row in enumerate(values.tolist()):
+        cells = [repr(v) for v in row]
+        if per_cell and r == 4:
+            cells[1] = cells[1].replace("0", "\u0660", 1) if "0" in cells[1] else "\u0663"
+        lines.append(",".join([notes[r % len(notes)], *cells]))
+    return eol.join(lines) + eol
+
+
+class TestChunkedRead:
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("per_cell", [False, True], ids=["one-pass", "per-cell"])
+    @pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
+    def test_reads_equal_the_oracle_across_chunks(self, tmp_path, monkeypatch, chunk, eol, per_cell, bom):
+        text = _chunked_text(eol, per_cell)
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        expected = _outcome(_oracle_load_csv, str(plain), _SHARED_SPEC)
+        assert isinstance(expected[0], bytes)
+        path = tmp_path / "chunked.csv"
+        path.write_bytes(("\ufeff" if bom else "").encode("utf-8") + plain.read_bytes())
+        monkeypatch.setattr(data_model, "READ_CHUNK_BYTES", chunk)
+        assert _outcome(load_csv, str(path), _SHARED_SPEC) == expected
+        oracle = _oracle_load_csv(str(plain), _SHARED_SPEC)
+        table = read_columns(str(path), ["y", "a", "b", "q"], MIN_ROWS)
+        assert table.tobytes("F") == np.column_stack([oracle.y, oracle.x, oracle.q]).tobytes("F")
+
+    @pytest.mark.parametrize("case", _HOSTILE, ids=lambda case: case[0])
+    def test_hostile_files_read_in_three_byte_chunks(self, tmp_path, monkeypatch, case):
+        path = _hostile_file(tmp_path, case)
+        monkeypatch.setattr(data_model, "READ_CHUNK_BYTES", 3)
+        assert _outcome(load_csv, path, _SHARED_SPEC) == _outcome(_oracle_load_csv, path, _SHARED_SPEC)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4096, data_model.READ_CHUNK_BYTES])
+    @pytest.mark.parametrize(
+        "where, bad",
+        [("header", b"\xff"), ("row 2", b"\xe9"), ("last byte", b"\xff"), ("cut short", b"\xe2\x82"),
+         ("mark then bad", b"\xef\xbb\xbf\xc3\x28")],
+    )
+    def test_a_byte_that_is_not_utf8_names_its_file_offset(self, tmp_path, monkeypatch, chunk, where, bad):
+        lines = ("y,a,b,q\n" + _rows(np.arange(48.0).reshape(12, 4).tolist()) + "\n").encode("utf-8").split(b"\n")
+        if where == "header":
+            lines[0] = lines[0].replace(b"a", b"a" + bad)
+        elif where == "row 2":
+            lines[3] = lines[3] + b"," + bad
+        elif where == "mark then bad":
+            lines[6] = lines[6].replace(b",", b"," + bad, 1)
+        data = b"\n".join(lines) + (bad if where in ("last byte", "cut short") else b"")
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as decoded:
+            data.decode("utf-8")
+        monkeypatch.setattr(data_model, "READ_CHUNK_BYTES", chunk)
+        for read in (lambda: load_csv(str(path), _SHARED_SPEC), lambda: read_columns(str(path), ["a"], 1)):
+            with pytest.raises(InputError) as err:
+                read()
+            assert str(err.value) == f"{path}: byte {decoded.value.start} is not valid UTF-8"
+
+    @pytest.mark.parametrize(
+        "defect",
+        ["missing-column", "duplicate-column", "too-few-rows", "bad-cell", "bad-cell-per-cell", "empty-body"],
+    )
+    def test_a_byte_that_is_not_utf8_wins_over_earlier_errors(self, tmp_path, monkeypatch, defect):
+        header, rows = "y,a,b,q", np.arange(48.0).reshape(12, 4).tolist()
+        body = _rows(rows)
+        if defect == "missing-column":
+            header = "y,a,c,q"
+        elif defect == "duplicate-column":
+            header = "y,a,a,b,q"
+        elif defect == "too-few-rows":
+            body = _rows(rows[:3])
+        elif defect == "bad-cell":
+            body = body.replace("1.0", "x", 1)
+        elif defect == "bad-cell-per-cell":
+            body = body.replace("1.0", "\u0661.x", 1)
+        elif defect == "empty-body":
+            body = ""
+        data = (header + "\n" + body + "\n").encode("utf-8") + b"caf\xe9\n"
+        path = tmp_path / "late.csv"
+        path.write_bytes(data)
+        monkeypatch.setattr(data_model, "READ_CHUNK_BYTES", 7)
+        with pytest.raises(InputError) as err:
+            load_csv(str(path), _SHARED_SPEC)
+        assert type(err.value) is InputError
+        assert str(err.value) == f"{path}: byte {len(data) - 2} is not valid UTF-8"
+
+    @pytest.mark.parametrize("per_cell", [False, True], ids=["one-pass", "per-cell"])
+    def test_a_pipe_reads_as_its_file(self, tmp_path, monkeypatch, per_cell):
+        # a pipe cannot be read twice: the per-cell reader reads a copy of its bytes
+        data = _chunked_text("\r\n", per_cell).encode("utf-8")
+        path = tmp_path / "plain.csv"
+        path.write_bytes(data)
+        expected = _outcome(load_csv, str(path), _SHARED_SPEC)
+        assert isinstance(expected[0], bytes)
+        monkeypatch.setattr(data_model, "READ_CHUNK_BYTES", 5)
+        sha256 = hashlib.sha256()
+        with piped(data) as pipe:
+            assert _outcome(lambda p, spec: load_csv(p, spec, sha256), pipe, _SHARED_SPEC) == expected
+        assert sha256.digest() == hashlib.sha256(data).digest()
+        with piped(data) as pipe:
+            table = read_columns(pipe, ["y", "a", "q"], MIN_ROWS)
+        assert table.tobytes() == read_columns(str(path), ["y", "a", "q"], MIN_ROWS).tobytes()
+
+    def test_a_file_changed_before_the_second_read_is_an_error(self, tmp_path, monkeypatch):
+        # a non-ASCII digit sends the file to the per-cell reader, which reads it again
+        text = "y,a,b,q\n" + _rows(np.arange(48.0).reshape(12, 4).tolist()) + "\n"
+        path = tmp_path / "moving.csv"
+        path.write_text(text.replace("1.0", "\u0661.0", 1), encoding="utf-8")
+        read_text = data_model._read_text
+        reads = []
+
+        def read_then_change(*args):
+            result = read_text(*args)
+            reads.append(path.read_bytes())
+            path.write_bytes(reads[0].replace(b"2.0", b"2.5"))
+            return result
+
+        monkeypatch.setattr(data_model, "_read_text", read_then_change)
+        with pytest.raises(InputError) as err:
+            load_csv(str(path), _SHARED_SPEC)
+        assert type(err.value) is InputError and str(path) in str(err.value)
+        assert len(reads) == 2 and reads[1] != reads[0]
+
+
 def _oracle_write_csv(path, columns, names):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -445,9 +580,43 @@ class TestCsvMemory:
         write_csv(path, synthetic(50_000, 3, 4, seed=7), spec)
         load_csv(path, spec)  # first-call caches are not the sample's
         obs, retained, _ = _traced(lambda: load_csv(path, spec))
-        own = sum(a.nbytes for a in (obs.y, obs.q, obs.x, obs.z))
-        # one copy of each of the sample's columns, and no parsed matrix behind them
+        # x is a view of z's first three columns, so its memory is z's
+        assert obs.x.base is obs.z
+        own = sum(a.nbytes for a in (obs.y, obs.q, obs.z))
+        # one copy of each distinct column, and no parsed matrix behind them
         assert own <= retained < own + 64 * 1024
+
+    def test_load_peak_is_the_parse_and_the_sample_not_the_file(self, tmp_path):
+        spec = ColumnSpec(y_col="y", q_col="q", x_cols=["a", "b", "c"], z_cols=["a", "b", "c", "d"], tau0=0.0)
+        path = tmp_path / "big.csv"
+        write_csv(str(path), synthetic(200_000, 3, 4, seed=7), spec)
+        load_csv(str(path), spec)  # first-call caches are not the sample's
+        obs, _, peak = _traced(lambda: load_csv(str(path), spec))
+        own = sum(a.nbytes for a in (obs.y, obs.q, obs.z))
+        # the parsed matrix of the six distinct columns, the sample copied out
+        # of it, and a fixed allowance for one chunk and loadtxt's buffers
+        allowance = own + 2 * 2**20
+        assert allowance < path.stat().st_size / 2
+        assert peak <= own + allowance
+
+    @pytest.mark.parametrize(
+        "x_cols", [["a", "b", "c"], ["b", "c"], ["c", "a"]], ids=["leading-run", "inner-run", "copy"]
+    )
+    def test_intercept_keeps_no_old_z_alive(self, tmp_path, x_cols):
+        spec = ColumnSpec(y_col="y", q_col="q", x_cols=x_cols, z_cols=["a", "b", "c", "d"], tau0=0.0)
+        path = str(tmp_path / "i.csv")
+        written = synthetic(20_000, 3, 4, seed=9)
+        write_csv(path, written, ColumnSpec("y", "q", ["a", "b", "c"], ["a", "b", "c", "d"], 0.0))
+        load_csv(path, spec).with_z_intercept()  # first-call caches are not the sample's
+        obs, retained, _ = _traced(lambda: load_csv(path, spec).with_z_intercept())
+        copied = x_cols == ["c", "a"]
+        assert np.shares_memory(obs.x, obs.z) is not copied
+        own = sum(a.nbytes for a in (obs.y, obs.q, obs.z, *([obs.x] if copied else [])))
+        # y, q and the new z (and x when it is a copy): not the loaded z behind x
+        assert own <= retained < own + 64 * 1024
+        columns = {"a": 0, "b": 1, "c": 2}
+        assert np.array_equal(obs.x, written.x[:, [columns[c] for c in x_cols]])
+        assert np.array_equal(obs.z, np.column_stack([written.z, np.ones(20_000)]))
 
 
 class TestReadColumnsMatrix:
@@ -630,7 +799,9 @@ class TestObservationSet:
         written = synthetic(30, 2, 3, seed=5)
         write_csv(path, written, spec)
         obs = load_csv(path, spec)
-        assert obs.x.flags.c_contiguous and obs.z.flags.c_contiguous
+        # z is C-ordered and x the view of its first two columns, as in the generator
+        assert obs.z.flags.c_contiguous
+        assert obs.x.base is obs.z and obs.x.strides == obs.z.strides
         assert np.array_equal(obs.x, written.x) and np.array_equal(obs.z, written.z)
 
 

@@ -73,6 +73,7 @@ def test_products_do_not_depend_on_the_callers_layout(width, layout):
     gamma, beta = rng.standard_normal(width), rng.standard_normal(width)
     half = len(idx) // 2
     matches = MatchResult(idx[:half], idx[half : 2 * half])
+    assert _bits(fit_gamma(obs, idx)) == _bits(fit_gamma(reference, idx))
     assert _bits(residuals_eta(gamma, obs)) == _bits(residuals_eta(gamma, reference))
     assert _bits(matched_differences(obs, beta, matches)) == _bits(
         matched_differences(reference, beta, matches)
