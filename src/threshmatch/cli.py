@@ -118,8 +118,7 @@ def _load(args: argparse.Namespace) -> tuple[ObservationSet, str]:
 
     The digest is fed by the chunked read that parses the file
     (:func:`~threshmatch.data_model.load_csv`), so it is that of the
-    parsed bytes even if the file changes while the command runs; a file
-    that changes between the per-cell reader's two reads exits 2.
+    parsed bytes even if the file changes while the command runs.
     """
     spec = ColumnSpec(
         y_col=args.y, q_col=args.q, x_cols=args.x, z_cols=args.z, tau0=args.tau

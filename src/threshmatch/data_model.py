@@ -15,18 +15,17 @@ Data and prediction files are written by one writer,
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import math
 import operator
 import re
-import tempfile
 import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from typing import BinaryIO, TypeVar
+from typing import BinaryIO
 
 import numpy as np
 
@@ -44,9 +43,8 @@ from .rng import rng_from
 
 MIN_ROWS = 9  # smallest n for which each of the three splits is nonempty
 WRITE_BLOCK_ROWS = 4096  # rows write_columns formats and writes at a time
+READ_BLOCK_LINES = 1024  # most lines of a CSV body parsed at a time, unless a record spans more
 READ_CHUNK_BYTES = io.DEFAULT_BUFFER_SIZE  # most bytes a CSV read takes from its file at a time
-
-_T = TypeVar("_T")
 
 # Plain decimal or scientific notation only: no underscores, no locale
 # separators, no inf/nan spellings.  Keeps file parsing bit-reproducible.
@@ -311,37 +309,30 @@ def rows_at(rows: np.ndarray | None, idx: np.ndarray) -> np.ndarray:
     return idx if rows is None else rows[idx]
 
 
-def _parse_cell(cell: str, row: int, col: str) -> float:
-    text = cell.strip()
-    if not _NUMBER_RE.match(text):
-        raise ParseError(row, col, cell)
-    value = float(text)
-    if not math.isfinite(value):
-        raise NonFiniteValue(row, col)
-    return value
-
-
-def _parse_column(rows: list[list[str]], pos: int, name: str) -> np.ndarray:
+def _parse_column(rows: list[list[str]], pos: int, name: str, offset: int) -> np.ndarray:
     """Cell ``pos`` of every row as float64, checked against the strict grammar.
 
-    Raises the first bad cell's error with its exact row and column.
+    Raises the first bad cell's error with its column and its row, counted
+    from ``offset``, the number of rows before ``rows``.
     """
     values = np.empty(len(rows), dtype=np.float64)
     for r, raw in enumerate(rows):
-        if pos >= len(raw):
-            raise ParseError(r, name, "<missing>")
-        values[r] = _parse_cell(raw[pos], r, name)
+        cell = raw[pos] if pos < len(raw) else "<missing>"
+        text = cell.strip()
+        if not _NUMBER_RE.match(text):
+            raise ParseError(offset + r, name, cell)
+        values[r] = float(text)
+        if not math.isfinite(values[r]):
+            raise NonFiniteValue(offset + r, name)
     return values
 
 
-def _parse_one_pass(lines: Iterator[str], positions: list[int]) -> np.ndarray | None:
+def _parse_one_pass(lines: list[str], positions: list[int]) -> np.ndarray | None:
     """``lines`` as an ``(n, len(positions))`` array in one ``np.loadtxt`` pass, or None.
 
-    None (a cell loadtxt cannot parse, a short row, a line of only ``""``
-    that :func:`_body_lines` keeps, a non-finite value, or no rows at all,
-    which loadtxt only warns about) leaves the verdict to the per-cell
-    reader.  A byte of ``lines``' file that is not UTF-8 raises its
-    UnicodeDecodeError.
+    None (a cell loadtxt cannot parse, a short row, a non-finite value, or
+    no rows at all, which loadtxt only warns about) leaves the verdict to
+    the per-cell reader.
     """
     try:
         with warnings.catch_warnings():
@@ -350,58 +341,74 @@ def _parse_one_pass(lines: Iterator[str], positions: list[int]) -> np.ndarray | 
                 lines, delimiter=",", usecols=positions, dtype=np.float64, ndmin=2,
                 comments=None, quotechar='"', encoding="utf-8",
             )
-    except UnicodeDecodeError:
-        raise  # a ValueError, but of the file, not of a cell: _read_text reports it
     except (ValueError, UserWarning):
         return None
     return values if np.isfinite(values).all() else None
 
 
-def _body_lines(lines: Iterator[str]) -> Iterator[str]:
-    """``lines`` for the one-pass reader, without those that hold no record.
+def _holds_cells(record: list[str]) -> bool:
+    """Whether ``csv.reader``'s ``record`` is a data row: an empty line (no
+    cells, or a single blank cell) is not."""
+    return len(record) > 1 or bool(record and record[0].strip())
 
-    A whitespace-only line goes (see :func:`read_columns`).  So does a line
-    of only ``""`` until a body line holds a quote: before that, every line
-    starts a record, and ``csv.reader`` reads that one as a single blank
-    cell, an empty line.  After it, such a line may lie inside a quoted
-    field, where dropping it could turn a bad cell into a good one; it is
-    kept, loadtxt cannot parse it, and the per-cell reader decides.
+
+def _blocks(lines: Iterator[str]) -> Iterator[tuple[list[str], list[str]]]:
+    """The lines of a CSV body in blocks of whole records, :data:`READ_BLOCK_LINES` or so each.
+
+    Each block is ``(kept, read)``: ``read`` holds its lines exactly as
+    read, and ``kept`` the lines of its data rows (:func:`_holds_cells`),
+    for the one-pass reader.  Until a line holds a quote, every line is a
+    record, a whitespace-only one empty, so blocks are cut every
+    :data:`READ_BLOCK_LINES` lines.  From the block that holds the first
+    quote on, ``csv.reader`` reads the lines, each block ends where one of
+    its records ends, and the lines of each empty record are left out of
+    ``kept``.  Counting quotes could not find those ends: ``1"5,"a`` holds
+    two, yet its second opens a field that the next line closes.
     """
-    quoted = False
-    for line in lines:
-        if not quoted and '"' in line:
-            if line.rstrip("\r\n") == '""':
-                continue
-            quoted = True
-        if not line.isspace():
+    read = list(itertools.islice(lines, READ_BLOCK_LINES))
+    while read and not any('"' in line for line in read):
+        yield [line for line in read if not line.isspace()], read
+        read = list(itertools.islice(lines, READ_BLOCK_LINES))
+    rest = itertools.chain(read, lines)
+    read, kept, start = [], [], 0
+
+    def tap() -> Iterator[str]:
+        for line in rest:
+            read.append(line)  # the block being read: rebinding ``read`` starts the next one
             yield line
+
+    for record in csv.reader(tap()):
+        if _holds_cells(record):
+            kept += read[start:]
+        if len(read) >= READ_BLOCK_LINES:
+            yield kept, read
+            read, kept = [], []
+        start = len(read)
+    if read:
+        yield kept, read
 
 
 def _column_positions(header: list[str], names: list[str]) -> dict[str, int]:
-    """Header position of each requested column; each must appear exactly once."""
-    positions: dict[str, int] = {}
+    """Header position of each requested column, in first-seen order; each must appear exactly once."""
     for name in names:
         count = header.count(name)
         if count == 0:
             raise MissingColumn(name)
         if count > 1:
             raise DuplicateColumn(name)
-        positions[name] = header.index(name)
-    return positions
+    return {name: header.index(name) for name in names}
 
 
 class _HashingReader(io.RawIOBase):
     """The bytes of the open binary file ``file``, fed to ``sha256`` as they are read.
 
-    At most :data:`READ_CHUNK_BYTES` are read at a time, and each chunk is
-    also written to ``copy`` when one is given.  ``offset`` counts the
-    bytes read so far.  Closing the reader leaves ``file`` open.
+    At most :data:`READ_CHUNK_BYTES` are read at a time.  ``offset`` counts
+    the bytes read so far.  Closing the reader leaves ``file`` open.
     """
 
-    def __init__(self, file: BinaryIO, sha256, copy: BinaryIO | None):
+    def __init__(self, file: BinaryIO, sha256):
         super().__init__()
         self._file = file
-        self._copy = copy
         self.sha256 = sha256
         self.offset = 0
 
@@ -412,8 +419,6 @@ class _HashingReader(io.RawIOBase):
         chunk = memoryview(buffer)[:READ_CHUNK_BYTES]
         n = self._file.readinto(chunk)
         self.sha256.update(chunk[:n])
-        if self._copy is not None:
-            self._copy.write(chunk[:n])
         self.offset += n
         return n
 
@@ -422,37 +427,33 @@ def _not_utf8(error: type[InputError], path: str, offset: int) -> InputError:
     return error(f"{path}: byte {offset} is not valid UTF-8")
 
 
-def _read_text(
-    file: BinaryIO, path: str, read: Callable[[io.TextIOWrapper], _T], sha256, copy: BinaryIO | None
-) -> _T:
-    """``read(lines)``, where ``lines`` yields the lines of ``file``, the open file at ``path``.
+def _read_text(path: str, read: Callable[[io.TextIOWrapper], list[np.ndarray]], sha256) -> list[np.ndarray]:
+    """``read(lines)`` for the lines of the file at ``path``, all of which ``read`` reads.
 
     The lines are those ``open(path, encoding="utf-8-sig", newline="")``
     yields: a leading byte-order mark, as spreadsheet exports write it, is
     skipped, and one anywhere else is an ordinary character.  The file is
-    read once to its end, :data:`READ_CHUNK_BYTES` at most at a time,
-    and each chunk is fed to ``sha256``, written to ``copy`` when one is
-    given, and decoded as it arrives, so neither the file's bytes nor its
-    text is ever held whole.  When ``read`` returns or raises an
-    InputError, the rest of the file is read too: ``sha256`` is then of
-    every byte of the file, and a byte anywhere in it that is not UTF-8
-    raises InputError naming the path and the byte's offset, in place of
-    ``read``'s error.
+    opened once and read once to its end, :data:`READ_CHUNK_BYTES` at most
+    at a time, and each chunk is fed to ``sha256`` and decoded as it
+    arrives, so neither the file's bytes nor its text is ever held whole,
+    and a pipe reads as a file does.  When ``read`` raises an InputError,
+    the rest of the file is read too.  ``sha256`` is then of every byte of
+    the file, and a byte anywhere in it that is not UTF-8 raises InputError
+    naming the path and the byte's offset, in place of ``read``'s error.
+    A file that cannot be opened raises OSError.
     """
-    lines = io.TextIOWrapper(_HashingReader(file, sha256, copy), encoding="utf-8-sig", newline="")
-    try:
+    with open(path, "rb", buffering=0) as file:
+        lines = io.TextIOWrapper(_HashingReader(file, sha256), encoding="utf-8-sig", newline="")
         try:
-            result = read(lines)
-        except InputError:
-            while lines.read(READ_CHUNK_BYTES):
-                pass
-            raise
-        while lines.read(READ_CHUNK_BYTES):
-            pass
-    except UnicodeDecodeError as exc:
-        # exc.object is the input of the decode that failed, which ends at the bytes read so far
-        raise _not_utf8(InputError, path, lines.buffer.offset - len(exc.object) + exc.start) from None
-    return result
+            try:
+                return read(lines)
+            except InputError:
+                while lines.read(READ_CHUNK_BYTES):
+                    pass
+                raise
+        except UnicodeDecodeError as exc:
+            # exc.object is the input of the decode that failed, which ends at the bytes read so far
+            raise _not_utf8(InputError, path, lines.buffer.offset - len(exc.object) + exc.start) from None
 
 
 def utf8_text(path: str, error: type[InputError]) -> str:
@@ -475,46 +476,44 @@ def _parse(path: str, names: list[str], min_rows: int, sha256) -> np.ndarray:
     """The distinct ``names``, in first-seen order, as one ``(rows, k)`` float64 matrix.
 
     The one parse behind :func:`read_columns` and :func:`load_csv`, whose
-    docstrings describe it.  The matrix is row-major, as ``np.loadtxt``
-    and ``np.column_stack`` build it.  ``sha256`` is fed the file's bytes
-    as the one chunked read (:func:`_read_text`) of the header and the
-    one-pass reader goes through them.  When the per-cell reader decides,
-    it reads the open file a second time the same way, and a file whose
-    bytes differ from the first read's raises InputError naming the path.
-    A pipe cannot be read twice, so the first read of a file that cannot
-    seek writes its bytes to a temporary file, which the second read
-    reads.  A file that cannot be opened raises OSError.
+    docstrings describe it.  ``sha256`` is fed the file's bytes as the one
+    read (:func:`_read_text`) goes through them.  Each of the body's
+    :func:`_blocks` goes to the one-pass reader, and one it turns away to
+    the per-cell reader, whose first bad cell in each column is kept, with
+    its row in the whole file, until the read ends.  The blocks are then
+    stacked into one row-major matrix and dropped.
     """
-    distinct = list(dict.fromkeys(names))
-    again = sha256.copy()  # the state before any byte, for a second read
 
-    def one_pass(lines: io.TextIOWrapper) -> tuple[list[int], np.ndarray | None]:
+    def parse(lines: io.TextIOWrapper) -> list[np.ndarray]:
         header = next(csv.reader(lines), None)
         if header is None:
             raise TooFewRows(0, min_rows)
         positions = _column_positions([h.strip() for h in header], names)
-        usecols = [positions[name] for name in distinct]
-        return usecols, _parse_one_pass(_body_lines(lines), usecols)
+        usecols = list(positions.values())
+        parsed = [np.empty((0, len(usecols)))]  # so that a file of no rows stacks too
+        rows = 0
+        bad: dict[int, InputError] = {}  # first bad cell of column k of the matrix
+        for kept, read in _blocks(lines):
+            if not kept:
+                continue  # a block of empty records holds no row
+            values = _parse_one_pass(kept, usecols)
+            if values is None:
+                records = [raw for raw in csv.reader(read) if _holds_cells(raw)]
+                values = np.empty((len(records), len(usecols)))
+                for k, (name, pos) in enumerate(positions.items()):
+                    try:
+                        values[:, k] = _parse_column(records, pos, name, rows)
+                    except InputError as exc:
+                        bad.setdefault(k, exc)
+            parsed.append(values)
+            rows += len(values)
+        if rows < min_rows:
+            raise TooFewRows(rows, min_rows)
+        if bad:
+            raise bad[min(bad)]
+        return parsed
 
-    def records(lines: io.TextIOWrapper) -> list[list[str]]:
-        reader = csv.reader(lines)
-        next(reader, None)
-        return [raw for raw in reader if raw and (len(raw) > 1 or raw[0].strip())]
-
-    with open(path, "rb", buffering=0) as file, (
-        contextlib.nullcontext() if file.seekable() else tempfile.TemporaryFile()
-    ) as copy:
-        usecols, values = _read_text(file, path, one_pass, sha256, copy)
-        if values is not None and len(values) >= min_rows:
-            return values
-        source = file if copy is None else copy
-        source.seek(0)
-        rows = _read_text(source, path, records, again, None)
-    if again.digest() != sha256.digest():
-        raise InputError(f"{path}: the file changed between its two reads")
-    if len(rows) < min_rows:
-        raise TooFewRows(len(rows), min_rows)
-    return np.column_stack([_parse_column(rows, pos, name) for pos, name in zip(usecols, distinct)])
+    return np.concatenate(_read_text(path, parse, sha256))
 
 
 def read_columns(path: str, names: list[str], min_rows: int) -> np.ndarray:
@@ -525,36 +524,33 @@ def read_columns(path: str, names: list[str], min_rows: int) -> np.ndarray:
     column-major, so each column is contiguous.
 
     The one reader for data files and prediction grids; :func:`load_csv`
-    takes its columns from the same parse.  The file is read once, in
-    chunks of :data:`READ_CHUNK_BYTES`, and decoded as UTF-8 as it is
-    read (:func:`_read_text`): no copy of the whole file, as bytes or as
-    text, is ever held.  A byte that is not UTF-8 anywhere in the file
-    raises :class:`InputError` with its offset, ahead of every other
-    error.  ``csv.reader`` parses the header.  The body's lines, without
-    the whitespace-only ones and the lines of only ``""`` that come before
-    any other quote (:func:`_body_lines`), are converted in one pass by
+    takes its columns from the same parse.  The file is opened once and
+    read once, in chunks of :data:`READ_CHUNK_BYTES`, and decoded as UTF-8
+    as it is read (:func:`_read_text`): no copy of the whole file, as
+    bytes or as text, is ever held, and a pipe reads as a file does.  A
+    byte that is not UTF-8 anywhere in the file raises
+    :class:`InputError` with its offset, ahead of every other error.
+    ``csv.reader`` parses the header.  The body is parsed in blocks of
+    about :data:`READ_BLOCK_LINES` lines, each ending where a record ends
+    (:func:`_blocks`).  An empty record (a line with no cells, or a single
+    blank cell) is skipped, and every other record is a data row.  The
+    lines of a block's data rows are converted in one pass by
     ``np.loadtxt(..., delimiter=",", usecols=..., dtype=np.float64,
     ndmin=2, comments=None, quotechar='"', encoding="utf-8")``: a ``#`` is
     an ordinary character, and quoted cells, quoted fields spanning lines
     or holding commas, and ``""`` escapes split as ``csv.reader`` splits
     them.  loadtxt converts with the parser ``float`` uses, so the bits
     agree, and rejects every cell the strict grammar rejects except the
-    non-finite spellings, which an ``isfinite`` check turns away.  A
-    whitespace-only line is a record ``csv.reader`` skips, or lies inside
-    a quoted field, where it is either in a column nobody requested or
-    whitespace that a cell's ``strip()`` removes anyway.
+    non-finite spellings, which an ``isfinite`` check turns away.
 
-    What that pass turns away (a cell it cannot parse, such as a bad cell
-    or a non-ASCII digit, a non-finite value, a line of only ``""`` after
-    a quote, or fewer than ``min_rows`` rows) is decided by ``csv.reader`` and
-    :func:`_parse_column`, on a second read of the file made the same
-    way (of a copy of the first read's bytes, for a pipe): a file whose
-    bytes differ from the first read's, because it changed in between,
-    raises :class:`InputError` naming the path.  An empty line (no cells, or a
-    single blank cell) is skipped, every other line is a data row, and
-    each cell is checked against the strict grammar.  Both conversions
-    give the same bits.  Errors come in a fixed order: a byte that is not
-    UTF-8, then an absent or twice-named requested column, then fewer than
+    A block that pass turns away (a cell it cannot parse, such as a bad
+    cell or a non-ASCII digit, or a non-finite value) is decided by
+    ``csv.reader`` and :func:`_parse_column`, which check each of its
+    cells against the strict grammar, on that block's lines as read and
+    with its rows numbered after the rows before it.  Both conversions
+    give the same bits, and only one block's records are ever held as
+    strings.  Errors come in a fixed order: a byte that is not UTF-8, then
+    an absent or twice-named requested column, then fewer than
     ``min_rows`` data rows (an empty file counts as zero), then the first
     bad cell of the first bad column in the order of ``names``.
     """

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -130,7 +131,7 @@ class TestEstimate:
 
     @pytest.mark.parametrize("per_cell", [False, True], ids=["one-pass", "per-cell"])
     def test_a_pipe_reads_as_its_file(self, per_cell, tmp_path, monkeypatch, capsys):
-        # as --data <(cat file) gives: the per-cell reader reads a copy of the pipe's bytes
+        # as --data <(cat file) gives: a pipe, read once like a file
         original = Path(NULL_CSV).read_bytes()
         if per_cell:
             original = original.replace(b"-0.814501518808203", "-\u0660.814501518808203".encode(), 1)
@@ -145,23 +146,23 @@ class TestEstimate:
         # the manifest names the path given as --data
         assert strip_duration(out.replace(json.dumps(pipe), json.dumps(str(path)))) == strip_duration(whole)
 
-    def test_file_changed_between_the_two_reads_exits_two(self, tmp_path, monkeypatch, capsys):
-        # the per-cell reader reads the file again, and finds other bytes
+    def test_a_per_cell_pipe_needs_no_temporary_file(self, tmp_path, monkeypatch, capsys):
+        # the per-cell reader parses the block the one read turned away, so a pipe needs no copy
         original = Path(NULL_CSV).read_bytes()
+        original = original.replace(b"-0.814501518808203", "-\u0660.814501518808203".encode(), 1)
         path = tmp_path / "data.csv"
-        path.write_bytes(original.replace(b"-0.814501518808203", "-\u0660.814501518808203".encode(), 1))
-        read_text = data_model._read_text
+        path.write_bytes(original)
+        _, whole, _ = run_cli(["estimate", *ESTIMATE_FLAGS, "--data", str(path)], capsys)
 
-        def read_then_change(*args):
-            result = read_text(*args)
-            path.write_bytes(original)
-            return result
+        def no_temporary_file(*args, **kwargs):
+            raise AssertionError("a temporary file was made")
 
-        monkeypatch.setattr(data_model, "_read_text", read_then_change)
-        code, out, err = run_cli(["estimate", *ESTIMATE_FLAGS, "--data", str(path)], capsys)
-        assert code == 2
-        assert out == ""
-        assert str(path) in err and "changed" in err
+        monkeypatch.setattr(tempfile, "TemporaryFile", no_temporary_file)
+        with piped(original) as pipe:
+            code, out, _ = run_cli(["estimate", *ESTIMATE_FLAGS, "--data", pipe], capsys)
+        assert code == 0
+        assert json.loads(out)["manifest"]["input_digest"] == hashlib.sha256(original).hexdigest()
+        assert strip_duration(out.replace(json.dumps(pipe), json.dumps(str(path)))) == strip_duration(whole)
 
     def test_missing_data_file_exits_two(self, tmp_path, capsys):
         # an OSError is an input failure, reported like any other

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshmatch import (
     ColumnSpec,
@@ -117,7 +119,7 @@ class TestLoadCsv:
             load_csv(_write(tmp_path, "inf.csv", bad), spec)
         assert err.value.col == "a"
 
-    # a line of only "" turns the one-pass reader away, so the csv reader runs
+    # a line of only "" holds a quote, so csv.reader finds where each record ends
     @pytest.mark.parametrize("blank_quoted_line", [False, True], ids=["one-pass", "per-cell"])
     def test_a_leading_byte_order_mark_is_skipped(self, tmp_path, blank_quoted_line):
         values = np.random.default_rng(12).normal(size=(9, 4)).tolist()
@@ -268,7 +270,8 @@ _PLAIN = ["plain", "notation", "padded", "cr-line-endings", "crlf-line-endings",
           "quoted-header", "quoted-header-spanning-lines", "quoted", "unrequested-quoted-comma",
           "unrequested-quoted-commas", "quoted-header-and-cell", "blank-lines-skipped",
           "unrequested-quoted-newline", "unrequested-quoted-blank-line",
-          "unrequested-doubled-quote", "padded-quoted", "cr-quoted-note", "empty-quoted-line"]
+          "unrequested-doubled-quote", "padded-quoted", "cr-quoted-note", "empty-quoted-line",
+          "empty-quoted-line-after-quoted-cell"]
 
 
 def _hostile_file(tmp_path, case):
@@ -341,6 +344,47 @@ def _random_file(rng, path):
     return str(path)
 
 
+def _read_columns_sample(path, spec):
+    """``spec``'s sample as :func:`read_columns` reads its roles, in ``load_csv``'s order."""
+    table = read_columns(path, [spec.y_col, spec.q_col, *spec.x_cols, *spec.z_cols], MIN_ROWS)
+    d_x = len(spec.x_cols)
+    return ObservationSet(y=table[:, 0], q=table[:, 1], x=table[:, 2 : 2 + d_x], z=table[:, 2 + d_x :],
+                          tau0=spec.tau0)
+
+
+# cells the strict grammar accepts, in the spellings a file may give them
+_good_cell = st.builds(
+    str.format,
+    st.sampled_from(["{!r}", " {!r}\t", '"{!r}"', '" {!r}\n"', '"\n{!r}\n   \n"']),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# cells that are bad, or that only the per-cell reader accepts
+_odd_cell = st.sampled_from(
+    ['1"5', '1"5,"a', "1e999", "\u0663", "-\u0660.5", '"1\n2"', '"1.5\n""\n"', "", '""', "x", "1_0", '"a\nb"']
+)
+_note = st.sampled_from(_NOTES + ['1"5', '"a\n\nb"', '"\n"'])
+_blank_line = st.sampled_from(_BLANK_LINES + ["\t  "])
+
+
+@st.composite
+def _csv_texts(draw):
+    """A CSV text of plain, padded, quoted and multi-line quoted cells, with
+    ``""`` and whitespace-only lines, mid-field quotes and odd cells, one of
+    the three line endings, and whether a byte-order mark precedes it."""
+    noted = draw(st.booleans())
+    lines = ["note,y,a,b,q" if noted else "y,a,b,q"]
+    rows = draw(st.integers(MIN_ROWS - 1, 13))
+    odd = dict(draw(st.lists(st.tuples(st.integers(0, 4 * rows), _odd_cell), max_size=2)))
+    for r in range(rows):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(_blank_line))
+        cells = [odd[4 * r + c] if 4 * r + c in odd else draw(_good_cell) for c in range(4)]
+        lines.append(",".join([draw(_note), *cells] if noted else cells))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    return text.replace("\n", eol), draw(st.booleans())
+
+
 class TestColumnReaderAgainstOracle:
     @pytest.mark.parametrize("case", _HOSTILE, ids=lambda case: case[0])
     def test_same_values_or_same_error(self, tmp_path, case):
@@ -370,6 +414,20 @@ class TestColumnReaderAgainstOracle:
             path = _random_file(rng, tmp_path / f"gen{i}.csv")
             got = _outcome(load_csv, path, _SHARED_SPEC)
             assert got == _outcome(_oracle_load_csv, path, _SHARED_SPEC), path
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(text=_csv_texts(), block=st.sampled_from([1, 2, 3, data_model.READ_BLOCK_LINES]))
+    def test_drawn_texts_match_the_oracle(self, tmp_path_factory, text, block):
+        directory = tmp_path_factory.mktemp("drawn")
+        plain, marked = directory / "plain.csv", directory / "marked.csv"
+        body, bom = text
+        plain.write_bytes(body.encode("utf-8"))
+        marked.write_bytes(("\ufeff" if bom else "").encode("utf-8") + plain.read_bytes())
+        expected = _outcome(_oracle_load_csv, str(plain), _SHARED_SPEC)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_model, "READ_BLOCK_LINES", block)
+            assert _outcome(load_csv, str(marked), _SHARED_SPEC) == expected
+            assert _outcome(_read_columns_sample, str(marked), _SHARED_SPEC) == expected
 
     def test_shared_column_is_one_array_copied_into_both_matrices(self, tmp_path):
         path = _write(tmp_path, "shared.csv", "y,a,b,q\n" + _rows(np.arange(36.0).reshape(9, 4).tolist()))
@@ -485,7 +543,7 @@ class TestChunkedRead:
 
     @pytest.mark.parametrize("per_cell", [False, True], ids=["one-pass", "per-cell"])
     def test_a_pipe_reads_as_its_file(self, tmp_path, monkeypatch, per_cell):
-        # a pipe cannot be read twice: the per-cell reader reads a copy of its bytes
+        # a pipe cannot be read twice, and the one read is all the reader needs
         data = _chunked_text("\r\n", per_cell).encode("utf-8")
         path = tmp_path / "plain.csv"
         path.write_bytes(data)
@@ -500,25 +558,76 @@ class TestChunkedRead:
             table = read_columns(pipe, ["y", "a", "q"], MIN_ROWS)
         assert table.tobytes() == read_columns(str(path), ["y", "a", "q"], MIN_ROWS).tobytes()
 
-    def test_a_file_changed_before_the_second_read_is_an_error(self, tmp_path, monkeypatch):
-        # a non-ASCII digit sends the file to the per-cell reader, which reads it again
+    def test_a_per_cell_file_is_opened_and_read_once(self, tmp_path, monkeypatch):
+        # a non-ASCII digit sends a block to the per-cell reader, which reads no file
         text = "y,a,b,q\n" + _rows(np.arange(48.0).reshape(12, 4).tolist()) + "\n"
-        path = tmp_path / "moving.csv"
+        path = tmp_path / "once.csv"
         path.write_text(text.replace("1.0", "\u0661.0", 1), encoding="utf-8")
-        read_text = data_model._read_text
-        reads = []
+        expected = _outcome(_oracle_load_csv, str(path), _SHARED_SPEC)
+        assert isinstance(expected[0], bytes)
+        read_text, reads, opened = data_model._read_text, [], []
 
-        def read_then_change(*args):
-            result = read_text(*args)
-            reads.append(path.read_bytes())
-            path.write_bytes(reads[0].replace(b"2.0", b"2.5"))
-            return result
+        def read_once(*args):
+            reads.append(args[0])
+            return read_text(*args)
 
-        monkeypatch.setattr(data_model, "_read_text", read_then_change)
-        with pytest.raises(InputError) as err:
-            load_csv(str(path), _SHARED_SPEC)
-        assert type(err.value) is InputError and str(path) in str(err.value)
-        assert len(reads) == 2 and reads[1] != reads[0]
+        def open_once(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(data_model, "_read_text", read_once)
+        monkeypatch.setattr(data_model, "open", open_once, raising=False)
+        assert _outcome(load_csv, str(path), _SHARED_SPEC) == expected
+        assert reads == opened == [str(path)]
+
+
+class TestReadBlocks:
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("case", _HOSTILE, ids=lambda case: case[0])
+    def test_hostile_files_read_in_small_blocks(self, tmp_path, monkeypatch, case, block):
+        path = _hostile_file(tmp_path, case)
+        monkeypatch.setattr(data_model, "READ_BLOCK_LINES", block)
+        assert _outcome(load_csv, path, _SHARED_SPEC) == _outcome(_oracle_load_csv, path, _SHARED_SPEC)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("case", [case for case in _HOSTILE if case[0] in _PLAIN],
+                             ids=lambda case: case[0])
+    def test_plain_files_take_the_one_pass_reader_in_small_blocks(self, tmp_path, monkeypatch, case, block):
+        # a block of only empty records, as a one-line block of a blank line is, holds no row to check
+        def per_cell(*args):
+            raise AssertionError("the per-cell reader ran")
+
+        path = _hostile_file(tmp_path, case)
+        expected = _outcome(_oracle_load_csv, path, _SHARED_SPEC)
+        monkeypatch.setattr(data_model, "READ_BLOCK_LINES", block)
+        monkeypatch.setattr(data_model, "_parse_column", per_cell)
+        assert _outcome(load_csv, path, _SHARED_SPEC) == expected
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("per_cell", [False, True], ids=["one-pass", "per-cell"])
+    def test_chunked_files_read_in_small_blocks(self, tmp_path, monkeypatch, block, eol, per_cell):
+        path = tmp_path / "blocks.csv"
+        path.write_bytes(_chunked_text(eol, per_cell).encode("utf-8"))
+        expected = _outcome(_oracle_load_csv, str(path), _SHARED_SPEC)
+        assert isinstance(expected[0], bytes)
+        monkeypatch.setattr(data_model, "READ_BLOCK_LINES", block)
+        monkeypatch.setattr(data_model, "READ_CHUNK_BYTES", 5)
+        assert _outcome(load_csv, str(path), _SHARED_SPEC) == expected
+        assert _outcome(_read_columns_sample, str(path), _SHARED_SPEC) == expected
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_a_block_ends_only_where_a_record_ends(self, tmp_path, monkeypatch, block):
+        # 1"5 holds a literal quote and the next quote opens a field the next line
+        # closes: the first line holds an even number of quotes, yet the record goes on,
+        # and the second line alone would read as one more good row
+        rows = [",".join(map(repr, row)) for row in np.arange(48.0).reshape(12, 4).tolist()]
+        text = "y,a,b,q,n,m\n" + "".join(f'{row},1"5,"a\n9.0,9.0,9.0,9.0,"\n' for row in rows)
+        path = _write(tmp_path, "spans.csv", text)
+        monkeypatch.setattr(data_model, "READ_BLOCK_LINES", block)
+        got = _outcome(load_csv, path, _SHARED_SPEC)
+        assert got == _outcome(_oracle_load_csv, path, _SHARED_SPEC)
+        assert len(got[0]) == 12 * 8
 
 
 def _oracle_write_csv(path, columns, names):
@@ -599,6 +708,24 @@ class TestCsvMemory:
         assert allowance < path.stat().st_size / 2
         assert peak <= own + allowance
 
+    def test_per_cell_peak_is_the_plain_peak_and_one_block(self, tmp_path):
+        # an Arabic-Indic digit in the first row sends its block to the per-cell reader
+        spec = ColumnSpec(y_col="y", q_col="q", x_cols=["a", "b", "c"], z_cols=["a", "b", "c", "d"], tau0=0.0)
+        plain, per_cell = tmp_path / "plain.csv", tmp_path / "per-cell.csv"
+        written = synthetic(200_000, 3, 4, seed=7)
+        write_csv(str(plain), written, spec)
+        data = plain.read_bytes()
+        digit = re.compile(rb"\d").search(data, data.index(b"\n")).start()
+        per_cell.write_bytes(data[:digit] + chr(0x0660 + data[digit] - ord("0")).encode() + data[digit + 1 :])
+        load_csv(str(plain), spec)  # first-call caches are not the sample's
+        peaks = []
+        for path in (plain, per_cell):
+            obs, _, peak = _traced(lambda: load_csv(str(path), spec))
+            assert obs.y.tobytes() == written.y.tobytes()
+            peaks.append(peak)
+        # one block's records as strings (1024 lines, under 1 MiB), not the file's
+        assert peaks[1] <= peaks[0] + 4 * 2**20
+
     @pytest.mark.parametrize(
         "x_cols", [["a", "b", "c"], ["b", "c"], ["c", "a"]], ids=["leading-run", "inner-run", "copy"]
     )
@@ -622,7 +749,7 @@ class TestCsvMemory:
 class TestReadColumnsMatrix:
     @pytest.mark.parametrize("blank_quoted_line", [False, True], ids=["one-pass", "per-cell"])
     def test_column_k_holds_names_k_on_both_paths(self, tmp_path, blank_quoted_line):
-        # a line of only "" sends the file to the per-cell reader
+        # a line of only "" holds a quote, so csv.reader finds where each record ends
         values = np.arange(27.0).reshape(9, 3)
         text = "a,b,c\n" + _rows(values.tolist()) + ('\n""\n' if blank_quoted_line else "\n")
         table = read_columns(_write(tmp_path, "m.csv", text), ["c", "a", "c", "b"], MIN_ROWS)
@@ -631,6 +758,10 @@ class TestReadColumnsMatrix:
         assert np.array_equal(table, values[:, [2, 0, 2, 1]])
         # column-major, so y and q are contiguous columns of the matrix
         assert table.flags.f_contiguous
+
+    def test_a_body_of_empty_lines_is_a_matrix_of_no_rows(self, tmp_path):
+        table = read_columns(_write(tmp_path, "e.csv", "a,b\n\n   \n"), ["b", "a", "b"], 0)
+        assert table.shape == (0, 3) and table.dtype == np.float64
 
     def test_load_csv_slices_one_matrix(self, tmp_path):
         values = np.arange(45.0).reshape(9, 5)
