@@ -22,7 +22,6 @@ import itertools
 import math
 import operator
 import re
-import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import BinaryIO
@@ -330,18 +329,18 @@ def _parse_column(rows: list[list[str]], pos: int, name: str, offset: int) -> np
 def _parse_one_pass(lines: list[str], positions: list[int]) -> np.ndarray | None:
     """``lines`` as an ``(n, len(positions))`` array in one ``np.loadtxt`` pass, or None.
 
-    None (a cell loadtxt cannot parse, a short row, a non-finite value, or
-    no rows at all, which loadtxt only warns about) leaves the verdict to
-    the per-cell reader.
+    None (a cell loadtxt cannot parse, a short row, or a non-finite value)
+    leaves the verdict to the per-cell reader.  ``lines`` are those of one
+    or more data rows (:func:`_blocks`), each of which loadtxt reads as a
+    row or turns away with a ValueError; it would only warn on input of no
+    rows.
     """
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)
-            values = np.loadtxt(
-                lines, delimiter=",", usecols=positions, dtype=np.float64, ndmin=2,
-                comments=None, quotechar='"', encoding="utf-8",
-            )
-    except (ValueError, UserWarning):
+        values = np.loadtxt(
+            lines, delimiter=",", usecols=positions, dtype=np.float64, ndmin=2,
+            comments=None, quotechar='"', encoding="utf-8",
+        )
+    except ValueError:
         return None
     return values if np.isfinite(values).all() else None
 
@@ -352,22 +351,24 @@ def _holds_cells(record: list[str]) -> bool:
     return len(record) > 1 or bool(record and record[0].strip())
 
 
-def _blocks(lines: Iterator[str]) -> Iterator[tuple[list[str], list[str]]]:
-    """The lines of a CSV body in blocks of whole records, :data:`READ_BLOCK_LINES` or so each.
+def _blocks(lines: Iterator[str]) -> Iterator[list[str]]:
+    """The lines of a CSV body's data rows, one list per block of :data:`READ_BLOCK_LINES` or so lines read.
 
-    Each block is ``(kept, read)``: ``read`` holds its lines exactly as
-    read, and ``kept`` the lines of its data rows (:func:`_holds_cells`),
-    for the one-pass reader.  Until a line holds a quote, every line is a
-    record, a whitespace-only one empty, so blocks are cut every
-    :data:`READ_BLOCK_LINES` lines.  From the block that holds the first
-    quote on, ``csv.reader`` reads the lines, each block ends where one of
-    its records ends, and the lines of each empty record are left out of
-    ``kept``.  Counting quotes could not find those ends: ``1"5,"a`` holds
-    two, yet its second opens a field that the next line closes.
+    The lines of an empty record (not a data row, :func:`_holds_cells`)
+    are left out, so a block of only empty records is an empty list.
+    Until a line holds a quote, every line is a record, a whitespace-only
+    one empty, so blocks are cut every :data:`READ_BLOCK_LINES` lines.
+    From the block that holds the first quote on, ``csv.reader`` reads the
+    lines, and each block ends where one of its records ends.  Counting
+    quotes could not find those ends: ``1"5,"a`` holds two, yet its second
+    opens a field that the next line closes.  A block is thus whole
+    records, and leaving out whole records does not change how
+    ``csv.reader`` splits the others: it reads a block's lines as the
+    same data rows.
     """
     read = list(itertools.islice(lines, READ_BLOCK_LINES))
     while read and not any('"' in line for line in read):
-        yield [line for line in read if not line.isspace()], read
+        yield [line for line in read if not line.isspace()]
         read = list(itertools.islice(lines, READ_BLOCK_LINES))
     rest = itertools.chain(read, lines)
     read, kept, start = [], [], 0
@@ -381,11 +382,11 @@ def _blocks(lines: Iterator[str]) -> Iterator[tuple[list[str], list[str]]]:
         if _holds_cells(record):
             kept += read[start:]
         if len(read) >= READ_BLOCK_LINES:
-            yield kept, read
+            yield kept
             read, kept = [], []
         start = len(read)
     if read:
-        yield kept, read
+        yield kept
 
 
 def _column_positions(header: list[str], names: list[str]) -> dict[str, int]:
@@ -436,20 +437,25 @@ def _read_text(path: str, read: Callable[[io.TextIOWrapper], list[np.ndarray]], 
     opened once and read once to its end, :data:`READ_CHUNK_BYTES` at most
     at a time, and each chunk is fed to ``sha256`` and decoded as it
     arrives, so neither the file's bytes nor its text is ever held whole,
-    and a pipe reads as a file does.  When ``read`` raises an InputError,
-    the rest of the file is read too.  ``sha256`` is then of every byte of
-    the file, and a byte anywhere in it that is not UTF-8 raises InputError
-    naming the path and the byte's offset, in place of ``read``'s error.
-    A file that cannot be opened raises OSError.
+    and a pipe reads as a file does.  A ``csv.Error`` that ``read`` raises,
+    such as a field longer than ``csv.field_size_limit()`` (which an
+    unclosed quote also makes), becomes an InputError naming the path and
+    csv's reason.  When ``read`` raises either, the rest of the file is
+    read too.  ``sha256`` is then of every byte of the file, and a byte
+    anywhere in it that is not UTF-8 raises InputError naming the path and
+    the byte's offset, in place of ``read``'s error.  A file that cannot
+    be opened raises OSError.
     """
     with open(path, "rb", buffering=0) as file:
         lines = io.TextIOWrapper(_HashingReader(file, sha256), encoding="utf-8-sig", newline="")
         try:
             try:
                 return read(lines)
-            except InputError:
+            except (InputError, csv.Error) as exc:
                 while lines.read(READ_CHUNK_BYTES):
                     pass
+                if isinstance(exc, csv.Error):
+                    raise InputError(f"{path}: {exc}") from None
                 raise
         except UnicodeDecodeError as exc:
             # exc.object is the input of the decode that failed, which ends at the bytes read so far
@@ -478,10 +484,11 @@ def _parse(path: str, names: list[str], min_rows: int, sha256) -> np.ndarray:
     The one parse behind :func:`read_columns` and :func:`load_csv`, whose
     docstrings describe it.  ``sha256`` is fed the file's bytes as the one
     read (:func:`_read_text`) goes through them.  Each of the body's
-    :func:`_blocks` goes to the one-pass reader, and one it turns away to
-    the per-cell reader, whose first bad cell in each column is kept, with
-    its row in the whole file, until the read ends.  The blocks are then
-    stacked into one row-major matrix and dropped.
+    :func:`_blocks`, the lines of its data rows, goes to the one-pass
+    reader, and one it turns away to the per-cell reader, which splits the
+    same lines with ``csv.reader``.  Its first bad cell in each column is
+    kept, with its row in the whole file, until the read ends.  The blocks
+    are then stacked into one row-major matrix and dropped.
     """
 
     def parse(lines: io.TextIOWrapper) -> list[np.ndarray]:
@@ -493,12 +500,10 @@ def _parse(path: str, names: list[str], min_rows: int, sha256) -> np.ndarray:
         parsed = [np.empty((0, len(usecols)))]  # so that a file of no rows stacks too
         rows = 0
         bad: dict[int, InputError] = {}  # first bad cell of column k of the matrix
-        for kept, read in _blocks(lines):
-            if not kept:
-                continue  # a block of empty records holds no row
-            values = _parse_one_pass(kept, usecols)
+        for block in filter(None, _blocks(lines)):  # a block of empty records holds no row
+            values = _parse_one_pass(block, usecols)
             if values is None:
-                records = [raw for raw in csv.reader(read) if _holds_cells(raw)]
+                records = list(csv.reader(block))
                 values = np.empty((len(records), len(usecols)))
                 for k, (name, pos) in enumerate(positions.items()):
                     try:
@@ -546,13 +551,16 @@ def read_columns(path: str, names: list[str], min_rows: int) -> np.ndarray:
     A block that pass turns away (a cell it cannot parse, such as a bad
     cell or a non-ASCII digit, or a non-finite value) is decided by
     ``csv.reader`` and :func:`_parse_column`, which check each of its
-    cells against the strict grammar, on that block's lines as read and
+    cells against the strict grammar, on the lines that pass was given and
     with its rows numbered after the rows before it.  Both conversions
     give the same bits, and only one block's records are ever held as
     strings.  Errors come in a fixed order: a byte that is not UTF-8, then
     an absent or twice-named requested column, then fewer than
     ``min_rows`` data rows (an empty file counts as zero), then the first
-    bad cell of the first bad column in the order of ``names``.
+    bad cell of the first bad column in the order of ``names``.  A field
+    that ``csv.reader`` cannot read, one longer than
+    ``csv.field_size_limit()`` as an unclosed quote makes, raises
+    :class:`InputError` naming the path where the read meets it.
     """
     distinct = list(dict.fromkeys(names))
     return _parse(path, names, min_rows, hashlib.sha256())[:, [distinct.index(name) for name in names]]
@@ -600,9 +608,12 @@ def write_columns(path: str, names: list[str], columns: list[np.ndarray]) -> Non
     writes for the same cells, which never need quoting.  Rows are
     formatted and written :data:`WRITE_BLOCK_ROWS` at a time, so the
     memory the writer needs beyond its input does not grow with the row
-    count.
+    count.  A column count other than the name count, or columns of
+    different lengths, raise DimensionMismatch before the file is opened.
     """
     columns = [np.asarray(col, dtype=np.float64) for col in columns]
+    if len(names) != len(columns) or len({len(col) for col in columns}) > 1:
+        raise DimensionMismatch(f"{len(names)} names for columns of lengths {[len(col) for col in columns]}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(names)
         for start in range(0, min(map(len, columns), default=0), WRITE_BLOCK_ROWS):

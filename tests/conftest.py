@@ -3,7 +3,8 @@ sample of any covariate widths in any memory layout, a discrete-score
 variant of the generator and its tie-heavy design, the brute-force
 matching oracle, the ``np.linalg.qr`` least-squares oracle, a
 CPU-count override and a leftover-child check for the replicate runner,
-and a pipe to read a file's bytes from."""
+a pipe to read a file's bytes from, and data files holding a field that
+``csv`` cannot read."""
 
 from __future__ import annotations
 
@@ -225,3 +226,37 @@ def piped(data: bytes):
     finally:
         os.close(read_fd)
         writer.join()
+
+
+LONG_FIELD_CASES = ["long-header-name", "unclosed-quote", "quoted", "quoted-per-cell", "unquoted-per-cell"]
+
+
+def long_field_csv(case: str, bad_byte_after: bool = False) -> bytes:
+    """A data file of columns ``note, y, a, b, q`` with one field longer
+    than ``csv.field_size_limit()``.
+
+    ``"long-header-name"``: the note column's name is a quoted field of
+    200,000 characters.  In the others the third row's note is the long
+    field.  ``"unclosed-quote"``: of 20,000 rows, the third note opens a
+    quote that no later line closes, so the field runs to the end of the
+    file.  ``"quoted"``: of 12 rows, the third note is a quoted field of
+    200,000 characters, in a block the one-pass reader takes.
+    ``"quoted-per-cell"`` adds an Arabic-Indic digit in a requested cell
+    of the same block, which sends it to the per-cell reader, and
+    ``"unquoted-per-cell"`` also leaves the field unquoted, so that only
+    the per-cell reader's ``csv.reader`` reads it.  ``bad_byte_after``
+    appends 2,000 more rows, more than a block of lines and a read chunk,
+    and then a line whose next-to-last byte is not UTF-8.
+    """
+    rows = 20_000 if case == "unclosed-quote" else 12
+    values = np.random.default_rng(3).normal(size=(rows, 4)).tolist()
+    quoted = f'"{"a" * 200_000}"'
+    long = {"unclosed-quote": '"open', "unquoted-per-cell": "a" * 200_000}.get(case, quoted)
+    lines = [f"{quoted},y,a,b,q" if case == "long-header-name" else "note,y,a,b,q"]
+    for r, row in enumerate(values):
+        cells = [long if r == 2 and case != "long-header-name" else "n", *map(repr, row)]
+        if case.endswith("per-cell") and r == 4:
+            cells[2] = "\u0663"
+        lines.append(",".join(cells))
+    lines += ["n,1.0,2.0,3.0,4.0"] * 2000 if bad_byte_after else []
+    return ("\n".join(lines) + "\n").encode("utf-8") + (b"caf\xe9\n" if bad_byte_after else b"")

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -14,7 +15,7 @@ from threshmatch import DgpConfig, estimate_att, generate, load_ite_model, split
 from threshmatch import cli, data_model
 from threshmatch.cli import main
 
-from conftest import FIXTURES, piped
+from conftest import FIXTURES, LONG_FIELD_CASES, long_field_csv, piped
 
 SCHEMA_PATH = Path(__file__).parent.parent / "schemas" / "cli_output.schema.json"
 NULL_CSV = str(FIXTURES / "null_fixture.csv")
@@ -181,6 +182,22 @@ class TestEstimate:
         assert code == 2
         assert out == ""
         assert str(path) in err and f"byte {len(text) + 23}" in err
+
+    @pytest.mark.parametrize("bad_byte", [False, True], ids=["utf8", "bad-byte-after"])
+    @pytest.mark.parametrize("case", LONG_FIELD_CASES)
+    def test_a_field_csv_cannot_read_exits_two(self, tmp_path, case, bad_byte, capsys):
+        # a field longer than csv's limit, which an unclosed quote also makes;
+        # a byte that is not UTF-8 after it is the error reported
+        data = long_field_csv(case, bad_byte)
+        path = tmp_path / "long.csv"
+        path.write_bytes(data)
+        argv = ["estimate", "--data", str(path), "--y", "y", "--q", "q", "--x", "a", "--z", "a,b", "--tau", "0"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        reason = (f"byte {len(data) - 2} is not valid UTF-8" if bad_byte
+                  else f"field larger than field limit ({csv.field_size_limit()})")
+        assert err == f"error: {path}: {reason}\n"
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--x", "x1,x1", "x1"),

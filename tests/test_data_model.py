@@ -32,7 +32,7 @@ from threshmatch import (
 from threshmatch import data_model
 from threshmatch.data_model import MIN_ROWS, check_indices, read_columns, row_indices
 
-from conftest import LAYOUTS, make_null_obs, piped, synthetic
+from conftest import LAYOUTS, LONG_FIELD_CASES, long_field_csv, make_null_obs, piped, synthetic
 
 
 def _write(tmp_path, name, text):
@@ -581,6 +581,33 @@ class TestChunkedRead:
         assert reads == opened == [str(path)]
 
 
+class TestFieldCsvCannotRead:
+    """A field longer than ``csv.field_size_limit()``, as an unclosed quote
+    makes, is an input error naming the file, wherever ``csv.reader`` meets it."""
+
+    @pytest.mark.parametrize("case", LONG_FIELD_CASES)
+    def test_the_error_names_the_file_and_csvs_reason(self, tmp_path, case):
+        path = tmp_path / "long.csv"
+        path.write_bytes(long_field_csv(case))
+        limit = csv.field_size_limit()
+        for read in (lambda: load_csv(str(path), _SHARED_SPEC), lambda: read_columns(str(path), ["y", "a"], 1)):
+            with pytest.raises(InputError) as err:
+                read()
+            assert type(err.value) is InputError
+            assert str(err.value) == f"{path}: field larger than field limit ({limit})"
+        assert csv.field_size_limit() == limit
+
+    @pytest.mark.parametrize("case", LONG_FIELD_CASES)
+    def test_a_later_byte_that_is_not_utf8_wins(self, tmp_path, case):
+        data = long_field_csv(case, bad_byte_after=True)
+        path = tmp_path / "long.csv"
+        path.write_bytes(data)
+        for read in (lambda: load_csv(str(path), _SHARED_SPEC), lambda: read_columns(str(path), ["y", "a"], 1)):
+            with pytest.raises(InputError) as err:
+                read()
+            assert str(err.value) == f"{path}: byte {len(data) - 2} is not valid UTF-8"
+
+
 class TestReadBlocks:
     @pytest.mark.parametrize("block", [1, 2, 3])
     @pytest.mark.parametrize("case", _HOSTILE, ids=lambda case: case[0])
@@ -803,6 +830,18 @@ class TestWriteCsv:
         with pytest.raises(DimensionMismatch, match="columns"):
             write_csv(str(tmp_path / "w.csv"), obs, spec)
         assert not (tmp_path / "w.csv").exists()
+
+    @pytest.mark.parametrize(
+        "names, lengths",
+        [(["a", "b"], [3, 5]), (["a"], [3, 3]), (["a", "b", "c"], [3, 3]), (["a", "b", "c"], [4, 4, 2])],
+        ids=["ragged", "more-columns", "more-names", "short-last"],
+    )
+    def test_columns_must_match_the_names_and_each_other(self, tmp_path, names, lengths):
+        # the rows used to stop at the shortest column, under a header of any width
+        path = tmp_path / "ragged.csv"
+        with pytest.raises(DimensionMismatch, match="names for columns of lengths"):
+            data_model.write_columns(str(path), names, [np.arange(float(n)) for n in lengths])
+        assert not path.exists()
 
 
 _N = 30

@@ -1,8 +1,10 @@
 """The replicate runner: contiguous ranges, values in item order, the first
 failure in order raised, one BLAS thread, one level of processes, and no
-child process left behind; and the staged runner: the loop's values and
-first error, one worker thread where a second CPU is free, joined."""
+child process left behind, even when a fork fails or OpenBLAS is absent;
+and the staged runner: the loop's values and first error, one worker
+thread where a second CPU is free, joined."""
 
+import errno
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ import time
 import pytest
 
 import threshmatch
+from threshmatch import parallel
 from threshmatch.errors import IndexOutOfRange
 from threshmatch.parallel import _openblas_threads, map_ranges, map_staged
 
@@ -146,6 +149,54 @@ def test_a_child_that_dies_fails_loudly(monkeypatch):
     with pytest.raises(RuntimeError, match="exited with code 3"):
         map_ranges(fn, 2)
     assert_no_child_left()
+
+
+def test_a_failed_fork_leaves_no_child_pipe_or_state(monkeypatch):
+    # the second of two forks fails: the first child, still computing its
+    # range, is killed and reaped, and no pipe end of either is left open
+    set_cpus(monkeypatch, 3)
+    threads = []
+    monkeypatch.setattr(parallel, "_openblas_threads", lambda: (lambda: 4, threads.append))
+    fork, forks = os.fork, []
+
+    def second_fork_fails():
+        forks.append(len(forks))
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, "fork refused")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    fds = os.listdir("/proc/self/fd")
+    started = time.perf_counter()
+    with pytest.raises(OSError, match="fork refused"):
+        map_ranges(lambda i: time.sleep(60), 3)
+    assert time.perf_counter() - started < 30
+    assert forks == [0, 1]
+    assert os.listdir("/proc/self/fd") == fds
+    assert_no_child_left()
+    assert parallel._forked is False
+    assert threads == [1, 4]  # one BLAS thread during the call, the count before it after
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_without_openblas_the_runners_return_the_loops_values(monkeypatch, cpus):
+    set_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(parallel, "_openblas_threads", lambda: None)
+    assert map_ranges(_square, 5) == [i * i for i in range(5)]
+    assert map_staged(_square, lambda i, value: (i, value), 3) == [(i, i * i) for i in range(3)]
+    assert_no_child_left()
+
+
+def test_the_openblas_lookup_finds_nothing_without_maps_or_symbols(monkeypatch):
+    lookup = _openblas_threads.__wrapped__  # the lookup without its cache
+    monkeypatch.setattr(parallel.ctypes, "CDLL", lambda path: object())
+    assert lookup() is None
+
+    def unreadable(*args, **kwargs):
+        raise OSError(errno.ENOENT, "no such file")
+
+    monkeypatch.setattr(parallel, "open", unreadable, raising=False)
+    assert lookup() is None
 
 
 def test_children_never_flush_the_callers_buffered_stdout():
