@@ -53,8 +53,11 @@ Per-row linear products (``z @ gamma_hat`` for the residuals, ``x @
 beta_hat`` for the adjusted outcomes) run once over all rows of ``obs``,
 whose ``x`` and ``z`` are stored row-major, and the run gathers scalars
 of them at the rows it needs.  The two fits still gather 2-D rows: the
-score fit those of ``z`` on the first split, and the difference fit
-those of ``x`` along its eta ordering.
+score fit those of ``z`` on the first split, a block at a time, and the
+difference fit those of ``x`` along its eta ordering, differenced in one
+pass.  Each lands in column-major order, and
+:func:`threshmatch.linreg.ols` factors it there in place, so a fit holds
+its design twice at most: the gathered rows and ``Q``.
 :func:`matched_differences`, the step that forms the matched gaps, is
 reached as ``threshmatch.att.matched_differences``; the package exports
 the run's record of them, ``AttEstimate.differences``, instead.

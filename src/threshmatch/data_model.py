@@ -351,13 +351,30 @@ def _holds_cells(record: list[str]) -> bool:
     return len(record) > 1 or bool(record and record[0].strip())
 
 
+def _check_field_sizes(lines: list[str]) -> None:
+    """Raise ``csv.reader``'s ``csv.Error`` if a field of the quote-free ``lines`` is too long.
+
+    A field of ``csv.field_size_limit()`` characters is read, and one more
+    is not.  Only a line longer than the limit can hold such a field, so
+    only those are split into fields, after their line ending is removed.
+    """
+    limit = csv.field_size_limit()
+    if max(map(len, lines)) <= limit:
+        return
+    for line in lines:
+        if len(line) > limit and max(map(len, line.rstrip("\r\n").split(","))) > limit:
+            raise csv.Error(f"field larger than field limit ({limit})")
+
+
 def _blocks(lines: Iterator[str]) -> Iterator[list[str]]:
     """The lines of a CSV body's data rows, one list per block of :data:`READ_BLOCK_LINES` or so lines read.
 
     The lines of an empty record (not a data row, :func:`_holds_cells`)
     are left out, so a block of only empty records is an empty list.
     Until a line holds a quote, every line is a record, a whitespace-only
-    one empty, so blocks are cut every :data:`READ_BLOCK_LINES` lines.
+    one empty, so blocks are cut every :data:`READ_BLOCK_LINES` lines,
+    and a field longer than ``csv.field_size_limit()`` raises the
+    ``csv.Error`` that ``csv.reader`` would (:func:`_check_field_sizes`).
     From the block that holds the first quote on, ``csv.reader`` reads the
     lines, and each block ends where one of its records ends.  Counting
     quotes could not find those ends: ``1"5,"a`` holds two, yet its second
@@ -368,6 +385,7 @@ def _blocks(lines: Iterator[str]) -> Iterator[list[str]]:
     """
     read = list(itertools.islice(lines, READ_BLOCK_LINES))
     while read and not any('"' in line for line in read):
+        _check_field_sizes(read)
         yield [line for line in read if not line.isspace()]
         read = list(itertools.islice(lines, READ_BLOCK_LINES))
     rest = itertools.chain(read, lines)
@@ -558,9 +576,9 @@ def read_columns(path: str, names: list[str], min_rows: int) -> np.ndarray:
     an absent or twice-named requested column, then fewer than
     ``min_rows`` data rows (an empty file counts as zero), then the first
     bad cell of the first bad column in the order of ``names``.  A field
-    that ``csv.reader`` cannot read, one longer than
-    ``csv.field_size_limit()`` as an unclosed quote makes, raises
-    :class:`InputError` naming the path where the read meets it.
+    longer than ``csv.field_size_limit()``, quoted or not (an unclosed
+    quote makes one), raises :class:`InputError` naming the path and
+    ``csv.reader``'s reason where the read meets it.
     """
     distinct = list(dict.fromkeys(names))
     return _parse(path, names, min_rows, hashlib.sha256())[:, [distinct.index(name) for name in names]]

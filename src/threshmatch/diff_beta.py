@@ -53,14 +53,19 @@ def order_by_eta(eta_hat: np.ndarray, control_idx: np.ndarray) -> np.ndarray:
 def first_differences(
     sorted_idx: np.ndarray, obs: ObservationSet
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Adjacent-row differences of ``x`` and ``y`` along ``sorted_idx``."""
+    """Adjacent-row differences of ``x`` and ``y`` along ``sorted_idx``.
+
+    ``dx`` holds the values of ``np.diff(obs.x[sorted_idx], axis=0)``,
+    stored column-major: the layout :func:`ols` factors in place.
+    """
     sorted_idx = check_indices(sorted_idx, obs.n)
     m = len(sorted_idx)
     if m < 2:
         raise TooFewControls(m, 2)
     x_sorted = obs.x[sorted_idx]
-    y_sorted = obs.y[sorted_idx]
-    return np.diff(x_sorted, axis=0), np.diff(y_sorted)
+    dx = np.empty((m - 1, obs.d_x), order="F")
+    np.subtract(x_sorted[1:], x_sorted[:-1], out=dx)
+    return dx, np.diff(obs.y[sorted_idx])
 
 
 def fit_beta(
@@ -95,4 +100,4 @@ def fit_beta(
         raise TooFewControls(int(controls.size), obs.d_x + 1)
     sorted_idx = order_by_eta(eta_hat, controls)
     dx, dy = first_differences(rows_at(rows, sorted_idx), obs)
-    return ols(dx, dy)
+    return ols(dx, dy, overwrite_a=True)

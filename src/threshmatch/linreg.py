@@ -7,13 +7,16 @@ when their model has one.
 
 The QR is LAPACK's: ``dgeqrf`` factors the design and ``dorgqr`` forms the
 reduced ``Q``, both called in place through ``numpy.linalg.lapack_lite``
-on one column-major copy of the design.  These are the routines, from the
+on the design in column-major order.  These are the routines, from the
 same OpenBLAS library, that ``np.linalg.qr(a, mode="reduced")`` calls,
 with the same arguments and the same workspace sizes (``max(1, p)`` or
 LAPACK's own workspace query, whichever is larger; the size decides
 whether the blocked code runs, from 129 columns).  ``np.linalg.qr``
-copies the design into and out of column-major order around each call;
-:func:`ols` makes one copy in.  ``R`` and ``Q`` are then copied out in
+copies the design into and out of column-major order around each call.
+:func:`ols` copies it in once, unless the caller passes ``overwrite_a``
+with a writable, F-contiguous float64 design: that one is factored where
+it lies, and the pipeline's fits gather their designs in that layout for
+it.  ``R`` and ``Q`` are then copied out in
 the row-major layouts ``np.linalg.qr`` returns, so the projection ``Q^T
 b`` and the back substitution run the same BLAS kernels and every bit
 equals a fit through ``np.linalg.qr``; ``tests/test_linreg.py`` checks
@@ -59,7 +62,7 @@ def _lapack(routine, qt: np.ndarray, tau: np.ndarray, *k: int) -> None:
         raise NumericError(f"LAPACK QR routine failed with info {info}")
 
 
-def ols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def ols(a: np.ndarray, b: np.ndarray, *, overwrite_a: bool = False) -> np.ndarray:
     """Minimize ``||a @ coef - b||_2`` by reduced QR; deterministic.
 
     Returns ``coef``, a ``(p,)`` array; callers that need the residuals
@@ -67,8 +70,11 @@ def ols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``RANK_TOL`` times the largest) is a hard error rather than a silent
     ridge or pseudo-inverse fallback, since a regularized score fit would
     bias every residual downstream.  Finite inputs whose projection
-    ``Q^T b`` overflows raise :class:`NumericError` as well.  ``a`` and
-    ``b`` are only read.
+    ``Q^T b`` overflows raise :class:`NumericError` as well.  ``b`` is
+    only read, and so is ``a`` unless ``overwrite_a`` is set and ``a`` is
+    a writable, F-contiguous float64 array: then LAPACK factors it in
+    place, and its values are lost.  Any other ``a`` is copied, and the
+    flag never changes the result's bits.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -84,7 +90,9 @@ def ols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if m < p:
         raise DimensionMismatch(f"need at least as many rows ({m}) as columns ({p})")
 
-    qt = a.T.copy()  # a in column-major order, factored in place
+    qt = a.T  # a in column-major order, factored in place
+    if not (overwrite_a and qt.flags.c_contiguous and qt.flags.writeable):
+        qt = qt.copy()
     tau = np.zeros(p)
     _lapack(lapack_lite.dgeqrf, qt, tau)
     r_mat = qt[:, :p].T.copy()  # R in its upper triangle; the reflectors below are never read

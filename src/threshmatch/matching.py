@@ -104,22 +104,32 @@ def match_controls(
     vals = eta_control[order]
     n0 = vals.shape[0]
 
+    # each intermediate is deleted once read, so few match-sized arrays live at once
     run_start = np.empty(n0, dtype=bool)
     run_start[0] = True
     np.not_equal(vals[1:], vals[:-1], out=run_start[1:])
     canonical = np.minimum.reduceat(control_idx[order], np.flatnonzero(run_start))
-    run_of = np.cumsum(run_start, dtype=np.intp) - 1
+    del order
+    # the canonical control of each sorted place: its run's
+    canonical = canonical[np.cumsum(run_start, dtype=np.intp) - 1]
+    del run_start
 
     by_value = np.argsort(eta_treated)
     queries = eta_treated[by_value]
-    pos = np.searchsorted(vals, queries, side="left")
-    left = np.clip(pos - 1, 0, n0 - 1)
-    right = np.clip(pos, 0, n0 - 1)
-    d_left = np.where(pos > 0, np.abs(queries - vals[left]), np.inf)
-    d_right = np.where(pos < n0, np.abs(vals[right] - queries), np.inf)
+    right = np.searchsorted(vals, queries, side="left")
+    left = right - 1
+    # past either end both neighbours clip to the same control, which then wins
+    np.maximum(left, 0, out=left)
+    np.minimum(right, n0 - 1, out=right)
+    d_left = vals[left]
+    np.abs(np.subtract(queries, d_left, out=d_left), out=d_left)
+    d_right = vals[right]
+    np.abs(np.subtract(d_right, queries, out=d_right), out=d_right)
+    del vals, queries
     # ties (d_left == d_right) go left: the left candidate has the smaller value
     winner = np.where(d_left <= d_right, left, right)
+    del left, right, d_left, d_right
 
     matched = np.empty_like(treated_idx)
-    matched[by_value] = canonical[run_of[winner]]
+    matched[by_value] = canonical[winner]
     return MatchResult(treated_idx=treated_idx, control_idx=matched)

@@ -36,12 +36,15 @@ as a cross-fit (:func:`threshmatch.att.crossfit_on_splits`) runs its
 three rotations: ``first`` fits a rotation's scores and ``second``
 finishes the rotation from them.  When a second thread would have a CPU
 to itself, the calling thread runs every ``first`` stage in order and
-then the last ``second``, while one worker thread runs the earlier
+then the last ``second``, while one worker thread, a plain
+``threading.Thread`` named ``threshmatch-staged_0``, runs the earlier
 ``second`` stages in order, each as soon as its ``first`` value is
-handed over.  So at most two stages run at once, and peak memory stays
-near the loop's.  With one CPU, or inside a forking call's ranges, as in
-bootstrap and Monte-Carlo replicates, it is the loop in the caller and
-starts no thread.  The worker is joined before the call returns or
+handed over through a ``queue.SimpleQueue``.  No executor is built:
+``concurrent.futures`` and the ``logging`` it imports would add half a
+MiB and a few milliseconds to every cross-fit CLI run.  So at most two
+stages run at once, and peak memory stays near the loop's.  With one
+CPU, or inside a forking call's ranges, as in bootstrap and Monte-Carlo
+replicates, it is the loop in the caller and starts no thread.  The worker is joined before the call returns or
 raises, so none is alive at a fork.
 
 Threads keep the bits where processes would not.  Both threads call one
@@ -68,6 +71,7 @@ import functools
 import os
 import pickle
 import signal
+import threading
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from typing import TypeVar
@@ -135,20 +139,32 @@ def map_staged(first: Callable[[int], T], second: Callable[[int, T], U], count: 
     """
     if count < 2 or not _second_cpu_free():
         return [second(i, first(i)) for i in range(count)]
-    from concurrent.futures import Future, ThreadPoolExecutor
+    from queue import SimpleQueue
 
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="threshmatch-staged") as worker:
-        earlier: list[Future[U]] = []
-        try:
-            for i in range(count - 1):
-                earlier.append(worker.submit(second, i, first(i)))
-            last = second(count - 1, first(count - 1))
-        finally:
-            # the worker's items come before any the caller was running
-            for future in earlier:
-                if (error := future.exception()) is not None:
-                    raise error from None
-    return [future.result() for future in earlier] + [last]
+    handed: SimpleQueue = SimpleQueue()  # (i, first(i)) for the worker, then None
+    done: list[tuple[bool, object]] = []  # (True, value) or (False, error), in item order
+
+    def work() -> None:
+        while (item := handed.get()) is not None:
+            try:
+                done.append((True, second(*item)))
+            except BaseException as exc:
+                done.append((False, exc))
+
+    worker = threading.Thread(target=work, name="threshmatch-staged_0")
+    worker.start()
+    try:
+        for i in range(count - 1):
+            handed.put((i, first(i)))
+        last = second(count - 1, first(count - 1))
+    finally:
+        handed.put(None)
+        worker.join()
+        # the worker's items come before any the caller was running
+        for ok, error in done:
+            if not ok:
+                raise error from None
+    return [value for _, value in done] + [last]
 
 
 @functools.cache

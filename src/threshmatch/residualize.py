@@ -22,6 +22,8 @@ from .data_model import ObservationSet, check_indices
 from .errors import DimensionMismatch, SplitTooSmall
 from .linreg import ols
 
+GATHER_BLOCK_ROWS = 8192  # rows of z fit_gamma gathers at a time
+
 
 def fit_gamma(obs: ObservationSet, i1: np.ndarray) -> np.ndarray:
     """Regress ``q`` on ``z`` over the rows in ``i1`` (no intercept).
@@ -31,8 +33,14 @@ def fit_gamma(obs: ObservationSet, i1: np.ndarray) -> np.ndarray:
     i1 = check_indices(i1, obs.n)
     if len(i1) < obs.d_z:
         raise SplitTooSmall(len(i1), obs.d_z)
-    # take copies whole rows of the row-major z; same bits as z[i1]
-    return ols(obs.z.take(i1, axis=0), obs.q[i1])
+    # z's rows at i1, gathered a block at a time straight into the
+    # column-major order ols factors in place, so no row-major copy of
+    # them is ever whole; the values, and so the bits, are z[i1]'s
+    design = np.empty((obs.d_z, len(i1)))
+    for start in range(0, len(i1), GATHER_BLOCK_ROWS):
+        block = i1[start : start + GATHER_BLOCK_ROWS]
+        design[:, start : start + len(block)] = obs.z.take(block, axis=0).T
+    return ols(design.T, obs.q[i1], overwrite_a=True)
 
 
 def residuals_eta(gamma_hat: np.ndarray, obs: ObservationSet) -> np.ndarray:

@@ -228,7 +228,7 @@ def piped(data: bytes):
         writer.join()
 
 
-LONG_FIELD_CASES = ["long-header-name", "unclosed-quote", "quoted", "quoted-per-cell", "unquoted-per-cell"]
+LONG_FIELD_CASES = ["long-header-name", "unclosed-quote", "quoted", "quoted-per-cell", "unquoted-per-cell", "unquoted"]
 
 
 def long_field_csv(case: str, bad_byte_after: bool = False) -> bytes:
@@ -244,14 +244,16 @@ def long_field_csv(case: str, bad_byte_after: bool = False) -> bytes:
     ``"quoted-per-cell"`` adds an Arabic-Indic digit in a requested cell
     of the same block, which sends it to the per-cell reader, and
     ``"unquoted-per-cell"`` also leaves the field unquoted, so that only
-    the per-cell reader's ``csv.reader`` reads it.  ``bad_byte_after``
+    the per-cell reader's ``csv.reader`` reads it.  ``"unquoted"`` leaves
+    the field unquoted in a file of no quote at all, every block of which
+    the one-pass reader would take.  ``bad_byte_after``
     appends 2,000 more rows, more than a block of lines and a read chunk,
     and then a line whose next-to-last byte is not UTF-8.
     """
     rows = 20_000 if case == "unclosed-quote" else 12
     values = np.random.default_rng(3).normal(size=(rows, 4)).tolist()
     quoted = f'"{"a" * 200_000}"'
-    long = {"unclosed-quote": '"open', "unquoted-per-cell": "a" * 200_000}.get(case, quoted)
+    long = {"unclosed-quote": '"open', "unquoted-per-cell": "a" * 200_000, "unquoted": "a" * 200_000}.get(case, quoted)
     lines = [f"{quoted},y,a,b,q" if case == "long-header-name" else "note,y,a,b,q"]
     for r, row in enumerate(values):
         cells = [long if r == 2 and case != "long-header-name" else "n", *map(repr, row)]

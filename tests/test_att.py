@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -226,6 +227,22 @@ class TestDgpScale:
             splits = split_three_way(obs.n, seed=k)
             thetas.append(estimate_att(obs, splits).theta_hat)
         assert abs(np.mean(thetas) - 4.0 / 3.0) <= 0.1
+
+
+class TestWorkingSet:
+    def test_a_serial_crossfit_peak_stays_under_its_bound(self, monkeypatch):
+        # measured 16.9 MB; either fit holding a copy of its design beyond the
+        # gathered one and Q, or matching keeping its intermediates to its
+        # end, takes it past 19.7 MB
+        obs = generate(DgpConfig(n=300_000, seed=0))
+        set_cpus(monkeypatch, 1)
+        tracemalloc.start()
+        try:
+            estimate_att_crossfit(obs, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18.0e6
 
 
 class TestErrorLabeling:

@@ -597,6 +597,27 @@ class TestFieldCsvCannotRead:
             assert str(err.value) == f"{path}: field larger than field limit ({limit})"
         assert csv.field_size_limit() == limit
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("column", ["first", "last"])
+    def test_an_unquoted_field_of_the_limit_loads_and_one_more_raises(self, tmp_path, column, eol):
+        # as csv.reader decides it, with the line ending not part of the field
+        limit = csv.field_size_limit()
+        path = tmp_path / "long.csv"
+        for size, loads in ((limit, True), (limit + 1, False)):
+            cells = [["note", "y", "a", "b", "q"]] + [["n", "1.0", "2.0", "3.0", "4.0"]] * 12
+            cells[3] = ["a" * size, *cells[3][1:]]
+            if column == "last":
+                cells = [[*row[1:], row[0]] for row in cells]
+            path.write_bytes(eol.join(",".join(row) for row in cells).encode("utf-8") + eol.encode())
+            for read in (lambda: load_csv(str(path), _SHARED_SPEC), lambda: read_columns(str(path), ["y", "a"], 1)):
+                if loads:
+                    read()
+                    continue
+                with pytest.raises(InputError) as err:
+                    read()
+                assert str(err.value) == f"{path}: field larger than field limit ({limit})"
+        assert csv.field_size_limit() == limit
+
     @pytest.mark.parametrize("case", LONG_FIELD_CASES)
     def test_a_later_byte_that_is_not_utf8_wins(self, tmp_path, case):
         data = long_field_csv(case, bad_byte_after=True)

@@ -95,6 +95,16 @@ class TestFirstDifferences:
         assert dx.ravel().tolist() == [1.0, 1.0, 1.0, 1.0]
         assert dy.tolist() == [3.0, 5.0, 7.0, 9.0]
 
+    @pytest.mark.parametrize("d_x", [1, 3])
+    def test_dx_holds_np_diffs_bits_column_major(self, d_x):
+        obs = make_pl_obs(seed=3, n=200, beta=np.linspace(1.0, 2.0, d_x))
+        idx = np.random.default_rng(4).permutation(obs.n)[:150]
+        dx, dy = first_differences(idx, obs)
+        assert dx.flags.f_contiguous
+        assert dx.shape == (149, d_x)
+        assert dx.tobytes(order="F") == np.diff(obs.x[idx], axis=0).tobytes(order="F")
+        assert dy.tobytes() == np.diff(obs.y[idx]).tobytes()
+
     def test_too_few(self):
         obs = make_pl_obs(seed=2, n=9, beta=np.array([1.0]))
         with pytest.raises(TooFewControls):

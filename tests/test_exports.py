@@ -95,7 +95,7 @@ def test_only_errors_module_sets_the_split_label():
 
 
 def _concurrency_uses(source: str) -> list[tuple[int, str]]:
-    """Imports of ``threading`` or ``concurrent`` and uses of ``os.fork``, in order."""
+    """Imports of ``threading``, ``queue`` or ``concurrent`` and uses of ``os.fork``, in order."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -113,7 +113,7 @@ def _concurrency_uses(source: str) -> list[tuple[int, str]]:
         found += [
             (node.lineno, name)
             for name in modules
-            if name == "os.fork" or name.split(".")[0] in ("threading", "concurrent")
+            if name == "os.fork" or name.split(".")[0] in ("threading", "queue", "concurrent")
         ]
     return sorted(found)
 
@@ -129,10 +129,12 @@ def test_concurrency_scan_flags_threads_executors_and_forks():
         "ok = hasattr(os, 'fork') and os.getpid()\n"
         "def f():\n"
         "    from threading import Event\n"
+        "    from queue import SimpleQueue\n"
+        "import queue_notes\n"
     )
     assert _concurrency_uses(source) == [
         (1, "threading"), (2, "concurrent.futures"), (3, "concurrent.futures"), (4, "os.fork"),
-        (5, "os.fork"), (9, "threading"),
+        (5, "os.fork"), (9, "threading"), (10, "queue"),
     ]
 
 

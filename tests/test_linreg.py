@@ -164,13 +164,30 @@ def test_errors_equal_the_np_linalg_qr_fit(p):
 
 
 def test_inputs_are_only_read():
+    # overwrite_a factors only a writable F-contiguous design in place
     rng = np.random.default_rng(3)
-    for layout in LAYOUTS:
+    for layout in (*LAYOUTS, "read-only F"):
         a, b = _system(rng, 50, 4)
-        a = in_layout(a, layout)
+        a = np.asfortranarray(a) if layout == "read-only F" else in_layout(a, layout)
+        a.setflags(write=layout != "read-only F")
         before = a.tobytes(), b.tobytes()
         ols(a, b)
         assert (a.tobytes(), b.tobytes()) == before, layout
+        if layout != "F":
+            ols(a, b, overwrite_a=True)
+            assert (a.tobytes(), b.tobytes()) == before, layout
+
+
+@pytest.mark.parametrize("p", [1, 4, 47, 70])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_a_fit_in_place_gives_the_bits_of_a_copied_fit(p, order):
+    rng = np.random.default_rng(p)
+    a, b = _system(rng, 3 * p + 40, p)
+    expected = ols(a, b)
+    design = np.array(a, order=order)
+    assert ols(design, b, overwrite_a=True).tobytes() == expected.tobytes()
+    # an F-contiguous design (a one-column C array is one too) was the workspace
+    assert (design.tobytes() == a.tobytes()) == (order == "C" and p > 1)
 
 
 def test_two_threads_give_the_serial_bits():
