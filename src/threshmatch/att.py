@@ -30,15 +30,15 @@ computed on, and the public functions of this module take data rows.
 checks the map once against ``obs.n``, before any role label, so an
 entry outside ``0..n-1`` raises IndexOutOfRange and a non-integer map
 DimensionMismatch, wherever the bad entry sits.  Inside that run the
-splits, ``eta_hat``, the treated mask and the matches are indexed by
-position, and so are the tie keys of the eta ordering and of matching,
-exactly as on a copied resample.  The run hands its stages data rows,
-with one exception: ``fit_beta`` gets the map beside positions, because
-its tie rule needs positions.  The run gathers ``eta_hat`` at the map
-itself, from the residuals ``residuals_eta`` returns by data row.  The
-matched pairs are turned into data rows before their gaps are formed.
-The run's records stay inside it; only its float comes out.  It is
-bit-equal to the run on ``obs.take(rows)`` within the column limit
+splits are positions, and the run turns each into the data rows behind
+it, in position order, before a stage reads it: every stage, the score
+fit, the eta ordering and matching included, takes data rows.  The eta
+ordering and matching break ties by the order in which their rows are
+listed, so a repeated row's copies tie in position order, exactly as on
+a copied resample.  ``eta_hat`` stays by data row, as
+``residuals_eta`` returns it, and the matched pairs come out in data
+rows.  The run's records stay inside it; only its float comes out.  It
+is bit-equal to the run on ``obs.take(rows)`` within the column limit
 README's reproducibility note states.  A plain run passes no row map
 and gathers nothing extra.
 
@@ -144,7 +144,8 @@ def matched_differences(
 
 def estimate_att(obs: ObservationSet, splits: SplitAssignment) -> AttEstimate:
     """Run the full pipeline on one split assignment in role order (i1, i2, i3)."""
-    return _estimate_with_roles(obs, splits.i1, splits.i2, splits.i3)
+    roles = (splits.i1, splits.i2, splits.i3)
+    return _estimate_with_roles(obs, *roles, _fit_scores(obs, *roles))
 
 
 def _fit_scores(
@@ -170,33 +171,29 @@ def _estimate_with_roles(
     gamma_split: np.ndarray,
     beta_split: np.ndarray,
     match_split: np.ndarray,
+    gamma_hat: np.ndarray,
     rows: np.ndarray | None = None,
-    gamma_hat: np.ndarray | None = None,
 ) -> AttEstimate:
-    # a gamma_hat given is _fit_scores' on these roles; the run goes on from it
-    if gamma_hat is None:
-        gamma_hat = _fit_scores(obs, gamma_split, beta_split, match_split, rows)
-
-    # residuals are needed on the second and third splits only; rows of the
-    # first split get NaN so accidental use fails loudly
+    # the run goes on from _fit_scores' gamma_hat on these roles, on data rows
     eta_hat = residuals_eta(gamma_hat, obs)
-    if rows is not None:
-        eta_hat = eta_hat[rows]  # by position; estimate_theta checked the map
-    eta_hat[gamma_split] = np.nan
-    eta_hat.setflags(write=False)
 
     with labelled("I2"):
-        beta_hat = fit_beta(obs, beta_split, eta_hat, rows)
+        beta_hat = fit_beta(obs, rows_at(rows, beta_split), eta_hat)
 
-    treated = treatment_mask(obs)[rows_at(rows, match_split)]
-    treated3 = match_split[treated]
-    control3 = match_split[~treated]
+    match_rows = rows_at(rows, match_split)
+    treated = treatment_mask(obs)[match_rows]
+    treated3 = match_rows[treated]
+    control3 = match_rows[~treated]
     with labelled("I3"):
         matches = match_controls(eta_hat[treated3], treated3, eta_hat[control3], control3)
 
-    pairs = MatchResult(rows_at(rows, matches.treated_idx), rows_at(rows, matches.control_idx))
-    differences = matched_differences(obs, beta_hat, pairs)
+    differences = matched_differences(obs, beta_hat, matches)
     differences.setflags(write=False)
+    # residuals are needed on the second and third splits only; rows of the
+    # first get NaN once the stages have read them (a resample's row may
+    # sit in two splits), so later use fails loudly
+    eta_hat[rows_at(rows, gamma_split)] = np.nan
+    eta_hat.setflags(write=False)
     return AttEstimate(beta_hat, gamma_hat, matches, eta_hat, differences)
 
 
@@ -228,7 +225,7 @@ def _crossfit(
 
     def finish(r: int, gamma_hat: np.ndarray) -> AttEstimate:
         with labelled(f"rotation {r}"):
-            return _estimate_with_roles(obs, *roles[r], rows, gamma_hat)
+            return _estimate_with_roles(obs, *roles[r], gamma_hat, rows)
 
     return CrossfitEstimate(map_staged(fit, finish, 3))
 
@@ -254,4 +251,5 @@ def estimate_theta(
     splits = split_three_way(obs.n, seed=seed)
     if crossfit:
         return _crossfit(obs, splits, rows).theta_cf
-    return _estimate_with_roles(obs, splits.i1, splits.i2, splits.i3, rows).theta_hat
+    roles = (splits.i1, splits.i2, splits.i3)
+    return _estimate_with_roles(obs, *roles, _fit_scores(obs, *roles, rows), rows).theta_hat

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data_model import ObservationSet, check_indices, rows_at, treatment_mask
+from .data_model import ObservationSet, check_indices, treatment_mask
 from .errors import EmptyControlGroup, TooFewControls
 from .linreg import ols
 
@@ -20,14 +20,15 @@ from .linreg import ols
 def order_by_eta(eta_hat: np.ndarray, control_idx: np.ndarray) -> np.ndarray:
     """Sort ``control_idx`` ascending by ``eta_hat`` value.
 
-    ``eta_hat`` is addressed by original row index.  Ties break toward the
-    smaller original index, so the ordering is deterministic: continuous
-    residuals rarely tie, but a bootstrap resample's repeated rows always
-    do.  ``-0.0`` and ``0.0`` tie, and NaN values come last, in index
-    order.  The result equals ``control_idx[np.lexsort((control_idx,
-    values))]``; it is computed by one unstable ``np.argsort`` of the
-    values, numpy's vectorised sort, and a re-sort by index of the runs
-    of equal values only.
+    ``eta_hat`` is addressed by original row index.  Ties keep the order
+    in which ``control_idx`` lists the rows, so the ordering is
+    deterministic: continuous residuals rarely tie, but a bootstrap
+    resample's repeated rows always do.  ``-0.0`` and ``0.0`` tie, and NaN
+    values come last, in list order.  The result equals
+    ``control_idx[np.argsort(values, kind="stable")]``; it is computed by
+    one unstable ``np.argsort`` of the values (numpy's vectorised sort,
+    several times faster than its stable one) and a re-sort by list place
+    of the runs of equal values only.
     """
     eta_hat = np.asarray(eta_hat, dtype=np.float64)
     control_idx = check_indices(control_idx, eta_hat.size)
@@ -46,7 +47,7 @@ def order_by_eta(eta_hat: np.ndarray, control_idx: np.ndarray) -> np.ndarray:
         places = np.flatnonzero(in_run)
         run = np.concatenate(([0], np.cumsum(~tied)))[places]  # run number per place
         held = order[places]
-        order[places] = held[np.lexsort((control_idx[held], run))]
+        order[places] = held[np.lexsort((held, run))]
     return control_idx[order]
 
 
@@ -68,36 +69,19 @@ def first_differences(
     return dx, np.diff(obs.y[sorted_idx])
 
 
-def fit_beta(
-    obs: ObservationSet,
-    i2: np.ndarray,
-    eta_hat: np.ndarray,
-    rows: np.ndarray | None = None,
-) -> np.ndarray:
+def fit_beta(obs: ObservationSet, i2: np.ndarray, eta_hat: np.ndarray) -> np.ndarray:
     """Estimate the linear coefficients from the control rows of ``i2``.
 
     Returns ``beta_hat``, a ``(d_x,)`` array.  Treated rows in ``i2`` are
     discarded.  The difference regression has no intercept: differencing
-    annihilates level terms, so one would only add noise.
-
-    With a resample's row map ``rows``, ``i2`` and ``eta_hat`` are indexed
-    by resample position, position ``p`` holds row ``rows[p]`` of ``obs``,
-    and eta ties break toward the smaller position.  That tie rule is why
-    this step takes the map rather than data rows: a resample repeats rows,
-    and only positions order the copies as a copied resample would (see
-    the row-map contract in :mod:`threshmatch.att`).  The map is checked
-    against ``obs.n`` like ``i2``, so an entry outside ``0..n-1`` raises
-    IndexOutOfRange rather than wrapping to another row.
+    annihilates level terms, so one would only add noise.  Controls of
+    equal ``eta_hat`` are differenced in the order ``i2`` lists them.
     """
     i2 = check_indices(i2, obs.n)
-    if rows is not None:
-        rows = check_indices(rows, obs.n)
-    mask = treatment_mask(obs)
-    controls = i2[~mask[rows_at(rows, i2)]]
+    controls = i2[~treatment_mask(obs)[i2]]
     if controls.size == 0:
         raise EmptyControlGroup()
     if controls.size < obs.d_x + 1:
         raise TooFewControls(int(controls.size), obs.d_x + 1)
-    sorted_idx = order_by_eta(eta_hat, controls)
-    dx, dy = first_differences(rows_at(rows, sorted_idx), obs)
+    dx, dy = first_differences(order_by_eta(eta_hat, controls), obs)
     return ols(dx, dy, overwrite_a=True)

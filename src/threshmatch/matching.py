@@ -6,8 +6,10 @@ nearest control value on each side of the treated value ``t`` (the largest
 value below ``t``, and the smallest value at or above it), compare their
 two rounded float distances, and let ties go left, to the smaller value;
 among controls sharing the winning value (``-0.0`` equals ``+0.0``) the
-smallest original index wins.  Ties are probability-zero events for
-continuous residuals, pinned down only so results are deterministic.
+one listed first wins.  A pipeline run lists a split's controls in
+ascending order, so there the smallest original index wins.  Ties are
+probability-zero events for continuous residuals, pinned down only so
+results are deterministic.
 Taking the nearest neighbour on each side first matters when two distinct
 controls on one side lie at distances that round to the same float: the
 nearer one wins, not the smaller value.
@@ -17,8 +19,8 @@ pair.  :func:`match_controls` works in three vectorised passes:
 
 1. Sort the controls by value.  One linear pass over the sorted values
    finds the runs of equal values (``-0.0`` equals ``+0.0``), and a
-   segmented minimum gives each run its canonical control, the smallest
-   original index.
+   segmented minimum of the sort's places gives each run its canonical
+   control, the one listed first.
 2. Sort the treated values and binary-search them in ascending order, so
    consecutive searches touch neighbouring parts of the control array.
    At 500k against 500k this is about five times faster than searching
@@ -94,8 +96,10 @@ def match_controls(
     """Match every treated value to its nearest control value.
 
     ``eta_treated[k]`` belongs to original row ``treated_idx[k]``, and
-    likewise for the controls.  A NaN or infinite value on either side
-    raises NonFiniteValue naming the side and the row of the first one.
+    likewise for the controls; of controls holding the winning value, the
+    one ``control_idx`` lists first wins.  A NaN or infinite value on
+    either side raises NonFiniteValue naming the side and the row of the
+    first one.
     """
     eta_treated, treated_idx, eta_control, control_idx = _validate(
         eta_treated, treated_idx, eta_control, control_idx
@@ -108,7 +112,7 @@ def match_controls(
     run_start = np.empty(n0, dtype=bool)
     run_start[0] = True
     np.not_equal(vals[1:], vals[:-1], out=run_start[1:])
-    canonical = np.minimum.reduceat(control_idx[order], np.flatnonzero(run_start))
+    canonical = control_idx[np.minimum.reduceat(order, np.flatnonzero(run_start))]
     del order
     # the canonical control of each sorted place: its run's
     canonical = canonical[np.cumsum(run_start, dtype=np.intp) - 1]

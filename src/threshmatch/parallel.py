@@ -44,8 +44,9 @@ handed over through a ``queue.SimpleQueue``.  No executor is built:
 MiB and a few milliseconds to every cross-fit CLI run.  So at most two
 stages run at once, and peak memory stays near the loop's.  With one
 CPU, or inside a forking call's ranges, as in bootstrap and Monte-Carlo
-replicates, it is the loop in the caller and starts no thread.  The worker is joined before the call returns or
-raises, so none is alive at a fork.
+replicates, it is the loop in the caller and starts no thread.  The
+worker is joined before the call returns or raises, so none is alive at
+a fork.
 
 Threads keep the bits where processes would not.  Both threads call one
 OpenBLAS, which splits each QR by its one global thread count, whichever
@@ -89,13 +90,13 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _second_cpu_free() -> bool:
-    """Whether a second thread of this process would have a CPU to itself.
+def _workers(count: int) -> int:
+    """The CPUs a call over ``count`` items may use, one per process or thread.
 
-    It would not with one CPU, nor while this process computes a range of
-    a forking call, whose ranges take one CPU each.
+    ``min(CPUs, count)``, but 1 while this process computes a range of a
+    forking call, whose ranges take one CPU each.
     """
-    return not _forked and _cpus() > 1
+    return 1 if _forked else min(_cpus(), count)
 
 
 def map_ranges(fn: Callable[[int], T], count: int) -> list[T]:
@@ -108,7 +109,7 @@ def map_ranges(fn: Callable[[int], T], count: int) -> list[T]:
     returns or raises.
     """
     global _forked
-    k = 1 if _forked else min(_cpus(), count)
+    k = _workers(count)
     with _one_blas_thread():  # set before forking: the children inherit it
         if k <= 1:
             return [fn(i) for i in range(count)]
@@ -137,7 +138,7 @@ def map_staged(first: Callable[[int], T], second: Callable[[int, T], U], count: 
     item, at its first failing stage.  The other thread runs on past a
     failure; errors after the first are dropped.
     """
-    if count < 2 or not _second_cpu_free():
+    if _workers(count) < 2:
         return [second(i, first(i)) for i in range(count)]
     from queue import SimpleQueue
 

@@ -10,8 +10,9 @@ by data row, and the caller gathers the rows it needs: a pipeline run
 needs them on two of its three splits, and one ``n``-row matrix-vector
 product is cheaper than gathering those rows of ``z`` first.  Its bits
 equal those of multiplying the gathered rows within the column limit
-README's reproducibility note states.  Neither function takes a row map;
-a bootstrap run gathers ``eta_hat`` at its map itself.
+README's reproducibility note states.  Neither function takes a row map:
+a bootstrap run hands ``fit_gamma`` the data rows behind its positions,
+and reads the residuals by data row.
 """
 
 from __future__ import annotations

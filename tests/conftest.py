@@ -166,7 +166,7 @@ def match_controls_brute(
     For each treated value ``t`` it scans every control for the nearest
     value below ``t`` and the nearest value at or above it, keeps the left
     one unless the right one's rounded distance is strictly smaller, and
-    then scans again for the smallest original index holding the winning
+    then scans again for the first listed control holding the winning
     value.
     """
     eta_treated, treated_idx, eta_control, control_idx = _validate(
@@ -185,7 +185,7 @@ def match_controls_brute(
             winner = left
         else:
             winner = right
-        matched[k] = min(c_idx for c_val, c_idx in zip(eta_control, control_idx) if c_val == winner)
+        matched[k] = next(c_idx for c_val, c_idx in zip(eta_control, control_idx) if c_val == winner)
     return MatchResult(treated_idx=treated_idx, control_idx=matched)
 
 

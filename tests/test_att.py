@@ -135,6 +135,14 @@ class TestInvariants:
         )
         assert not est.eta_hat.flags.writeable
 
+    def test_each_rotations_eta_hat_is_nan_on_its_score_split_only(self):
+        obs = generate(DgpConfig(n=600, seed=6))
+        splits = split_three_way(obs.n, seed=6)
+        crossfit = crossfit_on_splits(obs, splits)
+        for est, (score, beta, match) in zip(crossfit.rotations, splits.rotations()):
+            assert np.all(np.isnan(est.eta_hat[score]))
+            assert np.all(np.isfinite(est.eta_hat[np.concatenate([beta, match])]))
+
     def test_differences_are_the_runs_matched_gaps(self):
         obs = generate(DgpConfig(n=600, seed=6))
         splits = split_three_way(obs.n, seed=6)

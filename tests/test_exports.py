@@ -1,5 +1,6 @@
 import ast
 import copy
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,41 @@ def test_no_module_imports_another_modules_private_names():
         if (names := _private_cross_module_imports(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
+
+
+def test_no_stage_takes_a_row_map():
+    # stages take data rows; a bootstrap run turns its positions into rows
+    stages = [
+        threshmatch.fit_gamma,
+        threshmatch.residuals_eta,
+        threshmatch.fit_beta,
+        threshmatch.order_by_eta,
+        threshmatch.first_differences,
+        threshmatch.match_controls,
+        threshmatch.att.matched_differences,
+    ]
+    assert [f.__name__ for f in stages if "rows" in inspect.signature(f).parameters] == []
+
+
+def _imported_names(source: str) -> set[str]:
+    """Names taken by ``from ... import`` statements."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_only_att_imports_rows_at():
+    # the row map stops at the run: estimate_theta checks it, and att alone reads it
+    package = Path(threshmatch.__file__).parent
+    importers = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if "rows_at" in _imported_names(path.read_text(encoding="utf-8"))
+    ]
+    assert importers == ["att.py"]
 
 
 def _split_assignments(source: str) -> list[int]:

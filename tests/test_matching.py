@@ -47,10 +47,10 @@ class TestExamples:
                              np.array([0.4, 0.6]), np.array([1, 2]))
         assert res.control_idx.tolist() == [1]
 
-    def test_equal_values_tie_goes_to_smaller_index(self):
+    def test_equal_values_tie_goes_to_control_listed_first(self):
         res = match_controls(np.array([0.5]), np.array([0]),
                              np.array([0.4, 0.4]), np.array([12, 9]))
-        assert res.control_idx.tolist() == [9]
+        assert res.control_idx.tolist() == [12]
 
     def test_exact_match_beats_tie_rule(self):
         res = match_controls(np.array([0.4]), np.array([0]),
@@ -79,6 +79,20 @@ class TestOracleEquivalence:
             fast = match_controls(t_vals, t_idx, c_vals, c_idx)
             slow = match_controls_brute(t_vals, t_idx, c_vals, c_idx)
             assert_same_matches(fast, slow)
+
+    def test_ascending_controls_tie_to_the_smallest_index(self):
+        # a pipeline run lists a split's controls ascending, as
+        # SplitAssignment stores them, so there the smallest index holding
+        # the winning value wins
+        rng = np.random.default_rng(1)
+        for _ in range(250):
+            t_vals, t_idx, c_vals, c_idx = _random_instance(rng, ties=True)
+            c_idx = np.sort(c_idx)
+            res = match_controls(t_vals, t_idx, c_vals, c_idx)
+            assert_same_matches(res, match_controls_brute(t_vals, t_idx, c_vals, c_idx))
+            value_of = dict(zip(c_idx.tolist(), c_vals.tolist()))
+            for c in res.control_idx.tolist():
+                assert c == min(i for i in value_of if value_of[i] == value_of[c])
 
 
 class TestAdversarialDistributions:
@@ -141,10 +155,10 @@ class TestAdversarialDistributions:
             slow = match_controls_brute(t, idx[:n1], c, idx[n1:])
             assert_same_matches(fast, slow)
 
-    def test_signed_zero_run_takes_smallest_index(self):
+    def test_signed_zero_run_takes_control_listed_first(self):
         res = match_controls(np.array([0.0, -0.0, 1e-300]), np.array([0, 1, 2]),
                              np.array([0.0, -0.0, 0.0]), np.array([8, 3, 5]))
-        assert res.control_idx.tolist() == [3, 3, 3]
+        assert res.control_idx.tolist() == [8, 8, 8]
 
 
 class TestProperties:
