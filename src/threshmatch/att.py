@@ -25,29 +25,36 @@ equal the serial loop's bit for bit.
 The row-map contract.  Every public record of a run, :class:`AttEstimate`
 and :class:`CrossfitEstimate`, indexes the rows of the ``obs`` it was
 computed on, and the public functions of this module take data rows.
-:func:`estimate_theta` alone also takes a row map ``rows``: position
-``p`` of a bootstrap resample holds row ``rows[p]`` of ``obs``.  It
-checks the map once against ``obs.n``, before any role label, so an
-entry outside ``0..n-1`` raises IndexOutOfRange and a non-integer map
-DimensionMismatch, wherever the bad entry sits.  Inside that run the
-splits are positions, and the run turns each into the data rows behind
-it, in position order, before a stage reads it: every stage, the score
-fit, the eta ordering and matching included, takes data rows.  The eta
-ordering and matching break ties by the order in which their rows are
-listed, so a repeated row's copies tie in position order, exactly as on
-a copied resample.  ``eta_hat`` stays by data row, as
-``residuals_eta`` returns it, and the matched pairs come out in data
-rows.  The run's records stay inside it; only its float comes out.  It
-is bit-equal to the run on ``obs.take(rows)`` within the column limit
-README's reproducibility note states.  A plain run passes no row map
-and gathers nothing extra.
+:func:`estimate_theta` alone knows a row map ``rows``: position ``p`` of
+a bootstrap resample holds row ``rows[p]`` of ``obs``.  It checks the map
+once against ``obs.n``, before any role label, so an entry outside
+``0..n-1`` raises IndexOutOfRange and a non-integer map
+DimensionMismatch, wherever the bad entry sits.  It then draws the
+partition, checks that it covers the map's positions (below), and turns
+each part into the data rows behind it, in position order (``rows[i1],
+rows[i2], rows[i3]``), before any stage runs: a run's roles, and a
+cross-fit's rotations of them, are data rows from the start, and every
+stage, the score fit, the eta ordering and matching included, takes data
+rows.  The eta ordering
+and matching break ties by the order in which their rows are listed, so
+a repeated row's copies tie in position order, exactly as on a copied
+resample.  ``eta_hat`` stays by data row, as ``residuals_eta`` returns
+it, and the matched pairs come out in data rows.  The run's records stay
+inside it; only its float comes out.  It is bit-equal to the run on
+``obs.take(rows)`` within the column limit README's reproducibility note
+states.  A plain run passes no row map and gathers nothing extra.
 
 The roles of a run are always the parts of one :class:`SplitAssignment`,
 which checks that they partition ``0..N-1`` with ``N`` the sum of their
-sizes.  The run adds one check of its own, before any role's label: ``N``
-must be its number of positions, ``obs.n``, or ``len(rows)`` with a row
-map.  Otherwise it raises DimensionMismatch, so a partition of part of
-the sample, or a row map of another length than ``obs.n``, fails loudly.
+sizes.  :func:`estimate_att`, :func:`crossfit_on_splits` and
+:func:`estimate_theta` add one check of their own, once per call and
+before any label, a cross-fit's rotation label included: ``N`` must be
+the run's number of positions, ``obs.n``, or ``len(rows)`` with a row
+map.  Otherwise they raise DimensionMismatch with no label, so a
+partition of part of the sample, or a row map of another length than
+``obs.n``, fails loudly.  Rotation ``r`` of a cross-fit gives parts
+``r``, ``r+1`` and ``r+2`` (mod 3) the score, difference and matching
+roles.
 
 Per-row linear products (``z @ gamma_hat`` for the residuals, ``x @
 beta_hat`` for the adjusted outcomes) run once over all rows of ``obs``,
@@ -73,7 +80,6 @@ from .data_model import (
     ObservationSet,
     SplitAssignment,
     check_indices,
-    rows_at,
     split_three_way,
     treatment_mask,
 )
@@ -144,26 +150,24 @@ def matched_differences(
 
 def estimate_att(obs: ObservationSet, splits: SplitAssignment) -> AttEstimate:
     """Run the full pipeline on one split assignment in role order (i1, i2, i3)."""
+    roles = _roles(splits, obs.n)
+    return _estimate_with_roles(obs, *roles, _fit_scores(obs, roles[0]))
+
+
+def _roles(splits: SplitAssignment, positions: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The parts of ``splits`` in role order, once they cover the run's ``positions``."""
+    # the parts partition their own positions (SplitAssignment checks that);
+    # those must be the run's, checked before any label
     roles = (splits.i1, splits.i2, splits.i3)
-    return _estimate_with_roles(obs, *roles, _fit_scores(obs, *roles))
-
-
-def _fit_scores(
-    obs: ObservationSet,
-    gamma_split: np.ndarray,
-    beta_split: np.ndarray,
-    match_split: np.ndarray,
-    rows: np.ndarray | None = None,
-) -> np.ndarray:
-    """The first stage of a run: ``gamma_hat`` fit on the rows of ``gamma_split``."""
-    # the roles are the parts of one SplitAssignment, which checks that they
-    # partition their own positions; those must be the run's, under the
-    # caller's label alone
-    positions = obs.n if rows is None else len(rows)
-    if gamma_split.size + beta_split.size + match_split.size != positions:
+    if sum(part.size for part in roles) != positions:
         raise DimensionMismatch(f"the split does not partition the run's {positions} positions")
+    return roles
+
+
+def _fit_scores(obs: ObservationSet, gamma_split: np.ndarray) -> np.ndarray:
+    """The first stage of a run: ``gamma_hat`` fit on the rows of ``gamma_split``."""
     with labelled("I1"):
-        return fit_gamma(obs, rows_at(rows, gamma_split))
+        return fit_gamma(obs, gamma_split)
 
 
 def _estimate_with_roles(
@@ -172,18 +176,16 @@ def _estimate_with_roles(
     beta_split: np.ndarray,
     match_split: np.ndarray,
     gamma_hat: np.ndarray,
-    rows: np.ndarray | None = None,
 ) -> AttEstimate:
     # the run goes on from _fit_scores' gamma_hat on these roles, on data rows
     eta_hat = residuals_eta(gamma_hat, obs)
 
     with labelled("I2"):
-        beta_hat = fit_beta(obs, rows_at(rows, beta_split), eta_hat)
+        beta_hat = fit_beta(obs, beta_split, eta_hat)
 
-    match_rows = rows_at(rows, match_split)
-    treated = treatment_mask(obs)[match_rows]
-    treated3 = match_rows[treated]
-    control3 = match_rows[~treated]
+    treated = treatment_mask(obs)[match_split]
+    treated3 = match_split[treated]
+    control3 = match_split[~treated]
     with labelled("I3"):
         matches = match_controls(eta_hat[treated3], treated3, eta_hat[control3], control3)
 
@@ -192,7 +194,7 @@ def _estimate_with_roles(
     # residuals are needed on the second and third splits only; rows of the
     # first get NaN once the stages have read them (a resample's row may
     # sit in two splits), so later use fails loudly
-    eta_hat[rows_at(rows, gamma_split)] = np.nan
+    eta_hat[gamma_split] = np.nan
     eta_hat.setflags(write=False)
     return AttEstimate(beta_hat, gamma_hat, matches, eta_hat, differences)
 
@@ -209,23 +211,19 @@ def estimate_att_crossfit(obs: ObservationSet, seed: int = 0) -> CrossfitEstimat
 
 def crossfit_on_splits(obs: ObservationSet, splits: SplitAssignment) -> CrossfitEstimate:
     """Cross-fit over the rotations of an existing partition of ``obs``'s rows."""
-    return _crossfit(obs, splits)
+    return _crossfit(obs, _roles(splits, obs.n))
 
 
-def _crossfit(
-    obs: ObservationSet, splits: SplitAssignment, rows: np.ndarray | None = None
-) -> CrossfitEstimate:
-    # the rotations of a partition of the rows, or of a row map's positions;
-    # a run splits at its score fit
-    roles = splits.rotations()
-
+def _crossfit(obs: ObservationSet, roles: tuple[np.ndarray, ...]) -> CrossfitEstimate:
+    # rotation r gives parts r, r+1 and r+2 (mod 3) the score, difference and
+    # matching roles; a run splits at its score fit
     def fit(r: int) -> np.ndarray:
         with labelled(f"rotation {r}"):
-            return _fit_scores(obs, *roles[r], rows)
+            return _fit_scores(obs, roles[r])
 
     def finish(r: int, gamma_hat: np.ndarray) -> AttEstimate:
         with labelled(f"rotation {r}"):
-            return _estimate_with_roles(obs, *roles[r], gamma_hat, rows)
+            return _estimate_with_roles(obs, *roles[r:], *roles[:r], gamma_hat)
 
     return CrossfitEstimate(map_staged(fit, finish, 3))
 
@@ -248,8 +246,9 @@ def estimate_theta(
     """
     if rows is not None:
         rows = check_indices(rows, obs.n)
-    splits = split_three_way(obs.n, seed=seed)
+    roles = _roles(split_three_way(obs.n, seed=seed), obs.n if rows is None else len(rows))
+    if rows is not None:
+        roles = (rows[roles[0]], rows[roles[1]], rows[roles[2]])
     if crossfit:
-        return _crossfit(obs, splits, rows).theta_cf
-    roles = (splits.i1, splits.i2, splits.i3)
-    return _estimate_with_roles(obs, *roles, _fit_scores(obs, *roles, rows), rows).theta_hat
+        return _crossfit(obs, roles).theta_cf
+    return _estimate_with_roles(obs, *roles, _fit_scores(obs, roles[0])).theta_hat

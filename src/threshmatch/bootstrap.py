@@ -11,7 +11,8 @@ Every replicate's randomness is counter-derived from ``(seed, r)``, so
 replicate ``r`` can be recomputed alone and parallel execution cannot
 change results.  A replicate copies no data: it runs the pipeline on the
 resample's row map through :func:`threshmatch.att.estimate_theta`, the one
-function that takes a map (see the row-map contract in the
+function that knows a map: it turns the partition's parts into the data
+rows behind them before any stage runs (see the row-map contract in the
 :mod:`threshmatch.att` docstring).  The replicates run in
 contiguous ranges on up to as many processes as ``os.sched_getaffinity``
 grants CPUs (see :mod:`threshmatch.parallel`), with results bit-identical

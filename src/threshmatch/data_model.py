@@ -236,14 +236,6 @@ class SplitAssignment:
             row = np.flatnonzero(np.bincount(np.concatenate(parts)) > 1)[0]
             raise DimensionMismatch(f"row {row} appears more than once in the split")
 
-    def rotations(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The three cyclic role rotations used by cross-fitting."""
-        return [
-            (self.i1, self.i2, self.i3),
-            (self.i2, self.i3, self.i1),
-            (self.i3, self.i1, self.i2),
-        ]
-
 
 def split_three_way(n: int, seed: int = 0) -> SplitAssignment:
     """Partition ``{0..n-1}`` into three parts of sizes ``(k, k, n-2k)``, ``k = n//3``.
@@ -296,16 +288,6 @@ def check_indices(idx: np.ndarray, n: int) -> np.ndarray:
         bad = idx[(idx < 0) | (idx >= n)][0]
         raise IndexOutOfRange(int(bad), n)
     return idx
-
-
-def rows_at(rows: np.ndarray | None, idx: np.ndarray) -> np.ndarray:
-    """The data rows behind positions ``idx`` of a resample: ``rows[idx]``.
-
-    ``rows`` maps each position of a bootstrap resample to the row it
-    copies.  Without one (``None``) positions are rows and ``idx`` comes
-    back as it is, so a plain run gathers nothing.
-    """
-    return idx if rows is None else rows[idx]
 
 
 def _parse_column(rows: list[list[str]], pos: int, name: str, offset: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data_model import ObservationSet, check_indices, treatment_mask
-from .errors import EmptyControlGroup, TooFewControls
+from .errors import DimensionMismatch, EmptyControlGroup, TooFewControls
 from .linreg import ols
 
 
@@ -28,9 +28,12 @@ def order_by_eta(eta_hat: np.ndarray, control_idx: np.ndarray) -> np.ndarray:
     ``control_idx[np.argsort(values, kind="stable")]``; it is computed by
     one unstable ``np.argsort`` of the values (numpy's vectorised sort,
     several times faster than its stable one) and a re-sort by list place
-    of the runs of equal values only.
+    of the runs of equal values only.  An ``eta_hat`` that is not 1-D
+    raises DimensionMismatch.
     """
     eta_hat = np.asarray(eta_hat, dtype=np.float64)
+    if eta_hat.ndim != 1:
+        raise DimensionMismatch(f"eta_hat must be 1-D, got shape {eta_hat.shape}")
     control_idx = check_indices(control_idx, eta_hat.size)
     if control_idx.size == 0:
         raise EmptyControlGroup()
@@ -76,7 +79,11 @@ def fit_beta(obs: ObservationSet, i2: np.ndarray, eta_hat: np.ndarray) -> np.nda
     discarded.  The difference regression has no intercept: differencing
     annihilates level terms, so one would only add noise.  Controls of
     equal ``eta_hat`` are differenced in the order ``i2`` lists them.
+    ``eta_hat`` holds one residual per row of ``obs``; any other shape
+    raises DimensionMismatch.
     """
+    if np.shape(eta_hat) != (obs.n,):
+        raise DimensionMismatch(f"eta_hat has shape {np.shape(eta_hat)}; obs has n = {obs.n}")
     i2 = check_indices(i2, obs.n)
     controls = i2[~treatment_mask(obs)[i2]]
     if controls.size == 0:

@@ -75,9 +75,14 @@ class DgpConfig:
     def __post_init__(self):
         if whole_number(self.n, "n") < MIN_ROWS:
             raise TooFewRows(self.n, MIN_ROWS)
-        if self.ite_kind not in (X_ONLY, X_AND_ETA):
-            raise DimensionMismatch(f"unknown ite_kind {self.ite_kind!r}")
+        _check_ite_kind(self.ite_kind)
         derive_seed(self.seed)  # raises InputError unless rng takes it as a seed
+
+
+def _check_ite_kind(ite_kind: str) -> None:
+    """Raise DimensionMismatch unless ``ite_kind`` is "x_only" or "x_and_eta"."""
+    if ite_kind not in (X_ONLY, X_AND_ETA):
+        raise DimensionMismatch(f"unknown ite_kind {ite_kind!r}")
 
 
 def _effect_surface(x: np.ndarray, eta, ite_kind: str) -> np.ndarray:
@@ -93,8 +98,10 @@ def true_ite_fn(ite_kind: str):
 
     The confounder is recovered exactly as ``eta = q - z @ (0,0,0,1)``,
     which only works for data from :func:`generate`.  Both kinds read
-    ``z`` and ``q``; "x_only" then ignores the recovered ``eta``.
+    ``z`` and ``q``; "x_only" then ignores the recovered ``eta``.  Any
+    other kind raises DimensionMismatch here, before a truth is built.
     """
+    _check_ite_kind(ite_kind)
 
     def alpha(x: np.ndarray, z: np.ndarray, q: np.ndarray) -> np.ndarray:
         return _effect_surface(np.atleast_2d(x), np.asarray(q) - np.atleast_2d(z) @ GAMMA_TRUE, ite_kind)
@@ -130,8 +137,11 @@ def true_att_oracle(samples: int, seed: int = 0, ite_kind: str = X_AND_ETA) -> f
     them, in chunks of up to a million, and averages the effect surface
     over the treated region ``x4 + eta >= 0``.  ``samples`` is an
     integer.  When no draw is treated, as when ``samples < 1``, there is
-    no average, and DimensionMismatch names ``samples``.
+    no average, and DimensionMismatch names ``samples``.  An ``ite_kind``
+    other than "x_only" or "x_and_eta" raises DimensionMismatch before
+    any draw.
     """
+    _check_ite_kind(ite_kind)
     rng = rng_from(seed)
     total, count = 0.0, 0
     remaining = whole_number(samples, "samples")

@@ -139,7 +139,10 @@ class TestInvariants:
         obs = generate(DgpConfig(n=600, seed=6))
         splits = split_three_way(obs.n, seed=6)
         crossfit = crossfit_on_splits(obs, splits)
-        for est, (score, beta, match) in zip(crossfit.rotations, splits.rotations()):
+        parts = (splits.i1, splits.i2, splits.i3)
+        for r, est in enumerate(crossfit.rotations):
+            # rotation r: parts r, r+1 and r+2 (mod 3) score, difference and match
+            score, beta, match = (parts[(r + k) % 3] for k in range(3))
             assert np.all(np.isnan(est.eta_hat[score]))
             assert np.all(np.isfinite(est.eta_hat[np.concatenate([beta, match])]))
 
@@ -156,14 +159,20 @@ class TestInvariants:
         assert not est.differences.flags.writeable
 
     def test_rotation_structure(self):
-        s = split_three_way(30, seed=1)
-        rots = s.rotations()
-        blocks = [tuple(s.i1), tuple(s.i2), tuple(s.i3)]
-        assert [tuple(map(tuple, r)) for r in rots] == [
-            (blocks[0], blocks[1], blocks[2]),
-            (blocks[1], blocks[2], blocks[0]),
-            (blocks[2], blocks[0], blocks[1]),
-        ]
+        # rotation r is the single run that gives parts r, r+1 and r+2 (mod 3)
+        # the score, difference and matching roles
+        obs = generate(DgpConfig(n=600, seed=1))
+        s = split_three_way(obs.n, seed=1)
+        parts = (s.i1, s.i2, s.i3)
+        cf = crossfit_on_splits(obs, s)
+        for r, est in enumerate(cf.rotations):
+            single = estimate_att(obs, SplitAssignment(*(parts[(r + k) % 3] for k in range(3))))
+            assert est.theta_hat == single.theta_hat
+            assert np.array_equal(est.gamma_hat, single.gamma_hat)
+            assert np.array_equal(est.beta_hat, single.beta_hat)
+            assert np.array_equal(est.eta_hat, single.eta_hat, equal_nan=True)
+            assert np.array_equal(est.matches.treated_idx, single.matches.treated_idx)
+            assert np.array_equal(est.matches.control_idx, single.matches.control_idx)
 
     def test_crossfit_mean_is_exact(self):
         obs = generate(DgpConfig(n=600, seed=5))
@@ -282,15 +291,6 @@ class TestErrorLabeling:
             estimate_att(obs, NATURAL_SPLITS_9)
         assert err.value.split == "I2"
 
-    def test_rotation_label_stands_alone_outside_role_blocks(self):
-        # a valid 30-row partition on a 31-row set fails the run's own size
-        # check, outside the I1/I2/I3 blocks, so the rotation's label is the only one
-        splits = SplitAssignment(np.arange(0, 10), np.arange(10, 20), np.arange(20, 30))
-        with pytest.raises(DimensionMismatch) as err:
-            crossfit_on_splits(make_null_obs(seed=1, n=31), splits)
-        assert err.value.split == "rotation 0"
-        assert "None" not in str(err.value)
-
 
 class TestRunPositions:
     # a partition of part of the sample, or a row map of another length,
@@ -304,10 +304,21 @@ class TestRunPositions:
             estimate_att(obs, split_three_way(150, seed=0))
         assert err.value.split is None
 
-    def test_partial_partition_is_rejected_by_crossfit(self, obs):
-        with pytest.raises(DimensionMismatch, match=r"run's 300 positions") as err:
-            crossfit_on_splits(obs, split_three_way(150, seed=0))
-        assert err.value.split == "rotation 0"
+    @pytest.mark.parametrize(
+        "n, splits",
+        [
+            (300, split_three_way(150, seed=0)),
+            (31, SplitAssignment(np.arange(0, 10), np.arange(10, 20), np.arange(20, 30))),
+        ],
+        ids=["150-of-300", "30-of-31"],
+    )
+    def test_partial_partition_is_rejected_by_crossfit(self, obs, n, splits):
+        # checked once, before any rotation starts, so no label is set
+        data = obs if n == obs.n else make_null_obs(seed=1, n=n)
+        with pytest.raises(DimensionMismatch, match=rf"run's {n} positions") as err:
+            crossfit_on_splits(data, splits)
+        assert err.value.split is None
+        assert "None" not in str(err.value)
 
     @pytest.mark.parametrize("extra", [30, -100], ids=["n-plus-30", "n-minus-100"])
     @pytest.mark.parametrize("crossfit", [False, True], ids=["single", "crossfit"])

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from threshmatch import (
     DgpConfig,
+    DimensionMismatch,
     EmptyControlGroup,
     ObservationSet,
     TooFewControls,
@@ -39,6 +42,13 @@ class TestOrderByEta:
     def test_empty_raises(self):
         with pytest.raises(EmptyControlGroup):
             order_by_eta(np.arange(5.0), np.array([], dtype=int))
+
+    # a 2-D eta_hat used to raise numpy's bare "could not broadcast" ValueError
+    @pytest.mark.parametrize("shape", [(10, 1), (1, 10), (2, 5), ()], ids=str)
+    def test_eta_hat_that_is_not_1d_raises(self, shape):
+        eta = np.arange(float(np.prod(shape))).reshape(shape)
+        with pytest.raises(DimensionMismatch, match="1-D"):
+            order_by_eta(eta, np.array([0]))
 
     @staticmethod
     def _stable_order(eta, idx):
@@ -213,3 +223,11 @@ class TestFitBeta:
         one_control = np.where(obs.q < 0)[0][:1]
         with pytest.raises(TooFewControls):
             fit_beta(obs, one_control, eta)
+
+    # a longer eta_hat used to pass, and a shorter one to raise IndexOutOfRange
+    # naming a valid row of obs
+    @pytest.mark.parametrize("shape", [(21,), (5,), (20, 1)], ids=["longer", "shorter", "2-D"])
+    def test_eta_hat_of_another_shape_raises(self, shape):
+        obs = make_pl_obs(seed=8, n=20, beta=np.array([1.0]))
+        with pytest.raises(DimensionMismatch, match=re.escape(f"eta_hat has shape {shape}")):
+            fit_beta(obs, np.arange(obs.n), np.zeros(shape))

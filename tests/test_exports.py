@@ -83,25 +83,17 @@ def test_no_stage_takes_a_row_map():
     assert [f.__name__ for f in stages if "rows" in inspect.signature(f).parameters] == []
 
 
-def _imported_names(source: str) -> set[str]:
-    """Names taken by ``from ... import`` statements."""
-    return {
-        alias.name
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-
-
-def test_only_att_imports_rows_at():
-    # the row map stops at the run: estimate_theta checks it, and att alone reads it
-    package = Path(threshmatch.__file__).parent
-    importers = [
-        path.name
-        for path in sorted(package.glob("*.py"))
-        if "rows_at" in _imported_names(path.read_text(encoding="utf-8"))
+def test_only_estimate_theta_takes_a_row_map():
+    # the row map stops at the run: estimate_theta turns the parts into data
+    # rows, so no other function of att, private or nested, sees a map
+    tree = ast.parse(Path(threshmatch.att.__file__).read_text(encoding="utf-8"))
+    takers = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "rows" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
     ]
-    assert importers == ["att.py"]
+    assert takers == ["estimate_theta"]
 
 
 def _split_assignments(source: str) -> list[int]:

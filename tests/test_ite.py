@@ -179,7 +179,8 @@ class TestFitIte:
         rotation = crossfit_on_splits(obs, splits).rotations[1]
         rot_model = fit_ite(obs, rotation, SplineBasisSpec(), cv_seed=5)
         mask = treatment_mask(obs)
-        cases = ((est, model, splits.i3), (rotation, rot_model, splits.rotations()[1][2]))
+        # rotation 1 matches on part (1 + 2) % 3, i1
+        cases = ((est, model, splits.i3), (rotation, rot_model, splits.i1))
         for run, fitted, block in cases:
             treated = block[mask[block]]
             design = build_basis(obs.x[treated], fitted.basis, fitted.knots)

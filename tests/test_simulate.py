@@ -92,6 +92,22 @@ class TestGenerate:
         assert np.abs(gap - eta[treated] ** 2).max() <= 1e-12
 
 
+# an unknown kind used to pass true_att_oracle and true_ite_fn as "x_only"
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda kind: DgpConfig(n=9, seed=0, ite_kind=kind),
+        lambda kind: true_att_oracle(20_000, ite_kind=kind),
+        true_ite_fn,
+    ],
+    ids=["DgpConfig", "true_att_oracle", "true_ite_fn"],
+)
+@pytest.mark.parametrize("kind", ["bogus", "x-only", None])
+def test_an_unknown_ite_kind_is_rejected_everywhere(build, kind):
+    with pytest.raises(DimensionMismatch, match="unknown ite_kind"):
+        build(kind)
+
+
 class TestTrueAttOracle:
     def test_matches_analytic_value(self):
         val = true_att_oracle(1_000_000, seed=3)
