@@ -9,12 +9,15 @@ of the difference in linearly-adjusted outcomes::
     theta_hat = mean_i [ (y_i - x_i @ beta_hat) - (y_c(i) - x_c(i) @ beta_hat) ]
 
 A run's record, :class:`AttEstimate`, holds five fields: ``beta_hat``,
-``gamma_hat``, ``matches``, ``eta_hat`` and ``differences``, the matched
+``gamma_hat``, ``matches``, ``roles`` and ``differences``, the matched
 gaps.  Its ``theta_hat`` is not stored: it is the mean of
-``differences``, computed when read.  Cross-fitting reruns the pipeline
-under the three cyclic role rotations of one fixed partition; its
-record, :class:`CrossfitEstimate`, holds the three rotation records, and
-its ``theta_cf`` is their estimates' mean, computed when read.
+``differences``, computed when read.  Nor are the score residuals: they
+are ``residuals_eta(gamma_hat, obs)``, a function of the score fit, and
+``roles[0]`` names the rows where they are not the run's residuals.
+Cross-fitting reruns the pipeline under the three cyclic role rotations
+of one fixed partition; its record, :class:`CrossfitEstimate`, holds the
+three rotation records, and its ``theta_cf`` is their estimates' mean,
+computed when read.
 :func:`estimate_theta` turns a seed into a partition and returns the
 single-run or the cross-fitted estimate on it.
 
@@ -96,17 +99,19 @@ class AttEstimate:
 
     ``beta_hat`` and ``gamma_hat`` are the difference and score
     coefficients; ``matches`` pairs every treated row of the matching
-    split with its control.  ``eta_hat`` holds the score residuals of the
-    run over all ``n`` rows: finite on the difference and matching
-    splits, NaN on the score split.  ``differences`` holds the
-    adjusted-outcome gap of each matched pair, in treated input order.
-    Both arrays are read-only.
+    split with its control.  ``roles`` holds the data rows of the score,
+    difference and matching splits, in that order: the arrays the run was
+    given, not copies, so a cross-fit's rotations share one partition's
+    parts.  The run's score residuals are ``residuals_eta(gamma_hat,
+    obs)`` at the rows of ``roles[1]`` and ``roles[2]``.  ``differences``
+    holds the adjusted-outcome gap of each matched pair, in treated input
+    order.  The roles and ``differences`` are read-only.
     """
 
     beta_hat: np.ndarray
     gamma_hat: np.ndarray
     matches: MatchResult
-    eta_hat: np.ndarray
+    roles: tuple[np.ndarray, np.ndarray, np.ndarray]
     differences: np.ndarray
 
     @property
@@ -151,7 +156,7 @@ def matched_differences(
 def estimate_att(obs: ObservationSet, splits: SplitAssignment) -> AttEstimate:
     """Run the full pipeline on one split assignment in role order (i1, i2, i3)."""
     roles = _roles(splits, obs.n)
-    return _estimate_with_roles(obs, *roles, _fit_scores(obs, roles[0]))
+    return _estimate_with_roles(obs, roles, _fit_scores(obs, roles[0]))
 
 
 def _roles(splits: SplitAssignment, positions: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -171,13 +176,10 @@ def _fit_scores(obs: ObservationSet, gamma_split: np.ndarray) -> np.ndarray:
 
 
 def _estimate_with_roles(
-    obs: ObservationSet,
-    gamma_split: np.ndarray,
-    beta_split: np.ndarray,
-    match_split: np.ndarray,
-    gamma_hat: np.ndarray,
+    obs: ObservationSet, roles: tuple[np.ndarray, ...], gamma_hat: np.ndarray
 ) -> AttEstimate:
     # the run goes on from _fit_scores' gamma_hat on these roles, on data rows
+    _, beta_split, match_split = roles
     eta_hat = residuals_eta(gamma_hat, obs)
 
     with labelled("I2"):
@@ -191,12 +193,7 @@ def _estimate_with_roles(
 
     differences = matched_differences(obs, beta_hat, matches)
     differences.setflags(write=False)
-    # residuals are needed on the second and third splits only; rows of the
-    # first get NaN once the stages have read them (a resample's row may
-    # sit in two splits), so later use fails loudly
-    eta_hat[gamma_split] = np.nan
-    eta_hat.setflags(write=False)
-    return AttEstimate(beta_hat, gamma_hat, matches, eta_hat, differences)
+    return AttEstimate(beta_hat, gamma_hat, matches, roles, differences)
 
 
 def estimate_att_crossfit(obs: ObservationSet, seed: int = 0) -> CrossfitEstimate:
@@ -223,7 +220,7 @@ def _crossfit(obs: ObservationSet, roles: tuple[np.ndarray, ...]) -> CrossfitEst
 
     def finish(r: int, gamma_hat: np.ndarray) -> AttEstimate:
         with labelled(f"rotation {r}"):
-            return _estimate_with_roles(obs, *roles[r:], *roles[:r], gamma_hat)
+            return _estimate_with_roles(obs, roles[r:] + roles[:r], gamma_hat)
 
     return CrossfitEstimate(map_staged(fit, finish, 3))
 
@@ -251,4 +248,4 @@ def estimate_theta(
         roles = (rows[roles[0]], rows[roles[1]], rows[roles[2]])
     if crossfit:
         return _crossfit(obs, roles).theta_cf
-    return _estimate_with_roles(obs, *roles, _fit_scores(obs, roles[0])).theta_hat
+    return _estimate_with_roles(obs, roles, _fit_scores(obs, roles[0])).theta_hat

@@ -216,7 +216,7 @@ class SplitAssignment:
     else DimensionMismatch names a row found in two parts or twice in one.
     :func:`split_three_way` gives the first two parts ``floor(n/3)`` rows
     each and the third the remainder.  Index lists are stored sorted
-    ascending; membership, not order, is what a split means.
+    ascending and read-only; membership, not order, is what a split means.
     """
 
     i1: np.ndarray
@@ -231,6 +231,7 @@ class SplitAssignment:
         cover = np.zeros(n, dtype=bool)
         for name, p in zip(("i1", "i2", "i3"), parts):
             cover[p] = True
+            p.setflags(write=False)
             object.__setattr__(self, name, p)
         if not cover.all():  # n indices in range miss a row only if one repeats
             row = np.flatnonzero(np.bincount(np.concatenate(parts)) > 1)[0]
@@ -282,8 +283,13 @@ def row_indices(idx: np.ndarray) -> np.ndarray:
 
 
 def check_indices(idx: np.ndarray, n: int) -> np.ndarray:
-    """Validate an index list against ``n`` rows; returns it as ``intp``."""
+    """Validate a 1-D index list against ``n`` rows; returns it as ``intp``.
+
+    An array of another shape raises DimensionMismatch naming it.
+    """
     idx = row_indices(idx)
+    if idx.ndim != 1:
+        raise DimensionMismatch(f"row indices must be 1-D, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         bad = idx[(idx < 0) | (idx >= n)][0]
         raise IndexOutOfRange(int(bad), n)

@@ -40,6 +40,7 @@ from .errors import (
 )
 from .linreg import ols
 from .parallel import map_ranges
+from .residualize import residuals_eta
 from .rng import rng_from
 
 DEFAULT_DF_GRID = (3, 4, 5, 6, 8, 10)
@@ -211,14 +212,13 @@ def build_basis(
 def _treated_covariates(
     obs: ObservationSet, est: AttEstimate, include_eta: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    if est.eta_hat.shape != (obs.n,):
-        raise DimensionMismatch(
-            f"the estimate is of a {est.eta_hat.shape[0]}-row sample; obs has {obs.n} rows"
-        )
+    rows = sum(part.size for part in est.roles)
+    if rows != obs.n:
+        raise DimensionMismatch(f"the estimate is of a {rows}-row sample; obs has {obs.n} rows")
     treated = est.matches.treated_idx
     cov = obs.x[treated]
     if include_eta:
-        cov = np.hstack([cov, est.eta_hat[treated][:, None]])
+        cov = np.hstack([cov, residuals_eta(est.gamma_hat, obs)[treated][:, None]])
     return treated, cov
 
 
@@ -231,11 +231,12 @@ def fit_ite(
     matching split, so the estimate of any cross-fit rotation works as well
     as a single run's.  The response is the run's ``est.differences``,
     the matched adjusted-outcome gap per treated row; the covariates are
-    that row's ``x`` (plus its ``est.eta_hat`` when the spec includes it).
-    ``est`` must come from a run on ``obs`` itself, since its indices are
-    read as rows of ``obs``; every public record is (see the row-map
-    contract in :mod:`threshmatch.att`).  An estimate whose ``eta_hat``
-    does not have ``obs.n`` rows raises DimensionMismatch.
+    that row's ``x``, plus, when the spec includes it, its score residual
+    ``residuals_eta(est.gamma_hat, obs)``.  ``est`` must come from a run
+    on ``obs`` itself, since its indices are read as rows of ``obs``;
+    every public record is (see the row-map contract in
+    :mod:`threshmatch.att`).  An estimate whose roles do not partition
+    ``obs.n`` rows raises DimensionMismatch.
     ``df`` is chosen by 4-fold cross-validation minimizing mean validation
     MSE, ties to the smaller df; the returned model is refit on all
     treated rows at the chosen df.
@@ -312,7 +313,8 @@ def ite_mse(model: IteModel, obs: ObservationSet, est: AttEstimate, truth) -> fl
     score vector and returns the true effect per row; only simulations can
     supply it.  The average runs over ``est.matches.treated_idx``, the
     treated rows of the run's matching split (any cross-fit rotation's
-    estimate works), with the model evaluated at ``(x, est.eta_hat)``
+    estimate works), with the model evaluated at ``x`` and, when it was
+    fit on them, the residuals ``residuals_eta(est.gamma_hat, obs)``,
     exactly as it predicts.  As in :func:`fit_ite`, ``est`` must come from
     a run on ``obs`` itself, and one of another row count raises
     DimensionMismatch.

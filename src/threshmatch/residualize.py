@@ -13,6 +13,12 @@ equal those of multiplying the gathered rows within the column limit
 README's reproducibility note states.  Neither function takes a row map:
 a bootstrap run hands ``fit_gamma`` the data rows behind its positions,
 and reads the residuals by data row.
+
+A run's record keeps ``gamma_hat``, not the residuals:
+:func:`residuals_eta` is the one way to derive them, and a reader such
+as the effect-surface fit calls it again.  It computes the same bits
+on one BLAS thread as on several, so the residuals a reader derives are
+those the run's stages read.
 """
 
 from __future__ import annotations

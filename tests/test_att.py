@@ -22,7 +22,12 @@ from threshmatch import (
     estimate_att,
     estimate_att_crossfit,
     estimate_theta,
+    first_differences,
+    fit_beta,
+    fit_gamma,
     generate,
+    match_controls,
+    order_by_eta,
     residuals_eta,
     split_three_way,
     treatment_mask,
@@ -120,31 +125,29 @@ class TestInvariants:
     def test_records_store_what_they_average_only(self):
         # theta_hat and theta_cf are read from the gaps and the rotations
         assert [f.name for f in fields(AttEstimate)] == [
-            "beta_hat", "gamma_hat", "matches", "eta_hat", "differences"
+            "beta_hat", "gamma_hat", "matches", "roles", "differences"
         ]
         assert [f.name for f in fields(CrossfitEstimate)] == ["rotations"]
 
-    def test_eta_hat_is_the_runs_residuals(self):
+    def test_roles_are_the_runs_splits_read_only(self):
         obs = generate(DgpConfig(n=600, seed=6))
         splits = split_three_way(obs.n, seed=6)
         est = estimate_att(obs, splits)
-        idx23 = np.concatenate([splits.i2, splits.i3])
-        assert np.all(np.isnan(est.eta_hat[splits.i1]))
-        assert np.array_equal(
-            est.eta_hat[idx23], residuals_eta(est.gamma_hat, obs)[idx23]
-        )
-        assert not est.eta_hat.flags.writeable
+        for role, part in zip(est.roles, (splits.i1, splits.i2, splits.i3), strict=True):
+            assert role is part
+            assert not role.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            est.roles[2][0] = est.roles[0][0]
 
-    def test_each_rotations_eta_hat_is_nan_on_its_score_split_only(self):
+    def test_each_rotation_holds_the_partitions_parts_rotated(self):
         obs = generate(DgpConfig(n=600, seed=6))
         splits = split_three_way(obs.n, seed=6)
         crossfit = crossfit_on_splits(obs, splits)
         parts = (splits.i1, splits.i2, splits.i3)
         for r, est in enumerate(crossfit.rotations):
-            # rotation r: parts r, r+1 and r+2 (mod 3) score, difference and match
-            score, beta, match = (parts[(r + k) % 3] for k in range(3))
-            assert np.all(np.isnan(est.eta_hat[score]))
-            assert np.all(np.isfinite(est.eta_hat[np.concatenate([beta, match])]))
+            # rotation r: parts r, r+1 and r+2 (mod 3) score, difference and
+            # match, the partition's own arrays rather than copies
+            assert all(est.roles[k] is parts[(r + k) % 3] for k in range(3))
 
     def test_differences_are_the_runs_matched_gaps(self):
         obs = generate(DgpConfig(n=600, seed=6))
@@ -170,7 +173,7 @@ class TestInvariants:
             assert est.theta_hat == single.theta_hat
             assert np.array_equal(est.gamma_hat, single.gamma_hat)
             assert np.array_equal(est.beta_hat, single.beta_hat)
-            assert np.array_equal(est.eta_hat, single.eta_hat, equal_nan=True)
+            assert all(np.array_equal(a, b) for a, b in zip(est.roles, single.roles, strict=True))
             assert np.array_equal(est.matches.treated_idx, single.matches.treated_idx)
             assert np.array_equal(est.matches.control_idx, single.matches.control_idx)
 
@@ -187,7 +190,7 @@ class TestInvariants:
         # run its gamma_hat; the runs themselves are stubbed either way
         set_cpus(monkeypatch, cpus)
         stub = AttEstimate(
-            beta_hat=None, gamma_hat=None, matches=None, eta_hat=None,
+            beta_hat=None, gamma_hat=None, matches=None, roles=None,
             differences=np.array([0.25]),
         )
         runs = []
@@ -206,6 +209,74 @@ class TestInvariants:
         assert estimate_theta(obs, seed, crossfit=True) == estimate_att_crossfit(obs, seed).theta_cf
 
 
+def rederive(obs: ObservationSet, est: AttEstimate) -> None:
+    """Re-run a record's stages from its roles and ``gamma_hat``; each gives its fields exactly."""
+    score, diff, match = est.roles
+    assert np.array_equal(fit_gamma(obs, score), est.gamma_hat)
+    eta = residuals_eta(est.gamma_hat, obs)
+    assert np.array_equal(fit_beta(obs, diff, eta), est.beta_hat)
+    treated = treatment_mask(obs)[match]
+    t, c = match[treated], match[~treated]
+    matches = match_controls(eta[t], t, eta[c], c)
+    assert np.array_equal(matches.treated_idx, est.matches.treated_idx)
+    assert np.array_equal(matches.control_idx, est.matches.control_idx)
+    assert np.array_equal(att_mod.matched_differences(obs, est.beta_hat, matches), est.differences)
+
+
+class TestRecordRederivesItsStages:
+    # the residuals a record's readers derive must be those its stages read;
+    # 4003 rows take the n-row products past OpenBLAS's threading threshold
+    def test_a_single_run(self):
+        obs = generate(DgpConfig(n=4003, seed=2))
+        rederive(obs, estimate_att(obs, split_three_way(obs.n, seed=3)))
+
+    def test_every_rotation_of_a_two_thread_crossfit(self, monkeypatch):
+        obs = generate(DgpConfig(n=4003, seed=2))
+        set_cpus(monkeypatch, 2)
+        for est in estimate_att_crossfit(obs, seed=3).rotations:
+            rederive(obs, est)
+
+    def test_inside_a_map_ranges_item(self, monkeypatch):
+        # an item runs OpenBLAS on one thread: it re-derives the records this
+        # process built on two, and records of its own
+        obs = generate(DgpConfig(n=4003, seed=2))
+        set_cpus(monkeypatch, 2)
+        caller = estimate_att_crossfit(obs, seed=3).rotations
+
+        def item(r: int) -> None:
+            rederive(obs, caller[r])
+            rederive(obs, estimate_att_crossfit(obs, seed=3).rotations[r])
+
+        assert map_ranges(item, 3) == [None] * 3
+
+
+class TestRowIndexShape:
+    # an index array that is not 1-D used to raise numpy's bare broadcast
+    # ValueError in the gathers, or run on
+    @pytest.fixture(scope="class")
+    def obs(self):
+        return generate(DgpConfig(n=300, seed=1))
+
+    ENTRY_POINTS = {
+        "estimate_theta-single": lambda obs, idx: estimate_theta(obs, 1, False, idx),
+        "estimate_theta-crossfit": lambda obs, idx: estimate_theta(obs, 1, True, idx),
+        "fit_gamma": lambda obs, idx: fit_gamma(obs, idx[:100]),
+        "fit_beta": lambda obs, idx: fit_beta(obs, idx, residuals_eta(np.zeros(obs.d_z), obs)),
+        "order_by_eta": lambda obs, idx: order_by_eta(obs.q, idx[:10]),
+        "first_differences": lambda obs, idx: first_differences(idx, obs),
+        "matched_differences": lambda obs, idx: att_mod.matched_differences(
+            obs, np.zeros(obs.d_x), MatchResult(idx[:9], idx[:9])
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_a_column_of_rows_is_rejected(self, obs, entry):
+        idx = np.arange(obs.n)[:, None]
+        with pytest.raises(DimensionMismatch, match=r"1-D, got shape \(\d+, 1\)") as err:
+            self.ENTRY_POINTS[entry](obs, idx)
+        assert err.value.split is None
+
+
 class TestHeavyTies:
     def test_discrete_score_matches_brute_force_oracle(self, monkeypatch):
         # q and z on small integer grids, so many rows of a split share one
@@ -221,7 +292,7 @@ class TestHeavyTies:
 
         single = estimate_att(obs, splits)
         controls3 = splits.i3[~treatment_mask(obs)[splits.i3]]
-        assert np.unique(single.eta_hat[controls3]).size * 4 < controls3.size
+        assert np.unique(residuals_eta(single.gamma_hat, obs)[controls3]).size * 4 < controls3.size
         assert np.unique(single.matches.control_idx).size > 1
         cf = estimate_att_crossfit(obs, seed=3)
 
@@ -248,9 +319,10 @@ class TestDgpScale:
 
 class TestWorkingSet:
     def test_a_serial_crossfit_peak_stays_under_its_bound(self, monkeypatch):
-        # measured 16.9 MB; either fit holding a copy of its design beyond the
-        # gathered one and Q, or matching keeping its intermediates to its
-        # end, takes it past 19.7 MB
+        # measured 12.1 MB; a record that keeps an n-row residual vector takes
+        # it to 16.9 MB, and either fit holding a copy of its design beyond
+        # the gathered one and Q, or matching keeping its intermediates to
+        # its end, adds about 2.8 MB
         obs = generate(DgpConfig(n=300_000, seed=0))
         set_cpus(monkeypatch, 1)
         tracemalloc.start()
@@ -259,7 +331,7 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 18.0e6
+        assert peak < 13.5e6
 
 
 class TestErrorLabeling:
@@ -393,8 +465,9 @@ class TestTwoThreadCrossfit:
         assert threaded.theta_cf == serial.theta_cf
         for a, b in zip(threaded.rotations, serial.rotations, strict=True):
             assert a.theta_hat == b.theta_hat
-            for name in ("beta_hat", "gamma_hat", "eta_hat", "differences"):
-                assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+            for name in ("beta_hat", "gamma_hat", "differences"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert all(np.array_equal(p, q) for p, q in zip(a.roles, b.roles, strict=True))
             assert np.array_equal(a.matches.treated_idx, b.matches.treated_idx)
             assert np.array_equal(a.matches.control_idx, b.matches.control_idx)
 

@@ -13,6 +13,7 @@ from threshmatch import (
     estimate_att_crossfit,
     estimate_theta,
     generate,
+    residuals_eta,
     split_three_way,
 )
 from threshmatch.errors import EmptyControlGroup, IndexOutOfRange, NumericError, StructuralError
@@ -127,8 +128,8 @@ class TestResampleByIndex:
         # distinct rows share eta_hat here, so the tie keys decide matches and
         # the eta ordering: they must be resample positions, as on a copy
         obs = tie_heavy_obs(DgpConfig(n=900, seed=2))
-        eta = estimate_att(obs, split_three_way(obs.n, seed=1)).eta_hat
-        eta = eta[np.isfinite(eta)]
+        est = estimate_att(obs, split_three_way(obs.n, seed=1))
+        eta = residuals_eta(est.gamma_hat, obs)[np.concatenate(est.roles[1:])]
         assert np.unique(eta).size * 50 < eta.size
         for r in range(40):
             rows = rng_from(7, r, 0).integers(0, obs.n, size=obs.n)

@@ -4,7 +4,8 @@ README promises that fixed-seed outputs stay bit-identical across
 refactors.  ``tests/fixtures/golden_bits.json`` holds, per case:
 
 - ``estimate``: one run's ``theta_hat``, ``beta_hat`` and ``gamma_hat``,
-  then digests of its ``eta_hat`` and of its matched differences;
+  then digests of its score residuals, NaN on its score split, and of its
+  matched differences;
 - ``crossfit``: ``theta_cf`` and the three rotations' ``theta_hat``;
 - ``bootstrap``: the 20 replicates of ``bootstrap_att``, its
   ``sigma2_hat``, ``ci_low`` and ``ci_high``;
@@ -52,6 +53,7 @@ from threshmatch import (  # noqa: E402
     fit_ite,
     generate,
     monte_carlo_att,
+    residuals_eta,
     split_three_way,
     true_att_oracle,
 )
@@ -93,9 +95,11 @@ def _digest(a: np.ndarray) -> str:
 def record_estimate(obs: ObservationSet, splits: SplitAssignment) -> list[str]:
     est = estimate_att(obs, splits)
     assert est.theta_hat == float(np.mean(est.differences))
+    eta = residuals_eta(est.gamma_hat, obs)
+    eta[est.roles[0]] = np.nan  # the rows whose residuals the run does not read
     return [
         *_hex([est.theta_hat, *est.beta_hat, *est.gamma_hat]),
-        _digest(est.eta_hat),
+        _digest(eta),
         _digest(est.differences),
     ]
 

@@ -24,6 +24,7 @@ from threshmatch import (
     load_ite_model,
     ols,
     predict_ite_batch,
+    residuals_eta,
     save_ite_model,
     split_three_way,
 )
@@ -226,7 +227,7 @@ class TestFitIte:
         alpha = lambda x, eta: x[:, 0]
         obs, splits, est, model = _fitted_pipeline(seed=7, n=900, alpha=alpha, include_eta=True)
         treated3 = splits.i3[treatment_mask(obs)[splits.i3]]
-        cov = np.hstack([obs.x[treated3], est.eta_hat[treated3][:, None]])
+        cov = np.hstack([obs.x[treated3], residuals_eta(est.gamma_hat, obs)[treated3][:, None]])
         for j, kn in enumerate(model.knots):
             assert np.all(np.diff(kn) >= 0)
             assert kn[0] == cov[:, j].min() and kn[-1] == cov[:, j].max()
