@@ -60,15 +60,18 @@ def first_differences(
     """Adjacent-row differences of ``x`` and ``y`` along ``sorted_idx``.
 
     ``dx`` holds the values of ``np.diff(obs.x[sorted_idx], axis=0)``,
-    stored column-major: the layout :func:`ols` factors in place.
+    stored column-major: the layout :func:`ols` factors in place.  ``x``
+    is gathered one column at a time, straight into that layout, with no
+    row-major copy of the sorted rows.
     """
     sorted_idx = check_indices(sorted_idx, obs.n)
     m = len(sorted_idx)
     if m < 2:
         raise TooFewControls(m, 2)
-    x_sorted = obs.x[sorted_idx]
     dx = np.empty((m - 1, obs.d_x), order="F")
-    np.subtract(x_sorted[1:], x_sorted[:-1], out=dx)
+    for j in range(obs.d_x):
+        column = obs.x[:, j][sorted_idx]
+        np.subtract(column[1:], column[:-1], out=dx[:, j])
     return dx, np.diff(obs.y[sorted_idx])
 
 

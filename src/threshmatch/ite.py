@@ -77,7 +77,12 @@ class SplineBasisSpec:
         object.__setattr__(self, "df_grid", grid)
 
     def dimension(self, n_covariates: int) -> int:
-        """Number of design columns for ``n_covariates`` raw covariates at ``df``."""
+        """Number of design columns for ``n_covariates`` raw covariates at ``df``.
+
+        An unset ``df`` raises DimensionMismatch.
+        """
+        if self.df is None:
+            raise DimensionMismatch("build_basis needs spec.df set")
         return 1 + n_covariates * self.df + n_covariates * (n_covariates - 1) // 2
 
 
@@ -112,14 +117,36 @@ class IteModel:
             raise ArityMismatch("training_mse is not finite")
 
 
+def _covariate_matrix(covariates: np.ndarray) -> np.ndarray:
+    """``covariates`` as a float64 ``m x d`` matrix of at least one row, all finite.
+
+    A vector is one row; an array of more than two dimensions raises
+    DimensionMismatch naming its shape, a non-finite covariate raises
+    NonFiniteValue naming the first such row and its covariate position,
+    and no rows raise TooFewRows.
+    """
+    covariates = np.atleast_2d(np.asarray(covariates, dtype=np.float64))
+    if covariates.ndim != 2:
+        raise DimensionMismatch(f"covariates must be an m x d matrix, got shape {covariates.shape}")
+    finite = np.isfinite(covariates)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise NonFiniteValue(int(row), f"covariate {col}")
+    if covariates.shape[0] == 0:
+        raise TooFewRows(0, 1)
+    return covariates
+
+
 def quantile_knots(covariates: np.ndarray, df: int) -> list[np.ndarray]:
     """One augmented knot vector per column of an ``m x d`` training matrix.
 
     ``df - DEGREE`` interior knots sit at quantiles ``j / (df - DEGREE + 1)``
     of the column, and the boundary knots (``DEGREE + 1`` times each) at its
-    min and max.  A constant column raises DegenerateCovariate.
+    min and max.  The matrix is checked as :func:`build_basis` checks its
+    covariates: an empty one raises TooFewRows and a non-finite entry
+    NonFiniteValue.  A constant column raises DegenerateCovariate.
     """
-    columns = np.ascontiguousarray(np.asarray(covariates, dtype=np.float64).T)  # one row each
+    columns = np.ascontiguousarray(_covariate_matrix(covariates).T)  # one row each
     lo, hi = columns.min(axis=1), columns.max(axis=1)
     constant = np.flatnonzero(lo == hi)
     if constant.size:
@@ -166,7 +193,7 @@ def bspline_block(values: np.ndarray, knots: np.ndarray) -> np.ndarray:
 
 
 def build_basis(
-    covariates: np.ndarray, spec: SplineBasisSpec, knots: list[np.ndarray]
+    covariates: np.ndarray, spec: SplineBasisSpec, knots: list[np.ndarray], *, order: str = "C"
 ) -> np.ndarray:
     """Assemble the regression design for an ``m x d`` covariate matrix.
 
@@ -180,27 +207,22 @@ def build_basis(
     At least one row is needed, and one knot vector per column.  An unset
     ``spec.df`` raises DimensionMismatch, and a knot vector of another
     length than ``df + 5`` raises ArityMismatch.
+
+    The design is stored row-major (``order="C"``), the layout a
+    matrix-vector product reads, or column-major (``order="F"``), the
+    layout :func:`ols` factors in place; the values are the same.
     """
-    covariates = np.atleast_2d(np.asarray(covariates, dtype=np.float64))
-    if covariates.ndim != 2:
-        raise DimensionMismatch(f"covariates must be an m x d matrix, got shape {covariates.shape}")
-    finite = np.isfinite(covariates)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise NonFiniteValue(int(row), f"covariate {col}")
+    covariates = _covariate_matrix(covariates)
     m, d = covariates.shape
-    if m == 0:
-        raise TooFewRows(0, 1)
     if len(knots) != d:
         raise ArityMismatch(f"model has {len(knots)} covariates, got {d}")
+    width = spec.dimension(d)  # raises on an unset df
     df = spec.df
-    if df is None:
-        raise DimensionMismatch("build_basis needs spec.df set")
     for j, kn in enumerate(knots):
         if len(kn) != df + DEGREE + 2:
             raise ArityMismatch(f"knots{j} has {len(kn)} knots; df {df} needs {df + DEGREE + 2}")
 
-    design = np.empty((m, spec.dimension(d)))
+    design = np.empty((m, width), order=order)
     design[:, 0] = 1.0
     for j in range(d):
         design[:, 1 + j * df : 1 + (j + 1) * df] = bspline_block(covariates[:, j], knots[j])[:, 1:]
@@ -249,6 +271,16 @@ def fit_ite(
     order raises, as ``map_ranges`` raises; fits after it in the caller's
     range are not run.  The refit runs here.
 
+    Each item evaluates the basis on its training rows alone, column-major,
+    for :func:`ols` to factor in place, and again on its held-out rows,
+    row-major, for the validation product; the refit builds its design
+    both ways too, the second for ``training_mse``.  So no design is held
+    for more rows than it is read on, and no fit copies one.  The bits
+    equal those of one design on all treated rows, its rows taken out:
+    each basis row depends on its own covariates only, and each product
+    reads the rows in the same layout and order.  ``tests/test_ite.py``
+    compares every item's MSE and the model with such a fit.
+
     Cross-validation picks ``df``, so a ``spec`` whose ``df`` is already set
     raises DimensionMismatch.
     """
@@ -269,12 +301,12 @@ def fit_ite(
 
     def fold_error(i: int) -> float:
         # fold-major items, so every contiguous range holds narrow and wide designs
-        df = grid[i % len(grid)]
+        fold_spec = replace(spec, df=grid[i % len(grid)])
         train, hold = folds[i // len(grid)]
-        design = build_basis(cov, replace(spec, df=df), quantile_knots(cov[train], df))
-        # build_basis's design is C-contiguous, so take gathers whole rows
-        coef = ols(design.take(train, axis=0), response[train])
-        err = response[hold] - design.take(hold, axis=0) @ coef
+        cov_train = cov[train]
+        knots = quantile_knots(cov_train, fold_spec.df)
+        coef = ols(build_basis(cov_train, fold_spec, knots, order="F"), response[train], overwrite_a=True)
+        err = response[hold] - build_basis(cov[hold], fold_spec, knots) @ coef
         return float(np.mean(err**2))
 
     results = map_ranges(fold_error, len(grid) * CV_FOLDS)
@@ -286,9 +318,8 @@ def fit_ite(
 
     chosen = replace(spec, df=best_df)
     knots = quantile_knots(cov, best_df)
-    design = build_basis(cov, chosen, knots)
-    coef = ols(design, response)
-    training_mse = float(np.mean((response - design @ coef) ** 2))
+    coef = ols(build_basis(cov, chosen, knots, order="F"), response, overwrite_a=True)
+    training_mse = float(np.mean((response - build_basis(cov, chosen, knots) @ coef) ** 2))
     return IteModel(basis=chosen, knots=knots, coef=coef, training_mse=training_mse)
 
 

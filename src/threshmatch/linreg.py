@@ -15,8 +15,10 @@ whether the blocked code runs, from 129 columns).  ``np.linalg.qr``
 copies the design into and out of column-major order around each call.
 :func:`ols` copies it in once, unless the caller passes ``overwrite_a``
 with a writable, F-contiguous float64 design: that one is factored where
-it lies, and the pipeline's fits gather their designs in that layout for
-it.  ``R`` and ``Q`` are then copied out in
+it lies.  Every fit in the package does: the score and difference fits
+gather their rows straight into that layout, and the spline fits of
+:mod:`threshmatch.ite` evaluate their basis into it.  ``R`` and ``Q``
+are then copied out in
 the row-major layouts ``np.linalg.qr`` returns, so the projection ``Q^T
 b`` and the back substitution run the same BLAS kernels and every bit
 equals a fit through ``np.linalg.qr``; ``tests/test_linreg.py`` checks

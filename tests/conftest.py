@@ -1,22 +1,34 @@
 """Shared test helpers: the noiseless-null generator, tiny builders, a
 sample of any covariate widths in any memory layout, a discrete-score
 variant of the generator and its tie-heavy design, the brute-force
-matching oracle, the ``np.linalg.qr`` least-squares oracle, a
-CPU-count override and a leftover-child check for the replicate runner,
-a pipe to read a file's bytes from, and data files holding a field that
-``csv`` cannot read."""
+matching oracle, the ``np.linalg.qr`` least-squares oracle, the
+whole-design oracle for ``fit_ite``'s fits, a CPU-count override and a
+leftover-child check for the replicate runner, a pipe to read a file's
+bytes from, and data files holding a field that ``csv`` cannot read."""
 
 from __future__ import annotations
 
 import contextlib
 import os
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from threshmatch import DgpConfig, MatchResult, NumericError, ObservationSet, RankDeficient, true_ite_fn
+from threshmatch import (
+    DgpConfig,
+    MatchResult,
+    NumericError,
+    ObservationSet,
+    RankDeficient,
+    build_basis,
+    ols,
+    residuals_eta,
+    true_ite_fn,
+)
+from threshmatch.ite import CV_FOLDS, quantile_knots
 from threshmatch.linreg import RANK_TOL
 from threshmatch.matching import _validate
 from threshmatch.rng import rng_from
@@ -208,6 +220,37 @@ def ols_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k in range(a.shape[1] - 1, -1, -1):
         coef[k] = (qtb[k] - r_mat[k, k + 1 :] @ coef[k + 1 :]) / r_mat[k, k]
     return coef
+
+
+def fit_ite_reference(obs: ObservationSet, est, spec, cv_seed: int):
+    """Reference implementation of ``fit_ite``'s fits, as slices of whole designs.
+
+    Each (fold, df) item, in fold-major order, builds the design on all
+    treated rows, fits ``ols`` to the training rows taken out of it, and
+    multiplies the held-out rows taken out of it by the coefficients.  The
+    refit at the chosen df (the smallest of least mean MSE) fits the design
+    on all treated rows.  Returns the items' MSEs, the chosen df, the
+    refit's coefficients and its training MSE.
+    """
+    treated = est.matches.treated_idx
+    cov = obs.x[treated]
+    if spec.include_eta:
+        cov = np.hstack([cov, residuals_eta(est.gamma_hat, obs)[treated][:, None]])
+    response = est.differences
+    perm = rng_from(cv_seed).permutation(len(cov))
+    grid = spec.df_grid
+    mses = []
+    for hold in np.array_split(perm, CV_FOLDS):
+        train = np.setdiff1d(perm, hold, assume_unique=True)
+        for df in grid:
+            design = build_basis(cov, replace(spec, df=df), quantile_knots(cov[train], df))
+            coef = ols(design.take(train, axis=0), response[train])
+            mses.append(float(np.mean((response[hold] - design.take(hold, axis=0) @ coef) ** 2)))
+    means = [float(np.mean(mses[j :: len(grid)])) for j in range(len(grid))]
+    best_df = grid[means.index(min(means))]
+    design = build_basis(cov, replace(spec, df=best_df), quantile_knots(cov, best_df))
+    coef = ols(design, response)
+    return mses, best_df, coef, float(np.mean((response - design @ coef) ** 2))
 
 
 @contextlib.contextmanager

@@ -177,6 +177,46 @@ def test_only_the_parallel_module_starts_threads_or_processes():
     assert offenders == {}
 
 
+def _ols_calls_that_copy(source: str) -> list[int]:
+    """Line numbers of calls to ``ols`` (by name or attribute) without ``overwrite_a=True``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "ols" or getattr(node.func, "attr", None) == "ols")
+        and not any(
+            kw.arg == "overwrite_a" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+            for kw in node.keywords
+        )
+    )
+
+
+def test_ols_call_scan_flags_calls_that_copy():
+    source = (
+        "coef = ols(a, b)\n"
+        "coef = ols(a, b, overwrite_a=True)\n"
+        "coef = linreg.ols(a, b)\n"
+        "coef = ols(a, b, overwrite_a=False)\n"
+        "coef = ols(a, b, overwrite_a=flag)\n"
+        "def ols(a, b): pass\n"
+        "coef = lstsq(a, b)\n"
+        "coef = linreg.ols(\n    a, b, overwrite_a=True\n)\n"
+    )
+    assert _ols_calls_that_copy(source) == [1, 3, 4, 5]
+
+
+def test_every_fit_factors_its_design_in_place():
+    # one copy per design: each caller builds its design column-major for ols
+    # to factor where it lies, rather than having ols copy it
+    package = Path(threshmatch.__file__).parent
+    offenders = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if (lines := _ols_calls_that_copy(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
 def test_array_records_compare_and_hash_by_identity():
     # a generated __eq__ compares array fields with ==, which raises
     obs = make_null_obs(seed=1)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,9 +32,10 @@ from threshmatch import (
 from threshmatch.att import crossfit_on_splits, matched_differences
 from threshmatch.data_model import treatment_mask
 from threshmatch.ite import DEFAULT_DF_GRID, IteModel, bspline_block, quantile_knots
+from threshmatch.parallel import map_ranges
 from threshmatch.simulate import X_AND_ETA, X_ONLY
 
-from conftest import assert_no_child_left, make_pl_obs, set_cpus
+from conftest import assert_no_child_left, fit_ite_reference, make_pl_obs, set_cpus
 
 TIE_KINDS = ("continuous", "integer", "cubed", "rounded", "one-point")
 
@@ -97,6 +99,27 @@ class TestBasis:
         knots[1] = quantile_knots(x, knot_df)[1]
         with pytest.raises(error, match=re.escape(message)):
             build_basis(x, SplineBasisSpec(df=df), knots)
+
+    def test_dimension_needs_a_df(self):
+        # used to raise a bare TypeError from int * None
+        with pytest.raises(DimensionMismatch, match=re.escape("build_basis needs spec.df set")):
+            SplineBasisSpec().dimension(3)
+
+    def test_knots_of_no_rows_is_an_input_error(self):
+        # used to raise numpy's bare zero-size reduction ValueError
+        with pytest.raises(TooFewRows, match=r"need at least 1 rows, got 0$") as err:
+            quantile_knots(np.empty((0, 3)), 4)
+        assert err.value.n == 0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_knots_of_a_non_finite_column_name_row_and_position(self, value):
+        # a NaN used to give all-NaN knots and raise nothing
+        x = np.random.default_rng(4).uniform(-2, 2, size=(20, 3))
+        x[5, 2] = value
+        x[7, 0] = value
+        with pytest.raises(NonFiniteValue) as err:
+            quantile_knots(x, 4)
+        assert (err.value.row, err.value.col) == (5, "covariate 2")
 
     def test_constant_covariate_rejected(self):
         # two constant columns: the error names the first
@@ -249,6 +272,33 @@ class TestCvGrid:
         assert_no_child_left()
 
     @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("kind", [X_ONLY, X_AND_ETA])
+    def test_fits_equal_slices_of_the_whole_design(self, monkeypatch, cpus, kind):
+        # each item builds its training and held-out designs apart, and the
+        # refit builds its design twice; every bit equals the slices of one
+        # design on all treated rows
+        obs = generate(DgpConfig(n=3000, seed=4, ite_kind=kind))
+        est = estimate_att(obs, split_three_way(obs.n, seed=4))
+        spec = SplineBasisSpec(include_eta=kind == X_AND_ETA)
+        fold_mses = []
+
+        def recording_map_ranges(fn, count):
+            results = map_ranges(fn, count)
+            fold_mses.extend(results)
+            return results
+
+        set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(ite_mod, "map_ranges", recording_map_ranges)
+        model = fit_ite(obs, est, spec, cv_seed=4)
+        mses, best_df, coef, training_mse = fit_ite_reference(obs, est, spec, cv_seed=4)
+        assert len(fold_mses) == len(spec.df_grid) * 4
+        assert np.array(fold_mses).tobytes() == np.array(mses).tobytes()
+        assert model.basis.df == best_df
+        assert model.coef.tobytes() == coef.tobytes()
+        assert model.training_mse == training_mse
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 3])
     @pytest.mark.parametrize("failing", [((4, 2), (8, 0)), ((8, 0), (4, 2))])
     def test_first_failure_in_fold_major_order_raises(self, monkeypatch, cpus, failing):
         # df 8 fold 0 comes before df 4 fold 2 in fold-major item order and
@@ -258,9 +308,9 @@ class TestCvGrid:
         df_of_width = {replace(spec, df=df).dimension(3): df for df in spec.df_grid}
         calls = []
 
-        def recording_ols(a, b):
+        def recording_ols(a, b, *, overwrite_a=False):
             calls.append((a.shape[1], b.tobytes()))
-            return ols(a, b)
+            return ols(a, b, overwrite_a=overwrite_a)
 
         set_cpus(monkeypatch, 1)
         monkeypatch.setattr(ite_mod, "ols", recording_ols)
@@ -272,11 +322,11 @@ class TestCvGrid:
             fit_of[width, response] = (df, sum(v[0] == df for v in fit_of.values()))
         assert sorted(fit_of.values()) == [(df, f) for df in spec.df_grid for f in range(4)]
 
-        def failing_ols(a, b):
+        def failing_ols(a, b, *, overwrite_a=False):
             fit = fit_of.get((a.shape[1], b.tobytes()))
             if fit in failing:
                 raise NumericError(f"fit df={fit[0]} fold={fit[1]}")
-            return ols(a, b)
+            return ols(a, b, overwrite_a=overwrite_a)
 
         set_cpus(monkeypatch, cpus)
         monkeypatch.setattr(ite_mod, "ols", failing_ols)
@@ -289,7 +339,7 @@ class TestCvGrid:
         obs, _, est, _ = _fitted_pipeline(seed=9, n=900, alpha=lambda x, eta: x[:, 0])
         calls = []
 
-        def failing_ols(a, b):
+        def failing_ols(a, b, *, overwrite_a=False):
             calls.append(a.shape)
             raise NumericError("fit failed")
 
@@ -298,6 +348,24 @@ class TestCvGrid:
         with pytest.raises(NumericError, match=r"^fit failed$"):
             fit_ite(obs, est, SplineBasisSpec(), cv_seed=9)
         assert len(calls) == 1
+
+
+class TestWorkingSet:
+    def test_a_serial_fit_peak_stays_under_its_bound(self, monkeypatch):
+        # 5018 treated rows, designs of 27 to 47 columns: measured 4.4 MB run
+        # alone; each item building its design on all treated rows and taking
+        # its training and held-out rows out of it, for ols to copy the
+        # training rows again, took it to 7.7 MB
+        obs = generate(DgpConfig(n=30_000, seed=0, ite_kind=X_AND_ETA))
+        est = estimate_att(obs, split_three_way(obs.n, seed=3))
+        set_cpus(monkeypatch, 1)
+        tracemalloc.start()
+        try:
+            fit_ite(obs, est, SplineBasisSpec(include_eta=True), cv_seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.0e6
 
 
 class TestPredict:

@@ -68,11 +68,13 @@ def test_traced_run_finds_every_wrap_point_and_matches_untraced(monkeypatch):
     assert np.array_equal(np.array(traced), np.array(untraced))
 
     basis = [span for span in tracer.spans if span.name == "ite.build_basis"]
-    # one fit: 6 grid dfs x 4 CV folds, the refit, then one prediction for the MSE
-    assert len(basis) == 26
+    # one fit: 6 grid dfs x 4 CV folds, each built on its training and its
+    # held-out rows, the refit built twice (factored, then multiplied), and
+    # one prediction for the MSE
+    assert len(basis) == 51
     assert all(span.counts["cells"] > 0 for span in basis)
     metrics, _ = tracer.layer_metrics()
-    assert metrics["ite.build_basis.calls"]["value"] == 26
+    assert metrics["ite.build_basis.calls"]["value"] == 51
 
 
 def test_traced_run_on_two_cpus_matches_untraced(monkeypatch):
