@@ -190,6 +190,7 @@ def _estimate_with_roles(
     control3 = match_split[~treated]
     with labelled("I3"):
         matches = match_controls(eta_hat[treated3], treated3, eta_hat[control3], control3)
+    del eta_hat, treated, control3  # read; freed before matched_differences' n-row temporary
 
     differences = matched_differences(obs, beta_hat, matches)
     differences.setflags(write=False)

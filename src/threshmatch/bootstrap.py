@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .att import estimate_theta
-from .data_model import ObservationSet, whole_number
+from .data_model import ObservationSet, linear_quantiles, whole_number
 from .errors import InputError, InvalidLevel, NumericError, StructuralError, TooManyFailures
 from .parallel import map_ranges
 from .rng import derive_seed, rng_from
@@ -78,9 +78,11 @@ def bootstrap_att(
     cross-fitted errors by ``n`` instead, so the two are not on one scale
     under ``crossfit``.)  The confidence interval takes the empirical
     ``(1-level)/2`` and ``1-(1-level)/2`` quantiles (linear interpolation
-    between order statistics).  Replicates whose resample cannot support
-    estimation (say, a split without controls) are dropped, up to the
-    ``FAILURE_BUDGET`` share of ``b``; beyond that the whole run is rejected.
+    between order statistics), the bits of ``np.quantile``'s "linear"
+    method, from :func:`threshmatch.data_model.linear_quantiles`.
+    Replicates whose resample cannot support estimation (say, a split
+    without controls) are dropped, up to the ``FAILURE_BUDGET`` share of
+    ``b``; beyond that the whole run is rejected.
     """
     if not (0.0 < level < 1.0):
         raise InvalidLevel(level)
@@ -102,7 +104,7 @@ def bootstrap_att(
     n_tilde = obs.n // 3
     sigma2_hat = float(n_tilde * np.var(replicates, ddof=1))
     alpha = (1.0 - level) / 2.0
-    ci_low, ci_high = np.quantile(replicates, [alpha, 1.0 - alpha], method="linear")
+    ci_low, ci_high = linear_quantiles(replicates, [alpha, 1.0 - alpha])
     return BootstrapResult(
         replicates=replicates,
         sigma2_hat=sigma2_hat,

@@ -296,6 +296,35 @@ def check_indices(idx: np.ndarray, n: int) -> np.ndarray:
     return idx
 
 
+def linear_quantiles(
+    values: np.ndarray, probs: list[float] | np.ndarray, axis: int = 0
+) -> np.ndarray:
+    """``np.quantile(values, probs, axis=axis)``, method "linear", bit for bit on finite values.
+
+    It repeats numpy's own steps: a float64 copy with ``axis`` moved first,
+    one ``partition`` at the order statistics around each virtual index
+    ``(n - 1) * p``, and numpy's two-sided lerp.  Unlike ``np.quantile``,
+    which sorts those indices with ``np.unique``, it never imports
+    ``numpy.ma``.  ``probs`` is a 1-D sequence in ``[0, 1]``; the result has
+    one row per probability.
+    """
+    arr = np.moveaxis(np.array(values, dtype=np.float64), axis, 0)
+    n = arr.shape[0]
+    virtual = (n - 1) * np.asarray(probs, dtype=np.float64)
+    below = np.floor(virtual)
+    above = below + 1
+    top = virtual >= n - 1  # numpy takes the last order statistic there
+    below[top] = above[top] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    arr.partition(sorted({0, -1, *below.tolist(), *above.tolist()}), axis=0)
+    t = (virtual - below).reshape(virtual.shape + (1,) * (arr.ndim - 1))
+    a, b = arr[below], arr[above]
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    return out
+
+
 def _parse_column(rows: list[list[str]], pos: int, name: str, offset: int) -> np.ndarray:
     """Cell ``pos`` of every row as float64, checked against the strict grammar.
 

@@ -30,7 +30,7 @@ from itertools import combinations, count, zip_longest
 import numpy as np
 
 from .att import AttEstimate
-from .data_model import ObservationSet, utf8_text, whole_number
+from .data_model import ObservationSet, linear_quantiles, utf8_text, whole_number
 from .errors import (
     ArityMismatch,
     DegenerateCovariate,
@@ -141,10 +141,12 @@ def quantile_knots(covariates: np.ndarray, df: int) -> list[np.ndarray]:
     """One augmented knot vector per column of an ``m x d`` training matrix.
 
     ``df - DEGREE`` interior knots sit at quantiles ``j / (df - DEGREE + 1)``
-    of the column, and the boundary knots (``DEGREE + 1`` times each) at its
-    min and max.  The matrix is checked as :func:`build_basis` checks its
-    covariates: an empty one raises TooFewRows and a non-finite entry
-    NonFiniteValue.  A constant column raises DegenerateCovariate.
+    of the column, the bits of ``np.quantile``'s "linear" method, from
+    :func:`threshmatch.data_model.linear_quantiles`; the boundary knots
+    (``DEGREE + 1`` times each) sit at its min and max.  The matrix is
+    checked as :func:`build_basis` checks its covariates: an empty one
+    raises TooFewRows and a non-finite entry NonFiniteValue.  A constant
+    column raises DegenerateCovariate.
     """
     columns = np.ascontiguousarray(_covariate_matrix(covariates).T)  # one row each
     lo, hi = columns.min(axis=1), columns.max(axis=1)
@@ -154,7 +156,7 @@ def quantile_knots(covariates: np.ndarray, df: int) -> list[np.ndarray]:
     qs = np.arange(1, df - DEGREE + 1) / (df - DEGREE + 1)
     knots = np.empty((columns.shape[0], df + DEGREE + 2))
     knots[:, : DEGREE + 1] = lo[:, None]
-    knots[:, DEGREE + 1 : -DEGREE - 1] = np.quantile(columns, qs, axis=1).T
+    knots[:, DEGREE + 1 : -DEGREE - 1] = linear_quantiles(columns, qs, axis=1).T
     knots[:, -DEGREE - 1 :] = hi[:, None]
     return list(knots)
 

@@ -58,9 +58,15 @@ class MatchResult:
     def reuse_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Matched control rows, ascending, and the number K(i) of treated rows each serves.
 
-        Controls never used do not appear.
+        Controls never used do not appear.  The values and dtypes of
+        ``np.unique(control_idx, return_counts=True)``, from one sort and the
+        starts of its runs of equal rows.
         """
-        return np.unique(self.control_idx, return_counts=True)
+        ordered = np.sort(self.control_idx)
+        first = np.ones(ordered.size, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        return ordered[starts], np.diff(starts, append=ordered.size)
 
 
 def _validate(eta_treated, treated_idx, eta_control, control_idx):

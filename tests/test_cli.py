@@ -619,6 +619,35 @@ class TestConsoleEntryPoint:
         assert json.loads(proc.stdout)["predictions_out"]
         assert proc.stderr.strip() == "[]"
 
+    @pytest.mark.parametrize("case", ["estimate-crossfit", "bootstrap", "ite", "api"])
+    def test_estimator_runs_never_load_numpy_ma(self, tmp_path, case):
+        # np.quantile and np.unique import numpy.ma (about 1.4 MiB) on first use;
+        # intervals, knots and reuse counts are computed without them
+        data, grid = tmp_path / "data.csv", tmp_path / "grid.csv"
+        assert main(["simulate", "--mode", "gen", "--n", "3000", "--seed", "5",
+                     "--out", str(data)]) == 0
+        grid.write_text("x1,x2,x3,eta_hat\n0.0,0.0,0.0,0.1\n1.0,0.5,-0.5,-0.2\n")
+        flags = ["--data", str(data), "--y", "y", "--q", "q",
+                 "--x", "x1,x2,x3", "--z", "x1,x2,x3,x4", "--tau", "0.0"]
+        argv = {
+            "estimate-crossfit": ["estimate", *flags, "--crossfit"],
+            "bootstrap": ["bootstrap", *flags, "--b", "20"],
+            "ite": ["ite", *flags, "--include-eta", "true",
+                    "--model-out", str(tmp_path / "m.txt"), "--predict-grid", str(grid)],
+        }.get(case, [])
+        run = ("from threshmatch.cli import main; assert main(sys.argv[1:]) == 0" if argv else
+               "from threshmatch import *; obs = generate(DgpConfig(n=3000, seed=5)); "
+               "est = estimate_att(obs, split_three_way(obs.n, seed=5)); "
+               "est.matches.reuse_counts(); bootstrap_att(obs, b=20, seed=1); "
+               "fit_ite(obs, est, SplineBasisSpec(include_eta=True), cv_seed=2)")
+        code = f"import sys; {run}; print('numpy.ma' in sys.modules, file=sys.stderr)"
+        src = str(Path(__file__).parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == "False"
+
     def test_benchmark_wrap_points_exist(self, monkeypatch):
         # the benchmark's tracer patches functions by name; one that an API change
         # renames or removes would silently drop its per-layer metric

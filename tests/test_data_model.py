@@ -30,7 +30,8 @@ from threshmatch import (
     order_by_eta,
 )
 from threshmatch import data_model
-from threshmatch.data_model import MIN_ROWS, check_indices, read_columns, row_indices
+from threshmatch.data_model import MIN_ROWS, check_indices, linear_quantiles, read_columns, row_indices
+from threshmatch.ite import DEGREE
 
 from conftest import LAYOUTS, LONG_FIELD_CASES, long_field_csv, make_null_obs, piped, synthetic
 
@@ -1080,6 +1081,60 @@ class TestTreatmentMask:
     def test_popcount_complement(self, null_obs):
         mask = treatment_mask(null_obs)
         assert mask.sum() == null_obs.n - (~mask).sum()
+
+
+# signed zeros and a few repeated values tie often; any float whose gaps stay
+# finite can come too
+_quantile_values = st.one_of(
+    st.sampled_from([-0.0, 0.0, -1.0, 1.0, 0.5, 3.0]),
+    st.floats(-1e300, 1e300),
+)
+_quantile_probs = st.one_of(
+    # quantile_knots' grids of interior knots
+    st.integers(DEGREE + 1, 40).map(lambda df: np.arange(1, df - DEGREE + 1) / (df - DEGREE + 1)),
+    # bootstrap_att's (alpha, 1 - alpha) pairs
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(
+        lambda level: [(1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0]
+    ),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+)
+
+
+@st.composite
+def _quantile_cases(draw):
+    n = draw(st.integers(1, 60))
+    width = draw(st.sampled_from([None, 1, 3]))  # None: one 1-D sample
+    shape = (n,) if width is None else (n, width)
+    values = np.array(draw(st.lists(_quantile_values, min_size=n * (width or 1),
+                                    max_size=n * (width or 1)))).reshape(shape)
+    axis = 0
+    if width is not None and draw(st.booleans()):
+        values, axis = np.ascontiguousarray(values.T), 1
+    return values, draw(_quantile_probs), axis
+
+
+class TestLinearQuantiles:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(case=_quantile_cases())
+    def test_equals_numpy_linear_quantile_bit_for_bit(self, case):
+        values, probs, axis = case
+        want = np.quantile(values, probs, axis=axis, method="linear")
+        got = linear_quantiles(values, probs, axis=axis)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_sign_of_a_tied_zero_follows_the_partition(self):
+        # a sort plus a lerp can pick the other zero of a -0.0/0.0 tie
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            values = rng.choice([-0.0, 0.0, 1.0], size=int(rng.integers(2, 40)))
+            probs = rng.random(4)
+            assert linear_quantiles(values, probs).tobytes() == np.quantile(values, probs).tobytes()
+
+    def test_leaves_its_input_alone(self):
+        values = np.array([3.0, 1.0, 2.0])
+        assert linear_quantiles(values, [0.5]).tolist() == [2.0]
+        assert values.tolist() == [3.0, 1.0, 2.0]
 
 
 def test_min_rows_constant_matches_split_requirement():

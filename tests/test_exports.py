@@ -217,6 +217,49 @@ def test_every_fit_factors_its_design_in_place():
     assert offenders == {}
 
 
+ESTIMATOR_MODULES = ("att", "bootstrap", "data_model", "diff_beta", "ite", "linreg", "matching",
+                     "parallel", "residualize", "rng")
+MA_LOADERS = ("quantile", "percentile", "unique", "median")
+
+
+def _numpy_ma_loaders(source: str) -> list[int]:
+    """Line numbers of ``np.quantile``, ``np.percentile``, ``np.unique`` or ``np.median`` calls."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in MA_LOADERS
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+    )
+
+
+def test_numpy_ma_scan_flags_quantile_percentile_unique_and_median():
+    source = (
+        "lo, hi = np.quantile(r, [0.025, 0.975])\n"
+        "k = linear_quantiles(r, [0.5])\n"
+        "p = numpy.percentile(r, 50)\n"
+        "u = np.unique(idx, return_counts=True)\n"
+        "m = np.median(\n    r\n)\n"
+        "s = np.sort(r)\n"
+        "q = self.quantile(r)\n"
+    )
+    assert _numpy_ma_loaders(source) == [1, 3, 4, 5]
+
+
+def test_estimator_modules_never_call_what_loads_numpy_ma():
+    # in numpy 2.4 these reach np.unique, whose first call imports numpy.ma;
+    # data_model.linear_quantiles and a sort give the same bits without it
+    package = Path(threshmatch.__file__).parent
+    offenders = {
+        name: lines
+        for name in ESTIMATOR_MODULES
+        if (lines := _numpy_ma_loaders((package / f"{name}.py").read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
 def test_array_records_compare_and_hash_by_identity():
     # a generated __eq__ compares array fields with ==, which raises
     obs = make_null_obs(seed=1)

@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 
 from threshmatch import (
+    DgpConfig,
     DimensionMismatch,
     EmptyControlGroup,
     EmptyTreatedGroup,
+    MatchResult,
     NonFiniteValue,
+    estimate_att,
+    generate,
     match_controls,
+    split_three_way,
 )
 
-from conftest import match_controls_brute
+from conftest import generate_discrete, match_controls_brute, tie_heavy_obs
 
 
 def _random_instance(rng, ties=False):
@@ -191,6 +196,23 @@ class TestProperties:
             assert np.all(np.isin(controls, c_idx))
             assert len(res.control_idx) == len(t_vals)
             assert np.array_equal(res.treated_idx, t_idx)
+
+    def test_reuse_counts_equal_unique_with_counts(self):
+        # one sort and its run starts give np.unique's controls and counts,
+        # values and dtypes, on random, grid-tied and discrete-score matches
+        rng = np.random.default_rng(6)
+        results = [match_controls(*_random_instance(rng, ties)) for ties in (False, True) * 20]
+        for make in (generate, generate_discrete, tie_heavy_obs):
+            obs = make(DgpConfig(n=3000, seed=2))
+            results.append(estimate_att(obs, split_three_way(obs.n, seed=2)).matches)
+        empty = np.empty(0, dtype=np.intp)
+        results.append(MatchResult(empty, empty))
+        for res in results:
+            got, want = res.reuse_counts(), np.unique(res.control_idx, return_counts=True)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype == np.intp
+                assert np.array_equal(g, w)
+        assert results[-2].reuse_counts()[1].max() > 100  # tie-heavy: one control serves many
 
     def test_empty_groups_raise(self):
         with pytest.raises(EmptyControlGroup):
