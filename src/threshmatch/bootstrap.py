@@ -45,6 +45,21 @@ class BootstrapResult:
     b_failed: int
 
 
+def check_settings(b: int, level: float) -> None:
+    """Check a bootstrap's replicate count ``b`` and confidence ``level``.
+
+    The one statement of the rule, for :func:`bootstrap_att` and for
+    callers that check their settings before they load any data: ``b``
+    must be an integer of at least 2 (DimensionMismatch for a
+    non-integer, InputError for a smaller count), and ``level`` must lie
+    strictly in ``(0, 1)`` (InvalidLevel).  The level is checked first.
+    """
+    if not (0.0 < level < 1.0):
+        raise InvalidLevel(level)
+    if whole_number(b, "b") < 2:
+        raise InputError(f"need at least 2 bootstrap replicates, got {b}")
+
+
 def bootstrap_replicate(
     obs: ObservationSet, r: int, seed: int, crossfit: bool = False
 ) -> float:
@@ -82,12 +97,10 @@ def bootstrap_att(
     method, from :func:`threshmatch.data_model.linear_quantiles`.
     Replicates whose resample cannot support estimation (say, a split
     without controls) are dropped, up to the ``FAILURE_BUDGET`` share of
-    ``b``; beyond that the whole run is rejected.
+    ``b``; beyond that the whole run is rejected.  ``b`` and ``level``
+    are checked first, by :func:`check_settings`.
     """
-    if not (0.0 < level < 1.0):
-        raise InvalidLevel(level)
-    if whole_number(b, "b") < 2:
-        raise InputError(f"need at least 2 bootstrap replicates, got {b}")
+    check_settings(b, level)
 
     def replicate(r: int) -> float | None:
         try:

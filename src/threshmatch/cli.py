@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .att import estimate_att, estimate_att_crossfit, estimate_theta
-from .bootstrap import bootstrap_att
+from .bootstrap import bootstrap_att, check_settings
 from .data_model import (
     ColumnSpec,
     ObservationSet,
@@ -65,27 +65,14 @@ _EXIT_CODES = ((TooManyFailures, 4), ((InputError, OSError), 2), (ThreshmatchErr
 
 
 def _comma_list(text: str) -> list[str]:
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of column names")
-    return items
+    return [t.strip() for t in text.split(",") if t.strip()]
 
 
 def _comma_ints(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(t) for t in text.split(",") if t.strip())
+        return tuple(int(t) for t in _comma_list(text))
     except ValueError:
         raise argparse.ArgumentTypeError("expected a comma-separated list of integers")
-
-
-def _u64(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an unsigned integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("seed must be non-negative")
-    return value
 
 
 def _bool_flag(text: str) -> bool:
@@ -123,6 +110,7 @@ def _load(args: argparse.Namespace) -> tuple[ObservationSet, str]:
     spec = ColumnSpec(
         y_col=args.y, q_col=args.q, x_cols=args.x, z_cols=args.z, tau0=args.tau
     )
+    derive_seed(args.seed)  # raises InputError unless rng takes it as a seed
     sha256 = hashlib.sha256()
     obs = load_csv(args.data, spec, sha256)
     if args.add_intercept_z:
@@ -137,7 +125,7 @@ def _add_estimate_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--x", required=True, type=_comma_list, help="outcome covariate columns (comma-separated)")
     parser.add_argument("--z", required=True, type=_comma_list, help="score covariate columns (comma-separated; may overlap --x)")
     parser.add_argument("--tau", required=True, type=float, help="treatment threshold (score >= tau is treated)")
-    parser.add_argument("--seed", type=_u64, default=0, help="master seed for the split shuffle and all derived streams")
+    parser.add_argument("--seed", type=int, default=0, help="master seed for the split shuffle and all derived streams")
     parser.add_argument("--add-intercept-z", action="store_true", help="append a constant column to the score covariates")
 
 
@@ -166,6 +154,7 @@ def cmd_estimate(args: argparse.Namespace) -> dict:
 
 
 def cmd_bootstrap(args: argparse.Namespace) -> dict:
+    check_settings(args.b, args.level)
     obs, digest = _load(args)
     theta = estimate_theta(obs, args.seed, args.crossfit)
     result = bootstrap_att(obs, b=args.b, level=args.level, seed=args.seed, crossfit=args.crossfit)
@@ -183,17 +172,20 @@ def cmd_bootstrap(args: argparse.Namespace) -> dict:
 def cmd_ite(args: argparse.Namespace) -> dict:
     if args.predictions_out and not args.predict_grid:
         raise InputError("--predictions-out requires --predict-grid PATH")
-    obs, digest = _load(args)
-    est = estimate_att(obs, split_three_way(obs.n, seed=args.seed))
     spec = SplineBasisSpec(df_grid=args.df_grid, include_eta=args.include_eta)
+    # the model's covariate layout: the x columns, then eta_hat if fitted on it
+    names = [*args.x, "eta_hat"] if args.include_eta else [*args.x]
+    if args.predict_grid and args.include_eta and "eta_hat" in args.x:
+        raise InputError("--x column 'eta_hat' clashes with the grid's score residual column "
+                         "under --include-eta true")
+    obs, digest = _load(args)
+    grid = read_columns(args.predict_grid, names, min_rows=1) if args.predict_grid else None
+    est = estimate_att(obs, split_three_way(obs.n, seed=args.seed))
     model = fit_ite(obs, est, spec, cv_seed=derive_seed(args.seed, 1))
     save_ite_model(model, args.model_out)
 
     predictions_path = None
-    if args.predict_grid:
-        # the model's covariate layout: the x columns, then eta_hat if fitted on it
-        names = [*args.x, "eta_hat"] if args.include_eta else [*args.x]
-        grid = read_columns(args.predict_grid, names, min_rows=1)
+    if grid is not None:
         preds = predict_ite_batch(model, grid)
         predictions_path = args.predictions_out or args.model_out + ".predictions.csv"
         write_columns(predictions_path, [*names, "alpha_hat"], [*grid.T, preds])
@@ -274,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mode", required=True, choices=["mc-att", "mc-ite", "gen"])
     p_sim.add_argument("--n", required=True, type=int, help="rows per dataset")
     p_sim.add_argument("--reps", type=int, default=None, help="mc-att, mc-ite: Monte-Carlo replicates (default: 100)")
-    p_sim.add_argument("--seed", type=_u64, default=0, help="master seed")
+    p_sim.add_argument("--seed", type=int, default=0, help="master seed")
     p_sim.add_argument("--crossfit", action="store_true", default=None, help="mc-att: cross-fit every replicate")
     p_sim.add_argument("--ite-kind", choices=sorted(_KIND_BY_FLAG), default="x-and-eta", help="effect surface of the generator")
     p_sim.add_argument("--include-eta", type=_bool_flag, default=None, help="mc-ite: regress on the score residual (default: matches --ite-kind)")

@@ -84,13 +84,6 @@ class TestEstimate:
         assert "tau0" in err and "nan" in err
         assert "row" not in err
 
-    def test_non_finite_tau_rejected_before_reading_the_file(self, tmp_path, capsys):
-        missing = str(tmp_path / "absent.csv")
-        code, out, err = run_cli(["estimate", *ESTIMATE_FLAGS, "--data", missing, "--tau", "nan"], capsys)
-        assert code == 2
-        assert out == ""
-        assert "tau0" in err and "No such file" not in err
-
     @pytest.mark.parametrize("command", [["estimate", "--crossfit"], ["bootstrap", "--b", "2"]])
     @pytest.mark.parametrize("change", ["rewrite", "delete"])
     def test_digest_is_of_the_bytes_parsed(self, command, change, tmp_path, monkeypatch, capsys):
@@ -290,12 +283,6 @@ class TestBootstrap:
         code, _, err = run_cli(args, capsys)
         assert code == 4
 
-    def test_invalid_level_exits_two(self, capsys):
-        code, _, _ = run_cli(
-            ["bootstrap", *ESTIMATE_FLAGS, "--b", "4", "--level", "1.5"], capsys
-        )
-        assert code == 2
-
 
 class TestIte:
     @pytest.fixture()
@@ -339,6 +326,7 @@ class TestIte:
         code, _, err = run_cli(args, capsys)
         assert code == 2
         assert "'x2'" in err and "more than once" in err
+        assert not (tmp_path / "m.txt").exists()  # the grid is read before the fit
 
     def test_grid_missing_eta_column_exits_two(self, tmp_path, case1_csv, capsys):
         capsys.readouterr()
@@ -351,6 +339,18 @@ class TestIte:
         code, _, err = run_cli(args, capsys)
         assert code == 2
         assert "eta_hat" in err
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_an_x_column_named_eta_hat_needs_no_grid(self, tmp_path, case1_csv, capsys):
+        # the clash is the grid's: without one, the name is an ordinary covariate
+        capsys.readouterr()
+        data = tmp_path / "renamed.csv"
+        data.write_text(Path(case1_csv).read_text().replace("x3", "eta_hat", 1))
+        args = ["ite", "--data", str(data), "--y", "y", "--q", "q",
+                "--x", "x1,x2,eta_hat", "--z", "x1,x2,eta_hat,x4", "--tau", "0.0",
+                "--include-eta", "true", "--model-out", str(tmp_path / "m.txt")]
+        code, _, _ = run_cli(args, capsys)
+        assert code == 0
 
 
     @pytest.mark.parametrize("text, message", [
@@ -368,6 +368,7 @@ class TestIte:
         code, _, err = run_cli(args, capsys)
         assert code == 2
         assert message in err
+        assert not (tmp_path / "m.txt").exists()
 
 
     def test_df_grid_and_include_eta_false_reach_the_model_file(self, tmp_path, case1_csv, capsys):
@@ -386,25 +387,57 @@ class TestIte:
         assert "df_grid 3,4" in lines and "include_eta 0" in lines
 
 
+ITE_FLAGS = ["--model-out", "m.txt"]
+
+
 class TestFlagParsing:
+    # by_argparse: the flag's type rejects it, so argparse exits; otherwise its owner raises in main
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, message, by_argparse",
         [
-            (["estimate", *ESTIMATE_FLAGS, "--seed", "-1"], "seed must be non-negative"),
-            (["estimate", *ESTIMATE_FLAGS, "--seed", "x"], "expected an unsigned integer"),
-            (["estimate", *ESTIMATE_FLAGS, "--x", ","], "comma-separated list of column names"),
-            (["ite", *ESTIMATE_FLAGS, "--model-out", "m.txt", "--df-grid", "3,x"],
-             "comma-separated list of integers"),
-            (["ite", *ESTIMATE_FLAGS, "--model-out", "m.txt", "--include-eta", "maybe"],
-             "expected true/false"),
+            (["estimate", *ESTIMATE_FLAGS, "--seed", "-1"], "seeds must be non-negative integers", False),
+            (["estimate", *ESTIMATE_FLAGS, "--seed", "x"], "invalid int value", True),
+            (["estimate", *ESTIMATE_FLAGS, "--x", ","], "x_cols and z_cols must be nonempty", False),
+            (["ite", *ESTIMATE_FLAGS, *ITE_FLAGS, "--df-grid", "3,x"],
+             "comma-separated list of integers", True),
+            (["ite", *ESTIMATE_FLAGS, *ITE_FLAGS, "--include-eta", "maybe"],
+             "expected true/false", True),
         ],
         ids=["negative-seed", "non-integer-seed", "empty-column-list", "bad-df-grid", "bad-bool"],
     )
-    def test_bad_flag_exits_two(self, argv, message, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+    def test_bad_flag_exits_two(self, argv, message, by_argparse, capsys):
+        if by_argparse:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            code = exc.value.code
+        else:
+            code = main(argv)
+        assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["estimate", "--seed", "-1"], "seeds must be non-negative integers, got (-1,)"),
+        (["estimate", "--x", ""], "x_cols and z_cols must be nonempty"),
+        (["ite", *ITE_FLAGS, "--df-grid", "2,3"], "every df must be >= degree (3)"),
+        (["ite", *ITE_FLAGS, "--df-grid", "4,3"], "df_grid must be strictly increasing"),
+        (["ite", *ITE_FLAGS, "--x", "x1,eta_hat", "--include-eta", "true", "--predict-grid", "g.csv"],
+         "--x column 'eta_hat' clashes with the grid's score residual column"),
+        (["bootstrap", "--b", "1"], "need at least 2 bootstrap replicates, got 1"),
+        (["bootstrap", "--b", "2", "--level", "0"], "confidence level must lie strictly in (0, 1), got 0.0"),
+        (["bootstrap", "--b", "2", "--level", "1.5"], "confidence level must lie strictly in (0, 1), got 1.5"),
+        (["estimate", "--tau", "nan"], "tau0 must be finite"),
+    ], ids=["negative-seed", "empty-x", "df-below-degree", "df-grid-decreasing", "eta-hat-clash",
+            "one-replicate", "level-zero", "level-above-one", "nan-tau"])
+    def test_a_bad_flag_fails_before_the_data_file_is_opened(self, argv, message, tmp_path, capsys):
+        # --data names no file: opening it would fail with an OSError instead
+        command, *flags = argv
+        missing = str(tmp_path / "absent.csv")
+        code, out, err = run_cli([command, *ESTIMATE_FLAGS, "--data", missing, *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert "absent.csv" not in err
 
 
 class TestSimulate:
