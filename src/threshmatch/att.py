@@ -21,9 +21,8 @@ computed when read.
 :func:`estimate_theta` turns a seed into a partition and returns the
 single-run or the cross-fitted estimate on it.
 
-A cross-fit's rotations run through :func:`threshmatch.parallel.map_staged`,
-whose docstring states when they run on two threads and why the records
-equal the serial loop's bit for bit.
+A cross-fit runs its rotations in order on the calling thread, so it
+holds one rotation's working set at a time beside the finished records.
 
 The row-map contract.  Every public record of a run, :class:`AttEstimate`
 and :class:`CrossfitEstimate`, indexes the rows of the ``obs`` it was
@@ -89,7 +88,6 @@ from .data_model import (
 from .diff_beta import fit_beta
 from .errors import DimensionMismatch, labelled
 from .matching import MatchResult, match_controls
-from .parallel import map_staged
 from .residualize import fit_gamma, residuals_eta
 
 
@@ -155,8 +153,7 @@ def matched_differences(
 
 def estimate_att(obs: ObservationSet, splits: SplitAssignment) -> AttEstimate:
     """Run the full pipeline on one split assignment in role order (i1, i2, i3)."""
-    roles = _roles(splits, obs.n)
-    return _estimate_with_roles(obs, roles, _fit_scores(obs, roles[0]))
+    return _estimate_with_roles(obs, _roles(splits, obs.n))
 
 
 def _roles(splits: SplitAssignment, positions: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,17 +166,11 @@ def _roles(splits: SplitAssignment, positions: int) -> tuple[np.ndarray, np.ndar
     return roles
 
 
-def _fit_scores(obs: ObservationSet, gamma_split: np.ndarray) -> np.ndarray:
-    """The first stage of a run: ``gamma_hat`` fit on the rows of ``gamma_split``."""
+def _estimate_with_roles(obs: ObservationSet, roles: tuple[np.ndarray, ...]) -> AttEstimate:
+    # one run on these roles, on data rows
+    gamma_split, beta_split, match_split = roles
     with labelled("I1"):
-        return fit_gamma(obs, gamma_split)
-
-
-def _estimate_with_roles(
-    obs: ObservationSet, roles: tuple[np.ndarray, ...], gamma_hat: np.ndarray
-) -> AttEstimate:
-    # the run goes on from _fit_scores' gamma_hat on these roles, on data rows
-    _, beta_split, match_split = roles
+        gamma_hat = fit_gamma(obs, gamma_split)
     eta_hat = residuals_eta(gamma_hat, obs)
 
     with labelled("I2"):
@@ -214,16 +205,12 @@ def crossfit_on_splits(obs: ObservationSet, splits: SplitAssignment) -> Crossfit
 
 def _crossfit(obs: ObservationSet, roles: tuple[np.ndarray, ...]) -> CrossfitEstimate:
     # rotation r gives parts r, r+1 and r+2 (mod 3) the score, difference and
-    # matching roles; a run splits at its score fit
-    def fit(r: int) -> np.ndarray:
+    # matching roles
+    rotations = []
+    for r in range(3):
         with labelled(f"rotation {r}"):
-            return _fit_scores(obs, roles[r])
-
-    def finish(r: int, gamma_hat: np.ndarray) -> AttEstimate:
-        with labelled(f"rotation {r}"):
-            return _estimate_with_roles(obs, roles[r:] + roles[:r], gamma_hat)
-
-    return CrossfitEstimate(map_staged(fit, finish, 3))
+            rotations.append(_estimate_with_roles(obs, roles[r:] + roles[:r]))
+    return CrossfitEstimate(rotations)
 
 
 def estimate_theta(
@@ -249,4 +236,4 @@ def estimate_theta(
         roles = (rows[roles[0]], rows[roles[1]], rows[roles[2]])
     if crossfit:
         return _crossfit(obs, roles).theta_cf
-    return _estimate_with_roles(obs, roles, _fit_scores(obs, roles[0])).theta_hat
+    return _estimate_with_roles(obs, roles).theta_hat

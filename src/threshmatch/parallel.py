@@ -1,4 +1,4 @@
-"""Replicate loops on up to one forked process per CPU, and staged loops on two threads.
+"""Replicate loops on up to one forked process per CPU.
 
 :func:`map_ranges` computes ``[fn(i) for i in range(count)]``.  It cuts
 ``range(count)`` into ``k = min(CPUs, count)`` contiguous ranges, where
@@ -12,57 +12,35 @@ Replicates draw their randomness from counter-derived streams and share
 nothing, so the result does not depend on ``k``: parallel runs are
 bit-identical to serial ones.  Where ``os.fork`` or
 ``os.sched_getaffinity`` is missing, ``k`` is 1 and nothing is forked;
-a single item never forks either.  No process is started per item.
+a single item never forks either.  No process is started per item, and
+the package starts no thread: a cross-fit runs its three rotations in
+order on the calling thread.
 
-Processes are the package's parallelism (:func:`map_staged`'s one thread,
-below, is the exception), so every call holds OpenBLAS (numpy's BLAS) to
-one thread until it returns, ``k = 1`` included.  k processes
-then keep to k CPUs, and a replicate's value does not depend on how
-many replicates run beside it: a QR fit summed on two BLAS threads can
-differ in the last bits from the same fit on one.  Two processes with
-two BLAS threads each on two CPUs made the ITE Monte-Carlo loop several
-times slower than a serial run, and even a serial ITE fit ran faster on
-one thread than on two.
+Processes are the package's parallelism, so every call holds OpenBLAS
+(numpy's BLAS) to one thread until it returns, ``k = 1`` included.  k
+processes then keep to k CPUs, and a replicate's value does not depend
+on how many replicates run beside it: a QR fit summed on two BLAS
+threads can differ in the last bits from the same fit on one.  Two
+processes with two BLAS threads each on two CPUs made the ITE
+Monte-Carlo loop several times slower than a serial run, and even a
+serial ITE fit ran faster on one thread than on two.  The thread count
+is OpenBLAS's one global setting, so calls from several of the caller's
+threads share it: the first to enter saves the count and sets 1, and
+the last to leave restores it.
 
 Calls nest one level deep.  A call made while a forking call's ranges
-run, in the caller's range or in a child's, computes its items in its
-own process and forks nothing, so there is never more than one process
-per CPU.  A call whose ``k`` is 1 leaves the CPUs free, and a call
-inside its items may fork: one Monte-Carlo seed spreads its fit's
-cross-validation grid over every CPU.
-
-:func:`map_staged` computes ``[second(i, first(i)) for i in range(count)]``,
-as a cross-fit (:func:`threshmatch.att.crossfit_on_splits`) runs its
-three rotations: ``first`` fits a rotation's scores and ``second``
-finishes the rotation from them.  When a second thread would have a CPU
-to itself, the calling thread runs every ``first`` stage in order and
-then the last ``second``, while one worker thread, a plain
-``threading.Thread`` named ``threshmatch-staged_0``, runs the earlier
-``second`` stages in order, each as soon as its ``first`` value is
-handed over through a ``queue.SimpleQueue``.  No executor is built:
-``concurrent.futures`` and the ``logging`` it imports would add half a
-MiB and a few milliseconds to every cross-fit CLI run.  So at most two
-stages run at once, and peak memory stays near the loop's.  With one
-CPU, or inside a forking call's ranges, as in bootstrap and Monte-Carlo
-replicates, it is the loop in the caller and starts no thread.  The
-worker is joined before the call returns or raises, so none is alive at
-a fork.
-
-Threads keep the bits where processes would not.  Both threads call one
-OpenBLAS, which splits each QR by its one global thread count, whichever
-thread calls it, so every stage computes the bits the loop computes;
-two forked processes would each keep the caller's count and
-oversubscribe the CPUs, or, held to one BLAS thread, move the last bits
-of a cross-fit's ``gamma_hat``.  The threads share one GIL: numpy
-releases it in most of a rotation's products, sorts and gathers, but a
-QR fit (:func:`threshmatch.linreg.ols`) holds it while LAPACK factors,
-and meanwhile the other thread runs only inside numpy calls that had
-released it.
+run, in the caller's range, in a child's or in another of the caller's
+threads, computes its items in its own thread and forks nothing, so
+there is never more than one process per CPU.  A call whose ``k`` is 1
+leaves the CPUs free, and a call inside its items may fork: one
+Monte-Carlo seed spreads its fit's cross-validation grid over every CPU.
 
 The children are forked, not spawned: they inherit ``fn`` with its
 closure and the data it reads, where a spawned worker would need all of
 it pickled, and a fork starts in a few milliseconds.  OpenBLAS stops its
 threads around a fork, and a child runs only ``fn`` before ``os._exit``.
+The fork is made holding the lock that guards the two entry counts, so
+no other thread holds the child's copy of it.
 """
 
 from __future__ import annotations
@@ -78,10 +56,14 @@ from contextlib import contextmanager
 from typing import TypeVar
 
 T = TypeVar("T")
-U = TypeVar("U")
 
-# True while this process computes one of a forking call's ranges
-_forked = False
+# guards the entry counts below, and is held across each fork
+_lock = threading.Lock()
+# forking calls whose ranges this process computes; a child inherits its parent's
+_forked = 0
+# calls inside _one_blas_thread, and the thread count the first of them found
+_blas_entries = 0
+_blas_before = 0
 
 
 def _cpus() -> int:
@@ -91,7 +73,7 @@ def _cpus() -> int:
 
 
 def _workers(count: int) -> int:
-    """The CPUs a call over ``count`` items may use, one per process or thread.
+    """The CPUs a call over ``count`` items may use, one per process.
 
     ``min(CPUs, count)``, but 1 while this process computes a range of a
     forking call, whose ranges take one CPU each.
@@ -109,13 +91,15 @@ def map_ranges(fn: Callable[[int], T], count: int) -> list[T]:
     returns or raises.
     """
     global _forked
-    k = _workers(count)
     with _one_blas_thread():  # set before forking: the children inherit it
+        with _lock:  # checked and entered at once, so two callers never both fork
+            k = _workers(count)
+            if k > 1:
+                _forked += 1  # the children inherit it too
         if k <= 1:
             return [fn(i) for i in range(count)]
         bounds = [count * j // k for j in range(k + 1)]
         children: list[_Child] = []
-        _forked = True  # the children inherit it too
         try:
             for j in range(1, k):
                 children.append(_Child(fn, range(bounds[j], bounds[j + 1])))
@@ -123,49 +107,11 @@ def map_ranges(fn: Callable[[int], T], count: int) -> list[T]:
             for child in children:
                 values.extend(child.result())
         finally:
-            _forked = False
+            with _lock:
+                _forked -= 1
             for child in children:
                 child.stop()
     return values
-
-
-def map_staged(first: Callable[[int], T], second: Callable[[int, T], U], count: int) -> list[U]:
-    """``[second(i, first(i)) for i in range(count)]``, on two threads when a CPU is free.
-
-    The calling thread runs the ``first`` stages and the last ``second``;
-    one worker thread runs the earlier ``second`` stages, in item order.
-    The error raised is the loop's first: that of the smallest failing
-    item, at its first failing stage.  The other thread runs on past a
-    failure; errors after the first are dropped.
-    """
-    if _workers(count) < 2:
-        return [second(i, first(i)) for i in range(count)]
-    from queue import SimpleQueue
-
-    handed: SimpleQueue = SimpleQueue()  # (i, first(i)) for the worker, then None
-    done: list[tuple[bool, object]] = []  # (True, value) or (False, error), in item order
-
-    def work() -> None:
-        while (item := handed.get()) is not None:
-            try:
-                done.append((True, second(*item)))
-            except BaseException as exc:
-                done.append((False, exc))
-
-    worker = threading.Thread(target=work, name="threshmatch-staged_0")
-    worker.start()
-    try:
-        for i in range(count - 1):
-            handed.put((i, first(i)))
-        last = second(count - 1, first(count - 1))
-    finally:
-        handed.put(None)
-        worker.join()
-        # the worker's items come before any the caller was running
-        for ok, error in done:
-            if not ok:
-                raise error from None
-    return [value for _, value in done] + [last]
 
 
 @functools.cache
@@ -190,17 +136,25 @@ def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | Non
 
 @contextmanager
 def _one_blas_thread() -> Iterator[None]:
+    """OpenBLAS on one thread until the last such block open in this process ends."""
+    global _blas_entries, _blas_before
     calls = _openblas_threads()
     if calls is None:
         yield
         return
     get, set_ = calls
-    before = get()
-    set_(1)
+    with _lock:
+        if _blas_entries == 0:
+            _blas_before = get()
+            set_(1)
+        _blas_entries += 1
     try:
         yield
     finally:
-        set_(before)
+        with _lock:
+            _blas_entries -= 1
+            if _blas_entries == 0:
+                set_(_blas_before)
 
 
 class _Child:
@@ -209,7 +163,8 @@ class _Child:
     def __init__(self, fn: Callable[[int], T], items: range):
         read_fd, write_fd = os.pipe()
         try:
-            pid = os.fork()
+            with _lock:  # no other thread holds it at the fork: each side releases its copy
+                pid = os.fork()
         except OSError:
             os.close(read_fd)
             os.close(write_fd)

@@ -184,11 +184,7 @@ class TestInvariants:
         assert cf.theta_cf == (thetas[0] + thetas[1] + thetas[2]) / 3.0
         assert len(cf.rotations) == 3
 
-    @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "two-threads"])
-    def test_identical_rotations_average_to_themselves(self, monkeypatch, cpus):
-        # on two threads the caller fits each rotation's scores and hands the
-        # run its gamma_hat; the runs themselves are stubbed either way
-        set_cpus(monkeypatch, cpus)
+    def test_identical_rotations_average_to_themselves(self, monkeypatch):
         stub = AttEstimate(
             beta_hat=None, gamma_hat=None, matches=None, roles=None,
             differences=np.array([0.25]),
@@ -230,9 +226,8 @@ class TestRecordRederivesItsStages:
         obs = generate(DgpConfig(n=4003, seed=2))
         rederive(obs, estimate_att(obs, split_three_way(obs.n, seed=3)))
 
-    def test_every_rotation_of_a_two_thread_crossfit(self, monkeypatch):
+    def test_every_rotation_of_a_crossfit(self):
         obs = generate(DgpConfig(n=4003, seed=2))
-        set_cpus(monkeypatch, 2)
         for est in estimate_att_crossfit(obs, seed=3).rotations:
             rederive(obs, est)
 
@@ -318,20 +313,22 @@ class TestDgpScale:
 
 
 class TestWorkingSet:
-    def test_a_serial_crossfit_peak_stays_under_its_bound(self, monkeypatch):
-        # measured 12.1 MB; a record that keeps an n-row residual vector takes
-        # it to 16.9 MB, and either fit holding a copy of its design beyond
-        # the gathered one and Q, or matching keeping its intermediates to
-        # its end, adds about 2.8 MB
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_crossfit_peak_stays_under_its_bound(self, monkeypatch, cpus):
+        # measured 12.1 MB at any CPU count: one rotation's working set at a
+        # time; two rotations' stages at once took it to 13.7-17.0 MB, a
+        # record that keeps an n-row residual vector to 16.9 MB, and either fit
+        # holding a copy of its design beyond the gathered one and Q, or
+        # matching keeping its intermediates to its end, adds about 2.8 MB
         obs = generate(DgpConfig(n=300_000, seed=0))
-        set_cpus(monkeypatch, 1)
+        set_cpus(monkeypatch, cpus)
         tracemalloc.start()
         try:
-            estimate_att_crossfit(obs, seed=0)
+            estimate_att_crossfit(obs, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 13.5e6
+        assert peak < 13e6
 
 
 class TestErrorLabeling:
@@ -448,40 +445,33 @@ class TestMatchedDifferences:
             att_mod.matched_differences(obs, np.zeros(width), MatchResult(np.array([3]), np.array([4])))
 
 
-class TestTwoThreadCrossfit:
-    """With a second CPU free, the rotations run on the caller and one worker thread."""
+class TestCrossfitStartsNoThread:
+    """A cross-fit runs its rotations in order on the calling thread, at any CPU count."""
 
     @staticmethod
-    def _crossfit_on(monkeypatch, cpus, obs, seed):
+    def _count_thread_starts(monkeypatch) -> list[str]:
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda self: (started.append(self.name), start(self))[1]
+        )
+        return started
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_no_thread_starts(self, monkeypatch, cpus):
+        started = self._count_thread_starts(monkeypatch)
         set_cpus(monkeypatch, cpus)
-        return estimate_att_crossfit(obs, seed)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_records_equal_the_serial_loop_bit_for_bit(self, monkeypatch, seed):
-        # 150k rows: OpenBLAS splits the fits' QR over its threads at this size
-        obs = generate(DgpConfig(n=150_000, seed=seed))
-        threaded = self._crossfit_on(monkeypatch, 2, obs, seed)
-        serial = self._crossfit_on(monkeypatch, 1, obs, seed)
-        assert threaded.theta_cf == serial.theta_cf
-        for a, b in zip(threaded.rotations, serial.rotations, strict=True):
-            assert a.theta_hat == b.theta_hat
-            for name in ("beta_hat", "gamma_hat", "differences"):
-                assert np.array_equal(getattr(a, name), getattr(b, name))
-            assert all(np.array_equal(p, q) for p, q in zip(a.roles, b.roles, strict=True))
-            assert np.array_equal(a.matches.treated_idx, b.matches.treated_idx)
-            assert np.array_equal(a.matches.control_idx, b.matches.control_idx)
-
-    def test_a_row_map_run_equals_the_serial_loop(self, monkeypatch):
-        obs = generate(DgpConfig(n=150_000, seed=4))
-        rows = np.random.default_rng(5).integers(0, obs.n, size=obs.n)
-        set_cpus(monkeypatch, 2)
-        threaded = estimate_theta(obs, seed=6, crossfit=True, rows=rows)
-        set_cpus(monkeypatch, 1)
-        assert threaded == estimate_theta(obs, seed=6, crossfit=True, rows=rows)
+        before = threading.active_count()
+        obs = make_null_obs(seed=0, n=60)
+        estimate_att_crossfit(obs, seed=0)
+        estimate_theta(obs, seed=1, crossfit=True, rows=np.arange(obs.n)[::-1])
+        assert started == []
+        assert threading.active_count() == before
 
     # block k of the natural 30-row partition serves rotation r as its score
     # split when k == r, difference split when k == r + 1, matching split
     # when k == r + 2 (mod 3)
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
     @pytest.mark.parametrize("failing, expected", [
         ([(0, "I2"), (1, "I1")], "rotation 0: I2"),
         ([(1, "I1")], "rotation 1: I1"),
@@ -489,9 +479,9 @@ class TestTwoThreadCrossfit:
         ([(1, "I3"), (2, "I1")], "rotation 1: I3"),
         ([(0, "I3"), (2, "I2")], "rotation 0: I3"),
         ([(2, "I3")], "rotation 2: I3"),
-    ], ids=["worker-first", "caller-fit", "first-fit", "worker-second", "both-finishes",
-            "caller-finish"])
-    def test_the_serial_loops_first_error_is_raised(self, monkeypatch, failing, expected):
+    ], ids=["r0-finish-before-r1", "r1-fit", "r0-fit-before-r0-finish", "r1-finish-before-r2",
+            "r0-finish-before-r2-finish", "r2-finish"])
+    def test_the_loops_first_error_is_raised(self, monkeypatch, cpus, failing, expected):
         splits = SplitAssignment(np.arange(0, 10), np.arange(10, 20), np.arange(20, 30))
         obs = make_null_obs(seed=3, n=30)
         fail_on = {((r + ("I1", "I2", "I3").index(stage)) % 3, stage) for r, stage in failing}
@@ -508,19 +498,18 @@ class TestTwoThreadCrossfit:
         monkeypatch.setattr(
             att_mod, "match_controls", failing_stage(att_mod.match_controls, "I3", 1)
         )
-        raised = []
-        for cpus in (1, 2):
-            set_cpus(monkeypatch, cpus)
-            before = threading.active_count()
-            with pytest.raises(EmptyControlGroup) as err:
-                crossfit_on_splits(obs, splits)
-            assert threading.active_count() == before
-            raised.append(str(err.value))
-        assert raised == [f"[split {expected}] {EmptyControlGroup()}"] * 2
+        started = self._count_thread_starts(monkeypatch)
+        set_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        with pytest.raises(EmptyControlGroup) as err:
+            crossfit_on_splits(obs, splits)
+        assert str(err.value) == f"[split {expected}] {EmptyControlGroup()}"
+        assert started == []
+        assert threading.active_count() == before
 
-    def test_many_interleavings_keep_the_serial_estimates(self, monkeypatch):
-        # eight cross-fits at once, sixteen threads on fewer CPUs, switching
-        # every microsecond: a lost hand-off would lose a rotation or swap two
+    def test_callers_own_threads_get_the_serial_estimates(self, monkeypatch):
+        # eight cross-fits at once on eight caller threads, on fewer CPUs,
+        # switching every microsecond: each gets the estimate it gets alone
         obs = generate(DgpConfig(n=600, seed=8))
         set_cpus(monkeypatch, 1)
         serial = [estimate_att_crossfit(obs, s).theta_cf for s in range(8)]
@@ -542,29 +531,6 @@ class TestTwoThreadCrossfit:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
         assert threaded == serial
-
-    @staticmethod
-    def _count_thread_starts(monkeypatch) -> list[str]:
-        started = []
-        start = threading.Thread.start
-        monkeypatch.setattr(
-            threading.Thread, "start", lambda self: (started.append(self.name), start(self))[1]
-        )
-        return started
-
-    def test_one_worker_is_started_and_joined(self, monkeypatch):
-        started = self._count_thread_starts(monkeypatch)
-        set_cpus(monkeypatch, 2)
-        before = threading.active_count()
-        estimate_att_crossfit(make_null_obs(seed=0, n=60), seed=0)
-        assert started == ["threshmatch-staged_0"]
-        assert threading.active_count() == before
-
-    def test_one_cpu_starts_no_thread(self, monkeypatch):
-        started = self._count_thread_starts(monkeypatch)
-        set_cpus(monkeypatch, 1)
-        estimate_att_crossfit(make_null_obs(seed=0, n=60), seed=0)
-        assert started == []
 
     def test_a_map_ranges_item_starts_no_thread(self, monkeypatch):
         # bootstrap and mc-att replicates run their cross-fits inside such items,

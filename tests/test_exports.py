@@ -123,25 +123,25 @@ def test_only_errors_module_sets_the_split_label():
 
 
 def _concurrency_uses(source: str) -> list[tuple[int, str]]:
-    """Imports of ``threading``, ``queue`` or ``concurrent`` and uses of ``os.fork``, in order."""
+    """Uses of ``threading`` other than ``Lock``, imports of ``queue`` or
+    ``concurrent``, and uses of ``os.fork``, in order."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
+            names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules = [node.module or ""]
-            if node.module == "os" and any(alias.name == "fork" for alias in node.names):
-                modules.append("os.fork")
-        elif isinstance(node, ast.Attribute) and node.attr == "fork" and (
-            isinstance(node.value, ast.Name) and node.value.id == "os"
-        ):
-            modules = ["os.fork"]
+            module = node.module or ""
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
         else:
             continue
         found += [
             (node.lineno, name)
-            for name in modules
-            if name == "os.fork" or name.split(".")[0] in ("threading", "queue", "concurrent")
+            for name in names
+            if name == "os.fork"
+            or name.split(".")[0] in ("queue", "concurrent")
+            or (name.startswith("threading.") and name != "threading.Lock")
         ]
     return sorted(found)
 
@@ -156,23 +156,43 @@ def test_concurrency_scan_flags_threads_executors_and_forks():
         "from . import threading_notes\n"
         "ok = hasattr(os, 'fork') and os.getpid()\n"
         "def f():\n"
-        "    from threading import Event\n"
+        "    from threading import Event, Lock\n"
         "    from queue import SimpleQueue\n"
         "import queue_notes\n"
+        "worker = threading.Thread(target=f)\n"
+        "lock = threading.Lock()\n"
     )
     assert _concurrency_uses(source) == [
-        (1, "threading"), (2, "concurrent.futures"), (3, "concurrent.futures"), (4, "os.fork"),
-        (5, "os.fork"), (9, "threading"), (10, "queue"),
+        (2, "concurrent.futures"), (2, "concurrent.futures.ThreadPoolExecutor"),
+        (3, "concurrent.futures"), (4, "os.fork"), (5, "os.fork"), (9, "threading.Event"),
+        (10, "queue"), (10, "queue.SimpleQueue"), (12, "threading.Thread"),
     ]
 
 
-def test_only_the_parallel_module_starts_threads_or_processes():
-    # when to use a second thread or process, and how, is decided in one place
+def _package_concurrency_uses() -> dict[str, list[tuple[int, str]]]:
     package = Path(threshmatch.__file__).parent
-    offenders = {
-        path.name: uses
+    return {
+        path.name: _concurrency_uses(path.read_text(encoding="utf-8"))
         for path in sorted(package.glob("*.py"))
-        if path.name != "parallel.py" and (uses := _concurrency_uses(path.read_text(encoding="utf-8")))
+    }
+
+
+def test_no_module_starts_a_thread():
+    # processes are the package's parallelism; a lock is all it takes of threading
+    offenders = {
+        name: threads
+        for name, uses in _package_concurrency_uses().items()
+        if (threads := [use for use in uses if use[1] != "os.fork"])
+    }
+    assert offenders == {}
+
+
+def test_only_the_parallel_module_forks():
+    # when to start a process, and how, is decided in one place
+    offenders = {
+        name: forks
+        for name, uses in _package_concurrency_uses().items()
+        if name != "parallel.py" and (forks := [use for use in uses if use[1] == "os.fork"])
     }
     assert offenders == {}
 

@@ -1,8 +1,7 @@
 """The replicate runner: contiguous ranges, values in item order, the first
 failure in order raised, one BLAS thread, one level of processes, and no
 child process left behind, even when a fork fails or OpenBLAS is absent;
-and the staged runner: the loop's values and first error, one worker
-thread where a second CPU is free, joined."""
+and the same when several of the caller's threads call it at once."""
 
 import errno
 import os
@@ -16,7 +15,7 @@ import pytest
 import threshmatch
 from threshmatch import parallel
 from threshmatch.errors import IndexOutOfRange
-from threshmatch.parallel import _openblas_threads, map_ranges, map_staged
+from threshmatch.parallel import _openblas_threads, map_ranges
 
 from conftest import assert_no_child_left, set_cpus
 
@@ -174,7 +173,7 @@ def test_a_failed_fork_leaves_no_child_pipe_or_state(monkeypatch):
     assert forks == [0, 1]
     assert os.listdir("/proc/self/fd") == fds
     assert_no_child_left()
-    assert parallel._forked is False
+    assert parallel._forked == 0 and parallel._blas_entries == 0
     assert threads == [1, 4]  # one BLAS thread during the call, the count before it after
 
 
@@ -183,7 +182,6 @@ def test_without_openblas_the_runners_return_the_loops_values(monkeypatch, cpus)
     set_cpus(monkeypatch, cpus)
     monkeypatch.setattr(parallel, "_openblas_threads", lambda: None)
     assert map_ranges(_square, 5) == [i * i for i in range(5)]
-    assert map_staged(_square, lambda i, value: (i, value), 3) == [(i, i * i) for i in range(3)]
     assert_no_child_left()
 
 
@@ -215,120 +213,116 @@ def test_children_never_flush_the_callers_buffered_stdout():
     assert out == "buffered line\n"
 
 
-def _started_threads(monkeypatch) -> list[threading.Thread]:
-    started = []
-    start = threading.Thread.start
-    monkeypatch.setattr(
-        threading.Thread, "start", lambda self: (started.append(self), start(self))[1]
-    )
-    return started
-
-
-def _stage_log():
-    """``first`` and ``second`` stages that record their thread and compute ``(i, i * i)``."""
-    log = []
-
-    def first(i):
-        log.append(("first", i, threading.current_thread()))
-        return i * i
-
-    def second(i, value):
-        log.append(("second", i, threading.current_thread()))
-        return i, value
-
-    return log, first, second
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("count", [0, 1, 2, 3, 4])
-def test_staged_values_equal_the_loop(monkeypatch, cpus, count):
-    set_cpus(monkeypatch, cpus)
-    _, first, second = _stage_log()
-    assert map_staged(first, second, count) == [second(i, first(i)) for i in range(count)]
-
-
-def test_the_caller_runs_the_first_stages_and_the_last_second(monkeypatch):
+def test_overlapping_callers_leave_the_blas_count_they_found(monkeypatch):
+    # the second caller enters while the first is inside and leaves after it;
+    # a count saved and restored per call would leave OpenBLAS on one thread
+    calls = _openblas_threads()
+    if calls is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, set_ = calls
     set_cpus(monkeypatch, 2)
-    log, first, second = _stage_log()
-    map_staged(first, second, 4)
-    caller = threading.current_thread()
-    assert [i for stage, i, thread in log if stage == "first" and thread is caller] == [0, 1, 2, 3]
-    assert [i for stage, i, thread in log if stage == "second" and thread is caller] == [3]
-    assert [i for stage, i, thread in log if thread is not caller] == [0, 1, 2]
-    assert len({thread for _, _, thread in log}) == 2
+    both_inside = threading.Barrier(2, timeout=30)
+    first_inside, first_left = threading.Event(), threading.Event()
+    seen = {}
+
+    def first_item(i):
+        first_inside.set()
+        both_inside.wait()
+        return get()
+
+    def second_item(i):
+        both_inside.wait()
+        first_left.wait(timeout=30)
+        return get()
+
+    def first():
+        seen["first"] = map_ranges(first_item, 1)
+        first_left.set()
+
+    def second():
+        first_inside.wait(timeout=30)
+        seen["second"] = map_ranges(second_item, 1)
+
+    before = get()
+    set_(2)
+    try:
+        callers = [threading.Thread(target=first), threading.Thread(target=second)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+        assert not any(caller.is_alive() for caller in callers)
+        assert seen == {"first": [1], "second": [1]}
+        assert get() == 2
+    finally:
+        set_(before)
 
 
-def _failing(stages):
-    """Stages that raise ``ValueError("<stage> <i>")`` at the ``(stage, i)`` in ``stages``."""
-
-    def first(i):
-        if ("first", i) in stages:
-            raise ValueError(f"first {i}")
-        return i
-
-    def second(i, value):
-        if ("second", i) in stages:
-            time.sleep(0.05)  # the caller's later failure comes first in time
-            raise ValueError(f"second {i}")
-        return value
-
-    return first, second
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("stages, expected", [
-    ({("second", 1), ("first", 2)}, "second 1"),
-    ({("first", 0), ("second", 0)}, "first 0"),
-    ({("second", 0), ("second", 1)}, "second 0"),
-    ({("first", 1), ("second", 2)}, "first 1"),
-    ({("second", 2)}, "second 2"),
-])
-def test_the_loops_first_error_is_raised(monkeypatch, cpus, stages, expected):
-    set_cpus(monkeypatch, cpus)
-    with pytest.raises(ValueError, match=f"^{expected}$"):
-        map_staged(*_failing(stages), 3)
-
-
-@pytest.mark.parametrize("cpus, count", [(2, 0), (2, 1), (1, 3)])
-def test_no_thread_starts_below_two_items_or_on_one_cpu(monkeypatch, cpus, count):
-    started = _started_threads(monkeypatch)
-    set_cpus(monkeypatch, cpus)
-    map_staged(lambda i: i, lambda i, v: v, count)
-    assert started == []
-
-
-def test_a_map_ranges_item_starts_no_thread(monkeypatch):
-    started = _started_threads(monkeypatch)
+def test_overlapping_callers_never_both_fork(monkeypatch):
+    # a slow CPU count holds the first caller inside its check while the
+    # second caller arrives; the second finds the first's ranges running
+    # and computes its items in its own thread
     set_cpus(monkeypatch, 2)
+    cpus, checking, second_done = parallel._cpus, threading.Event(), threading.Event()
 
-    def item(i):
-        return map_staged(lambda j: j, lambda j, v: i + v, 3), len(started)
+    def slow_cpus():
+        checking.set()
+        time.sleep(0.2)
+        return cpus()
 
-    assert map_ranges(item, 2) == [([0, 1, 2], 0), ([1, 2, 3], 0)]
+    def first_item(i):
+        if i == 0:  # the caller's range
+            second_done.wait(timeout=30)
+        return os.getpid()
+
+    seen = {}
+
+    def second():
+        checking.wait(timeout=30)
+        seen["second"] = map_ranges(lambda i: os.getpid(), 2)
+        second_done.set()
+
+    monkeypatch.setattr(parallel, "_cpus", slow_cpus)
+    caller = threading.Thread(target=second)
+    caller.start()
+    try:
+        seen["first"] = map_ranges(first_item, 2)
+    finally:
+        caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert seen["second"] == [os.getpid()] * 2
+    assert seen["first"][0] == os.getpid() and seen["first"][1] != os.getpid()
+    assert parallel._forked == 0
     assert_no_child_left()
 
 
-def test_the_worker_is_joined_after_a_raise(monkeypatch):
-    started = _started_threads(monkeypatch)
-    set_cpus(monkeypatch, 2)
-    before = threading.active_count()
-    with pytest.raises(ValueError, match="^second 0$"):
-        map_staged(*_failing({("second", 0)}), 3)
-    assert len(started) == 1 and not started[0].is_alive()
-    assert threading.active_count() == before
-
-
-class _Halt(BaseException):
-    pass
-
-
-def test_a_base_exception_in_a_worker_stage_reaches_the_caller(monkeypatch):
-    set_cpus(monkeypatch, 2)
-
-    def second(i, value):
-        if i == 0:
-            raise _Halt()
-        return value
-
-    with pytest.raises(_Halt):
-        map_staged(lambda i: i, second, 3)
+def test_a_child_never_waits_on_a_lock_another_thread_held():
+    # another thread takes the runner's lock as the fork is made; the child's
+    # own call to the runner needs that lock, and would wait for ever on a
+    # copy that no thread of the child holds
+    script = (
+        "import os, signal, threading, time\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from threshmatch import parallel\n"
+        "fork, taken = os.fork, threading.Event()\n"
+        "def hold():\n"
+        "    with parallel._lock:\n"
+        "        taken.set()\n"
+        "        time.sleep(0.5)\n"
+        "def fork_while_held():\n"
+        "    threading.Thread(target=hold).start()\n"
+        "    taken.wait(1.0)\n"
+        "    return fork()\n"
+        "os.fork = fork_while_held\n"
+        "def item(i):\n"
+        "    signal.alarm(10)\n"  # a stuck child dies rather than outlive the test
+        "    inner = parallel.map_ranges(lambda j: (i, j), 2)\n"
+        "    signal.alarm(0)\n"
+        "    return inner\n"
+        "print(parallel.map_ranges(item, 2))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(threshmatch.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=30, check=True
+    ).stdout
+    assert out == "[[(0, 0), (0, 1)], [(1, 0), (1, 1)]]\n"
