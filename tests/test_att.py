@@ -161,11 +161,13 @@ class TestInvariants:
         assert est.theta_hat == float(np.mean(est.differences))
         assert not est.differences.flags.writeable
 
-    def test_rotation_structure(self):
+    # 150k rows: OpenBLAS splits the fits' QR over its threads at this size
+    @pytest.mark.parametrize("n, seed", [(600, 1), (150_000, 0), (150_000, 1), (150_000, 2)])
+    def test_rotation_structure(self, n, seed):
         # rotation r is the single run that gives parts r, r+1 and r+2 (mod 3)
-        # the score, difference and matching roles
-        obs = generate(DgpConfig(n=600, seed=1))
-        s = split_three_way(obs.n, seed=1)
+        # the score, difference and matching roles, bit for bit
+        obs = generate(DgpConfig(n=n, seed=seed))
+        s = split_three_way(obs.n, seed=seed)
         parts = (s.i1, s.i2, s.i3)
         cf = crossfit_on_splits(obs, s)
         for r, est in enumerate(cf.rotations):
@@ -173,6 +175,7 @@ class TestInvariants:
             assert est.theta_hat == single.theta_hat
             assert np.array_equal(est.gamma_hat, single.gamma_hat)
             assert np.array_equal(est.beta_hat, single.beta_hat)
+            assert np.array_equal(est.differences, single.differences)
             assert all(np.array_equal(a, b) for a, b in zip(est.roles, single.roles, strict=True))
             assert np.array_equal(est.matches.treated_idx, single.matches.treated_idx)
             assert np.array_equal(est.matches.control_idx, single.matches.control_idx)

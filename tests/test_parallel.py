@@ -25,7 +25,7 @@ def _square(i):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-@pytest.mark.parametrize("count", [1, 2, 5, 12])
+@pytest.mark.parametrize("count", [0, 1, 2, 5, 12])
 def test_values_come_back_in_item_order(monkeypatch, cpus, count):
     set_cpus(monkeypatch, cpus)
     assert map_ranges(_square, count) == [i * i for i in range(count)]
@@ -98,19 +98,27 @@ def test_a_call_inside_a_single_range_may_fork(monkeypatch):
     assert_no_child_left()
 
 
-def test_first_failure_in_item_order_wins(monkeypatch):
-    # items 5 and 9 fail in the second and the third range
-    set_cpus(monkeypatch, 3)
+# twelve items: ranges 0-3, 4-7 and 8-11 on three CPUs, 0-5 and 6-11 on two
+@pytest.mark.parametrize("cpus, failing, expected", [
+    (3, (5, 9), 5),
+    (3, (2, 9), 2),
+    (3, (11,), 11),
+    (2, (7, 10), 7),
+    (1, (5, 9), 5),
+], ids=["second-and-third-range", "callers-and-third-range", "last-range", "one-range",
+        "serial"])
+def test_first_failure_in_item_order_wins(monkeypatch, cpus, failing, expected):
+    set_cpus(monkeypatch, cpus)
 
     def fn(i):
-        if i in (5, 9):
+        if i in failing:
             raise IndexOutOfRange(i, 3)
         return i
 
     with pytest.raises(IndexOutOfRange) as err:
         map_ranges(fn, 12)
-    assert str(err.value) == "index 5 out of range for 3 rows"
-    assert err.value.index == 5
+    assert str(err.value) == f"index {expected} out of range for 3 rows"
+    assert err.value.index == expected
     assert_no_child_left()
 
 
@@ -213,49 +221,84 @@ def test_children_never_flush_the_callers_buffered_stdout():
     assert out == "buffered line\n"
 
 
-def test_overlapping_callers_leave_the_blas_count_they_found(monkeypatch):
-    # the second caller enters while the first is inside and leaves after it;
-    # a count saved and restored per call would leave OpenBLAS on one thread
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("last", ["second", "first"], ids=["crossing", "nested"])
+def test_overlapping_callers_leave_the_blas_count_they_found(monkeypatch, last, raises):
+    # the second caller enters while the first is inside; the ``last`` to
+    # leave reads the count after the other has left, by a return or a raise.
+    # A count saved and restored per call would leave OpenBLAS on one thread
+    # (crossing), and a count restored by the first to leave would give the
+    # caller still inside two threads
     calls = _openblas_threads()
     if calls is None:
         pytest.skip("numpy's BLAS is not OpenBLAS")
     get, set_ = calls
     set_cpus(monkeypatch, 2)
     both_inside = threading.Barrier(2, timeout=30)
-    first_inside, first_left = threading.Event(), threading.Event()
+    first_inside = threading.Event()
+    left = {"first": threading.Event(), "second": threading.Event()}
+    other = {"first": "second", "second": "first"}
     seen = {}
 
-    def first_item(i):
-        first_inside.set()
-        both_inside.wait()
-        return get()
+    def item(name):
+        def fn(i):
+            if name == "first":
+                first_inside.set()
+            both_inside.wait()
+            if name == last:
+                left[other[name]].wait(timeout=30)
+            count = get()
+            if raises and name != last:
+                raise ValueError(count)
+            return count
+        return fn
 
-    def second_item(i):
-        both_inside.wait()
-        first_left.wait(timeout=30)
-        return get()
-
-    def first():
-        seen["first"] = map_ranges(first_item, 1)
-        first_left.set()
-
-    def second():
-        first_inside.wait(timeout=30)
-        seen["second"] = map_ranges(second_item, 1)
+    def caller(name):
+        if name == "second":
+            first_inside.wait(timeout=30)
+        try:
+            [seen[name]] = map_ranges(item(name), 1)
+        except ValueError as err:
+            seen[name] = err.args[0]
+        left[name].set()
 
     before = get()
     set_(2)
     try:
-        callers = [threading.Thread(target=first), threading.Thread(target=second)]
-        for caller in callers:
-            caller.start()
-        for caller in callers:
-            caller.join(timeout=60)
-        assert not any(caller.is_alive() for caller in callers)
-        assert seen == {"first": [1], "second": [1]}
+        callers = [threading.Thread(target=caller, args=(name,)) for name in ("first", "second")]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in callers)
+        assert seen == {"first": 1, "second": 1}
         assert get() == 2
+        assert parallel._blas_entries == 0
     finally:
         set_(before)
+
+
+def _started_threads(monkeypatch) -> list[threading.Thread]:
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(
+        threading.Thread, "start", lambda self: (started.append(self), start(self))[1]
+    )
+    return started
+
+
+@pytest.mark.parametrize("cpus, count", [(1, 3), (2, 0), (2, 1), (2, 3), (3, 7)])
+def test_no_thread_starts(monkeypatch, cpus, count):
+    # processes are the runner's parallelism in every branch: serial, forking,
+    # and a call made inside a forking call's items
+    started = _started_threads(monkeypatch)
+    set_cpus(monkeypatch, cpus)
+    before = threading.active_count()
+    values = map_ranges(lambda i: (map_ranges(_square, 3), len(started)), count)
+    assert values == [([0, 1, 4], 0)] * count
+    assert started == []
+    assert threading.active_count() == before
+    assert_no_child_left()
 
 
 def test_overlapping_callers_never_both_fork(monkeypatch):
