@@ -21,8 +21,15 @@ computed when read.
 :func:`estimate_theta` turns a seed into a partition and returns the
 single-run or the cross-fitted estimate on it.
 
-A cross-fit runs its rotations in order on the calling thread, so it
-holds one rotation's working set at a time beside the finished records.
+A cross-fit runs on the calling thread.  It fits the three rotations'
+scores first, while it holds nothing but the partition, and then
+finishes the rotations in order.  A run drops its ``n``-row residual
+vector once it has gathered the matching split's residuals, before
+matching starts.  So no stage holds much more than one score fit beside
+the partition: the last rotation's difference fit, beside two finished
+records and the residuals, comes closest.  A failed score fit is kept and
+raised in its own rotation's turn, so the first error in the loop's
+order is the one raised.
 
 The row-map contract.  Every public record of a run, :class:`AttEstimate`
 and :class:`CrossfitEstimate`, indexes the rows of the ``obs`` it was
@@ -153,7 +160,8 @@ def matched_differences(
 
 def estimate_att(obs: ObservationSet, splits: SplitAssignment) -> AttEstimate:
     """Run the full pipeline on one split assignment in role order (i1, i2, i3)."""
-    return _estimate_with_roles(obs, _roles(splits, obs.n))
+    roles = _roles(splits, obs.n)
+    return _estimate_with_roles(obs, roles, _score_fit(obs, roles[0]))
 
 
 def _roles(splits: SplitAssignment, positions: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -166,11 +174,23 @@ def _roles(splits: SplitAssignment, positions: int) -> tuple[np.ndarray, np.ndar
     return roles
 
 
-def _estimate_with_roles(obs: ObservationSet, roles: tuple[np.ndarray, ...]) -> AttEstimate:
-    # one run on these roles, on data rows
-    gamma_split, beta_split, match_split = roles
+def _score_fit(obs: ObservationSet, gamma_split: np.ndarray) -> np.ndarray | Exception:
+    """``fit_gamma`` on ``gamma_split``, or the error it raised, for its run to raise in turn."""
+    try:
+        return fit_gamma(obs, gamma_split)
+    except Exception as exc:
+        return exc
+
+
+def _estimate_with_roles(
+    obs: ObservationSet, roles: tuple[np.ndarray, ...], score: np.ndarray | Exception
+) -> AttEstimate:
+    # one run on these roles, on data rows, from the score fit on roles[0]
+    _, beta_split, match_split = roles
     with labelled("I1"):
-        gamma_hat = fit_gamma(obs, gamma_split)
+        if isinstance(score, Exception):
+            raise score
+    gamma_hat = score
     eta_hat = residuals_eta(gamma_hat, obs)
 
     with labelled("I2"):
@@ -179,9 +199,11 @@ def _estimate_with_roles(obs: ObservationSet, roles: tuple[np.ndarray, ...]) -> 
     treated = treatment_mask(obs)[match_split]
     treated3 = match_split[treated]
     control3 = match_split[~treated]
+    eta_treated, eta_control = eta_hat[treated3], eta_hat[control3]
+    del eta_hat, treated  # the n-row residuals are freed before matching
     with labelled("I3"):
-        matches = match_controls(eta_hat[treated3], treated3, eta_hat[control3], control3)
-    del eta_hat, treated, control3  # read; freed before matched_differences' n-row temporary
+        matches = match_controls(eta_treated, treated3, eta_control, control3)
+    del eta_treated, eta_control, control3  # freed before matched_differences' n-row temporary
 
     differences = matched_differences(obs, beta_hat, matches)
     differences.setflags(write=False)
@@ -205,11 +227,14 @@ def crossfit_on_splits(obs: ObservationSet, splits: SplitAssignment) -> Crossfit
 
 def _crossfit(obs: ObservationSet, roles: tuple[np.ndarray, ...]) -> CrossfitEstimate:
     # rotation r gives parts r, r+1 and r+2 (mod 3) the score, difference and
-    # matching roles
+    # matching roles.  The score fits run first, before any rotation holds a
+    # record or residuals; a failed one is raised in its rotation's turn.
+    rotated = [roles[r:] + roles[:r] for r in range(3)]
+    scores = [_score_fit(obs, rotation[0]) for rotation in rotated]
     rotations = []
     for r in range(3):
         with labelled(f"rotation {r}"):
-            rotations.append(_estimate_with_roles(obs, roles[r:] + roles[:r]))
+            rotations.append(_estimate_with_roles(obs, rotated[r], scores[r]))
     return CrossfitEstimate(rotations)
 
 
@@ -236,4 +261,4 @@ def estimate_theta(
         roles = (rows[roles[0]], rows[roles[1]], rows[roles[2]])
     if crossfit:
         return _crossfit(obs, roles).theta_cf
-    return _estimate_with_roles(obs, roles).theta_hat
+    return _estimate_with_roles(obs, roles, _score_fit(obs, roles[0])).theta_hat

@@ -72,6 +72,7 @@ def first_differences(
     for j in range(obs.d_x):
         column = obs.x[:, j][sorted_idx]
         np.subtract(column[1:], column[:-1], out=dx[:, j])
+    del column  # freed before y is gathered
     return dx, np.diff(obs.y[sorted_idx])
 
 
@@ -94,4 +95,5 @@ def fit_beta(obs: ObservationSet, i2: np.ndarray, eta_hat: np.ndarray) -> np.nda
     if controls.size < obs.d_x + 1:
         raise TooFewControls(int(controls.size), obs.d_x + 1)
     dx, dy = first_differences(order_by_eta(eta_hat, controls), obs)
+    del controls  # freed before ols copies out Q
     return ols(dx, dy, overwrite_a=True)

@@ -85,11 +85,17 @@ def _check_ite_kind(ite_kind: str) -> None:
         raise DimensionMismatch(f"unknown ite_kind {ite_kind!r}")
 
 
-def _effect_surface(x: np.ndarray, eta, ite_kind: str) -> np.ndarray:
-    """``x1^2 + x2*x3``, plus ``eta^2`` for "x_and_eta"; ``x`` starts with x1..x3."""
-    alpha = x[:, 0] ** 2 + x[:, 1] * x[:, 2]
+def _effect_surface(x: np.ndarray, eta, ite_kind: str, scratch: np.ndarray | None = None) -> np.ndarray:
+    """``x1^2 + x2*x3``, plus ``eta^2`` for "x_and_eta"; ``x`` starts with x1..x3.
+
+    The sum is formed in place in a new array, each product landing in
+    ``scratch`` (a new array when None) before it is added, in the order of
+    ``x1**2 + x2*x3 + eta**2``, so the bits are that expression's.
+    """
+    alpha = np.square(x[:, 0])
+    alpha += np.multiply(x[:, 1], x[:, 2], out=scratch)
     if ite_kind == X_AND_ETA:
-        alpha = alpha + eta**2
+        alpha += np.square(eta, out=scratch)
     return alpha
 
 
@@ -115,18 +121,39 @@ def _draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     return covs, rng.uniform(-1.0, 1.0, size=n)
 
 
-def _outcome(rng: np.random.Generator, covs: np.ndarray, eta: np.ndarray, alpha, treated):
-    """``y = alpha * treated + x1 + x3 + eta / 2 + eps``, drawing the noise ``eps`` from ``rng``."""
+def _outcome(rng: np.random.Generator, covs: np.ndarray, eta: np.ndarray, alpha, treated, scratch=None):
+    """``y = alpha * treated + x1 + x3 + eta / 2 + eps``, drawing the noise ``eps`` from ``rng``.
+
+    ``y`` is formed in place in ``alpha``'s memory, with ``eta / 2`` in
+    ``scratch`` (a new array when None).  The terms are added left to
+    right, as the expression adds them, so the bits are its.
+    """
     eps = rng.normal(0.0, EPS_SD, size=eta.shape[0])
-    return alpha * treated + covs[:, 0] + covs[:, 2] + eta / 2.0 + eps
+    y = np.multiply(alpha, treated, out=alpha)
+    y += covs[:, 0]
+    y += covs[:, 2]
+    y += np.divide(eta, 2.0, out=scratch)
+    y += eps
+    return y
 
 
 def generate(config: DgpConfig) -> ObservationSet:
-    """Draw one i.i.d. dataset; bit-identical for a fixed config."""
+    """Draw one i.i.d. dataset; bit-identical for a fixed config.
+
+    The outcome is formed in place, in the effect surface's memory, and
+    one scratch vector holds each product and ``eta / 2`` before it is
+    added.  Every ``n``-row array is allocated before any is freed: glibc's
+    malloc raises its mapping threshold only when a mapped block is freed,
+    so it maps each large array on its own and returns it to the system
+    when it is freed, rather than leaving freed gaps resident in the heap.
+    """
     rng = rng_from(config.seed)
     covs, eta = _draw(rng, config.n)
     q = covs[:, 3] + eta
-    y = _outcome(rng, covs, eta, _effect_surface(covs, eta, config.ite_kind), q >= 0.0)
+    treated = q >= 0.0
+    scratch = np.empty(config.n)
+    alpha = _effect_surface(covs, eta, config.ite_kind, scratch)
+    y = _outcome(rng, covs, eta, alpha, treated, scratch)
     return ObservationSet(y=y, x=covs[:, :3], z=covs, q=q, tau0=0.0)
 
 

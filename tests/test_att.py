@@ -318,11 +318,14 @@ class TestDgpScale:
 class TestWorkingSet:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_crossfit_peak_stays_under_its_bound(self, monkeypatch, cpus):
-        # measured 12.1 MB at any CPU count: one rotation's working set at a
-        # time; two rotations' stages at once took it to 13.7-17.0 MB, a
-        # record that keeps an n-row residual vector to 16.9 MB, and either fit
-        # holding a copy of its design beyond the gathered one and Q, or
-        # matching keeping its intermediates to its end, adds about 2.8 MB
+        # measured 10.02 MB at any CPU count, in the last rotation's
+        # difference fit; the score fits, which all run before any rotation
+        # holds a record or its residuals, reach 9.60 MB (the partition and
+        # one fit's design, Q and target).  Fitting each score in its
+        # rotation's turn took it to 12.12 MB, and two rotations' stages at
+        # once to 13.7-17.0 MB; a run that keeps its n-row residuals through
+        # matching, or either fit holding a copy of its design beyond the
+        # gathered one and Q, adds more
         obs = generate(DgpConfig(n=300_000, seed=0))
         set_cpus(monkeypatch, cpus)
         tracemalloc.start()
@@ -331,7 +334,7 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 13e6
+        assert peak < 10.5e6
 
 
 class TestErrorLabeling:
@@ -482,8 +485,10 @@ class TestCrossfitStartsNoThread:
         ([(1, "I3"), (2, "I1")], "rotation 1: I3"),
         ([(0, "I3"), (2, "I2")], "rotation 0: I3"),
         ([(2, "I3")], "rotation 2: I3"),
+        ([(2, "I1"), (1, "I2")], "rotation 1: I2"),
+        ([(2, "I1")], "rotation 2: I1"),
     ], ids=["r0-finish-before-r1", "r1-fit", "r0-fit-before-r0-finish", "r1-finish-before-r2",
-            "r0-finish-before-r2-finish", "r2-finish"])
+            "r0-finish-before-r2-finish", "r2-finish", "r1-finish-before-r2-fit", "r2-fit"])
     def test_the_loops_first_error_is_raised(self, monkeypatch, cpus, failing, expected):
         splits = SplitAssignment(np.arange(0, 10), np.arange(10, 20), np.arange(20, 30))
         obs = make_null_obs(seed=3, n=30)
@@ -509,6 +514,30 @@ class TestCrossfitStartsNoThread:
         assert str(err.value) == f"[split {expected}] {EmptyControlGroup()}"
         assert started == []
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("via", ["crossfit_on_splits", "estimate_theta"])
+    def test_the_three_score_fits_run_before_the_first_difference_fit(self, monkeypatch, via):
+        # the score fits come first, in rotation order, so no rotation holds
+        # a record or residuals while one runs
+        obs = make_null_obs(seed=3, n=60)
+        splits = split_three_way(obs.n, seed=4)
+        calls = []
+
+        def logged(fn, name):
+            def stage_fn(*args):
+                calls.append((name, args[1]))
+                return fn(*args)
+            return stage_fn
+
+        monkeypatch.setattr(att_mod, "fit_gamma", logged(att_mod.fit_gamma, "gamma"))
+        monkeypatch.setattr(att_mod, "fit_beta", logged(att_mod.fit_beta, "beta"))
+        if via == "crossfit_on_splits":
+            crossfit_on_splits(obs, splits)
+        else:
+            estimate_theta(obs, seed=4, crossfit=True)
+        assert [name for name, _ in calls] == ["gamma"] * 3 + ["beta"] * 3
+        for (_, fitted), part in zip(calls, (splits.i1, splits.i2, splits.i3)):
+            assert np.array_equal(fitted, part)
 
     def test_callers_own_threads_get_the_serial_estimates(self, monkeypatch):
         # eight cross-fits at once on eight caller threads, on fewer CPUs,

@@ -30,8 +30,20 @@ C-ordered copies of ``x`` and ``z``:
   ``theta_hat`` bit-identical.
 
 A power of two scales every product and sum exactly in IEEE arithmetic,
-so those two hold bit for bit.  A property that fails is a fault to record
-with its shrunk example, not a bound to loosen.
+so those two hold bit for bit.
+
+Two more change the data's shape or order:
+
+- a copy of one ``x`` or ``z`` column, inserted anywhere, raises
+  RankDeficient in the difference or the score fit (labelled ``I2`` or
+  ``I1``, and ``rotation 0: I2`` or ``rotation 0: I1`` in a cross-fit),
+  never a number;
+- permuting the rows, with the split mapped to the same rows, leaves
+  ``theta_hat`` within the same 1e-12 of the outcome scale.  The data are
+  continuous, so no tie's winner depends on the order rows are listed in.
+
+A property that fails is a fault to record with its shrunk example, not a
+bound to loosen.
 """
 
 import numpy as np
@@ -43,9 +55,12 @@ from threshmatch import (
     AttEstimate,
     DgpConfig,
     ObservationSet,
+    RankDeficient,
+    SplitAssignment,
     StructuralError,
     TooManyFailures,
     bootstrap_att,
+    crossfit_on_splits,
     estimate_att,
     estimate_att_crossfit,
     generate,
@@ -170,3 +185,42 @@ def test_a_power_of_two_on_a_z_column_keeps_the_matches(crossfit, n, data_seed, 
         assert _bits(scaled.theta_hat) == _bits(base.theta_hat)
         for name in ("treated_idx", "control_idx"):
             assert np.array_equal(getattr(scaled.matches, name), getattr(base.matches, name))
+
+
+@pytest.mark.parametrize("crossfit", [False, True], ids=["single", "crossfit"])
+@moves
+@given(**sizes, side=st.sampled_from(["x", "z"]), col=st.integers(0, 3), at=st.integers(0, 4))
+def test_a_duplicated_column_raises_rank_deficient(crossfit, n, data_seed, seed, side, col, at):
+    obs = generate(DgpConfig(n=n, seed=data_seed))
+    m = np.array(getattr(obs, side), order="C")
+    col, at = col % m.shape[1], at % (m.shape[1] + 1)
+    duplicated = _fresh(obs, **{side: np.insert(m, at, m[:, col], axis=1)})
+    with pytest.raises(RankDeficient) as err:
+        _runs(duplicated, seed, crossfit)
+    stage = "I2" if side == "x" else "I1"
+    assert err.value.split == (f"rotation 0: {stage}" if crossfit else stage)
+
+
+@pytest.mark.parametrize("crossfit", [False, True], ids=["single", "crossfit"])
+@moves
+@given(**sizes, order_seed=st.integers(0, 10_000))
+def test_relabelled_rows_keep_the_estimate(crossfit, n, data_seed, seed, order_seed):
+    obs = generate(DgpConfig(n=n, seed=data_seed))
+    perm = np.random.default_rng(order_seed).permutation(n)  # new row k is old row perm[k]
+    relabelled = ObservationSet(y=obs.y[perm], x=obs.x[perm], z=obs.z[perm], q=obs.q[perm],
+                                tau0=obs.tau0)
+    new_row = np.argsort(perm)
+    splits = split_three_way(n, seed=seed)
+    mapped = SplitAssignment(new_row[splits.i1], new_row[splits.i2], new_row[splits.i3])
+    runs = []
+    for data, split in ((obs, splits), (relabelled, mapped)):
+        try:
+            est = crossfit_on_splits(data, split) if crossfit else estimate_att(data, split)
+            runs.append(est.theta_cf if crossfit else est.theta_hat)
+        except StructuralError as exc:  # a small split may lack the controls a stage needs
+            runs.append(str(exc))
+    base, moved = runs
+    if isinstance(base, str) or isinstance(moved, str):
+        assert moved == base  # failures depend on which rows each split holds
+    else:
+        assert moved == pytest.approx(base, rel=0, abs=REL * np.abs(obs.y).max())

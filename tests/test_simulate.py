@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -22,7 +23,7 @@ from threshmatch import (
     true_att_oracle,
     true_ite_fn,
 )
-from threshmatch.rng import derive_seed
+from threshmatch.rng import derive_seed, rng_from
 from threshmatch.simulate import TRUE_ATT, X_AND_ETA, X_ONLY
 
 from conftest import assert_no_child_left, make_null_obs, set_cpus
@@ -74,6 +75,37 @@ class TestGenerate:
         sample_se = obs.y[obs.q < 0].std() / np.sqrt((obs.q < 0).sum())
         tol = 3.0 * float(np.hypot(oracle_se, sample_se))
         assert abs(sample_mean - oracle_mean) <= tol
+
+    @pytest.mark.parametrize("ite_kind", [X_ONLY, X_AND_ETA])
+    @pytest.mark.parametrize("n", [9, 1201, 300_001])
+    def test_in_place_outcome_has_the_expressions_bits(self, n, ite_kind):
+        # generate forms y in place; the same streams through the plain
+        # expression must give the same bits
+        rng = rng_from(11)
+        covs = rng.standard_normal((n, 4))
+        eta = rng.uniform(-1.0, 1.0, size=n)
+        eps = rng.normal(0.0, np.sqrt(0.5), size=n)
+        q = covs[:, 3] + eta
+        alpha = covs[:, 0] ** 2 + covs[:, 1] * covs[:, 2]
+        if ite_kind == X_AND_ETA:
+            alpha = alpha + eta**2
+        y = alpha * (q >= 0.0) + covs[:, 0] + covs[:, 2] + eta / 2.0 + eps
+        obs = generate(DgpConfig(n=n, seed=11, ite_kind=ite_kind))
+        assert obs.y.tobytes() == y.tobytes()
+        assert obs.q.tobytes() == q.tobytes()
+        assert obs.z.tobytes() == covs.tobytes()
+
+    def test_a_generate_peak_stays_under_its_bound(self):
+        # measured 22.67 MB: the draws, q, the treatment mask, the outcome,
+        # the noise and one scratch vector, all live at once; forming the
+        # outcome by whole-array expressions took it to 25.00 MB
+        tracemalloc.start()
+        try:
+            generate(DgpConfig(n=300_000, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 23.5e6
 
     def test_config_rejects_small_n_and_unknown_kind(self):
         with pytest.raises(TooFewRows):
